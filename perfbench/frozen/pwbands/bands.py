@@ -1,0 +1,131 @@
+"""Band-structure sweeps along k-paths, gap detection, convergence studies."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .eigen import SolverError, eigh
+from .hamiltonian import PlaneWaveBasis, build, potential_matrix
+from .lattice import KPath, RealLattice, ReciprocalLattice
+from .potential import HBAR2_OVER_2M, PotentialModel
+
+
+@dataclass(frozen=True, eq=False)
+class BandStructure:
+    """Lowest ``num_bands`` eigenvalues (eV) at every point of ``path``.
+
+    ``energies`` has shape (n_points, num_bands), ascending along each row.
+    """
+
+    path: KPath
+    num_bands: int
+    energies: np.ndarray
+
+
+@dataclass(frozen=True)
+class GapEntry:
+    """Energy window between band ``below_band`` (1-based) and the next one."""
+
+    below_band: int
+    gap_bottom: float
+    gap_top: float
+    width: float
+
+
+@dataclass(frozen=True, eq=False)
+class ConvergenceRow:
+    """Spectrum retained at one basis cutoff."""
+
+    g2_max: float
+    dim: int
+    values: np.ndarray
+
+
+class SweepError(RuntimeError):
+    """Solver failure during a sweep, carrying the offending k-point."""
+
+    def __init__(self, message: str, index: int, kappa: np.ndarray):
+        super().__init__(message)
+        self.index = index
+        self.kappa = kappa
+
+
+def sweep(path: KPath, model: PotentialModel, lattice: RealLattice,
+          recip: ReciprocalLattice, g2_max: float, num_bands: int) -> BandStructure:
+    """Diagonalize the Bloch Hamiltonian at every path point.
+
+    The potential block is assembled once and reused; only the kinetic
+    diagonal changes with kappa.
+    """
+    basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
+    if num_bands > basis.dim:
+        raise ValueError(
+            f"num_bands={num_bands} exceeds basis dimension {basis.dim}")
+    v = potential_matrix(model, lattice, recip, basis)
+    energies = np.empty((len(path.points), num_bands))
+    for idx, point in enumerate(path.points):
+        h = build(point.kappa, basis, model, lattice, recip, potential=v)
+        try:
+            result = eigh(h)
+        except SolverError as exc:
+            raise SweepError(
+                f"solve failed at k-point {idx} kappa={point.kappa}: {exc}",
+                index=idx, kappa=point.kappa) from exc
+        energies[idx] = result.values[:num_bands]
+    return BandStructure(path=path, num_bands=num_bands, energies=energies)
+
+
+def free_electron_reference(path: KPath, lattice: RealLattice,
+                            recip: ReciprocalLattice, g2_max: float,
+                            num_bands: int) -> BandStructure:
+    """Sorted free-electron energies hbar^2 |kappa + G|^2 / 2m, no matrices."""
+    basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
+    if num_bands > basis.dim:
+        raise ValueError(
+            f"num_bands={num_bands} exceeds basis dimension {basis.dim}")
+    cart = basis.cart
+    energies = np.empty((len(path.points), num_bands))
+    for idx, point in enumerate(path.points):
+        levels = HBAR2_OVER_2M * np.sum((point.kappa + cart) ** 2, axis=1)
+        levels.sort()
+        energies[idx] = levels[:num_bands]
+    return BandStructure(path=path, num_bands=num_bands, energies=energies)
+
+
+def detect_gaps(bs: BandStructure) -> list:
+    """Gaps between adjacent bands over the sampled path.
+
+    For each band index n the gap interval runs from max_k E_n(k) up to
+    min_k E_{n+1}(k); only intervals with positive width are reported.
+    Band indices are 1-based.  These are path gaps, not zone-wide gaps.
+    """
+    report = []
+    for n in range(bs.num_bands - 1):
+        bottom = float(bs.energies[:, n].max())
+        top = float(bs.energies[:, n + 1].min())
+        if top > bottom:
+            report.append(GapEntry(below_band=n + 1, gap_bottom=bottom,
+                                   gap_top=top, width=top - bottom))
+    return report
+
+
+def convergence_study(kappa, model: PotentialModel, lattice: RealLattice,
+                      recip: ReciprocalLattice, cutoffs, num_bands: int) -> list:
+    """Solve at one kappa for each basis cutoff in an ascending list."""
+    cutoffs = [float(c) for c in cutoffs]
+    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"cutoffs must be strictly ascending: {cutoffs}")
+    rows = []
+    for g2_max in cutoffs:
+        basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
+        if num_bands > basis.dim:
+            raise ValueError(
+                f"num_bands={num_bands} exceeds basis dimension {basis.dim} "
+                f"at cutoff {g2_max}")
+        h = build(kappa, basis, model, lattice, recip)
+        result = eigh(h)
+        rows.append(ConvergenceRow(g2_max=g2_max, dim=basis.dim,
+                                   values=result.values[:num_bands]))
+    return rows

@@ -1,0 +1,300 @@
+"""Bravais lattices, reciprocal lattices, G-vector enumeration, and k-paths.
+
+Real-space lattices are defined by three primitive vectors (in Angstrom)
+plus the offsets of the atoms repeated at every lattice point.  The
+reciprocal lattice carries the dual vectors (in 1/Angstrom) and the unit
+cell volume, and is the geometry source for plane-wave basis enumeration
+and Brillouin-zone tours.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+TWO_PI = 2.0 * math.pi
+
+# Relative slack on |G|^2 <= g2_max so shells sitting exactly at the cutoff
+# are kept regardless of rounding.
+CUTOFF_SLACK = 1e-9
+
+# |g_i . a_j - 2 pi delta_ij| must stay below this times 2 pi.
+DUALITY_TOL = 1e-12
+
+
+class LatticeError(ValueError):
+    """Invalid lattice geometry (degenerate vectors, bad parameters)."""
+
+
+def _vec3(v) -> np.ndarray:
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != (3,):
+        raise LatticeError(f"expected a 3-vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise LatticeError(f"vector has non-finite components: {arr}")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class RealLattice:
+    """Bravais lattice: primitive vectors a1,a2,a3 plus atomic basis offsets.
+
+    Offsets are reduced modulo the lattice into the centered cell
+    (fractional coordinates in [-1/2, 1/2)), which keeps the two-atom
+    diamond basis in its symmetric +/-(a/8)(1,1,1) form.
+
+    ``lattice_constant`` is the conventional cube edge for the cubic
+    catalog; hand-built non-cubic lattices may leave it None.
+    """
+
+    a1: np.ndarray
+    a2: np.ndarray
+    a3: np.ndarray
+    basis_offsets: tuple = (np.zeros(3),)
+    lattice_constant: float | None = None
+
+    def __post_init__(self):
+        a1, a2, a3 = _vec3(self.a1), _vec3(self.a2), _vec3(self.a3)
+        mat = np.array([a1, a2, a3])
+        det = np.linalg.det(mat)
+        scale = np.abs(mat).max()
+        if scale == 0.0 or abs(det) < 1e-12 * scale**3:
+            raise LatticeError("primitive vectors are linearly dependent")
+        offsets = []
+        for tau in self.basis_offsets:
+            frac = np.linalg.solve(mat.T, _vec3(tau))
+            frac = frac - np.round(frac)
+            offsets.append(mat.T @ frac)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "basis_offsets", tuple(offsets))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Rows are the primitive vectors."""
+        return np.array([self.a1, self.a2, self.a3])
+
+    @property
+    def volume(self) -> float:
+        return abs(np.linalg.det(self.matrix))
+
+
+@dataclass(frozen=True, eq=False)
+class ReciprocalLattice:
+    """Dual lattice vectors g1,g2,g3 (1/Angstrom) and cell volume omega (A^3)."""
+
+    g1: np.ndarray
+    g2: np.ndarray
+    g3: np.ndarray
+    omega: float
+    lattice_constant: float | None = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Rows are the reciprocal primitive vectors."""
+        return np.array([self.g1, self.g2, self.g3])
+
+    def dual_vectors(self) -> np.ndarray:
+        """Recover the real-space primitive vectors (rows) from g1,g2,g3."""
+        return TWO_PI * np.linalg.inv(self.matrix.T)
+
+
+@dataclass(frozen=True, eq=False)
+class GVector:
+    """Reciprocal lattice vector n*g1 + m*g2 + l*g3.
+
+    ``shell`` is |G|^2 in units of (pi/a)^2 for cubic lattices (the integer
+    n^2 labelling of form-factor tables); None when no cubic lattice
+    constant is available.
+    """
+
+    n: int
+    m: int
+    l: int
+    cart: np.ndarray
+    g2: float
+    shell: int | None
+
+    @property
+    def coeffs(self) -> tuple:
+        return (self.n, self.m, self.l)
+
+
+_CUBIC_VECTORS = {
+    "SC": [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+    "BCC": [(-0.5, 0.5, 0.5), (0.5, -0.5, 0.5), (0.5, 0.5, -0.5)],
+    "FCC": [(0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0)],
+}
+
+
+def make_cubic(kind: str, a: float) -> RealLattice:
+    """Construct a cubic-catalog lattice: SC, BCC, FCC, or DIAMOND.
+
+    DIAMOND is FCC with the centered two-atom basis +/-(a/8)(1,1,1).
+    """
+    if a <= 0:
+        raise LatticeError(f"lattice constant must be positive, got {a}")
+    tag = kind.upper()
+    if tag == "DIAMOND":
+        vecs = _CUBIC_VECTORS["FCC"]
+        tau = np.array([a / 8.0, a / 8.0, a / 8.0])
+        offsets = (tau, -tau)
+    elif tag in _CUBIC_VECTORS:
+        vecs = _CUBIC_VECTORS[tag]
+        offsets = (np.zeros(3),)
+    else:
+        raise LatticeError(f"unknown cubic lattice kind: {kind!r}")
+    a1, a2, a3 = (a * np.array(v) for v in vecs)
+    return RealLattice(a1, a2, a3, offsets, lattice_constant=a)
+
+
+def reciprocal_of(real: RealLattice) -> ReciprocalLattice:
+    """Dual lattice: g vectors are 2 pi times the columns of [a1;a2;a3]^-1."""
+    mat = real.matrix
+    det = np.linalg.det(mat)
+    if abs(det) < 1e-12 * max(np.abs(mat).max(), 1e-300) ** 3:
+        raise LatticeError("cannot invert a degenerate lattice")
+    inv = np.linalg.inv(mat)
+    g1, g2, g3 = TWO_PI * inv[:, 0], TWO_PI * inv[:, 1], TWO_PI * inv[:, 2]
+    recip = ReciprocalLattice(g1, g2, g3, omega=abs(det),
+                              lattice_constant=real.lattice_constant)
+    err = np.abs(recip.matrix @ mat.T - TWO_PI * np.eye(3)).max()
+    if err >= DUALITY_TOL * TWO_PI:
+        raise LatticeError(f"duality violated by {err:.3e}")
+    return recip
+
+
+def shell_index(g2: float, lattice_constant: float | None) -> int | None:
+    """Integer n^2 with |G|^2 = n^2 (pi/a)^2, or None if not near an integer."""
+    if lattice_constant is None:
+        return None
+    x = g2 * (lattice_constant / math.pi) ** 2
+    s = int(round(x))
+    if abs(x - s) > 1e-6 * max(1.0, x):
+        return None
+    return s
+
+
+def gvector(recip: ReciprocalLattice, n: int, m: int, l: int) -> GVector:
+    """Build the GVector for integer coefficients (n, m, l)."""
+    cart = n * recip.g1 + m * recip.g2 + l * recip.g3
+    g2 = float(cart @ cart)
+    return GVector(n, m, l, cart, g2, shell_index(g2, recip.lattice_constant))
+
+
+def g_difference(recip: ReciprocalLattice, gi: GVector, gj: GVector) -> GVector:
+    """Gi - Gj formed exactly in integer coefficients."""
+    return gvector(recip, gi.n - gj.n, gi.m - gj.m, gi.l - gj.l)
+
+
+def enumerate_g(recip: ReciprocalLattice, g2_max: float) -> list:
+    """All reciprocal lattice vectors with |G|^2 <= g2_max.
+
+    Sorted ascending by |G|^2 with lexicographic (n, m, l) tie-break inside
+    each shell; shells at the cutoff are included.  The integer search box
+    is derived from the real-space vector norms (|n_i| <= |G||a_i|/2pi), so
+    it provably covers the cutoff ball.
+    """
+    if g2_max < 0:
+        raise LatticeError(f"g2_max must be nonnegative, got {g2_max}")
+    cut = g2_max * (1.0 + CUTOFF_SLACK)
+    radius = math.sqrt(cut) if cut > 0 else 0.0
+    duals = recip.dual_vectors()
+    bounds = [int(math.floor(radius * np.linalg.norm(duals[i]) / TWO_PI + 1e-9))
+              for i in range(3)]
+    found = []
+    for n in range(-bounds[0], bounds[0] + 1):
+        for m in range(-bounds[1], bounds[1] + 1):
+            for l in range(-bounds[2], bounds[2] + 1):
+                g = gvector(recip, n, m, l)
+                if g.g2 <= cut:
+                    found.append(g)
+    found.sort(key=lambda g: g.g2)
+    # Collapse float noise so equal shells really tie before the
+    # lexicographic pass.
+    decorated = []
+    group = 0
+    prev = None
+    for g in found:
+        if prev is not None and g.g2 - prev > 1e-9 * max(1.0, g.g2):
+            group += 1
+        decorated.append((group, g.n, g.m, g.l, g))
+        prev = g.g2
+    decorated.sort(key=lambda item: item[:4])
+    return [item[4] for item in decorated]
+
+
+def fcc_symmetry_points(a: float) -> dict:
+    """High-symmetry points of the FCC Brillouin zone, in cartesian 1/A."""
+    if a <= 0:
+        raise LatticeError(f"lattice constant must be positive, got {a}")
+    unit = TWO_PI / a
+    table = {
+        "Γ": (0.0, 0.0, 0.0),
+        "X": (1.0, 0.0, 0.0),
+        "L": (0.5, 0.5, 0.5),
+        "W": (1.0, 0.5, 0.0),
+        "K": (0.75, 0.75, 0.0),
+        "U": (1.0, 0.25, 0.25),
+    }
+    return {label: unit * np.array(v) for label, v in table.items()}
+
+
+@dataclass(frozen=True, eq=False)
+class KPoint:
+    """One sample on a k-path; ``label`` is set only at tour vertices."""
+
+    kappa: np.ndarray
+    arc_distance: float
+    label: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class KPath:
+    """Piecewise-linear tour through reciprocal space.
+
+    ``points`` holds every sample exactly once (shared segment endpoints are
+    not duplicated) with cumulative Euclidean arc distance.
+    """
+
+    vertices: tuple
+    samples_per_segment: int
+    points: tuple
+
+    @property
+    def arc_distances(self) -> np.ndarray:
+        return np.array([p.arc_distance for p in self.points])
+
+    @property
+    def kappas(self) -> np.ndarray:
+        return np.array([p.kappa for p in self.points])
+
+
+def make_kpath(points: Sequence, samples_per_segment: int) -> KPath:
+    """Interpolate a labeled vertex list into a sampled KPath.
+
+    ``points`` is a sequence of (label, coordinate) pairs in cartesian 1/A.
+    Each segment is sampled with ``samples_per_segment`` points including
+    both endpoints; interior vertices appear once, carrying their label.
+    """
+    verts = [(str(label), _vec3(coord)) for label, coord in points]
+    if len(verts) < 2:
+        raise LatticeError("a k-path needs at least two points")
+    if samples_per_segment < 2:
+        raise LatticeError("samples_per_segment must be at least 2")
+    samples = []
+    arc = 0.0
+    samples.append(KPoint(verts[0][1], 0.0, verts[0][0]))
+    for (_, start), (label_b, end) in zip(verts, verts[1:]):
+        seg_len = float(np.linalg.norm(end - start))
+        for j in range(1, samples_per_segment):
+            t = j / (samples_per_segment - 1)
+            kappa = (1.0 - t) * start + t * end
+            label = label_b if j == samples_per_segment - 1 else None
+            samples.append(KPoint(kappa, arc + t * seg_len, label))
+        arc += seg_len
+    return KPath(tuple(verts), samples_per_segment, tuple(samples))
