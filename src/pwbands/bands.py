@@ -57,7 +57,8 @@ def sweep(path: KPath, model: PotentialModel, lattice: RealLattice,
     """Diagonalize the Bloch Hamiltonian at every path point.
 
     The potential block is assembled once and reused; only the kinetic
-    diagonal changes with kappa.
+    diagonal changes with kappa.  Each solve returns and verifies only the
+    lowest ``num_bands`` eigenpairs.
     """
     basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
     if num_bands > basis.dim:
@@ -68,12 +69,12 @@ def sweep(path: KPath, model: PotentialModel, lattice: RealLattice,
     for idx, point in enumerate(path.points):
         h = build(point.kappa, basis, model, lattice, recip, potential=v)
         try:
-            result = eigh(h)
+            result = eigh(h, num_bands)
         except SolverError as exc:
             raise SweepError(
                 f"solve failed at k-point {idx} kappa={point.kappa}: {exc}",
                 index=idx, kappa=point.kappa) from exc
-        energies[idx] = result.values[:num_bands]
+        energies[idx] = result.values
     return BandStructure(path=path, num_bands=num_bands, energies=energies)
 
 
@@ -125,7 +126,7 @@ def convergence_study(kappa, model: PotentialModel, lattice: RealLattice,
                 f"num_bands={num_bands} exceeds basis dimension {basis.dim} "
                 f"at cutoff {g2_max}")
         h = build(kappa, basis, model, lattice, recip)
-        result = eigh(h)
+        result = eigh(h, num_bands)
         rows.append(ConvergenceRow(g2_max=g2_max, dim=basis.dim,
-                                   values=result.values[:num_bands]))
+                                   values=result.values))
     return rows

@@ -72,7 +72,13 @@ def _require(section: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(where, f"number {value!r} is out of range") from None
+    if not math.isfinite(number):
+        raise ConfigError(where, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _check_keys(section: dict, allowed, where: str):
@@ -172,6 +178,8 @@ def load_config(config_file) -> RunConfig:
         if not isinstance(cutoffs, list) or len(cutoffs) < 1:
             raise ConfigError("basis.cutoffs", "expected a nonempty list")
         vals = [_number(c, "basis.cutoffs") for c in cutoffs]
+        if min(vals) < 0:
+            raise ConfigError("basis.cutoffs", "must be nonnegative")
         if any(b <= x for x, b in zip(vals, vals[1:])):
             raise ConfigError("basis.cutoffs", "must be strictly ascending")
         cutoffs = tuple(vals)
@@ -358,9 +366,15 @@ def cmd_converge(config_file, out=None) -> int:
     cfg = load_config(config_file)
     if cfg.cutoffs_units is None:
         raise ConfigError("basis.cutoffs", "required for the converge command")
-    directory = _out_dir(cfg, out)
     shell_unit = (math.pi / cfg.lattice.lattice_constant) ** 2
     cutoffs_abs = [c * shell_unit for c in cfg.cutoffs_units]
+    # Cutoffs ascend, so the first one gives the smallest basis.
+    dim = PlaneWaveBasis.from_cutoff(cfg.recip, cutoffs_abs[0]).dim
+    if cfg.num_bands > dim:
+        raise ConfigError(
+            "basis.cutoffs", f"cutoff {cfg.cutoffs_units[0]:g} gives basis "
+            f"size {dim}, below output.num_bands={cfg.num_bands}")
+    directory = _out_dir(cfg, out)
     rows = bands_mod.convergence_study(cfg.converge_kappa, cfg.model,
                                        cfg.lattice, cfg.recip, cutoffs_abs,
                                        cfg.num_bands)

@@ -1,10 +1,13 @@
 """Dense Hermitian eigendecomposition with verified contracts.
 
 The decomposition itself is delegated to LAPACK's divide-and-conquer
-driver (numpy.linalg.eigh); this module owns the contract: ascending
-eigenvalues, orthonormal eigenvectors, and a residual bound checked on
-every solve.  Non-Hermitian input and solver non-convergence raise
-distinct errors.
+solvers through numpy.linalg.eigh, which runs the real-symmetric routine
+(dsyevd) for float64 input and the complex Hermitian one (zheevd) for
+complex input; callers choose the path by the dtype they pass.  This
+module owns the contract: ascending eigenvalues, orthonormal eigenvectors,
+and a residual bound, checked on every solve for exactly the eigenpairs
+returned.  Non-Hermitian or non-finite input and solver non-convergence
+raise distinct errors.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ ORTHONORMALITY_TOL = 1e-8
 
 
 class NonHermitianError(ValueError):
-    """Input matrix is not Hermitian within tolerance."""
+    """Input matrix is not Hermitian within tolerance, or not finite."""
 
 
 class SolverError(RuntimeError):
@@ -36,16 +39,25 @@ class EigenResult:
     vectors: np.ndarray
 
 
-def eigh(h) -> EigenResult:
-    """Full spectrum of a Hermitian matrix (BlochMatrix or ndarray).
+def eigh(h, count: int | None = None) -> EigenResult:
+    """Lowest ``count`` eigenpairs (default: all) of a Hermitian matrix.
 
-    Guarantees on return: values ascending, columns orthonormal to 1e-8,
-    and ||H v_i - lambda_i v_i|| <= 1e-8 ||H||_F for every i.
+    ``h`` is a BlochMatrix or an ndarray; real input is solved as real
+    symmetric, complex input as complex Hermitian.  Guarantees on return,
+    for the ``count`` pairs returned: values ascending, columns orthonormal
+    to 1e-8, and ||H v_i - lambda_i v_i|| <= 1e-8 ||H||_F for every i.
     """
     entries = h.entries if isinstance(h, BlochMatrix) else np.asarray(h)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise NonHermitianError(f"matrix must be square, got {entries.shape}")
+    n = entries.shape[0]
+    if count is None:
+        count = n
+    elif not 1 <= count <= n:
+        raise ValueError(f"count={count} outside 1..{n}")
     scale = np.abs(entries).max()
+    if not np.isfinite(scale):
+        raise NonHermitianError("matrix has non-finite entries")
     herm = np.abs(entries - entries.conj().T).max()
     if herm > HERMITICITY_TOL * scale:
         raise NonHermitianError(
@@ -55,16 +67,16 @@ def eigh(h) -> EigenResult:
         values, vectors = np.linalg.eigh(entries)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
+    values, vectors = values[:count], vectors[:, :count]
     _verify(entries, values, vectors)
     return EigenResult(values=values, vectors=vectors)
 
 
 def _verify(entries, values, vectors) -> None:
-    n = entries.shape[0]
     if np.any(np.diff(values) < 0):
         raise SolverError("eigenvalues are not ascending")
     gram = vectors.conj().T @ vectors
-    ortho = np.abs(gram - np.eye(n)).max()
+    ortho = np.abs(gram - np.eye(len(values))).max()
     if ortho > ORTHONORMALITY_TOL:
         raise SolverError(f"eigenvectors not orthonormal: {ortho:.3e}")
     fro = np.linalg.norm(entries)

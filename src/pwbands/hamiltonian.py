@@ -67,6 +67,9 @@ def potential_matrix(model: PotentialModel, lattice: RealLattice,
 
     Differences G_i - G_j are formed in integer coefficients, so entries
     depend only on the coefficient difference, never on list position.
+    The block is returned as float64 when every entry is exactly real, as
+    for a lattice whose origin is an inversion centre (the diamond basis at
+    +/-(a/8)(1,1,1), where S(G) = 2 cos(G.tau)); otherwise it stays complex.
     """
     n = basis.dim
     v = np.zeros((n, n), dtype=complex)
@@ -78,6 +81,8 @@ def potential_matrix(model: PotentialModel, lattice: RealLattice,
                 dg = g_difference(recip, gi, gj)
                 cache[key] = matrix_element(model, lattice, recip, dg)
             v[i, j] = cache[key]
+    if not np.any(v.imag):
+        return v.real.copy()
     return v
 
 
@@ -88,7 +93,8 @@ def build(kappa, basis: PlaneWaveBasis, model: PotentialModel,
 
     ``potential`` may carry a precomputed potential_matrix for the same
     basis/model (it does not depend on kappa); sweeps reuse it across
-    k-points.
+    k-points.  The matrix has the potential's dtype: real symmetric for a
+    real potential block, complex Hermitian otherwise.
     """
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (3,) or not np.all(np.isfinite(kappa)):
@@ -96,13 +102,15 @@ def build(kappa, basis: PlaneWaveBasis, model: PotentialModel,
     if potential is None:
         potential = potential_matrix(model, lattice, recip, basis)
     kinetic = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
-    h = potential + np.diag(kinetic.astype(complex))
+    h = potential + np.diag(kinetic)
     _check_invariants(h, potential)
     return BlochMatrix(kappa=kappa, dim=basis.dim, entries=h)
 
 
 def _check_invariants(h: np.ndarray, potential: np.ndarray) -> None:
     scale = np.abs(h).max()
+    if not np.isfinite(scale):
+        raise AssemblyError("assembled matrix has non-finite entries")
     herm = np.abs(h - h.conj().T).max()
     if herm > HERMITICITY_TOL * scale:
         raise AssemblyError(

@@ -8,6 +8,7 @@ from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            convergence_study, detect_gaps,
                            free_electron_reference, sweep)
 from pwbands.eigen import SolverError
+from pwbands.hamiltonian import potential_matrix
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
     reciprocal_of
 from pwbands.potential import HBAR2_OVER_2M, Coulomb, Empirical
@@ -64,7 +65,7 @@ class TestSweep:
                                            monkeypatch):
         lat, rec = diamond
 
-        def fail(_):
+        def fail(*_):
             raise SolverError("synthetic failure")
 
         monkeypatch.setattr(bands_mod, "eigh", fail)
@@ -73,6 +74,28 @@ class TestSweep:
         assert excinfo.value.index == 0
         np.testing.assert_allclose(excinfo.value.kappa,
                                    quick_tour.points[0].kappa)
+
+
+class TestRealPath:
+    @pytest.mark.parametrize("model", [
+        Coulomb(0.5), Empirical(base=Coulomb(0.0), overrides=FIG4A_TABLE)],
+        ids=["z05", "si_empirical"])
+    def test_complex_potential_gives_same_bands(self, diamond, quick_tour,
+                                                model, monkeypatch):
+        lat, rec = diamond
+        real = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
+        assembled = []
+
+        def complex_potential(*args):
+            v = potential_matrix(*args)
+            assembled.append(v.dtype)
+            return v.astype(complex)
+
+        monkeypatch.setattr(bands_mod, "potential_matrix", complex_potential)
+        forced = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
+        assert assembled == [np.float64]
+        np.testing.assert_allclose(forced.energies, real.energies,
+                                   rtol=0, atol=1e-10)
 
 
 class TestFreeElectronReference:

@@ -267,6 +267,25 @@ class TestConvergeCommand:
         for row in doc["rows"][1:]:
             np.testing.assert_allclose(row["energies"], first, atol=1e-9)
 
+    def test_cutoff_below_num_bands_exits_2(self, write_config, tmp_path,
+                                            capsys):
+        path = write_config(mutate=lambda c: (
+            c["basis"].update(g2_max=76, cutoffs=[3, 76]),
+            c["output"].update(num_bands=8)))
+        assert main(["converge", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "basis.cutoffs" in err
+        assert "cutoff 3 " in err
+        assert not (tmp_path / "o").exists()
+
+    def test_rejects_negative_cutoff(self, write_config):
+        path = write_config(mutate=lambda c: c["basis"].update(
+            cutoffs=[-4, 16]))
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert "basis.cutoffs" in str(excinfo.value)
+
     def test_rejects_descending_cutoffs(self, write_config, tmp_path):
         path = write_config(mutate=lambda c: c["basis"].update(
             cutoffs=[44, 16]))
@@ -314,6 +333,24 @@ class TestMain:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["info", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("z_eff", math.nan), ("mu", math.inf), ("z_eff", -math.inf)])
+    def test_non_finite_number_exits_2(self, write_config, tmp_path, capsys,
+                                       key, value):
+        path = write_config(potential={"model": "yukawa", "z_eff": 0.5,
+                                       "mu": 1.0, key: value})
+        assert main(["bands", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert f"potential.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_of_range_integer_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        cfg = json.dumps(BASE_CONFIG).replace('"a": 5.431', '"a": 1' + '0' * 400)
+        path.write_text(cfg, encoding="utf-8")
+        assert main(["info", "--config", str(path)]) == 2
+        assert "lattice.a" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, write_config, tmp_path,
                                          monkeypatch, capsys):

@@ -107,6 +107,33 @@ class TestContract:
         assert np.isrealobj(result.values)
 
 
+class TestSubset:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("count", [1, 8, 40])
+    def test_lowest_pairs_meet_contract(self, count, complex_entries):
+        h = random_hermitian(40, seed=30, complex_entries=complex_entries)
+        result = eigh(h, count)
+        assert result.values.shape == (count,)
+        assert result.vectors.shape == (40, count)
+        gram = result.vectors.conj().T @ result.vectors
+        assert np.abs(gram - np.eye(count)).max() <= 1e-8
+        residual = np.linalg.norm(h @ result.vectors
+                                  - result.vectors * result.values, axis=0)
+        assert residual.max() <= 1e-8 * np.linalg.norm(h)
+        np.testing.assert_allclose(result.values, eigh(h).values[:count],
+                                   rtol=0, atol=1e-10)
+
+    def test_real_input_gives_real_vectors(self):
+        h = random_hermitian(12, seed=31, complex_entries=False)
+        result = eigh(h, 3)
+        assert np.isrealobj(result.vectors)
+
+    @pytest.mark.parametrize("count", [0, 13])
+    def test_count_out_of_range(self, count):
+        with pytest.raises(ValueError):
+            eigh(random_hermitian(12, seed=32), count)
+
+
 class TestErrors:
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
@@ -116,6 +143,14 @@ class TestErrors:
         with pytest.raises(NonHermitianError) as excinfo:
             eigh(bad)
         assert not isinstance(excinfo.value, SolverError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_non_finite_rejected(self, bad, complex_entries):
+        h = random_hermitian(4, seed=33, complex_entries=complex_entries)
+        h[1, 2] = h[2, 1] = bad
+        with pytest.raises(NonHermitianError):
+            eigh(h)
 
     def test_non_square_rejected(self):
         with pytest.raises(NonHermitianError):

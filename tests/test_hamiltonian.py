@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pwbands.cli import load_config
 from pwbands.eigen import eigh
 from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
                                  potential_matrix)
 from pwbands.lattice import (RealLattice, g_difference, gvector, make_cubic,
                              reciprocal_of)
 from pwbands.potential import HBAR2_OVER_2M, Coulomb, matrix_element
+from pwbands.presets import PRESETS, preset_path
 
 A_SI = 5.431
 SHELL = (math.pi / A_SI) ** 2
@@ -122,6 +124,26 @@ class TestBuild:
         assert np.abs(h.entries.imag).max() > 1e-3
         result = eigh(h)
         assert np.all(np.diff(result.values) >= 0)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_diamond_presets_give_real_potential(self, name, basis12):
+        # The diamond origin is an inversion centre, so V is exactly real
+        # and the Hamiltonian is real symmetric.
+        cfg = load_config(preset_path(name))
+        v = potential_matrix(cfg.model, cfg.lattice, cfg.recip, basis12)
+        assert v.dtype == np.float64
+        h = build(np.array([0.3, 0.2, 0.1]), basis12, cfg.model,
+                  cfg.lattice, cfg.recip, potential=v)
+        assert h.entries.dtype == np.float64
+        np.testing.assert_array_equal(h.entries, h.entries.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_potential(self, diamond, basis12, bad):
+        lat, rec = diamond
+        v = potential_matrix(Coulomb(0.5), lat, rec, basis12)
+        v[1, 2] = v[2, 1] = bad
+        with pytest.raises(AssemblyError):
+            build(np.zeros(3), basis12, Coulomb(0.5), lat, rec, potential=v)
 
 
 class TestStructureProperties:
