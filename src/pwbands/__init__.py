@@ -11,10 +11,9 @@ from .bands import (BandStructure, ConvergenceRow, GapEntry, SweepError,
                     sweep)
 from .eigen import EigenResult, NonHermitianError, SolverError, eigh
 from .hamiltonian import AssemblyError, BlochMatrix, PlaneWaveBasis, build
-from .lattice import (GVector, KPath, KPoint, LatticeError, RealLattice,
+from .lattice import (KPath, KPoint, LatticeError, RealLattice,
                       ReciprocalLattice, enumerate_g, fcc_symmetry_points,
-                      g_difference, gvector, make_cubic, make_kpath,
-                      reciprocal_of)
+                      make_cubic, make_kpath, reciprocal_of)
 from .potential import (E2, HBAR2_OVER_2M, Coulomb, Empirical,
                         PotentialError, Yukawa, ion_ft, matrix_element,
                         structure_factor)
@@ -23,14 +22,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandStructure", "BlochMatrix", "ConvergenceRow", "Coulomb",
-    "EigenResult", "Empirical", "GapEntry", "GVector", "KPath", "KPoint",
+    "EigenResult", "Empirical", "GapEntry", "KPath", "KPoint",
     "PlaneWaveBasis", "RealLattice", "ReciprocalLattice", "SweepError",
     "Yukawa",
     "AssemblyError", "LatticeError", "NonHermitianError", "PotentialError",
     "SolverError",
     "E2", "HBAR2_OVER_2M",
     "build", "convergence_study", "detect_gaps", "eigh", "enumerate_g",
-    "fcc_symmetry_points", "free_electron_reference", "g_difference",
-    "gvector", "ion_ft", "make_cubic", "make_kpath", "matrix_element",
-    "reciprocal_of", "structure_factor", "sweep",
+    "fcc_symmetry_points", "free_electron_reference", "ion_ft",
+    "make_cubic", "make_kpath", "matrix_element", "reciprocal_of",
+    "structure_factor", "sweep",
 ]

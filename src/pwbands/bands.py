@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import SolverError, eigh
+from .eigen import NonHermitianError, SolverError, eigh
 from .hamiltonian import PlaneWaveBasis, build, potential_matrix
 from .lattice import KPath, RealLattice, ReciprocalLattice
 from .potential import HBAR2_OVER_2M, PotentialModel
@@ -44,7 +44,11 @@ class ConvergenceRow:
 
 
 class SweepError(RuntimeError):
-    """Solver failure during a sweep, carrying the offending k-point."""
+    """Solve failure in a sweep or a convergence study.
+
+    ``index`` is the offending k-point's position on the path (sweep) or
+    the offending cutoff's position in the list (convergence study).
+    """
 
     def __init__(self, message: str, index: int, kappa: np.ndarray):
         super().__init__(message)
@@ -67,10 +71,10 @@ def sweep(path: KPath, model: PotentialModel, lattice: RealLattice,
     v = potential_matrix(model, lattice, recip, basis)
     energies = np.empty((len(path.points), num_bands))
     for idx, point in enumerate(path.points):
-        h = build(point.kappa, basis, model, lattice, recip, potential=v)
+        h = build(point.kappa, basis, v)
         try:
             result = eigh(h, num_bands)
-        except SolverError as exc:
+        except (SolverError, NonHermitianError) as exc:
             raise SweepError(
                 f"solve failed at k-point {idx} kappa={point.kappa}: {exc}",
                 index=idx, kappa=point.kappa) from exc
@@ -119,14 +123,20 @@ def convergence_study(kappa, model: PotentialModel, lattice: RealLattice,
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly ascending: {cutoffs}")
     rows = []
-    for g2_max in cutoffs:
+    for idx, g2_max in enumerate(cutoffs):
         basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
         if num_bands > basis.dim:
             raise ValueError(
                 f"num_bands={num_bands} exceeds basis dimension {basis.dim} "
                 f"at cutoff {g2_max}")
-        h = build(kappa, basis, model, lattice, recip)
-        result = eigh(h, num_bands)
+        h = build(kappa, basis, potential_matrix(model, lattice, recip, basis))
+        try:
+            result = eigh(h, num_bands)
+        except (SolverError, NonHermitianError) as exc:
+            raise SweepError(
+                f"solve failed at cutoff g2_max={g2_max:g} 1/A^2 "
+                f"(cutoffs[{idx}]): {exc}",
+                index=idx, kappa=h.kappa) from exc
         rows.append(ConvergenceRow(g2_max=g2_max, dim=basis.dim,
                                    values=result.values))
     return rows

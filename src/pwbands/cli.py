@@ -23,7 +23,7 @@ from .eigen import NonHermitianError, SolverError
 from .hamiltonian import AssemblyError, PlaneWaveBasis
 from .lattice import (KPath, LatticeError, RealLattice, ReciprocalLattice,
                       fcc_symmetry_points, make_cubic, make_kpath,
-                      reciprocal_of)
+                      reciprocal_of, shell_index)
 from .potential import (Coulomb, Empirical, PotentialError, PotentialModel,
                         Yukawa)
 from .svgplot import render_bands
@@ -123,6 +123,27 @@ def _resolve_potential(pot: dict) -> PotentialModel:
     raise ConfigError("potential.model", f"unknown model {tag!r}")
 
 
+def _check_override_shells(model: Empirical, recip: ReciprocalLattice,
+                           reach: float) -> None:
+    """Reject override shells that no reciprocal-lattice vector occupies.
+
+    Only shells up to ``reach`` (in (pi/a)^2) are checked: no difference
+    G - G' of the run's bases lies beyond it.
+    """
+    shells = [shell for shell in model.overrides if shell <= reach]
+    if not shells:
+        return
+    a = recip.lattice_constant
+    cart = PlaneWaveBasis.from_cutoff(recip,
+                                      max(shells) * (math.pi / a) ** 2).cart
+    occupied = shell_index(np.einsum("ij,ij->i", cart, cart), a)
+    for shell in shells:
+        if shell not in occupied:
+            raise ConfigError(f"potential.overrides.{shell}",
+                              f"no reciprocal-lattice vector lies on shell "
+                              f"{shell}")
+
+
 def _resolve_point(entry, symmetry: dict, unit: float, where: str):
     if isinstance(entry, str):
         label = _canonical_label(entry)
@@ -183,6 +204,10 @@ def load_config(config_file) -> RunConfig:
         if any(b <= x for x, b in zip(vals, vals[1:])):
             raise ConfigError("basis.cutoffs", "must be strictly ascending")
         cutoffs = tuple(vals)
+    if isinstance(model, Empirical):
+        # |G - G'|^2 <= 4 g2_max for G, G' inside the cutoff ball.
+        _check_override_shells(model, recip,
+                               4.0 * max((g2_units, *(cutoffs or ()))))
 
     symmetry = {"Γ": np.zeros(3)}
     if kind.upper() in ("FCC", "DIAMOND"):

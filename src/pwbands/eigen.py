@@ -6,8 +6,9 @@ solvers through numpy.linalg.eigh, which runs the real-symmetric routine
 complex input; callers choose the path by the dtype they pass.  This
 module owns the contract: ascending eigenvalues, orthonormal eigenvectors,
 and a residual bound, checked on every solve for exactly the eigenpairs
-returned.  Non-Hermitian or non-finite input and solver non-convergence
-raise distinct errors.
+returned.  It is also the one place a matrix is checked for Hermiticity and
+finiteness before LAPACK sees it: non-Hermitian or non-finite input and
+solver non-convergence raise distinct errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import HERMITICITY_TOL, BlochMatrix
+from .hamiltonian import BlochMatrix
+
+# max|H - H^dagger| must stay below this times max|H|.
+HERMITICITY_TOL = 1e-12
 
 # Residual and orthonormality bounds, relative to the Frobenius norm.
 RESIDUAL_TOL = 1e-8

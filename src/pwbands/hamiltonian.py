@@ -5,6 +5,12 @@ family of plane waves |kappa + G> is a finite Hermitian matrix: kinetic
 terms hbar^2 |kappa + G|^2 / 2m on the diagonal, potential matrix elements
 V(G - G') everywhere.  Couplings exist only between basis members, i.e.
 between states differing by a reciprocal lattice vector.
+
+The basis is a pair of arrays (integer coefficients and cartesian G).
+V(G - G') depends only on the integer coefficient difference, so the
+potential block is a gather from one table of matrix elements over the
+box of possible differences; it is built once per basis and shared by
+every k-point, whose Hamiltonian is that block plus a kinetic diagonal.
 """
 
 from __future__ import annotations
@@ -13,43 +19,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import RealLattice, ReciprocalLattice, enumerate_g, g_difference
+from .lattice import RealLattice, ReciprocalLattice, cartesian, enumerate_g
 from .potential import HBAR2_OVER_2M, PotentialModel, matrix_element
-
-# max|H - H^dagger| must stay below this times max|H|.
-HERMITICITY_TOL = 1e-12
 
 
 class AssemblyError(RuntimeError):
-    """Assembled matrix violated a structural invariant."""
+    """A Hamiltonian was requested at an invalid Bloch vector."""
 
 
 @dataclass(frozen=True, eq=False)
 class PlaneWaveBasis:
-    """Ordered plane-wave basis: the G enumeration for a fixed |G|^2 cutoff."""
+    """Ordered plane-wave basis: the G enumeration for a fixed |G|^2 cutoff.
 
-    g_list: tuple
-    g2_max: float
+    ``coeffs`` holds the (dim, 3) integer coefficients in ``enumerate_g``
+    order (G = 0 first) and ``cart`` the matching cartesian vectors.
+    """
 
-    def __post_init__(self):
-        if not self.g_list:
-            raise AssemblyError("plane-wave basis is empty")
-        origin = self.g_list[0]
-        if origin.coeffs != (0, 0, 0):
-            raise AssemblyError("basis must contain and start at G = 0")
+    coeffs: np.ndarray
+    cart: np.ndarray
 
     @classmethod
     def from_cutoff(cls, recip: ReciprocalLattice, g2_max: float) -> "PlaneWaveBasis":
-        return cls(tuple(enumerate_g(recip, g2_max)), g2_max)
+        coeffs = enumerate_g(recip, g2_max)
+        return cls(coeffs, cartesian(recip, coeffs))
 
     @property
     def dim(self) -> int:
-        return len(self.g_list)
-
-    @property
-    def cart(self) -> np.ndarray:
-        """(dim, 3) array of cartesian G vectors."""
-        return np.array([g.cart for g in self.g_list])
+        return len(self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,58 +61,38 @@ def potential_matrix(model: PotentialModel, lattice: RealLattice,
                      recip: ReciprocalLattice, basis: PlaneWaveBasis) -> np.ndarray:
     """Kappa-independent potential block V[i,j] = <G_i|V|G_j>.
 
-    Differences G_i - G_j are formed in integer coefficients, so entries
+    Matrix elements are evaluated once over the box of integer coefficient
+    differences the basis spans, then gathered by flat index, so entries
     depend only on the coefficient difference, never on list position.
-    The block is returned as float64 when every entry is exactly real, as
-    for a lattice whose origin is an inversion centre (the diamond basis at
-    +/-(a/8)(1,1,1), where S(G) = 2 cos(G.tau)); otherwise it stays complex.
+    The block is returned as float64 when the table is exactly real, as for
+    a lattice whose origin is an inversion centre (the diamond basis at
+    +/-(a/8)(1,1,1), where S(G) = 2 cos(G.tau)); otherwise it is complex.
     """
-    n = basis.dim
-    v = np.zeros((n, n), dtype=complex)
-    cache = {}
-    for i, gi in enumerate(basis.g_list):
-        for j, gj in enumerate(basis.g_list):
-            key = (gi.n - gj.n, gi.m - gj.m, gi.l - gj.l)
-            if key not in cache:
-                dg = g_difference(recip, gi, gj)
-                cache[key] = matrix_element(model, lattice, recip, dg)
-            v[i, j] = cache[key]
-    if not np.any(v.imag):
-        return v.real.copy()
-    return v
+    span = np.ptp(basis.coeffs, axis=0)
+    shape = 2 * span + 1
+    box = np.indices(shape).reshape(3, -1).T - span
+    table = matrix_element(model, lattice, recip, box)
+    if not np.any(table.imag):
+        table = table.real
+    # Row-major flat index of a box point is linear in its coefficients, so
+    # the index of G_i - G_j is key_i - key_j plus the index of the origin.
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    key = basis.coeffs @ strides
+    return table[np.subtract.outer(key + span @ strides, key)]
 
 
-def build(kappa, basis: PlaneWaveBasis, model: PotentialModel,
-          lattice: RealLattice, recip: ReciprocalLattice,
-          potential: np.ndarray | None = None) -> BlochMatrix:
-    """Assemble the Bloch Hamiltonian at kappa.
+def build(kappa, basis: PlaneWaveBasis, potential: np.ndarray) -> BlochMatrix:
+    """Bloch Hamiltonian at kappa: the potential block plus kinetic terms.
 
-    ``potential`` may carry a precomputed potential_matrix for the same
-    basis/model (it does not depend on kappa); sweeps reuse it across
-    k-points.  The matrix has the potential's dtype: real symmetric for a
-    real potential block, complex Hermitian otherwise.
+    ``potential`` is the ``potential_matrix`` of ``basis``; it does not
+    depend on kappa, so sweeps build it once.  The matrix has its dtype:
+    real symmetric for a real block, complex Hermitian otherwise.
+    Hermiticity and finiteness are checked once, by ``eigen.eigh``.
     """
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (3,) or not np.all(np.isfinite(kappa)):
         raise AssemblyError(f"bad Bloch vector: {kappa}")
-    if potential is None:
-        potential = potential_matrix(model, lattice, recip, basis)
     kinetic = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
-    h = potential + np.diag(kinetic)
-    _check_invariants(h, potential)
+    h = potential.copy()
+    h.flat[::basis.dim + 1] += kinetic
     return BlochMatrix(kappa=kappa, dim=basis.dim, entries=h)
-
-
-def _check_invariants(h: np.ndarray, potential: np.ndarray) -> None:
-    scale = np.abs(h).max()
-    if not np.isfinite(scale):
-        raise AssemblyError("assembled matrix has non-finite entries")
-    herm = np.abs(h - h.conj().T).max()
-    if herm > HERMITICITY_TOL * scale:
-        raise AssemblyError(
-            f"assembled matrix is not Hermitian: deviation {herm:.3e}")
-    # Kinetic terms are nonnegative, so no diagonal entry may dip below the
-    # potential's constant diagonal.
-    floor = potential[0, 0].real - 1e-9 * max(scale, 1.0)
-    if np.min(h.diagonal().real) < floor:
-        raise AssemblyError("diagonal fell below the potential constant")

@@ -4,7 +4,9 @@ Real-space lattices are defined by three primitive vectors (in Angstrom)
 plus the offsets of the atoms repeated at every lattice point.  The
 reciprocal lattice carries the dual vectors (in 1/Angstrom) and the unit
 cell volume, and is the geometry source for plane-wave basis enumeration
-and Brillouin-zone tours.
+and Brillouin-zone tours.  A reciprocal lattice vector is an integer
+coefficient row (n, m, l); sets of them are (k, 3) int arrays, mapped to
+cartesian 1/A by ``cartesian`` and to n^2 shell labels by ``shell_index``.
 """
 
 from __future__ import annotations
@@ -103,27 +105,6 @@ class ReciprocalLattice:
         return TWO_PI * np.linalg.inv(self.matrix.T)
 
 
-@dataclass(frozen=True, eq=False)
-class GVector:
-    """Reciprocal lattice vector n*g1 + m*g2 + l*g3.
-
-    ``shell`` is |G|^2 in units of (pi/a)^2 for cubic lattices (the integer
-    n^2 labelling of form-factor tables); None when no cubic lattice
-    constant is available.
-    """
-
-    n: int
-    m: int
-    l: int
-    cart: np.ndarray
-    g2: float
-    shell: int | None
-
-    @property
-    def coeffs(self) -> tuple:
-        return (self.n, self.m, self.l)
-
-
 _CUBIC_VECTORS = {
     "SC": [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
     "BCC": [(-0.5, 0.5, 0.5), (0.5, -0.5, 0.5), (0.5, 0.5, -0.5)],
@@ -168,64 +149,56 @@ def reciprocal_of(real: RealLattice) -> ReciprocalLattice:
     return recip
 
 
-def shell_index(g2: float, lattice_constant: float | None) -> int | None:
-    """Integer n^2 with |G|^2 = n^2 (pi/a)^2, or None if not near an integer."""
+def cartesian(recip: ReciprocalLattice, coeffs) -> np.ndarray:
+    """Cartesian vectors n*g1 + m*g2 + l*g3 for rows (..., 3) of coefficients."""
+    c = np.asarray(coeffs)
+    return (c[..., 0, None] * recip.g1 + c[..., 1, None] * recip.g2
+            + c[..., 2, None] * recip.g3)
+
+
+def shell_index(g2, lattice_constant: float | None) -> np.ndarray:
+    """Integer n^2 with |G|^2 = n^2 (pi/a)^2, or -1 where none is near.
+
+    Every entry is -1 when no cubic lattice constant is available.
+    """
+    g2 = np.asarray(g2, dtype=float)
     if lattice_constant is None:
-        return None
+        return np.full(g2.shape, -1)
     x = g2 * (lattice_constant / math.pi) ** 2
-    s = int(round(x))
-    if abs(x - s) > 1e-6 * max(1.0, x):
-        return None
-    return s
+    s = np.rint(x)
+    return np.where(np.abs(x - s) > 1e-6 * np.maximum(1.0, x), -1,
+                    s.astype(int))
 
 
-def gvector(recip: ReciprocalLattice, n: int, m: int, l: int) -> GVector:
-    """Build the GVector for integer coefficients (n, m, l)."""
-    cart = n * recip.g1 + m * recip.g2 + l * recip.g3
-    g2 = float(cart @ cart)
-    return GVector(n, m, l, cart, g2, shell_index(g2, recip.lattice_constant))
+def enumerate_g(recip: ReciprocalLattice, g2_max: float) -> np.ndarray:
+    """Integer coefficients (n, 3) of every G with |G|^2 <= g2_max.
 
-
-def g_difference(recip: ReciprocalLattice, gi: GVector, gj: GVector) -> GVector:
-    """Gi - Gj formed exactly in integer coefficients."""
-    return gvector(recip, gi.n - gj.n, gi.m - gj.m, gi.l - gj.l)
-
-
-def enumerate_g(recip: ReciprocalLattice, g2_max: float) -> list:
-    """All reciprocal lattice vectors with |G|^2 <= g2_max.
-
-    Sorted ascending by |G|^2 with lexicographic (n, m, l) tie-break inside
-    each shell; shells at the cutoff are included.  The integer search box
-    is derived from the real-space vector norms (|n_i| <= |G||a_i|/2pi), so
-    it provably covers the cutoff ball.
+    Rows are sorted ascending by |G|^2 with lexicographic (n, m, l)
+    tie-break inside each shell; shells at the cutoff are included.  The
+    integer search box is derived from the real-space vector norms
+    (|n_i| <= |G||a_i|/2pi), so it provably covers the cutoff ball.
     """
     if g2_max < 0:
         raise LatticeError(f"g2_max must be nonnegative, got {g2_max}")
     cut = g2_max * (1.0 + CUTOFF_SLACK)
     radius = math.sqrt(cut) if cut > 0 else 0.0
     duals = recip.dual_vectors()
-    bounds = [int(math.floor(radius * np.linalg.norm(duals[i]) / TWO_PI + 1e-9))
-              for i in range(3)]
-    found = []
-    for n in range(-bounds[0], bounds[0] + 1):
-        for m in range(-bounds[1], bounds[1] + 1):
-            for l in range(-bounds[2], bounds[2] + 1):
-                g = gvector(recip, n, m, l)
-                if g.g2 <= cut:
-                    found.append(g)
-    found.sort(key=lambda g: g.g2)
+    b = [int(math.floor(radius * np.linalg.norm(duals[i]) / TWO_PI + 1e-9))
+         for i in range(3)]
+    box = np.mgrid[-b[0]:b[0] + 1, -b[1]:b[1] + 1, -b[2]:b[2] + 1]
+    coeffs = box.reshape(3, -1).T
+    cart = cartesian(recip, coeffs)
+    g2 = np.einsum("ij,ij->i", cart, cart)
+    keep = g2 <= cut
+    coeffs, g2 = coeffs[keep], g2[keep]
+    order = np.argsort(g2, kind="stable")
+    coeffs, g2 = coeffs[order], g2[order]
     # Collapse float noise so equal shells really tie before the
     # lexicographic pass.
-    decorated = []
-    group = 0
-    prev = None
-    for g in found:
-        if prev is not None and g.g2 - prev > 1e-9 * max(1.0, g.g2):
-            group += 1
-        decorated.append((group, g.n, g.m, g.l, g))
-        prev = g.g2
-    decorated.sort(key=lambda item: item[:4])
-    return [item[4] for item in decorated]
+    group = np.concatenate(
+        ([0], np.cumsum(np.diff(g2) > 1e-9 * np.maximum(1.0, g2[1:]))))
+    return coeffs[np.lexsort((coeffs[:, 2], coeffs[:, 1], coeffs[:, 0],
+                              group))]
 
 
 def fcc_symmetry_points(a: float) -> dict:

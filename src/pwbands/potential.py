@@ -5,6 +5,9 @@ Fourier components, modulated by the phase sum over the atoms of the unit
 cell (structure factor) and normalized by the cell volume.  Three model
 families are supported: bare screened Coulomb, Yukawa, and an empirical
 model that overrides specific shells with hand-chosen matrix elements.
+Every function here takes scalars or arrays alike: the crystal's whole
+potential table is one vectorized ``matrix_element`` call over integer
+coefficient differences.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice import GVector, RealLattice, ReciprocalLattice
+from .lattice import RealLattice, ReciprocalLattice, cartesian, shell_index
 
 # hbar^2 / 2 m_e in eV * A^2 and q^2 = e^2/(4 pi eps0) in eV * A.
 HBAR2_OVER_2M = 3.80998212
@@ -89,55 +92,61 @@ class Empirical:
 PotentialModel = Union[Coulomb, Yukawa, Empirical]
 
 
-def ion_ft(model: PotentialModel, g2: float) -> float:
+def ion_ft(model: PotentialModel, g2):
     """Fourier transform of the single-ion potential at |G|^2 = g2 (eV*A^3).
 
-    The Coulomb transform is -4 pi z e^2 / g2; its divergence at g2 = 0 is
-    dropped (a constant energy shift), returning 0.  The Yukawa transform
-    -4 pi z e^2 / (g2 + mu^2) is finite everywhere for mu > 0.
+    ``g2`` is a scalar or an array.  The Coulomb transform is
+    -4 pi z e^2 / g2; its divergence at g2 = 0 is dropped (a constant energy
+    shift), returning 0.  The Yukawa transform -4 pi z e^2 / (g2 + mu^2) is
+    finite everywhere for mu > 0.
     """
-    if g2 < 0:
-        raise PotentialError(f"g2 must be nonnegative, got {g2}")
+    g2 = np.asarray(g2, dtype=float)
+    if np.any(g2 < 0):
+        raise PotentialError(f"g2 must be nonnegative, got {g2.min()}")
     if isinstance(model, Empirical):
         return ion_ft(model.base, g2)
-    if isinstance(model, Coulomb):
-        denom = g2
-    else:
-        denom = g2 + model.mu**2
-    if denom == 0.0:
-        return 0.0
-    return -4.0 * math.pi * model.z_eff * E2 / denom
+    denom = g2 if isinstance(model, Coulomb) else g2 + model.mu**2
+    numer = -4.0 * math.pi * model.z_eff * E2
+    return np.divide(numer, denom, out=np.zeros(denom.shape),
+                     where=denom != 0.0)[()]
 
 
-def structure_factor(basis_offsets, g) -> complex:
-    """Phase sum sum_j exp(-i G . tau_j) over the atomic basis."""
+def structure_factor(basis_offsets, g):
+    """Phase sum sum_j exp(-i G . tau_j) over the atomic basis.
+
+    ``g`` holds cartesian vectors in its last axis, shape (3,) or (..., 3).
+    """
     g = np.asarray(g, dtype=float)
-    total = 0.0 + 0.0j
-    for tau in basis_offsets:
-        total += np.exp(-1j * float(g @ tau))
-    return complex(total)
+    return sum(np.exp(-1j * (g @ tau)) for tau in basis_offsets)
 
 
 def matrix_element(model: PotentialModel, lattice: RealLattice,
-                   recip: ReciprocalLattice, dg: GVector) -> complex:
-    """Crystal potential matrix element for momentum transfer dg = G - G'.
+                   recip: ReciprocalLattice, dg):
+    """Crystal potential matrix elements for momentum transfers dg = G - G'.
 
+    ``dg`` holds integer coefficients (n, m, l) in its last axis, shape (3,)
+    or (..., 3); the result has the leading shape and is complex.
     Base models give (1/omega) * ion_ft(|dg|^2) * S(dg).  Empirical
     overrides replace the value on their shells according to the model's
     override_mode; shells absent from the table fall through to the base.
     The dg = 0 element is a constant energy shift and is dropped for every
     base model (even the finite Yukawa one); only an explicit n^2 = 0
-    override reinstates it.
+    override reinstates it.  Values too large for float64 come out
+    non-finite, silently; ``eigen.eigh`` rejects any matrix holding them.
     """
-    s = structure_factor(lattice.basis_offsets, dg.cart)
-    if isinstance(model, Empirical) and dg.shell is not None \
-            and dg.shell in model.overrides:
-        if abs(s) < STRUCTURE_FACTOR_TOL:
-            return 0.0 + 0.0j
-        value = model.overrides[dg.shell]
-        if model.override_mode == "element":
-            return complex(value)
-        return value * s / len(lattice.basis_offsets)
-    if dg.coeffs == (0, 0, 0):
-        return 0.0 + 0.0j
-    return ion_ft(model, dg.g2) * s / recip.omega
+    dg = np.asarray(dg)
+    cart = cartesian(recip, dg)
+    g2 = np.einsum("...i,...i->...", cart, cart)
+    s = structure_factor(lattice.basis_offsets, cart)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.where(np.any(dg, axis=-1),
+                         ion_ft(model, g2) * s / recip.omega, 0j)
+        if isinstance(model, Empirical):
+            shell = shell_index(g2, recip.lattice_constant)
+            suppressed = np.abs(s) < STRUCTURE_FACTOR_TOL
+            for key, tabulated in model.overrides.items():
+                if model.override_mode == "form_factor":
+                    tabulated = tabulated * s / len(lattice.basis_offsets)
+                value = np.where(shell == key,
+                                 np.where(suppressed, 0j, tabulated), value)
+    return value[()]

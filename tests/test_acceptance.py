@@ -13,8 +13,9 @@ from pwbands.bands import (convergence_study, detect_gaps,
 from pwbands.cli import cmd_bands, cmd_converge, cmd_gaps
 from pwbands.eigen import eigh
 from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
-from pwbands.lattice import (enumerate_g, fcc_symmetry_points, g_difference,
-                             make_cubic, make_kpath, reciprocal_of)
+from pwbands.lattice import (cartesian, enumerate_g, fcc_symmetry_points,
+                             make_cubic, make_kpath, reciprocal_of,
+                             shell_index)
 from pwbands.potential import Coulomb, Empirical, structure_factor
 from pwbands.presets import preset_path
 
@@ -109,8 +110,8 @@ def test_criterion_3_gamma_degeneracy_multiplicities(diamond):
     with criterion(3, "free-electron multiplicities at Gamma"):
         _, rec = diamond
         # independent oracle: direct norm computation over enumerated G
-        levels = np.sort([3.80998212 * g.g2
-                          for g in enumerate_g(rec, 76 * SHELL)])
+        levels = np.sort([3.80998212 * float(g @ g) for g in
+                          cartesian(rec, enumerate_g(rec, 76 * SHELL))])
         multiplicities = [1]
         for lower, upper in zip(levels, levels[1:]):
             if upper - lower < 1e-9:
@@ -126,17 +127,21 @@ def test_criterion_4_structure_factor_zeros(diamond):
         lat, rec = diamond
         g200 = (TWO_PI / A_SI) * np.array([2.0, 0.0, 0.0])
         assert abs(structure_factor(lat.basis_offsets, g200)) < 1e-12
-        shell16 = [g for g in enumerate_g(rec, 16 * SHELL) if g.shell == 16]
-        assert shell16
+        cart = cartesian(rec, enumerate_g(rec, 16 * SHELL))
+        shells = shell_index([float(g @ g) for g in cart], A_SI)
+        shell16 = cart[shells == 16]
+        assert len(shell16)
         for g in shell16:
-            assert abs(structure_factor(lat.basis_offsets, g.cart)) < 1e-12
+            assert abs(structure_factor(lat.basis_offsets, g)) < 1e-12
         # and the shell contributes no coupling in an assembled matrix
         basis = PlaneWaveBasis.from_cutoff(rec, 76 * SHELL)
-        h = build(np.zeros(3), basis, Coulomb(1.0), lat, rec).entries
+        h = build(np.zeros(3), basis,
+                  potential_matrix(Coulomb(1.0), lat, rec, basis)).entries
         hit = 0
-        for i, gi in enumerate(basis.g_list):
-            for j, gj in enumerate(basis.g_list):
-                if i != j and g_difference(rec, gi, gj).shell == 16:
+        for i, gi in enumerate(basis.coeffs):
+            for j, gj in enumerate(basis.coeffs):
+                dg = cartesian(rec, gi - gj)
+                if i != j and shell_index(float(dg @ dg), A_SI) == 16:
                     assert abs(h[i, j]) < 1e-12
                     hit += 1
         assert hit > 0
@@ -152,8 +157,7 @@ def test_criterion_5_hermiticity_and_solver_contract(diamond):
         for model in models:
             v = potential_matrix(model, lat, rec, basis)
             for point in tour.points:
-                h = build(point.kappa, basis, model, lat, rec,
-                          potential=v).entries
+                h = build(point.kappa, basis, v).entries
                 assert np.abs(h - h.conj().T).max() \
                     <= 1e-12 * np.abs(h).max()
                 result = eigh(h)

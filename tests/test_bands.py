@@ -49,9 +49,7 @@ class TestSweep:
         path = make_kpath([("L", pts["L"]), ("Γ", pts["Γ"])], 12)
         bs = sweep(path, Coulomb(0.0), lat, rec, 44 * SHELL, 6)
         for i, point in enumerate(path.points):
-            cart = np.array([g.cart for g in
-                             bands_mod.PlaneWaveBasis.from_cutoff(
-                                 rec, 44 * SHELL).g_list])
+            cart = bands_mod.PlaneWaveBasis.from_cutoff(rec, 44 * SHELL).cart
             levels = np.sort(
                 HBAR2_OVER_2M * np.sum((point.kappa + cart) ** 2, axis=1))
             np.testing.assert_allclose(bs.energies[i], levels[:6], atol=1e-9)

@@ -365,3 +365,51 @@ class TestMain:
         assert main(["bands", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bands", "converge"])
+    def test_overflowing_potential_exits_3_naming_where(
+            self, write_config, tmp_path, capsys, command):
+        # A finite but huge z_eff overflows V to inf/NaN; eigh rejects the
+        # matrix and the message names the k-point or the cutoff.
+        path = write_config(mutate=lambda c: (
+            c["potential"].update(z_eff=1e308),
+            c["basis"].update(cutoffs=[16, 44])))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert ("at k-point 0 kappa=" in err if command == "bands"
+                else "at cutoff g2_max=" in err and "(cutoffs[0])" in err)
+        assert "Warning" not in err and "Traceback" not in err
+
+
+class TestOverrideShells:
+    def test_unoccupied_shell_exits_2_naming_the_key(self, tmp_path, capsys):
+        # FCC reciprocal vectors occupy n^2 = 0, 12, 16, 32, 44, ... only.
+        cfg = json.loads(preset_path("si_empirical").read_text())
+        cfg["potential"]["overrides"]["3"] = 50.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bands", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "potential.overrides.3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("shells,bad", [
+        ({"12": 1.0, "20": 1.0}, "20"),
+        ({"16": 0.5, "48": 0.5, "60": 0.5}, "60"),
+    ])
+    def test_rejects_only_the_unoccupied_key(self, write_config, shells, bad):
+        path = write_config(potential={"model": "empirical",
+                                       "overrides": shells})
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key == f"potential.overrides.{bad}"
+
+    def test_shells_beyond_reach_are_not_enumerated(self, write_config):
+        # g2_max 16 bases hold no G - G' beyond n^2 = 64, so a table entry
+        # at 10^6 cannot act in this run and is not searched for.
+        path = write_config(potential={"model": "empirical",
+                                       "overrides": {"12": 1.0,
+                                                     "1000000": 1.0}})
+        assert load_config(path).model.overrides[1000000] == 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwbands.eigen import (EigenResult, NonHermitianError, SolverError, eigh)
-from pwbands.hamiltonian import PlaneWaveBasis, build
+from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
 from pwbands.lattice import make_cubic, reciprocal_of
 from pwbands.potential import Coulomb
 
@@ -94,7 +94,8 @@ class TestContract:
         lat = make_cubic("DIAMOND", 5.431)
         rec = reciprocal_of(lat)
         basis = PlaneWaveBasis.from_cutoff(rec, 12 * (math.pi / 5.431) ** 2)
-        h = build(np.zeros(3), basis, Coulomb(0.5), lat, rec)
+        h = build(np.zeros(3), basis,
+                  potential_matrix(Coulomb(0.5), lat, rec, basis))
         result = eigh(h)
         assert isinstance(result, EigenResult)
         assert len(result.values) == basis.dim

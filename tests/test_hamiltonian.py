@@ -4,17 +4,33 @@ import numpy as np
 import pytest
 
 from pwbands.cli import load_config
-from pwbands.eigen import eigh
+from pwbands.eigen import NonHermitianError, eigh
 from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
                                  potential_matrix)
-from pwbands.lattice import (RealLattice, g_difference, gvector, make_cubic,
-                             reciprocal_of)
-from pwbands.potential import HBAR2_OVER_2M, Coulomb, matrix_element
+from pwbands.lattice import (RealLattice, cartesian, make_cubic,
+                             reciprocal_of, shell_index)
+from pwbands.potential import (HBAR2_OVER_2M, Coulomb, Empirical,
+                               matrix_element)
 from pwbands.presets import PRESETS, preset_path
 
 A_SI = 5.431
 SHELL = (math.pi / A_SI) ** 2
 TWO_PI = 2.0 * math.pi
+FIG4A_TABLE = {0: -9.50, 12: 2.42, 32: 0.80, 44: -0.82, 64: 0.88, 76: 0.00}
+
+
+def hamiltonian(kappa, basis, model, lat, rec):
+    """Bloch matrix at kappa, assembling the potential block on the way."""
+    return build(kappa, basis, potential_matrix(model, lat, rec, basis))
+
+
+def non_centered():
+    """FCC with offsets {0, (a/4)(1,1,1)}: no inversion centre at the origin,
+    so structure factors, and V, are genuinely complex."""
+    fcc = make_cubic("FCC", A_SI)
+    return RealLattice(fcc.a1, fcc.a2, fcc.a3,
+                       (np.zeros(3), (A_SI / 4.0) * np.ones(3)),
+                       lattice_constant=A_SI)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +56,13 @@ class TestBasis:
         assert basis76.dim == 89
 
     def test_starts_at_origin(self, basis76):
-        assert basis76.g_list[0].coeffs == (0, 0, 0)
+        assert tuple(basis76.coeffs[0]) == (0, 0, 0)
+
+    def test_arrays_agree(self, diamond, basis76):
+        _, rec = diamond
+        assert basis76.coeffs.shape == basis76.cart.shape == (89, 3)
+        np.testing.assert_array_equal(basis76.cart,
+                                      cartesian(rec, basis76.coeffs))
 
     def test_single_vector_basis(self, diamond):
         _, rec = diamond
@@ -52,7 +74,7 @@ class TestBuild:
     def test_free_particle_is_diagonal(self, diamond, basis76):
         lat, rec = diamond
         kappa = np.array([0.2, -0.1, 0.3])
-        h = build(kappa, basis76, Coulomb(0.0), lat, rec)
+        h = hamiltonian(kappa, basis76, Coulomb(0.0), lat, rec)
         entries = h.entries
         off = entries - np.diag(entries.diagonal())
         assert np.abs(off).max() == 0.0
@@ -63,13 +85,13 @@ class TestBuild:
     def test_real_symmetric_at_gamma(self, diamond, basis76):
         # The centered diamond basis keeps every structure factor real.
         lat, rec = diamond
-        h = build(np.zeros(3), basis76, Coulomb(0.5), lat, rec)
+        h = hamiltonian(np.zeros(3), basis76, Coulomb(0.5), lat, rec)
         assert np.abs(h.entries.imag).max() < 1e-12
         np.testing.assert_allclose(h.entries, h.entries.T, atol=1e-12)
 
     def test_dim_field(self, diamond, basis76):
         lat, rec = diamond
-        h = build(np.zeros(3), basis76, Coulomb(0.5), lat, rec)
+        h = hamiltonian(np.zeros(3), basis76, Coulomb(0.5), lat, rec)
         assert h.dim == basis76.dim == h.entries.shape[0]
 
     def test_hermiticity(self, diamond, basis76):
@@ -77,50 +99,58 @@ class TestBuild:
         rng = np.random.RandomState(11)
         for _ in range(3):
             kappa = (TWO_PI / A_SI) * rng.uniform(-0.5, 0.5, size=3)
-            h = build(kappa, basis76, Coulomb(1.0), lat, rec).entries
+            h = hamiltonian(kappa, basis76, Coulomb(1.0), lat, rec).entries
             dev = np.abs(h - h.conj().T).max()
             assert dev <= 1e-12 * np.abs(h).max()
 
-    def test_entries_match_scalar_matrix_element(self, diamond, basis12):
-        lat, rec = diamond
-        model = Coulomb(0.25)
+    def test_entries_match_scalar_matrix_element(self, diamond):
+        # The gathered block against one scalar matrix_element call per
+        # pair, on the diamond lattice (real V) and on the non-centred one
+        # (complex V), which must come out exactly Hermitian.
         kappa = np.array([0.1, 0.0, -0.2])
-        h = build(kappa, basis12, model, lat, rec).entries
-        for i, gi in enumerate(basis12.g_list):
-            for j, gj in enumerate(basis12.g_list):
-                expected = matrix_element(model, lat, rec,
-                                          g_difference(rec, gi, gj))
-                if i == j:
-                    expected += HBAR2_OVER_2M * float(
-                        np.sum((kappa + gi.cart) ** 2))
-                assert h[i, j] == pytest.approx(expected, abs=1e-12)
+        for lat in (diamond[0], non_centered()):
+            rec = reciprocal_of(lat)
+            basis = PlaneWaveBasis.from_cutoff(rec, 12.0 * SHELL)
+            for model in (Coulomb(0.25),
+                          Empirical(base=Coulomb(0.1), overrides=FIG4A_TABLE,
+                                    override_mode="form_factor")):
+                h = hamiltonian(kappa, basis, model, lat, rec).entries
+                np.testing.assert_array_equal(h, h.conj().T)
+                for i, gi in enumerate(basis.coeffs):
+                    for j, gj in enumerate(basis.coeffs):
+                        expected = matrix_element(model, lat, rec, gi - gj)
+                        if i == j:
+                            expected += HBAR2_OVER_2M * float(
+                                np.sum((kappa + basis.cart[i]) ** 2))
+                        assert h[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_precomputed_potential_matches(self, diamond, basis12):
+        # A block shared across k-points gives what a fresh one gives:
+        # build copies V and adds the kinetic diagonal, leaving V intact.
         lat, rec = diamond
         model = Coulomb(0.7)
         kappa = np.array([0.3, 0.2, 0.1])
         v = potential_matrix(model, lat, rec, basis12)
-        h1 = build(kappa, basis12, model, lat, rec)
-        h2 = build(kappa, basis12, model, lat, rec, potential=v)
+        build(np.zeros(3), basis12, v)
+        h1 = hamiltonian(kappa, basis12, model, lat, rec)
+        h2 = build(kappa, basis12, v)
         np.testing.assert_array_equal(h1.entries, h2.entries)
+        kinetic = HBAR2_OVER_2M * np.sum((kappa + basis12.cart) ** 2, axis=1)
+        np.testing.assert_array_equal(h2.entries, v + np.diag(kinetic))
 
     def test_rejects_bad_kappa(self, diamond, basis12):
         lat, rec = diamond
         with pytest.raises(AssemblyError):
-            build(np.array([np.nan, 0.0, 0.0]), basis12, Coulomb(0.0),
-                  lat, rec)
+            hamiltonian(np.array([np.nan, 0.0, 0.0]), basis12, Coulomb(0.0),
+                        lat, rec)
 
     def test_non_centered_basis_gives_complex_hermitian(self):
         # Offsets {0, (a/4)(1,1,1)} produce genuinely complex couplings;
         # the complex path must assemble and solve.
-        a = A_SI
-        fcc = make_cubic("FCC", a)
-        lat = RealLattice(fcc.a1, fcc.a2, fcc.a3,
-                          (np.zeros(3), (a / 4.0) * np.ones(3)),
-                          lattice_constant=a)
+        lat = non_centered()
         rec = reciprocal_of(lat)
         basis = PlaneWaveBasis.from_cutoff(rec, 12.0 * SHELL)
-        h = build(np.zeros(3), basis, Coulomb(0.5), lat, rec)
+        h = hamiltonian(np.zeros(3), basis, Coulomb(0.5), lat, rec)
         assert np.abs(h.entries.imag).max() > 1e-3
         result = eigh(h)
         assert np.all(np.diff(result.values) >= 0)
@@ -132,18 +162,18 @@ class TestBuild:
         cfg = load_config(preset_path(name))
         v = potential_matrix(cfg.model, cfg.lattice, cfg.recip, basis12)
         assert v.dtype == np.float64
-        h = build(np.array([0.3, 0.2, 0.1]), basis12, cfg.model,
-                  cfg.lattice, cfg.recip, potential=v)
+        h = build(np.array([0.3, 0.2, 0.1]), basis12, v)
         assert h.entries.dtype == np.float64
         np.testing.assert_array_equal(h.entries, h.entries.T)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_potential(self, diamond, basis12, bad):
+        # build no longer scans the matrix; eigh is the one check.
         lat, rec = diamond
         v = potential_matrix(Coulomb(0.5), lat, rec, basis12)
         v[1, 2] = v[2, 1] = bad
-        with pytest.raises(AssemblyError):
-            build(np.zeros(3), basis12, Coulomb(0.5), lat, rec, potential=v)
+        with pytest.raises(NonHermitianError):
+            eigh(build(np.zeros(3), basis12, v))
 
 
 class TestStructureProperties:
@@ -154,17 +184,18 @@ class TestStructureProperties:
         model = Coulomb(5e-4)
         basis = PlaneWaveBasis.from_cutoff(rec, 250.0 * SHELL)
         kappa = (TWO_PI / A_SI) * np.array([0.3, 0.1, -0.2])
-        g0 = gvector(rec, 1, 0, 0)
-        e1 = eigh(build(kappa, basis, model, lat, rec)).values
-        e2 = eigh(build(kappa - g0.cart, basis, model, lat, rec)).values
+        g0 = cartesian(rec, (1, 0, 0))
+        v = potential_matrix(model, lat, rec, basis)
+        e1 = eigh(build(kappa, basis, v)).values
+        e2 = eigh(build(kappa - g0, basis, v)).values
         assert np.abs(e1[:8] - e2[:8]).max() < 1e-8
 
     def test_permutation_of_basis_preserves_spectrum(self, diamond, basis12):
         # Entries depend only on coefficient differences, so conjugating
         # by a permutation leaves the eigenvalues fixed.
         lat, rec = diamond
-        h = build(np.array([0.2, 0.1, 0.0]), basis12, Coulomb(0.8),
-                  lat, rec).entries
+        h = hamiltonian(np.array([0.2, 0.1, 0.0]), basis12, Coulomb(0.8),
+                        lat, rec).entries
         rng = np.random.RandomState(5)
         perm = rng.permutation(h.shape[0])
         p = np.eye(h.shape[0])[perm]
@@ -177,13 +208,14 @@ class TestStructureProperties:
         # The structure factor kills the 16 (pi/a)^2 shell, so no
         # assembled matrix carries those couplings.
         lat, rec = diamond
-        h = build(np.zeros(3), basis76, Coulomb(1.0), lat, rec).entries
+        h = hamiltonian(np.zeros(3), basis76, Coulomb(1.0), lat, rec).entries
         checked = 0
-        for i, gi in enumerate(basis76.g_list):
-            for j, gj in enumerate(basis76.g_list):
+        for i, gi in enumerate(basis76.coeffs):
+            for j, gj in enumerate(basis76.coeffs):
                 if i == j:
                     continue
-                if g_difference(rec, gi, gj).shell == 16:
+                dg = cartesian(rec, gi - gj)
+                if shell_index(float(dg @ dg), A_SI) == 16:
                     assert abs(h[i, j]) < 1e-12
                     checked += 1
         assert checked > 0

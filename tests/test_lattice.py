@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pwbands.lattice import (LatticeError, RealLattice, enumerate_g,
-                             fcc_symmetry_points, gvector, make_cubic,
-                             make_kpath, reciprocal_of)
+from pwbands.lattice import (LatticeError, RealLattice, cartesian,
+                             enumerate_g, fcc_symmetry_points, make_cubic,
+                             make_kpath, reciprocal_of, shell_index)
 
 A_SI = 5.431
 TWO_PI = 2.0 * math.pi
@@ -24,6 +24,11 @@ def bcc_recip_vectors(a):
     return (u * np.array([-1.0, 1.0, 1.0]),
             u * np.array([1.0, -1.0, 1.0]),
             u * np.array([1.0, 1.0, -1.0]))
+
+
+def norms(rec, coeffs):
+    """|G|^2 of each coefficient row, one scalar dot product at a time."""
+    return [float(g @ g) for g in cartesian(rec, coeffs)]
 
 
 def brute_force_g(a, g2_max, reach=6):
@@ -132,9 +137,9 @@ class TestEnumerateG:
     def test_zero_cutoff_is_origin_only(self):
         rec = reciprocal_of(make_cubic("FCC", A_SI))
         gs = enumerate_g(rec, 0.0)
-        assert len(gs) == 1
-        assert gs[0].coeffs == (0, 0, 0)
-        assert gs[0].shell == 0
+        assert gs.shape == (1, 3)
+        assert tuple(gs[0]) == (0, 0, 0)
+        assert shell_index(norms(rec, gs), A_SI)[0] == 0
 
     def test_first_shell_against_brute_force(self):
         rec = reciprocal_of(make_cubic("FCC", A_SI))
@@ -142,7 +147,7 @@ class TestEnumerateG:
         gs = enumerate_g(rec, g2_max)
         expected = brute_force_g(A_SI, g2_max, reach=3)
         assert len(gs) == 9
-        assert {g.coeffs for g in gs} == expected
+        assert {tuple(g) for g in gs} == expected
 
     def test_ball_count_matches_brute_force(self):
         # 19 (2pi/a)^2 is the production cutoff 76 (pi/a)^2.
@@ -150,38 +155,60 @@ class TestEnumerateG:
         g2_max = 19.0 * (TWO_PI / A_SI) ** 2
         gs = enumerate_g(rec, g2_max)
         expected = brute_force_g(A_SI, g2_max)
-        assert {g.coeffs for g in gs} == expected
+        assert {tuple(g) for g in gs} == expected
         assert len(gs) == 89  # pinned regression value
 
     def test_sorted_by_norm_with_lexicographic_ties(self):
         rec = reciprocal_of(make_cubic("FCC", A_SI))
         gs = enumerate_g(rec, 8.0 * (TWO_PI / A_SI) ** 2)
-        norms = [g.g2 for g in gs]
-        assert all(b >= a - 1e-9 for a, b in zip(norms, norms[1:]))
-        for ga, gb in zip(gs, gs[1:]):
-            if abs(ga.g2 - gb.g2) <= 1e-9 * max(1.0, gb.g2):
-                assert ga.coeffs < gb.coeffs
+        g2 = norms(rec, gs)
+        assert all(b >= a - 1e-9 for a, b in zip(g2, g2[1:]))
+        for i in range(len(gs) - 1):
+            if abs(g2[i] - g2[i + 1]) <= 1e-9 * max(1.0, g2[i + 1]):
+                assert tuple(gs[i]) < tuple(gs[i + 1])
 
     def test_difference_closure(self):
         rec = reciprocal_of(make_cubic("FCC", A_SI))
         cut = 6.0 * (TWO_PI / A_SI) ** 2
         gs = enumerate_g(rec, cut)
-        coeff_set = {g.coeffs for g in gs}
+        coeff_set = {tuple(g) for g in gs}
         for ga in gs:
             for gb in gs:
-                d = gvector(rec, ga.n - gb.n, ga.m - gb.m, ga.l - gb.l)
-                if d.g2 <= cut:
-                    assert d.coeffs in coeff_set
+                d = ga - gb
+                if norms(rec, [d])[0] <= cut:
+                    assert tuple(d) in coeff_set
 
     @pytest.mark.parametrize("kind", ["SC", "BCC", "FCC", "DIAMOND"])
     def test_shell_assignment(self, kind):
         a = A_SI
         rec = reciprocal_of(make_cubic(kind, a))
-        for g in enumerate_g(rec, 30.0 * (math.pi / a) ** 2):
-            assert g.shell is not None and g.shell >= 0
-            assert (g.shell == 0) == (g.coeffs == (0, 0, 0))
-            target = g.shell * (math.pi / a) ** 2
-            assert g.g2 == pytest.approx(target, rel=1e-9, abs=1e-12)
+        gs = enumerate_g(rec, 30.0 * (math.pi / a) ** 2)
+        g2 = norms(rec, gs)
+        for g, norm, shell in zip(gs, g2, shell_index(g2, a)):
+            assert shell >= 0
+            assert (shell == 0) == (tuple(g) == (0, 0, 0))
+            target = shell * (math.pi / a) ** 2
+            assert norm == pytest.approx(target, rel=1e-9, abs=1e-12)
+
+    def test_shell_index_without_lattice_constant(self):
+        assert shell_index([0.0, 1.0], None).tolist() == [-1, -1]
+
+    def test_matches_object_enumeration_order(self):
+        # The former per-G enumeration: triple loop, stable sort by |G|^2,
+        # float-noise shell groups, then (group, n, m, l).
+        rec = reciprocal_of(make_cubic("FCC", A_SI))
+        cut = 76 * (math.pi / A_SI) ** 2 * (1 + 1e-9)
+        found = sorted(((float(c @ c), g) for g in brute_force_g(A_SI, cut)
+                        for c in [cartesian(rec, g)]), key=lambda t: t[0])
+        group, prev, keyed = 0, None, []
+        for g2, g in found:
+            if prev is not None and g2 - prev > 1e-9 * max(1.0, g2):
+                group += 1
+            keyed.append((group, *g))
+            prev = g2
+        expected = [k[1:] for k in sorted(keyed)]
+        assert [tuple(g) for g in enumerate_g(rec, 76 * (math.pi / A_SI) ** 2)
+                ] == expected
 
     def test_rejects_negative_cutoff(self):
         rec = reciprocal_of(make_cubic("FCC", A_SI))

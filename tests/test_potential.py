@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pwbands.lattice import RealLattice, gvector, make_cubic, reciprocal_of
+from pwbands.lattice import (RealLattice, cartesian, make_cubic,
+                             reciprocal_of, shell_index)
 from pwbands.potential import (E2, HBAR2_OVER_2M, Coulomb, Empirical,
                                PotentialError, Yukawa, ion_ft, matrix_element,
                                structure_factor)
@@ -20,6 +21,12 @@ FIG4A_TABLE = {0: -9.50, 12: 2.42, 32: 0.80, 44: -0.82, 64: 0.88, 76: 0.00}
 def diamond():
     lat = make_cubic("DIAMOND", A_SI)
     return lat, reciprocal_of(lat)
+
+
+def shell_of(rec, dg):
+    """n^2 shell label of the coefficient triple dg, or -1."""
+    cart = cartesian(rec, dg)
+    return int(shell_index(float(cart @ cart), rec.lattice_constant))
 
 
 def yukawa_ft_by_quadrature(z_eff, mu, k):
@@ -105,16 +112,15 @@ class TestStructureFactor:
         lat, rec = diamond
         rng = np.random.RandomState(7)
         for _ in range(20):
-            n, m, l = rng.randint(-4, 5, size=3)
-            g = gvector(rec, int(n), int(m), int(l))
-            s = structure_factor(lat.basis_offsets, g.cart)
+            g = cartesian(rec, rng.randint(-4, 5, size=3))
+            s = structure_factor(lat.basis_offsets, g)
             assert abs(s.imag) < 1e-12
 
 
 class TestMatrixElement:
     def test_zero_transfer_no_override(self, diamond):
         lat, rec = diamond
-        dg = gvector(rec, 0, 0, 0)
+        dg = (0, 0, 0)
         for model in (Coulomb(1.0), Yukawa(1.0, 0.8),
                       Empirical(base=Coulomb(1.0), overrides={12: 2.0})):
             assert matrix_element(model, lat, rec, dg) == 0.0
@@ -122,7 +128,7 @@ class TestMatrixElement:
     def test_composition_against_independent_pipeline(self, diamond):
         # Recompute the shell-12 element with plain scalar arithmetic.
         lat, rec = diamond
-        dg = gvector(rec, 1, 1, 1)  # cart = (2pi/a)(1,1,1)
+        dg = (1, 1, 1)  # cart = (2pi/a)(1,1,1)
         omega = A_SI**3 / 4.0
         g2 = 3.0 * (TWO_PI / A_SI) ** 2
         u = -4.0 * math.pi * 0.25 * E2 / g2
@@ -144,8 +150,8 @@ class TestMatrixElement:
         for n in reach:
             for m in reach:
                 for l in reach:
-                    dg = gvector(rec, n, m, l)
-                    by_shell.setdefault(dg.shell, []).append(dg)
+                    dg = (n, m, l)
+                    by_shell.setdefault(shell_of(rec, dg), []).append(dg)
         # shell 12: tabulated value applied as-is (structure factor nonzero)
         for dg in by_shell[12]:
             assert matrix_element(model, lat, rec, dg) == pytest.approx(
@@ -157,20 +163,18 @@ class TestMatrixElement:
         for dg in by_shell[76]:
             assert abs(matrix_element(model, lat, rec, dg)) == 0.0
         # zero transfer picks up the n^2=0 override
-        dg0 = gvector(rec, 0, 0, 0)
-        assert matrix_element(model, lat, rec, dg0) == pytest.approx(
+        assert matrix_element(model, lat, rec, (0, 0, 0)) == pytest.approx(
             -9.50 + 0j, abs=1e-14)
 
     def test_override_form_factor_mode(self, diamond):
         lat, rec = diamond
         model = Empirical(base=Coulomb(0.0), overrides=FIG4A_TABLE,
                           override_mode="form_factor")
-        dg = gvector(rec, 1, 1, 1)
-        s = structure_factor(lat.basis_offsets, dg.cart)
+        dg = (1, 1, 1)
+        s = structure_factor(lat.basis_offsets, cartesian(rec, dg))
         assert matrix_element(model, lat, rec, dg) == pytest.approx(
             2.42 * s / 2.0, abs=1e-12)
-        dg0 = gvector(rec, 0, 0, 0)
-        assert matrix_element(model, lat, rec, dg0) == pytest.approx(
+        assert matrix_element(model, lat, rec, (0, 0, 0)) == pytest.approx(
             -9.50 + 0j, abs=1e-12)
 
     def test_override_completeness(self, diamond):
@@ -185,16 +189,18 @@ class TestMatrixElement:
         for n in reach:
             for m in reach:
                 for l in reach:
-                    dg = gvector(rec, n, m, l)
+                    dg = (n, m, l)
+                    shell = shell_of(rec, dg)
                     got = matrix_element(model, lat, rec, dg)
-                    if dg.shell in FIG4A_TABLE:
-                        s = structure_factor(lat.basis_offsets, dg.cart)
-                        expected = FIG4A_TABLE[dg.shell] if abs(s) > 1e-12 else 0.0
+                    if shell in FIG4A_TABLE:
+                        s = structure_factor(lat.basis_offsets,
+                                             cartesian(rec, dg))
+                        expected = FIG4A_TABLE[shell] if abs(s) > 1e-12 else 0.0
                         assert got == pytest.approx(expected + 0j, abs=1e-14)
                     else:
                         assert got == pytest.approx(
                             matrix_element(base, lat, rec, dg), abs=1e-14)
-                        seen_base_shells.add(dg.shell)
+                        seen_base_shells.add(shell)
         assert seen_base_shells  # the loop exercised non-tabulated shells
 
     def test_hermiticity_feed(self, diamond):
@@ -211,9 +217,8 @@ class TestMatrixElement:
         for crystal in (lat, noncentered):
             for model in models:
                 for _ in range(15):
-                    n, m, l = (int(x) for x in rng.randint(-4, 5, size=3))
-                    dg = gvector(rec, n, m, l)
-                    neg = gvector(rec, -n, -m, -l)
+                    dg = rng.randint(-4, 5, size=3)
+                    neg = -dg
                     forward = matrix_element(model, crystal, rec, dg)
                     backward = matrix_element(model, crystal, rec, neg)
                     assert backward == pytest.approx(forward.conjugate(),
@@ -229,9 +234,9 @@ class TestMatrixElement:
         for shell, (h, k, l) in picks.items():
             cart = (TWO_PI / A_SI) * np.array([h, k, l], dtype=float)
             coeff = np.linalg.solve(rec.matrix.T, cart)
-            dg = gvector(rec, *(int(round(c)) for c in coeff))
-            assert dg.shell == shell
-            s = structure_factor(lat.basis_offsets, dg.cart)
+            dg = tuple(int(round(c)) for c in coeff)
+            assert shell_of(rec, dg) == shell
+            s = structure_factor(lat.basis_offsets, cartesian(rec, dg))
             assert abs(s) == pytest.approx(math.sqrt(2.0), rel=1e-12)
             mags[shell] = abs(matrix_element(model, lat, rec, dg))
         assert mags[12] > mags[44] > mags[76] > 0
