@@ -12,13 +12,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import bands as bands_mod
-from .bands import BandStructure, GapEntry, SweepError, detect_gaps
+from .bands import BandStructure, SweepError, detect_gaps
 from .eigen import NonHermitianError, SolverError
 from .hamiltonian import AssemblyError, PlaneWaveBasis
 from .lattice import (KPath, LatticeError, RealLattice, ReciprocalLattice,
@@ -47,13 +47,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Validated configuration with resolved domain objects."""
+    """Validated configuration; cutoffs are in config units of (pi/a)^2."""
 
     lattice: RealLattice
     recip: ReciprocalLattice
     model: PotentialModel
     g2_max_units: float
-    g2_max: float
     cutoffs_units: tuple | None
     converge_kappa: np.ndarray
     path: KPath
@@ -62,6 +61,16 @@ class RunConfig:
     out_dir: str
     raw: dict
 
+    @property
+    def shell_unit(self) -> float:
+        """(pi/a)^2 in 1/A^2, the unit of cutoffs and override shells."""
+        return (math.pi / self.lattice.lattice_constant) ** 2
+
+    @property
+    def g2_max(self) -> float:
+        """Plane-wave cutoff on |G|^2 in 1/A^2."""
+        return self.g2_max_units * self.shell_unit
+
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
@@ -69,7 +78,7 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _number(value, where: str) -> float:
+def _number(value, where: str, minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(where, f"expected a number, got {value!r}")
     try:
@@ -78,7 +87,15 @@ def _number(value, where: str) -> float:
         raise ConfigError(where, f"number {value!r} is out of range") from None
     if not math.isfinite(number):
         raise ConfigError(where, f"expected a finite number, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(where, f"expected a number >= {minimum:g}")
     return number
+
+
+def _integer(value, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(where, f"expected an integer >= {minimum}")
+    return value
 
 
 def _check_keys(section: dict, allowed, where: str):
@@ -87,13 +104,20 @@ def _check_keys(section: dict, allowed, where: str):
             raise ConfigError(f"{where}.{key}", "unknown key")
 
 
+def _section(raw: dict, key: str, allowed, required: bool = False) -> dict:
+    """Top-level section ``key``: an object holding only ``allowed`` keys."""
+    section = _require(raw, key, "config") if required else raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(key, f"expected an object, got {section!r}")
+    _check_keys(section, allowed, key)
+    return section
+
+
 def _canonical_label(label: str) -> str:
     return "Γ" if label.upper() in _GAMMA_ALIASES else label
 
 
 def _resolve_potential(pot: dict) -> PotentialModel:
-    _check_keys(pot, {"model", "z_eff", "mu", "overrides", "override_mode"},
-                "potential")
     tag = str(_require(pot, "model", "potential")).lower()
     z_eff = _number(pot.get("z_eff", 0.0), "potential.z_eff")
     try:
@@ -123,20 +147,17 @@ def _resolve_potential(pot: dict) -> PotentialModel:
     raise ConfigError("potential.model", f"unknown model {tag!r}")
 
 
-def _check_override_shells(model: Empirical, recip: ReciprocalLattice,
-                           reach: float) -> None:
-    """Reject override shells that no reciprocal-lattice vector occupies.
-
-    Only shells up to ``reach`` (in (pi/a)^2) are checked: no difference
-    G - G' of the run's bases lies beyond it.
-    """
-    shells = [shell for shell in model.overrides if shell <= reach]
+def _check_override_shells(cfg: RunConfig) -> None:
+    """Reject override shells that no reciprocal-lattice vector occupies,
+    up to 4x the largest cutoff: no G - G' of the run's bases lies beyond."""
+    reach = 4.0 * max((cfg.g2_max_units, *(cfg.cutoffs_units or ())))
+    shells = [shell for shell in cfg.model.overrides if shell <= reach]
     if not shells:
         return
-    a = recip.lattice_constant
-    cart = PlaneWaveBasis.from_cutoff(recip,
-                                      max(shells) * (math.pi / a) ** 2).cart
-    occupied = shell_index(np.einsum("ij,ij->i", cart, cart), a)
+    cart = PlaneWaveBasis.from_cutoff(cfg.recip,
+                                      max(shells) * cfg.shell_unit).cart
+    occupied = shell_index(np.einsum("ij,ij->i", cart, cart),
+                           cfg.recip.lattice_constant)
     for shell in shells:
         if shell not in occupied:
             raise ConfigError(f"potential.overrides.{shell}",
@@ -176,8 +197,7 @@ def load_config(config_file) -> RunConfig:
         raise ConfigError("<file>", "top level must be an object")
     _check_keys(raw, {"lattice", "potential", "basis", "path", "output"}, "config")
 
-    lat_sec = _require(raw, "lattice", "config")
-    _check_keys(lat_sec, {"kind", "a"}, "lattice")
+    lat_sec = _section(raw, "lattice", {"kind", "a"}, required=True)
     kind = str(_require(lat_sec, "kind", "lattice"))
     a = _number(_require(lat_sec, "a", "lattice"), "lattice.a")
     try:
@@ -185,34 +205,29 @@ def load_config(config_file) -> RunConfig:
         recip = reciprocal_of(lattice)
     except LatticeError as exc:
         raise ConfigError("lattice", str(exc)) from exc
+    # k-paths and G enumeration square wavevectors and lengths.
+    unit = 2.0 * math.pi / a
+    if not (math.isfinite(unit * unit) and math.isfinite(a * a)):
+        raise ConfigError("lattice.a", f"{a!r} squares out of float range")
 
-    model = _resolve_potential(_require(raw, "potential", "config"))
+    model = _resolve_potential(_section(
+        raw, "potential", {"model", "z_eff", "mu", "overrides", "override_mode"},
+        required=True))
 
-    basis_sec = raw.get("basis", {})
-    _check_keys(basis_sec, {"g2_max", "cutoffs", "converge_at"}, "basis")
-    g2_units = _number(basis_sec.get("g2_max", DEFAULT_G2_MAX), "basis.g2_max")
-    if g2_units < 0:
-        raise ConfigError("basis.g2_max", "must be nonnegative")
-    shell_unit = (math.pi / a) ** 2
+    basis_sec = _section(raw, "basis", {"g2_max", "cutoffs", "converge_at"})
+    g2_units = _number(basis_sec.get("g2_max", DEFAULT_G2_MAX), "basis.g2_max",
+                       minimum=0)
     cutoffs = basis_sec.get("cutoffs")
     if cutoffs is not None:
-        if not isinstance(cutoffs, list) or len(cutoffs) < 1:
+        if not isinstance(cutoffs, list) or not cutoffs:
             raise ConfigError("basis.cutoffs", "expected a nonempty list")
-        vals = [_number(c, "basis.cutoffs") for c in cutoffs]
-        if min(vals) < 0:
-            raise ConfigError("basis.cutoffs", "must be nonnegative")
-        if any(b <= x for x, b in zip(vals, vals[1:])):
+        cutoffs = tuple(_number(c, "basis.cutoffs", minimum=0) for c in cutoffs)
+        if any(b <= x for x, b in zip(cutoffs, cutoffs[1:])):
             raise ConfigError("basis.cutoffs", "must be strictly ascending")
-        cutoffs = tuple(vals)
-    if isinstance(model, Empirical):
-        # |G - G'|^2 <= 4 g2_max for G, G' inside the cutoff ball.
-        _check_override_shells(model, recip,
-                               4.0 * max((g2_units, *(cutoffs or ()))))
 
     symmetry = {"Γ": np.zeros(3)}
     if kind.upper() in ("FCC", "DIAMOND"):
         symmetry.update(fcc_symmetry_points(a))
-    unit = 2.0 * math.pi / a
 
     converge_at = basis_sec.get("converge_at", "Γ")
     if isinstance(converge_at, list):
@@ -224,14 +239,12 @@ def load_config(config_file) -> RunConfig:
         _, converge_kappa = _resolve_point(str(converge_at), symmetry, unit,
                                            "basis.converge_at")
 
-    path_sec = raw.get("path", {})
-    _check_keys(path_sec, {"points", "samples_per_segment"}, "path")
+    path_sec = _section(raw, "path", {"points", "samples_per_segment"})
     entries = path_sec.get("points", list(DEFAULT_TOUR))
     if not isinstance(entries, list) or len(entries) < 2:
         raise ConfigError("path.points", "expected a list of at least 2 points")
-    samples = path_sec.get("samples_per_segment", DEFAULT_SAMPLES)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
-        raise ConfigError("path.samples_per_segment", "expected an integer >= 2")
+    samples = _integer(path_sec.get("samples_per_segment", DEFAULT_SAMPLES),
+                       "path.samples_per_segment", minimum=2)
     points = [_resolve_point(e, symmetry, unit, f"path.points[{i}]")
               for i, e in enumerate(entries)]
     try:
@@ -239,11 +252,9 @@ def load_config(config_file) -> RunConfig:
     except LatticeError as exc:
         raise ConfigError("path", str(exc)) from exc
 
-    out_sec = raw.get("output", {})
-    _check_keys(out_sec, {"num_bands", "formats", "directory"}, "output")
-    num_bands = out_sec.get("num_bands", DEFAULT_NUM_BANDS)
-    if isinstance(num_bands, bool) or not isinstance(num_bands, int) or num_bands < 1:
-        raise ConfigError("output.num_bands", "expected an integer >= 1")
+    out_sec = _section(raw, "output", {"num_bands", "formats", "directory"})
+    num_bands = _integer(out_sec.get("num_bands", DEFAULT_NUM_BANDS),
+                         "output.num_bands", minimum=1)
     formats = out_sec.get("formats", list(ALL_FORMATS))
     if not isinstance(formats, list) or not formats:
         raise ConfigError("output.formats", "expected a nonempty list")
@@ -252,97 +263,108 @@ def load_config(config_file) -> RunConfig:
             raise ConfigError("output.formats", f"unknown format {fmt!r}")
     out_dir = str(out_sec.get("directory", "."))
 
-    g2_max = g2_units * shell_unit
-    dim = PlaneWaveBasis.from_cutoff(recip, g2_max).dim
-    if num_bands > dim:
-        raise ConfigError("output.num_bands",
-                          f"exceeds basis size {dim} at g2_max={g2_units:g}")
-
-    return RunConfig(
-        lattice=lattice, recip=recip, model=model,
-        g2_max_units=g2_units, g2_max=g2_max,
+    cfg = RunConfig(
+        lattice=lattice, recip=recip, model=model, g2_max_units=g2_units,
         cutoffs_units=cutoffs, converge_kappa=converge_kappa,
         path=kpath, num_bands=num_bands, formats=tuple(formats),
         out_dir=out_dir, raw=raw)
+    if isinstance(model, Empirical):
+        _check_override_shells(cfg)
+    # bands/gaps solve at g2_max and converge from cutoffs[0] (ascending).
+    smallest = min((g2_units, *(cutoffs or ())))
+    dim = PlaneWaveBasis.from_cutoff(recip, smallest * cfg.shell_unit).dim
+    if num_bands > dim:
+        key = "basis.cutoffs" if smallest < g2_units else "output.num_bands"
+        raise ConfigError(key, f"cutoff {smallest:g} gives basis size {dim}, "
+                          f"below output.num_bands={num_bands}")
+    return cfg
 
 
-def _gap_dict(gap: GapEntry) -> dict:
-    return {"below_band": gap.below_band, "gap_bottom": gap.gap_bottom,
-            "gap_top": gap.gap_top, "width": gap.width}
+def _lines(header, rows, sep=",") -> str:
+    """One line per row of cells, header first, cells joined by ``sep``."""
+    return "".join(sep.join(row) + "\n" for row in [header, *rows])
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def bands_csv(bs: BandStructure) -> str:
     """CSV table: k_index,arc_distance,label,E1..En (energies to 1e-6 eV)."""
-    header = "k_index,arc_distance,label," + ",".join(
-        f"E{i + 1}" for i in range(bs.num_bands))
-    lines = [header]
-    for i, point in enumerate(bs.path.points):
-        label = point.label if point.label is not None else ""
-        energy_cols = ",".join(f"{e:.6f}" for e in bs.energies[i])
-        lines.append(f"{i},{point.arc_distance:.6f},{label},{energy_cols}")
-    return "\n".join(lines) + "\n"
+    return _lines(
+        ["k_index", "arc_distance", "label",
+         *(f"E{i + 1}" for i in range(bs.num_bands))],
+        ([str(i), f"{point.arc_distance:.6f}", point.label or "",
+          *(f"{e:.6f}" for e in bs.energies[i])]
+         for i, point in enumerate(bs.path.points)))
 
 
 def bands_json(bs: BandStructure, gaps, raw_config: dict) -> str:
     """JSON mirror of the CSV content plus config echo and gap report."""
-    points = []
-    for i, point in enumerate(bs.path.points):
-        points.append({
+    return _json({
+        "config": raw_config,
+        "num_bands": bs.num_bands,
+        "points": [{
             "k_index": i,
             "arc_distance": point.arc_distance,
             "label": point.label,
             "energies": [float(e) for e in bs.energies[i]],
-        })
-    doc = {
-        "config": raw_config,
-        "num_bands": bs.num_bands,
-        "points": points,
-        "gaps": [_gap_dict(g) for g in gaps],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        } for i, point in enumerate(bs.path.points)],
+        "gaps": [asdict(g) for g in gaps],
+    })
 
 
 def gaps_json(gaps, raw_config: dict) -> str:
-    doc = {"config": raw_config, "gaps": [_gap_dict(g) for g in gaps]}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _json({"config": raw_config, "gaps": [asdict(g) for g in gaps]})
 
 
 def gaps_text(gaps) -> str:
     if not gaps:
         return "no gaps detected\n"
-    lines = ["below_band  gap_bottom(eV)  gap_top(eV)  width(eV)"]
-    for g in gaps:
-        lines.append(f"{g.below_band:10d}  {g.gap_bottom:14.6f}  "
-                     f"{g.gap_top:11.6f}  {g.width:9.6f}")
-    return "\n".join(lines) + "\n"
+    return _lines(
+        ["below_band", "gap_bottom(eV)", "gap_top(eV)", "width(eV)"],
+        ([f"{g.below_band:10d}", f"{g.gap_bottom:14.6f}",
+          f"{g.gap_top:11.6f}", f"{g.width:9.6f}"] for g in gaps), sep="  ")
 
 
-def converge_csv(rows, shell_unit: float) -> str:
-    num_bands = len(rows[0].values)
-    header = "g2_max,dim," + ",".join(f"E{i + 1}" for i in range(num_bands))
-    lines = [header]
-    for row in rows:
-        cols = ",".join(f"{e:.6f}" for e in row.values)
-        lines.append(f"{row.g2_max / shell_unit:.6f},{row.dim},{cols}")
-    return "\n".join(lines) + "\n"
+def converge_text(rows, cutoffs) -> str:
+    """Fixed-width cutoff study table; ``cutoffs`` in config units."""
+    return _lines(
+        ["g2_max".rjust(10), "dim".rjust(6),
+         *(f"E{i + 1}".rjust(12) for i in range(len(rows[0].values)))],
+        ([f"{cutoff:10.2f}", f"{row.dim:6d}", *(f"{e:12.6f}" for e in row.values)]
+         for cutoff, row in zip(cutoffs, rows)), sep="")
 
 
-def converge_json(rows, shell_unit: float, raw_config: dict) -> str:
-    doc = {
+def converge_csv(rows, cutoffs) -> str:
+    return _lines(
+        ["g2_max", "dim", *(f"E{i + 1}" for i in range(len(rows[0].values)))],
+        ([f"{cutoff:.6f}", str(row.dim), *(f"{e:.6f}" for e in row.values)]
+         for cutoff, row in zip(cutoffs, rows)))
+
+
+def converge_json(rows, cutoffs, raw_config: dict) -> str:
+    return _json({
         "config": raw_config,
         "rows": [{
-            "g2_max": row.g2_max / shell_unit,
+            "g2_max": cutoff,
             "dim": row.dim,
             "energies": [float(e) for e in row.values],
-        } for row in rows],
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        } for cutoff, row in zip(cutoffs, rows)],
+    })
 
 
-def _out_dir(cfg: RunConfig, override) -> Path:
-    directory = Path(override) if override is not None else Path(cfg.out_dir)
+def _write(cfg: RunConfig, out, emitters: dict, formats=None):
+    """Write each ``{file name: emitter}`` whose suffix is in ``formats``
+    (default: the config's); return the directory and the names written.
+    Called after the compute, so a failed run makes no directory."""
+    texts = {name: emit() for name, emit in emitters.items()
+             if name.rsplit(".", 1)[1] in (formats or cfg.formats)}
+    directory = Path(out if out is not None else cfg.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    return directory
+    for name, text in texts.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory, list(texts)
 
 
 def _run_sweep(cfg: RunConfig) -> BandStructure:
@@ -353,21 +375,13 @@ def _run_sweep(cfg: RunConfig) -> BandStructure:
 def cmd_bands(config_file, out=None) -> int:
     """Sweep the k-path and write bands.csv / bands.json / bands.svg."""
     cfg = load_config(config_file)
-    directory = _out_dir(cfg, out)
     bs = _run_sweep(cfg)
     gaps = detect_gaps(bs)
-    written = []
-    if "csv" in cfg.formats:
-        (directory / "bands.csv").write_text(bands_csv(bs), encoding="utf-8")
-        written.append("bands.csv")
-    if "json" in cfg.formats:
-        (directory / "bands.json").write_text(
-            bands_json(bs, gaps, cfg.raw), encoding="utf-8")
-        written.append("bands.json")
-    if "svg" in cfg.formats:
-        (directory / "bands.svg").write_text(
-            render_bands(bs, gaps), encoding="utf-8")
-        written.append("bands.svg")
+    directory, written = _write(cfg, out, {
+        "bands.csv": lambda: bands_csv(bs),
+        "bands.json": lambda: bands_json(bs, gaps, cfg.raw),
+        "bands.svg": lambda: render_bands(bs, gaps),
+    })
     print(f"{len(bs.path.points)} k-points, {bs.num_bands} bands, "
           f"{len(gaps)} gap(s)")
     print(f"wrote {', '.join(written)} to {directory}")
@@ -377,44 +391,28 @@ def cmd_bands(config_file, out=None) -> int:
 def cmd_gaps(config_file, out=None) -> int:
     """Sweep, detect gaps, print the table, and write gaps.json."""
     cfg = load_config(config_file)
-    directory = _out_dir(cfg, out)
-    bs = _run_sweep(cfg)
-    gaps = detect_gaps(bs)
+    gaps = detect_gaps(_run_sweep(cfg))
     sys.stdout.write(gaps_text(gaps))
-    (directory / "gaps.json").write_text(
-        gaps_json(gaps, cfg.raw), encoding="utf-8")
+    # gaps.json is written whatever output.formats lists.
+    _write(cfg, out, {"gaps.json": lambda: gaps_json(gaps, cfg.raw)},
+           formats=("json",))
     return 0
 
 
 def cmd_converge(config_file, out=None) -> int:
     """Run the cutoff convergence study and write the table artifact."""
     cfg = load_config(config_file)
-    if cfg.cutoffs_units is None:
+    cutoffs = cfg.cutoffs_units
+    if cutoffs is None:
         raise ConfigError("basis.cutoffs", "required for the converge command")
-    shell_unit = (math.pi / cfg.lattice.lattice_constant) ** 2
-    cutoffs_abs = [c * shell_unit for c in cfg.cutoffs_units]
-    # Cutoffs ascend, so the first one gives the smallest basis.
-    dim = PlaneWaveBasis.from_cutoff(cfg.recip, cutoffs_abs[0]).dim
-    if cfg.num_bands > dim:
-        raise ConfigError(
-            "basis.cutoffs", f"cutoff {cfg.cutoffs_units[0]:g} gives basis "
-            f"size {dim}, below output.num_bands={cfg.num_bands}")
-    directory = _out_dir(cfg, out)
-    rows = bands_mod.convergence_study(cfg.converge_kappa, cfg.model,
-                                       cfg.lattice, cfg.recip, cutoffs_abs,
-                                       cfg.num_bands)
-    header = "g2_max".rjust(10) + "dim".rjust(6) + "".join(
-        f"E{i + 1}".rjust(12) for i in range(cfg.num_bands))
-    print(header)
-    for row in rows:
-        cols = "".join(f"{e:12.6f}" for e in row.values)
-        print(f"{row.g2_max / shell_unit:10.2f}{row.dim:6d}{cols}")
-    if "csv" in cfg.formats:
-        (directory / "converge.csv").write_text(
-            converge_csv(rows, shell_unit), encoding="utf-8")
-    if "json" in cfg.formats:
-        (directory / "converge.json").write_text(
-            converge_json(rows, shell_unit, cfg.raw), encoding="utf-8")
+    rows = bands_mod.convergence_study(
+        cfg.converge_kappa, cfg.model, cfg.lattice, cfg.recip,
+        [c * cfg.shell_unit for c in cutoffs], cfg.num_bands)
+    sys.stdout.write(converge_text(rows, cutoffs))
+    _write(cfg, out, {
+        "converge.csv": lambda: converge_csv(rows, cutoffs),
+        "converge.json": lambda: converge_json(rows, cutoffs, cfg.raw),
+    })
     return 0
 
 

@@ -87,6 +87,12 @@ class TestLoadConfig:
         (lambda c: c["output"].update(num_bands=0), "output.num_bands"),
         (lambda c: c["output"].update(formats=["pdf"]), "output.formats"),
         (lambda c: c.update(extra={}), "config.extra"),
+        (lambda c: c.update(lattice=5), "lattice: expected an object"),
+        (lambda c: c.update(lattice=None), "lattice: expected an object"),
+        (lambda c: c.update(potential=[]), "potential: expected an object"),
+        (lambda c: c.update(basis=5), "basis: expected an object"),
+        (lambda c: c.update(path="LGX"), "path: expected an object"),
+        (lambda c: c.update(output=None), "output: expected an object"),
     ])
     def test_bad_configs_name_the_key(self, write_config, mutate, needle):
         path = write_config(mutate=mutate)
@@ -279,6 +285,28 @@ class TestConvergeCommand:
         assert "cutoff 3 " in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["bands", "gaps"])
+    def test_every_command_checks_the_smallest_cutoff(
+            self, write_config, tmp_path, capsys, command):
+        # load_config checks the smallest basis any command of the run
+        # can use, so bands and gaps reject the converge cutoffs too.
+        path = write_config(mutate=lambda c: (
+            c["basis"].update(g2_max=76, cutoffs=[3, 76]),
+            c["output"].update(num_bands=8)))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "basis.cutoffs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_json_echoes_the_configured_cutoffs(self, write_config, tmp_path):
+        # 107 * (pi/a)^2 / (pi/a)^2 is 107.00000000000001 in floats.
+        path = write_config(mutate=lambda c: c["basis"].update(
+            cutoffs=[107, 109]))
+        out = tmp_path / "out"
+        assert cmd_converge(path, out=out) == 0
+        doc = json.loads((out / "converge.json").read_text(encoding="utf-8"))
+        assert [row["g2_max"] for row in doc["rows"]] == [107, 109]
+
     def test_rejects_negative_cutoff(self, write_config):
         path = write_config(mutate=lambda c: c["basis"].update(
             cutoffs=[-4, 16]))
@@ -352,6 +380,30 @@ class TestMain:
         assert main(["info", "--config", str(path)]) == 2
         assert "lattice.a" in capsys.readouterr().err
 
+    def test_non_object_section_exits_2(self, write_config, tmp_path, capsys):
+        path = write_config(basis=5)
+        assert main(["bands", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error at basis: expected an object" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["info", "bands"])
+    @pytest.mark.parametrize("a", [1e-200, 1e200])
+    def test_unrepresentable_lattice_scale_exits_2(self, write_config,
+                                                   tmp_path, capsys, command,
+                                                   a):
+        # (2 pi/a)^2 or a^2 overflows: k-path lengths and G enumeration
+        # could not be computed.
+        path = write_config(mutate=lambda c: c["lattice"].update(a=a))
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "lattice.a" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_numerical_failure_exit_code(self, write_config, tmp_path,
                                          monkeypatch, capsys):
         import pwbands.cli as cli_mod
@@ -381,6 +433,7 @@ class TestMain:
         assert ("at k-point 0 kappa=" in err if command == "bands"
                 else "at cutoff g2_max=" in err and "(cutoffs[0])" in err)
         assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestOverrideShells:
