@@ -14,17 +14,15 @@ from .hamiltonian import AssemblyError, BlochMatrix, PlaneWaveBasis, build
 from .lattice import (KPath, KPoint, LatticeError, RealLattice,
                       ReciprocalLattice, enumerate_g, fcc_symmetry_points,
                       make_cubic, make_kpath, reciprocal_of)
-from .potential import (E2, HBAR2_OVER_2M, Coulomb, Empirical,
-                        PotentialError, Yukawa, ion_ft, matrix_element,
-                        structure_factor)
+from .potential import (E2, HBAR2_OVER_2M, Potential, PotentialError,
+                        ion_ft, matrix_element, structure_factor)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandStructure", "BlochMatrix", "ConvergenceRow", "Coulomb",
-    "EigenResult", "Empirical", "GapEntry", "KPath", "KPoint",
-    "PlaneWaveBasis", "RealLattice", "ReciprocalLattice", "SweepError",
-    "Yukawa",
+    "BandStructure", "BlochMatrix", "ConvergenceRow", "EigenResult",
+    "GapEntry", "KPath", "KPoint", "PlaneWaveBasis", "Potential",
+    "RealLattice", "ReciprocalLattice", "SweepError",
     "AssemblyError", "LatticeError", "NonHermitianError", "PotentialError",
     "SolverError",
     "E2", "HBAR2_OVER_2M",

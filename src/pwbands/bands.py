@@ -9,7 +9,7 @@ import numpy as np
 from .eigen import NonHermitianError, SolverError, eigh
 from .hamiltonian import PlaneWaveBasis, build, potential_matrix
 from .lattice import KPath, RealLattice, ReciprocalLattice
-from .potential import HBAR2_OVER_2M, PotentialModel
+from .potential import HBAR2_OVER_2M, Potential
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +56,7 @@ class SweepError(RuntimeError):
         self.kappa = kappa
 
 
-def sweep(path: KPath, model: PotentialModel, lattice: RealLattice,
+def sweep(path: KPath, model: Potential, lattice: RealLattice,
           recip: ReciprocalLattice, g2_max: float, num_bands: int) -> BandStructure:
     """Diagonalize the Bloch Hamiltonian at every path point.
 
@@ -116,7 +116,7 @@ def detect_gaps(bs: BandStructure) -> list:
     return report
 
 
-def convergence_study(kappa, model: PotentialModel, lattice: RealLattice,
+def convergence_study(kappa, model: Potential, lattice: RealLattice,
                       recip: ReciprocalLattice, cutoffs, num_bands: int) -> list:
     """Solve at one kappa for each basis cutoff in an ascending list."""
     cutoffs = [float(c) for c in cutoffs]

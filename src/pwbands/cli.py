@@ -24,8 +24,7 @@ from .hamiltonian import AssemblyError, PlaneWaveBasis
 from .lattice import (KPath, LatticeError, RealLattice, ReciprocalLattice,
                       fcc_symmetry_points, make_cubic, make_kpath,
                       reciprocal_of, shell_index)
-from .potential import (Coulomb, Empirical, PotentialError, PotentialModel,
-                        Yukawa)
+from .potential import Potential, PotentialError
 from .svgplot import render_bands
 
 DEFAULT_TOUR = ("L", "Γ", "X", "U", "Γ")
@@ -35,6 +34,13 @@ DEFAULT_NUM_BANDS = 8
 ALL_FORMATS = ("csv", "json", "svg")
 
 _GAMMA_ALIASES = {"G", "GAMMA", "Γ"}
+
+# Potential keys each model reads besides "model"; yukawa requires "mu".
+_MODEL_KEYS = {
+    "coulomb": ("z_eff",),
+    "yukawa": ("z_eff", "mu"),
+    "empirical": ("z_eff", "mu", "overrides", "override_mode"),
+}
 
 
 class ConfigError(ValueError):
@@ -51,7 +57,7 @@ class RunConfig:
 
     lattice: RealLattice
     recip: ReciprocalLattice
-    model: PotentialModel
+    model: Potential
     g2_max_units: float
     cutoffs_units: tuple | None
     converge_kappa: np.ndarray
@@ -117,34 +123,33 @@ def _canonical_label(label: str) -> str:
     return "Γ" if label.upper() in _GAMMA_ALIASES else label
 
 
-def _resolve_potential(pot: dict) -> PotentialModel:
+def _resolve_potential(pot: dict) -> Potential:
+    """One ``Potential`` record; the model tag only picks the allowed keys."""
     tag = str(_require(pot, "model", "potential")).lower()
-    z_eff = _number(pot.get("z_eff", 0.0), "potential.z_eff")
+    if tag not in _MODEL_KEYS:
+        raise ConfigError("potential.model", f"unknown model {tag!r}")
+    _check_keys(pot, {"model", *_MODEL_KEYS[tag]}, "potential")
+    if tag == "yukawa":
+        _require(pot, "mu", "potential")
+    overrides = pot.get("overrides", {})
+    if not isinstance(overrides, dict):
+        raise ConfigError("potential.overrides", "expected an object")
+    table = {}
+    for key, value in overrides.items():
+        try:
+            shell = int(key)
+        except ValueError:
+            raise ConfigError("potential.overrides",
+                              f"shell key {key!r} is not an integer") from None
+        table[shell] = _number(value, f"potential.overrides.{key}")
     try:
-        if tag == "coulomb":
-            return Coulomb(z_eff=z_eff)
-        if tag == "yukawa":
-            mu = _number(_require(pot, "mu", "potential"), "potential.mu")
-            return Yukawa(z_eff=z_eff, mu=mu)
-        if tag == "empirical":
-            mu = _number(pot.get("mu", 0.0), "potential.mu")
-            base = Yukawa(z_eff=z_eff, mu=mu) if mu > 0 else Coulomb(z_eff=z_eff)
-            overrides = pot.get("overrides", {})
-            if not isinstance(overrides, dict):
-                raise ConfigError("potential.overrides", "expected an object")
-            table = {}
-            for key, value in overrides.items():
-                try:
-                    shell = int(key)
-                except ValueError:
-                    raise ConfigError("potential.overrides",
-                                      f"shell key {key!r} is not an integer") from None
-                table[shell] = _number(value, f"potential.overrides.{key}")
-            mode = str(pot.get("override_mode", "element"))
-            return Empirical(base=base, overrides=table, override_mode=mode)
+        return Potential(
+            z_eff=_number(pot.get("z_eff", 0.0), "potential.z_eff"),
+            mu=_number(pot.get("mu", 0.0), "potential.mu"),
+            overrides=table,
+            override_mode=str(pot.get("override_mode", "element")))
     except PotentialError as exc:
         raise ConfigError("potential", str(exc)) from exc
-    raise ConfigError("potential.model", f"unknown model {tag!r}")
 
 
 def _check_override_shells(cfg: RunConfig) -> None:
@@ -200,19 +205,22 @@ def load_config(config_file) -> RunConfig:
     lat_sec = _section(raw, "lattice", {"kind", "a"}, required=True)
     kind = str(_require(lat_sec, "kind", "lattice"))
     a = _number(_require(lat_sec, "a", "lattice"), "lattice.a")
+    # Cell volumes, a^3 (SC) down to a^3/4 (FCC), must be normal floats;
+    # then a^2 and (2 pi/a)^2, which k-paths and G enumeration take, are
+    # finite too.
+    cube = a * a * a
+    if a > 0 and not (math.isfinite(cube) and cube / 4 >= sys.float_info.min):
+        raise ConfigError("lattice.a", f"{a!r} gives a cell volume out of "
+                          f"float range")
     try:
         lattice = make_cubic(kind, a)
         recip = reciprocal_of(lattice)
     except LatticeError as exc:
         raise ConfigError("lattice", str(exc)) from exc
-    # k-paths and G enumeration square wavevectors and lengths.
     unit = 2.0 * math.pi / a
-    if not (math.isfinite(unit * unit) and math.isfinite(a * a)):
-        raise ConfigError("lattice.a", f"{a!r} squares out of float range")
 
     model = _resolve_potential(_section(
-        raw, "potential", {"model", "z_eff", "mu", "overrides", "override_mode"},
-        required=True))
+        raw, "potential", {"model", *_MODEL_KEYS["empirical"]}, required=True))
 
     basis_sec = _section(raw, "basis", {"g2_max", "cutoffs", "converge_at"})
     g2_units = _number(basis_sec.get("g2_max", DEFAULT_G2_MAX), "basis.g2_max",
@@ -268,8 +276,7 @@ def load_config(config_file) -> RunConfig:
         cutoffs_units=cutoffs, converge_kappa=converge_kappa,
         path=kpath, num_bands=num_bands, formats=tuple(formats),
         out_dir=out_dir, raw=raw)
-    if isinstance(model, Empirical):
-        _check_override_shells(cfg)
+    _check_override_shells(cfg)
     # bands/gaps solve at g2_max and converge from cutoffs[0] (ascending).
     smallest = min((g2_units, *(cutoffs or ())))
     dim = PlaneWaveBasis.from_cutoff(recip, smallest * cfg.shell_unit).dim

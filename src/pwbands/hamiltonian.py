@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import RealLattice, ReciprocalLattice, cartesian, enumerate_g
-from .potential import HBAR2_OVER_2M, PotentialModel, matrix_element
+from .potential import HBAR2_OVER_2M, Potential, matrix_element
 
 
 class AssemblyError(RuntimeError):
@@ -57,7 +57,7 @@ class BlochMatrix:
     entries: np.ndarray
 
 
-def potential_matrix(model: PotentialModel, lattice: RealLattice,
+def potential_matrix(model: Potential, lattice: RealLattice,
                      recip: ReciprocalLattice, basis: PlaneWaveBasis) -> np.ndarray:
     """Kappa-independent potential block V[i,j] = <G_i|V|G_j>.
 

@@ -16,7 +16,7 @@ from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
 from pwbands.lattice import (cartesian, enumerate_g, fcc_symmetry_points,
                              make_cubic, make_kpath, reciprocal_of,
                              shell_index)
-from pwbands.potential import Coulomb, Empirical, structure_factor
+from pwbands.potential import Potential, structure_factor
 from pwbands.presets import preset_path
 
 A_SI = 5.431
@@ -88,7 +88,7 @@ def test_criterion_2_free_electron_oracle(diamond):
         start = time.perf_counter()
         lat, rec = diamond
         tour = default_tour(50)
-        bs = sweep(tour, Coulomb(0.0), lat, rec, 76 * SHELL, 8)
+        bs = sweep(tour, Potential(0.0), lat, rec, 76 * SHELL, 8)
         ref = free_electron_reference(tour, lat, rec, 76 * SHELL, 8)
         assert np.abs(bs.energies - ref.energies).max() < 1e-9
 
@@ -136,7 +136,7 @@ def test_criterion_4_structure_factor_zeros(diamond):
         # and the shell contributes no coupling in an assembled matrix
         basis = PlaneWaveBasis.from_cutoff(rec, 76 * SHELL)
         h = build(np.zeros(3), basis,
-                  potential_matrix(Coulomb(1.0), lat, rec, basis)).entries
+                  potential_matrix(Potential(1.0), lat, rec, basis)).entries
         hit = 0
         for i, gi in enumerate(basis.coeffs):
             for j, gj in enumerate(basis.coeffs):
@@ -152,8 +152,8 @@ def test_criterion_5_hermiticity_and_solver_contract(diamond):
         lat, rec = diamond
         basis = PlaneWaveBasis.from_cutoff(rec, 76 * SHELL)
         tour = default_tour(4)
-        models = [Coulomb(0.5), Coulomb(2.0),
-                  Empirical(base=Coulomb(0.0), overrides=FIG4A_TABLE)]
+        models = [Potential(0.5), Potential(2.0),
+                  Potential(0.0, overrides=FIG4A_TABLE)]
         for model in models:
             v = potential_matrix(model, lat, rec, basis)
             for point in tour.points:
@@ -179,7 +179,7 @@ def test_criterion_6_coulomb_phenomenology(diamond):
         tour = default_tour(50)
         runs = {}
         for z in (0.0, 0.25, 0.5, 2.0):
-            runs[z] = sweep(tour, Coulomb(z), lat, rec, 76 * SHELL, 8)
+            runs[z] = sweep(tour, Potential(z), lat, rec, 76 * SHELL, 8)
         # (a) free bands overlap everywhere
         assert detect_gaps(runs[0.0]) == []
         # (b) band-1/band-2 splitting at L is nondecreasing in z_eff
@@ -198,7 +198,7 @@ def test_criterion_7_empirical_preset_gap(diamond):
     with criterion(7, "empirical form-factor preset"):
         lat, rec = diamond
         tour = default_tour(50)
-        model = Empirical(base=Coulomb(0.0), overrides=FIG4A_TABLE,
+        model = Potential(0.0, overrides=FIG4A_TABLE,
                           override_mode="element")
         bs = sweep(tour, model, lat, rec, 76 * SHELL, 8)
         gaps = {g.below_band: g for g in detect_gaps(bs)}
@@ -213,7 +213,7 @@ def test_criterion_8_convergence(diamond):
     with criterion(8, "basis cutoff convergence"):
         lat, rec = diamond
         cutoffs = [44 * SHELL, 76 * SHELL, 108 * SHELL]
-        rows = convergence_study(np.zeros(3), Coulomb(0.5), lat, rec,
+        rows = convergence_study(np.zeros(3), Potential(0.5), lat, rec,
                                  cutoffs, 8)
         d1 = np.abs(rows[1].values - rows[0].values)
         d2 = np.abs(rows[2].values - rows[1].values)

@@ -11,7 +11,7 @@ from pwbands.eigen import SolverError
 from pwbands.hamiltonian import potential_matrix
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
     reciprocal_of
-from pwbands.potential import HBAR2_OVER_2M, Coulomb, Empirical
+from pwbands.potential import HBAR2_OVER_2M, Potential
 
 A_SI = 5.431
 SHELL = (math.pi / A_SI) ** 2
@@ -33,13 +33,13 @@ def quick_tour():
 class TestSweep:
     def test_free_sweep_matches_reference(self, diamond, quick_tour):
         lat, rec = diamond
-        bs = sweep(quick_tour, Coulomb(0.0), lat, rec, 76 * SHELL, 8)
+        bs = sweep(quick_tour, Potential(0.0), lat, rec, 76 * SHELL, 8)
         ref = free_electron_reference(quick_tour, lat, rec, 76 * SHELL, 8)
         assert np.abs(bs.energies - ref.energies).max() < 1e-9
 
     def test_rows_ascending(self, diamond, quick_tour):
         lat, rec = diamond
-        bs = sweep(quick_tour, Coulomb(0.5), lat, rec, 44 * SHELL, 8)
+        bs = sweep(quick_tour, Potential(0.5), lat, rec, 44 * SHELL, 8)
         assert np.all(np.diff(bs.energies, axis=1) >= 0)
 
     def test_folded_parabola_along_l_gamma(self, diamond):
@@ -47,7 +47,7 @@ class TestSweep:
         lat, rec = diamond
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("L", pts["L"]), ("Γ", pts["Γ"])], 12)
-        bs = sweep(path, Coulomb(0.0), lat, rec, 44 * SHELL, 6)
+        bs = sweep(path, Potential(0.0), lat, rec, 44 * SHELL, 6)
         for i, point in enumerate(path.points):
             cart = bands_mod.PlaneWaveBasis.from_cutoff(rec, 44 * SHELL).cart
             levels = np.sort(
@@ -57,7 +57,7 @@ class TestSweep:
     def test_rejects_num_bands_beyond_basis(self, diamond, quick_tour):
         lat, rec = diamond
         with pytest.raises(ValueError):
-            sweep(quick_tour, Coulomb(0.0), lat, rec, 0.0, 2)
+            sweep(quick_tour, Potential(0.0), lat, rec, 0.0, 2)
 
     def test_solver_failure_carries_kpoint(self, diamond, quick_tour,
                                            monkeypatch):
@@ -68,7 +68,7 @@ class TestSweep:
 
         monkeypatch.setattr(bands_mod, "eigh", fail)
         with pytest.raises(SweepError) as excinfo:
-            sweep(quick_tour, Coulomb(0.0), lat, rec, 12 * SHELL, 4)
+            sweep(quick_tour, Potential(0.0), lat, rec, 12 * SHELL, 4)
         assert excinfo.value.index == 0
         np.testing.assert_allclose(excinfo.value.kappa,
                                    quick_tour.points[0].kappa)
@@ -76,7 +76,7 @@ class TestSweep:
 
 class TestRealPath:
     @pytest.mark.parametrize("model", [
-        Coulomb(0.5), Empirical(base=Coulomb(0.0), overrides=FIG4A_TABLE)],
+        Potential(0.5), Potential(0.0, overrides=FIG4A_TABLE)],
         ids=["z05", "si_empirical"])
     def test_complex_potential_gives_same_bands(self, diamond, quick_tour,
                                                 model, monkeypatch):
@@ -114,7 +114,7 @@ class TestFreeElectronReference:
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("Γ", pts["Γ"]), ("X", pts["X"])], 3)
         ref = free_electron_reference(path, lat, rec, 44 * SHELL, 8)
-        bs = sweep(path, Coulomb(0.0), lat, rec, 44 * SHELL, 8)
+        bs = sweep(path, Potential(0.0), lat, rec, 44 * SHELL, 8)
         np.testing.assert_allclose(ref.energies[-1], bs.energies[-1],
                                    atol=1e-9)
 
@@ -128,7 +128,7 @@ class TestFreeElectronReference:
     def test_perturbative_limit_tracks_free_bands(self, diamond, quick_tour):
         # A tiny charge shifts every band by far less than 1e-2 eV.
         lat, rec = diamond
-        bs = sweep(quick_tour, Coulomb(1e-4), lat, rec, 76 * SHELL, 8)
+        bs = sweep(quick_tour, Potential(1e-4), lat, rec, 76 * SHELL, 8)
         ref = free_electron_reference(quick_tour, lat, rec, 76 * SHELL, 8)
         assert np.abs(bs.energies - ref.energies).max() < 1e-2
 
@@ -141,7 +141,7 @@ class TestDetectGaps:
 
     def test_strong_coupling_opens_gap(self, diamond, quick_tour):
         lat, rec = diamond
-        bs = sweep(quick_tour, Coulomb(2.0), lat, rec, 76 * SHELL, 8)
+        bs = sweep(quick_tour, Potential(2.0), lat, rec, 76 * SHELL, 8)
         gaps = detect_gaps(bs)
         assert len(gaps) >= 1
         for gap in gaps:
@@ -152,7 +152,7 @@ class TestDetectGaps:
         lat, rec = diamond
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("L", pts["L"]), ("L", pts["L"])], 2)
-        bs = sweep(path, Coulomb(0.5), lat, rec, 44 * SHELL, 4)
+        bs = sweep(path, Potential(0.5), lat, rec, 44 * SHELL, 4)
         gaps = detect_gaps(bs)
         levels = bs.energies[0]
         expected = [(n + 1, levels[n + 1] - levels[n])
@@ -164,7 +164,7 @@ class TestDetectGaps:
         lat, rec = diamond
         splits = []
         for z in (0.0, 0.25, 0.5, 2.0):
-            bs = sweep(quick_tour, Coulomb(z), lat, rec, 76 * SHELL, 2)
+            bs = sweep(quick_tour, Potential(z), lat, rec, 76 * SHELL, 2)
             splits.append(bs.energies[0, 1] - bs.energies[0, 0])
         assert all(b >= a - 1e-12 for a, b in zip(splits, splits[1:]))
 
@@ -172,13 +172,13 @@ class TestDetectGaps:
         lat, rec = diamond
         widths = {}
         for z in (0.5, 2.0):
-            bs = sweep(quick_tour, Coulomb(z), lat, rec, 76 * SHELL, 1)
+            bs = sweep(quick_tour, Potential(z), lat, rec, 76 * SHELL, 1)
             widths[z] = np.ptp(bs.energies[:, 0])
         assert widths[2.0] < widths[0.5]
 
     def test_empirical_gap_between_bands_4_and_5(self, diamond, quick_tour):
         lat, rec = diamond
-        model = Empirical(base=Coulomb(0.0), overrides=FIG4A_TABLE,
+        model = Potential(0.0, overrides=FIG4A_TABLE,
                           override_mode="element")
         bs = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
         gaps = {g.below_band: g for g in detect_gaps(bs)}
@@ -190,7 +190,7 @@ class TestConvergence:
     def test_free_spectrum_exact_at_every_cutoff(self, diamond):
         lat, rec = diamond
         cutoffs = [12 * SHELL, 44 * SHELL, 76 * SHELL]
-        rows = convergence_study(np.zeros(3), Coulomb(0.0), lat, rec,
+        rows = convergence_study(np.zeros(3), Potential(0.0), lat, rec,
                                  cutoffs, 4)
         assert len(rows) == 3
         for a, b in zip(rows, rows[1:]):
@@ -199,7 +199,7 @@ class TestConvergence:
     def test_shrinking_deltas_for_coulomb(self, diamond):
         lat, rec = diamond
         cutoffs = [44 * SHELL, 76 * SHELL, 108 * SHELL]
-        rows = convergence_study(np.zeros(3), Coulomb(0.5), lat, rec,
+        rows = convergence_study(np.zeros(3), Potential(0.5), lat, rec,
                                  cutoffs, 8)
         d1 = np.abs(rows[1].values - rows[0].values)
         d2 = np.abs(rows[2].values - rows[1].values)
@@ -207,7 +207,7 @@ class TestConvergence:
 
     def test_single_cutoff_single_row(self, diamond):
         lat, rec = diamond
-        rows = convergence_study(np.zeros(3), Coulomb(0.5), lat, rec,
+        rows = convergence_study(np.zeros(3), Potential(0.5), lat, rec,
                                  [44 * SHELL], 8)
         assert len(rows) == 1
         assert rows[0].dim == 51
@@ -215,14 +215,14 @@ class TestConvergence:
     def test_rejects_unsorted_cutoffs(self, diamond):
         lat, rec = diamond
         with pytest.raises(ValueError):
-            convergence_study(np.zeros(3), Coulomb(0.5), lat, rec,
+            convergence_study(np.zeros(3), Potential(0.5), lat, rec,
                               [76 * SHELL, 44 * SHELL], 8)
 
 
 class TestTypes:
     def test_band_structure_shape(self, diamond, quick_tour):
         lat, rec = diamond
-        bs = sweep(quick_tour, Coulomb(0.0), lat, rec, 12 * SHELL, 4)
+        bs = sweep(quick_tour, Potential(0.0), lat, rec, 12 * SHELL, 4)
         assert isinstance(bs, BandStructure)
         assert bs.energies.shape == (len(quick_tour.points), 4)
 

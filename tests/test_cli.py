@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from pwbands.cli import (ConfigError, cmd_bands, cmd_converge, cmd_gaps,
                          cmd_info, load_config, main)
 from pwbands.bands import detect_gaps, sweep
-from pwbands.potential import Coulomb, Empirical, Yukawa
 from pwbands.presets import PRESETS, preset_path
 
 A_SI = 5.431
@@ -41,8 +41,9 @@ def write_config(tmp_path):
 class TestLoadConfig:
     def test_valid_config_resolves(self, write_config):
         cfg = load_config(write_config())
-        assert isinstance(cfg.model, Coulomb)
         assert cfg.model.z_eff == 0.5
+        assert cfg.model.mu == 0.0
+        assert cfg.model.overrides == {}
         assert cfg.num_bands == 6
         assert cfg.g2_max == pytest.approx(16 * (math.pi / A_SI) ** 2)
         assert [v[0] for v in cfg.path.vertices] == ["L", "Γ", "X"]
@@ -51,18 +52,17 @@ class TestLoadConfig:
         path = write_config(potential={"model": "yukawa", "z_eff": 1.0,
                                        "mu": 0.8})
         cfg = load_config(path)
-        assert isinstance(cfg.model, Yukawa)
         assert cfg.model.mu == 0.8
+        assert cfg.model.overrides == {}
 
     def test_empirical_model_with_string_shells(self, write_config):
         path = write_config(potential={
             "model": "empirical", "overrides": {"12": 2.42, "0": -9.5},
             "override_mode": "form_factor"})
         cfg = load_config(path)
-        assert isinstance(cfg.model, Empirical)
         assert cfg.model.overrides == {12: 2.42, 0: -9.5}
         assert cfg.model.override_mode == "form_factor"
-        assert isinstance(cfg.model.base, Coulomb)
+        assert cfg.model.mu == 0.0
 
     def test_explicit_coordinate_points(self, write_config):
         path = write_config(mutate=lambda c: c["path"].update(points=[
@@ -80,6 +80,21 @@ class TestLoadConfig:
         (lambda c: c["potential"].update(z_eff=-2.0), "potential"),
         (lambda c: c["potential"].update(model="morse"), "potential.model"),
         (lambda c: c["potential"].update(bogus=1), "potential.bogus"),
+        (lambda c: c["potential"].update(mu=0.8),
+         "potential.mu: unknown key"),
+        (lambda c: c["potential"].update(overrides={"3": 50.0}),
+         "potential.overrides: unknown key"),
+        (lambda c: c["potential"].update(override_mode="bogus"),
+         "potential.override_mode: unknown key"),
+        (lambda c: c.update(potential={"model": "yukawa", "z_eff": 0.5,
+                                       "mu": 0.8, "overrides": {"12": 50.0}}),
+         "potential.overrides: unknown key"),
+        (lambda c: c.update(potential={"model": "yukawa", "z_eff": 0.5,
+                                       "mu": 0.8,
+                                       "override_mode": "element"}),
+         "potential.override_mode: unknown key"),
+        (lambda c: c.update(potential={"model": "empirical", "mu": -1.0}),
+         "mu must be nonnegative"),
         (lambda c: c["basis"].update(g2_max=-4), "basis.g2_max"),
         (lambda c: c["path"].update(samples_per_segment=1),
          "path.samples_per_segment"),
@@ -199,6 +214,24 @@ class TestBandsCommand:
             cols = line.split(",")[3:]
             for csv_val, json_val in zip(cols, point["energies"]):
                 assert csv_val == f"{json_val:.6f}"
+
+    @pytest.mark.parametrize("pot,same_as", [
+        ({"model": "yukawa", "z_eff": 0.5, "mu": 0.0},
+         {"model": "coulomb", "z_eff": 0.5}),
+        ({"model": "empirical", "z_eff": 0.5, "mu": 0.8},
+         {"model": "yukawa", "z_eff": 0.5, "mu": 0.8}),
+    ], ids=["yukawa-mu0-is-coulomb", "empirical-no-table-is-yukawa"])
+    def test_model_tags_share_one_potential(self, write_config, tmp_path,
+                                            pot, same_as):
+        # The model tag only picks the allowed keys: equal parameters give
+        # the same artifact bytes under any tag.
+        written = []
+        for i, potential in enumerate((pot, same_as)):
+            out = tmp_path / str(i)
+            assert cmd_bands(write_config(potential=potential), out=out) == 0
+            written.append([(out / name).read_bytes()
+                            for name in ("bands.csv", "bands.svg")])
+        assert written[0] == written[1]
 
     def test_svg_has_labels_and_gap_rects(self, write_config, tmp_path):
         path = write_config(mutate=lambda c: c["potential"].update(z_eff=2.0))
@@ -390,18 +423,20 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["info", "bands"])
-    @pytest.mark.parametrize("a", [1e-200, 1e200])
+    @pytest.mark.parametrize("a", [1e-200, 1e-150, 1e110, 1e154, 1e200])
     def test_unrepresentable_lattice_scale_exits_2(self, write_config,
                                                    tmp_path, capsys, command,
                                                    a):
-        # (2 pi/a)^2 or a^2 overflows: k-path lengths and G enumeration
-        # could not be computed.
+        # The cell volume a^3/4 overflows or underflows float64: the
+        # potential would be divided by inf or 0.  Nothing may warn first.
         path = write_config(mutate=lambda c: c["lattice"].update(a=a))
-        assert main([command, "--config", str(path),
-                     "--out", str(tmp_path / "o")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "lattice.a" in err
-        assert "Traceback" not in err
+        assert err.startswith("config error at lattice.a: ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_numerical_failure_exit_code(self, write_config, tmp_path,

@@ -6,7 +6,7 @@ import pytest
 from pwbands.eigen import (EigenResult, NonHermitianError, SolverError, eigh)
 from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
 from pwbands.lattice import make_cubic, reciprocal_of
-from pwbands.potential import Coulomb
+from pwbands.potential import Potential
 
 
 def random_hermitian(n, seed, complex_entries=True):
@@ -95,7 +95,7 @@ class TestContract:
         rec = reciprocal_of(lat)
         basis = PlaneWaveBasis.from_cutoff(rec, 12 * (math.pi / 5.431) ** 2)
         h = build(np.zeros(3), basis,
-                  potential_matrix(Coulomb(0.5), lat, rec, basis))
+                  potential_matrix(Potential(0.5), lat, rec, basis))
         result = eigh(h)
         assert isinstance(result, EigenResult)
         assert len(result.values) == basis.dim

@@ -9,8 +9,7 @@ from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
                                  potential_matrix)
 from pwbands.lattice import (RealLattice, cartesian, make_cubic,
                              reciprocal_of, shell_index)
-from pwbands.potential import (HBAR2_OVER_2M, Coulomb, Empirical,
-                               matrix_element)
+from pwbands.potential import HBAR2_OVER_2M, Potential, matrix_element
 from pwbands.presets import PRESETS, preset_path
 
 A_SI = 5.431
@@ -74,7 +73,7 @@ class TestBuild:
     def test_free_particle_is_diagonal(self, diamond, basis76):
         lat, rec = diamond
         kappa = np.array([0.2, -0.1, 0.3])
-        h = hamiltonian(kappa, basis76, Coulomb(0.0), lat, rec)
+        h = hamiltonian(kappa, basis76, Potential(0.0), lat, rec)
         entries = h.entries
         off = entries - np.diag(entries.diagonal())
         assert np.abs(off).max() == 0.0
@@ -85,13 +84,13 @@ class TestBuild:
     def test_real_symmetric_at_gamma(self, diamond, basis76):
         # The centered diamond basis keeps every structure factor real.
         lat, rec = diamond
-        h = hamiltonian(np.zeros(3), basis76, Coulomb(0.5), lat, rec)
+        h = hamiltonian(np.zeros(3), basis76, Potential(0.5), lat, rec)
         assert np.abs(h.entries.imag).max() < 1e-12
         np.testing.assert_allclose(h.entries, h.entries.T, atol=1e-12)
 
     def test_dim_field(self, diamond, basis76):
         lat, rec = diamond
-        h = hamiltonian(np.zeros(3), basis76, Coulomb(0.5), lat, rec)
+        h = hamiltonian(np.zeros(3), basis76, Potential(0.5), lat, rec)
         assert h.dim == basis76.dim == h.entries.shape[0]
 
     def test_hermiticity(self, diamond, basis76):
@@ -99,7 +98,7 @@ class TestBuild:
         rng = np.random.RandomState(11)
         for _ in range(3):
             kappa = (TWO_PI / A_SI) * rng.uniform(-0.5, 0.5, size=3)
-            h = hamiltonian(kappa, basis76, Coulomb(1.0), lat, rec).entries
+            h = hamiltonian(kappa, basis76, Potential(1.0), lat, rec).entries
             dev = np.abs(h - h.conj().T).max()
             assert dev <= 1e-12 * np.abs(h).max()
 
@@ -111,8 +110,8 @@ class TestBuild:
         for lat in (diamond[0], non_centered()):
             rec = reciprocal_of(lat)
             basis = PlaneWaveBasis.from_cutoff(rec, 12.0 * SHELL)
-            for model in (Coulomb(0.25),
-                          Empirical(base=Coulomb(0.1), overrides=FIG4A_TABLE,
+            for model in (Potential(0.25),
+                          Potential(0.1, overrides=FIG4A_TABLE,
                                     override_mode="form_factor")):
                 h = hamiltonian(kappa, basis, model, lat, rec).entries
                 np.testing.assert_array_equal(h, h.conj().T)
@@ -128,7 +127,7 @@ class TestBuild:
         # A block shared across k-points gives what a fresh one gives:
         # build copies V and adds the kinetic diagonal, leaving V intact.
         lat, rec = diamond
-        model = Coulomb(0.7)
+        model = Potential(0.7)
         kappa = np.array([0.3, 0.2, 0.1])
         v = potential_matrix(model, lat, rec, basis12)
         build(np.zeros(3), basis12, v)
@@ -141,7 +140,7 @@ class TestBuild:
     def test_rejects_bad_kappa(self, diamond, basis12):
         lat, rec = diamond
         with pytest.raises(AssemblyError):
-            hamiltonian(np.array([np.nan, 0.0, 0.0]), basis12, Coulomb(0.0),
+            hamiltonian(np.array([np.nan, 0.0, 0.0]), basis12, Potential(0.0),
                         lat, rec)
 
     def test_non_centered_basis_gives_complex_hermitian(self):
@@ -150,7 +149,7 @@ class TestBuild:
         lat = non_centered()
         rec = reciprocal_of(lat)
         basis = PlaneWaveBasis.from_cutoff(rec, 12.0 * SHELL)
-        h = hamiltonian(np.zeros(3), basis, Coulomb(0.5), lat, rec)
+        h = hamiltonian(np.zeros(3), basis, Potential(0.5), lat, rec)
         assert np.abs(h.entries.imag).max() > 1e-3
         result = eigh(h)
         assert np.all(np.diff(result.values) >= 0)
@@ -170,7 +169,7 @@ class TestBuild:
     def test_rejects_non_finite_potential(self, diamond, basis12, bad):
         # build no longer scans the matrix; eigh is the one check.
         lat, rec = diamond
-        v = potential_matrix(Coulomb(0.5), lat, rec, basis12)
+        v = potential_matrix(Potential(0.5), lat, rec, basis12)
         v[1, 2] = v[2, 1] = bad
         with pytest.raises(NonHermitianError):
             eigh(build(np.zeros(3), basis12, v))
@@ -181,7 +180,7 @@ class TestStructureProperties:
         # Spectra at kappa and kappa - G0 agree once the cutoff is large
         # enough that truncation asymmetry is below tolerance.
         lat, rec = diamond
-        model = Coulomb(5e-4)
+        model = Potential(5e-4)
         basis = PlaneWaveBasis.from_cutoff(rec, 250.0 * SHELL)
         kappa = (TWO_PI / A_SI) * np.array([0.3, 0.1, -0.2])
         g0 = cartesian(rec, (1, 0, 0))
@@ -194,7 +193,7 @@ class TestStructureProperties:
         # Entries depend only on coefficient differences, so conjugating
         # by a permutation leaves the eigenvalues fixed.
         lat, rec = diamond
-        h = hamiltonian(np.array([0.2, 0.1, 0.0]), basis12, Coulomb(0.8),
+        h = hamiltonian(np.array([0.2, 0.1, 0.0]), basis12, Potential(0.8),
                         lat, rec).entries
         rng = np.random.RandomState(5)
         perm = rng.permutation(h.shape[0])
@@ -208,7 +207,7 @@ class TestStructureProperties:
         # The structure factor kills the 16 (pi/a)^2 shell, so no
         # assembled matrix carries those couplings.
         lat, rec = diamond
-        h = hamiltonian(np.zeros(3), basis76, Coulomb(1.0), lat, rec).entries
+        h = hamiltonian(np.zeros(3), basis76, Potential(1.0), lat, rec).entries
         checked = 0
         for i, gi in enumerate(basis76.coeffs):
             for j, gj in enumerate(basis76.coeffs):

@@ -1,17 +1,20 @@
 """Physics identities every band structure must obey, whatever the code path:
 Cauchy interlacing across nested cutoffs, time reversal, and cubic
-point-group invariance."""
+point-group invariance, on the presets and on drawn crystals."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwbands.bands import convergence_study, sweep
 from pwbands.cli import load_config
 from pwbands.hamiltonian import PlaneWaveBasis, potential_matrix
 from pwbands.lattice import RealLattice, make_cubic, make_kpath, reciprocal_of
+from pwbands.potential import Potential
 from pwbands.presets import preset_path
 
 A_SI = 5.431
@@ -85,3 +88,27 @@ def test_cubic_point_group_invariance(name):
     assert len({tuple(op.ravel()) for op in CUBIC_OPS}) == 48
     np.testing.assert_allclose(energies, np.broadcast_to(
         energies[0], energies.shape), rtol=0, atol=TOL)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(kind=st.sampled_from(["SC", "BCC", "FCC", "DIAMOND"]),
+       a=st.floats(3.0, 8.0),
+       model=st.builds(Potential, z_eff=st.floats(0.0, 2.0),
+                       mu=st.one_of(st.just(0.0), st.floats(0.05, 2.0))),
+       small=st.integers(12, 32), extra=st.integers(1, 28),
+       frac=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_identities_on_drawn_crystals(kind, a, model, small, extra, frac):
+    # Interlacing across the nested cutoffs (in (pi/a)^2) at k, and
+    # E(k) = E(-k) at the smaller cutoff, for any cubic crystal and ion.
+    lat = make_cubic(kind, a)
+    rec = reciprocal_of(lat)
+    shell = (math.pi / a) ** 2
+    kappa = (2.0 * math.pi / a) * np.array(frac)
+    rows = convergence_study(kappa, model, lat, rec,
+                             [small * shell, (small + extra) * shell], 6)
+    energies = np.array([row.values for row in rows])
+    tol = TOL * max(1.0, np.abs(energies).max())
+    assert np.all(energies[1] - energies[0] <= tol)
+    pair = bands_at([kappa, -kappa], model, lat, rec, small * shell, 6)
+    np.testing.assert_allclose(pair[1], pair[0], rtol=0, atol=tol)
+    np.testing.assert_allclose(pair[0], energies[0], rtol=0, atol=tol)
