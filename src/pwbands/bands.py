@@ -65,21 +65,23 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     lowest ``num_bands`` eigenpairs.
     """
     basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
-    if num_bands > basis.dim:
-        raise ValueError(
-            f"num_bands={num_bands} exceeds basis dimension {basis.dim}")
     v = potential_matrix(model, lattice, recip, basis)
     energies = np.empty((len(path.points), num_bands))
     for idx, point in enumerate(path.points):
-        h = build(point.kappa, basis, v)
-        try:
-            result = eigh(h, num_bands)
-        except (SolverError, NonHermitianError) as exc:
-            raise SweepError(
-                f"solve failed at k-point {idx} kappa={point.kappa}: {exc}",
-                index=idx, kappa=point.kappa) from exc
+        # Live until the next solve, or malloc trims and re-faults its pages.
+        result = _solve(point.kappa, basis, v, num_bands, idx,
+                        lambda: f"k-point {idx} kappa={point.kappa}")
         energies[idx] = result.values
     return BandStructure(path=path, num_bands=num_bands, energies=energies)
+
+
+def _solve(kappa, basis, v, num_bands, index, where):
+    """Eigenpairs at kappa; a failure raises SweepError located by where()."""
+    try:
+        return eigh(build(kappa, basis, v), num_bands)
+    except (SolverError, NonHermitianError) as exc:
+        raise SweepError(f"solve failed at {where()}: {exc}",
+                         index=index, kappa=kappa) from exc
 
 
 def free_electron_reference(path: KPath, lattice: RealLattice,
@@ -90,10 +92,9 @@ def free_electron_reference(path: KPath, lattice: RealLattice,
     if num_bands > basis.dim:
         raise ValueError(
             f"num_bands={num_bands} exceeds basis dimension {basis.dim}")
-    cart = basis.cart
     energies = np.empty((len(path.points), num_bands))
     for idx, point in enumerate(path.points):
-        levels = HBAR2_OVER_2M * np.sum((point.kappa + cart) ** 2, axis=1)
+        levels = HBAR2_OVER_2M * np.sum((point.kappa + basis.cart) ** 2, axis=1)
         levels.sort()
         energies[idx] = levels[:num_bands]
     return BandStructure(path=path, num_bands=num_bands, energies=energies)
@@ -118,25 +119,17 @@ def detect_gaps(bs: BandStructure) -> list:
 
 def convergence_study(kappa, model: Potential, lattice: RealLattice,
                       recip: ReciprocalLattice, cutoffs, num_bands: int) -> list:
-    """Solve at one kappa for each basis cutoff in an ascending list."""
+    """Solve at one kappa for each cutoff in an ascending list: leading blocks
+    of one basis and V built at the largest, so interlacing is structural."""
     cutoffs = [float(c) for c in cutoffs]
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError(f"cutoffs must be strictly ascending: {cutoffs}")
+    if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ValueError(f"need strictly ascending cutoffs, got {cutoffs}")
+    basis = PlaneWaveBasis.from_cutoff(recip, cutoffs[-1])
+    v = potential_matrix(model, lattice, recip, basis)
     rows = []
     for idx, g2_max in enumerate(cutoffs):
-        basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
-        if num_bands > basis.dim:
-            raise ValueError(
-                f"num_bands={num_bands} exceeds basis dimension {basis.dim} "
-                f"at cutoff {g2_max}")
-        h = build(kappa, basis, potential_matrix(model, lattice, recip, basis))
-        try:
-            result = eigh(h, num_bands)
-        except (SolverError, NonHermitianError) as exc:
-            raise SweepError(
-                f"solve failed at cutoff g2_max={g2_max:g} 1/A^2 "
-                f"(cutoffs[{idx}]): {exc}",
-                index=idx, kappa=h.kappa) from exc
-        rows.append(ConvergenceRow(g2_max=g2_max, dim=basis.dim,
-                                   values=result.values))
+        sub = basis.truncate(g2_max)
+        rows.append(ConvergenceRow(g2_max, sub.dim, _solve(
+            kappa, sub, v[:sub.dim, :sub.dim], num_bands, idx,
+            lambda: f"cutoff g2_max={g2_max:g} 1/A^2 (cutoffs[{idx}])").values))
     return rows

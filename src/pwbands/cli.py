@@ -152,24 +152,6 @@ def _resolve_potential(pot: dict) -> Potential:
         raise ConfigError("potential", str(exc)) from exc
 
 
-def _check_override_shells(cfg: RunConfig) -> None:
-    """Reject override shells that no reciprocal-lattice vector occupies,
-    up to 4x the largest cutoff: no G - G' of the run's bases lies beyond."""
-    reach = 4.0 * max((cfg.g2_max_units, *(cfg.cutoffs_units or ())))
-    shells = [shell for shell in cfg.model.overrides if shell <= reach]
-    if not shells:
-        return
-    cart = PlaneWaveBasis.from_cutoff(cfg.recip,
-                                      max(shells) * cfg.shell_unit).cart
-    occupied = shell_index(np.einsum("ij,ij->i", cart, cart),
-                           cfg.recip.lattice_constant)
-    for shell in shells:
-        if shell not in occupied:
-            raise ConfigError(f"potential.overrides.{shell}",
-                              f"no reciprocal-lattice vector lies on shell "
-                              f"{shell}")
-
-
 def _resolve_point(entry, symmetry: dict, unit: float, where: str):
     if isinstance(entry, str):
         label = _canonical_label(entry)
@@ -276,10 +258,18 @@ def load_config(config_file) -> RunConfig:
         cutoffs_units=cutoffs, converge_kappa=converge_kappa,
         path=kpath, num_bands=num_bands, formats=tuple(formats),
         out_dir=out_dir, raw=raw)
-    _check_override_shells(cfg)
-    # bands/gaps solve at g2_max and converge from cutoffs[0] (ascending).
+    # One basis serves both checks; no G - G' reaches 4x the top cutoff.
     smallest = min((g2_units, *(cutoffs or ())))
-    dim = PlaneWaveBasis.from_cutoff(recip, smallest * cfg.shell_unit).dim
+    reach = 4.0 * max((g2_units, *(cutoffs or ())))
+    shells = [shell for shell in model.overrides if shell <= reach]
+    basis = PlaneWaveBasis.from_cutoff(
+        recip, max((smallest, *shells)) * cfg.shell_unit)
+    occupied = shell_index(basis.g2, a)
+    for shell in shells:
+        if shell not in occupied:
+            raise ConfigError(f"potential.overrides.{shell}", "no reciprocal-"
+                              f"lattice vector lies on shell {shell}")
+    dim = basis.truncate(smallest * cfg.shell_unit).dim
     if num_bands > dim:
         key = "basis.cutoffs" if smallest < g2_units else "output.num_bands"
         raise ConfigError(key, f"cutoff {smallest:g} gives basis size {dim}, "

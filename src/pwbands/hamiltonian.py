@@ -11,6 +11,8 @@ V(G - G') depends only on the integer coefficient difference, so the
 potential block is a gather from one table of matrix elements over the
 box of possible differences; it is built once per basis and shared by
 every k-point, whose Hamiltonian is that block plus a kinetic diagonal.
+A smaller cutoff's basis is the leading rows of a larger one, and its
+potential block the leading principal block (``PlaneWaveBasis.truncate``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import RealLattice, ReciprocalLattice, cartesian, enumerate_g
+from .lattice import (CUTOFF_SLACK, RealLattice, ReciprocalLattice, cartesian,
+                      enumerate_g)
 from .potential import HBAR2_OVER_2M, Potential, matrix_element
 
 
@@ -47,12 +50,22 @@ class PlaneWaveBasis:
     def dim(self) -> int:
         return len(self.coeffs)
 
+    @property
+    def g2(self) -> np.ndarray:
+        """|G|^2 of each row, in 1/A^2."""
+        return np.einsum("ij,ij->i", self.cart, self.cart)
+
+    def truncate(self, g2_max: float) -> "PlaneWaveBasis":
+        """Leading rows up to a smaller cutoff, counted by enumerate_g's test
+        (not bisected: |G|^2 can step down an ulp inside a shell)."""
+        n = np.count_nonzero(self.g2 <= g2_max * (1.0 + CUTOFF_SLACK))
+        return PlaneWaveBasis(self.coeffs[:n], self.cart[:n])
+
 
 @dataclass(frozen=True, eq=False)
 class BlochMatrix:
     """Hermitian Hamiltonian at one Bloch vector, in eV."""
 
-    kappa: np.ndarray
     dim: int
     entries: np.ndarray
 
@@ -95,4 +108,4 @@ def build(kappa, basis: PlaneWaveBasis, potential: np.ndarray) -> BlochMatrix:
     kinetic = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
     h = potential.copy()
     h.flat[::basis.dim + 1] += kinetic
-    return BlochMatrix(kappa=kappa, dim=basis.dim, entries=h)
+    return BlochMatrix(dim=basis.dim, entries=h)

@@ -174,9 +174,11 @@ def enumerate_g(recip: ReciprocalLattice, g2_max: float) -> np.ndarray:
     """Integer coefficients (n, 3) of every G with |G|^2 <= g2_max.
 
     Rows are sorted ascending by |G|^2 with lexicographic (n, m, l)
-    tie-break inside each shell; shells at the cutoff are included.  The
-    integer search box is derived from the real-space vector norms
-    (|n_i| <= |G||a_i|/2pi), so it provably covers the cutoff ball.
+    tie-break inside each shell; shells at the cutoff are included.  So the
+    rows at a smaller cutoff are the leading rows at a larger one, as
+    ``PlaneWaveBasis.truncate`` relies on.  The integer search box is derived
+    from the real-space vector norms (|n_i| <= |G||a_i|/2pi), so it provably
+    covers the cutoff ball.
     """
     if g2_max < 0:
         raise LatticeError(f"g2_max must be nonnegative, got {g2_max}")

@@ -218,6 +218,13 @@ class TestConvergence:
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
                               [76 * SHELL, 44 * SHELL], 8)
 
+    def test_rejects_num_bands_beyond_smallest_basis(self, diamond):
+        # The largest basis holds 8 bands; the first cutoff's (dim 1) not.
+        lat, rec = diamond
+        with pytest.raises(ValueError, match="outside 1..1"):
+            convergence_study(np.zeros(3), Potential(0.5), lat, rec,
+                              [0.0, 44 * SHELL], 8)
+
 
 class TestTypes:
     def test_band_structure_shape(self, diamond, quick_tour):

@@ -439,6 +439,25 @@ class TestMain:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_tiny_lattice_scale_verifies_without_overflow(self, tmp_path):
+        # At a = 1e-100 the entries of H reach 1e205 eV: ||H||_F overflows,
+        # so the residual bound must scale by max|H| and stay finite.
+        cfg = json.loads(preset_path("z05").read_text(encoding="utf-8"))
+        cfg["lattice"]["a"] = 1e-100
+        cfg["path"]["samples_per_segment"] = 3
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bands", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "bands.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        energies = [float(row[f"E{i + 1}"]) for row in rows
+                    for i in range(cfg["output"]["num_bands"])]
+        assert len(rows) == 9
+        assert all(math.isfinite(e) for e in energies)
+
     def test_numerical_failure_exit_code(self, write_config, tmp_path,
                                          monkeypatch, capsys):
         import pwbands.cli as cli_mod

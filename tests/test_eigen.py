@@ -63,10 +63,9 @@ class TestContract:
         assert np.all(np.diff(result.values) >= 0)
         gram = result.vectors.conj().T @ result.vectors
         assert np.abs(gram - np.eye(40)).max() <= 1e-8
-        fro = np.linalg.norm(h)
         residual = np.linalg.norm(h @ result.vectors
                                   - result.vectors * result.values, axis=0)
-        assert residual.max() <= 1e-8 * fro
+        assert residual.max() <= 1e-8 * np.abs(h).max()
 
     @pytest.mark.parametrize("seed", [9, 10])
     def test_trace_preservation(self, seed):
@@ -120,7 +119,7 @@ class TestSubset:
         assert np.abs(gram - np.eye(count)).max() <= 1e-8
         residual = np.linalg.norm(h @ result.vectors
                                   - result.vectors * result.values, axis=0)
-        assert residual.max() <= 1e-8 * np.linalg.norm(h)
+        assert residual.max() <= 1e-8 * np.abs(h).max()
         np.testing.assert_allclose(result.values, eigh(h).values[:count],
                                    rtol=0, atol=1e-10)
 
@@ -164,3 +163,21 @@ class TestErrors:
         monkeypatch.setattr(np.linalg, "eigh", broken)
         with pytest.raises(SolverError):
             eigh(np.eye(3))
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-6])
+    def test_residual_bound_at_huge_scale(self, monkeypatch, shift):
+        # ||H||_F overflows here; the bound is relative to max|H|, so exact
+        # pairs pass and eigenvalues off by 1e-6 max|H| are caught.
+        h = 1e200 * random_hermitian(6, seed=11)
+        solve = np.linalg.eigh
+
+        def shifted(a):
+            values, vectors = solve(a)
+            return values + shift * np.abs(a).max(), vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        if shift:
+            with pytest.raises(SolverError, match="residual"):
+                eigh(h)
+        else:
+            assert np.all(np.isfinite(eigh(h).values))

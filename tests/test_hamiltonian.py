@@ -68,6 +68,32 @@ class TestBasis:
         basis = PlaneWaveBasis.from_cutoff(rec, 0.0)
         assert basis.dim == 1
 
+    def test_g2_is_squared_norm(self, basis76):
+        np.testing.assert_allclose(
+            basis76.g2, np.linalg.norm(basis76.cart, axis=1) ** 2,
+            rtol=1e-14)
+
+    @pytest.mark.parametrize("kind, a", [("SC", 3.7), ("BCC", 7.9),
+                                         ("FCC", 5.431), ("DIAMOND", 5.431)])
+    def test_smaller_cutoff_is_a_leading_block(self, kind, a):
+        # enumerate_g's order nests the bases, so the basis at a smaller
+        # cutoff, and its potential block, are leading blocks of the
+        # larger ones, bit for bit.  Stride 4 lands on shells exactly.
+        lat = make_cubic(kind, a)
+        rec = reciprocal_of(lat)
+        model = Potential(0.5, mu=0.3, overrides=FIG4A_TABLE)
+        shell = (math.pi / a) ** 2
+        big = PlaneWaveBasis.from_cutoff(rec, 120 * shell)
+        v = potential_matrix(model, lat, rec, big)
+        for units in range(0, 121, 4):
+            small = PlaneWaveBasis.from_cutoff(rec, units * shell)
+            sub = big.truncate(units * shell)
+            assert sub.dim == small.dim
+            assert np.array_equal(sub.coeffs, small.coeffs)
+            assert np.array_equal(sub.cart, small.cart)
+            assert np.array_equal(potential_matrix(model, lat, rec, small),
+                                  v[:sub.dim, :sub.dim])
+
 
 class TestBuild:
     def test_free_particle_is_diagonal(self, diamond, basis76):

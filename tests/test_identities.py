@@ -96,10 +96,12 @@ def test_cubic_point_group_invariance(name):
        model=st.builds(Potential, z_eff=st.floats(0.0, 2.0),
                        mu=st.one_of(st.just(0.0), st.floats(0.05, 2.0))),
        small=st.integers(12, 32), extra=st.integers(1, 28),
-       frac=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
-def test_identities_on_drawn_crystals(kind, a, model, small, extra, frac):
-    # Interlacing across the nested cutoffs (in (pi/a)^2) at k, and
-    # E(k) = E(-k) at the smaller cutoff, for any cubic crystal and ion.
+       frac=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       op=st.sampled_from(CUBIC_OPS))
+def test_identities_on_drawn_crystals(kind, a, model, small, extra, frac, op):
+    # Interlacing across the nested cutoffs (in (pi/a)^2) at k, ascending
+    # rows, and E(k) = E(-k) = E(Rk) at the smaller cutoff for one drawn
+    # cubic operation R, for any cubic crystal and ion.
     lat = make_cubic(kind, a)
     rec = reciprocal_of(lat)
     shell = (math.pi / a) ** 2
@@ -109,6 +111,9 @@ def test_identities_on_drawn_crystals(kind, a, model, small, extra, frac):
     energies = np.array([row.values for row in rows])
     tol = TOL * max(1.0, np.abs(energies).max())
     assert np.all(energies[1] - energies[0] <= tol)
-    pair = bands_at([kappa, -kappa], model, lat, rec, small * shell, 6)
-    np.testing.assert_allclose(pair[1], pair[0], rtol=0, atol=tol)
-    np.testing.assert_allclose(pair[0], energies[0], rtol=0, atol=tol)
+    images = bands_at([kappa, -kappa, op @ kappa], model, lat, rec,
+                      small * shell, 6)
+    assert np.all(np.diff(energies, axis=1) >= 0)
+    assert np.all(np.diff(images, axis=1) >= 0)
+    np.testing.assert_allclose(images, np.broadcast_to(
+        energies[0], images.shape), rtol=0, atol=tol)

@@ -48,3 +48,25 @@ def test_traced_bands_run_records_every_assembly_layer(tmp_path):
     assert stats["hamiltonian.potential_matrix.calls"] == 1
     assert stats["potential.matrix_element.calls"] >= 1
     assert stats["lattice.enumerate_g.vectors"] >= 89
+
+
+def test_traced_converge_builds_one_basis_and_one_block(tmp_path):
+    # Every cutoff's basis and potential block are leading blocks of the
+    # largest one's: the config check and the study enumerate once each.
+    spans = load_spans()
+    cfg = json.loads(preset_path("si_empirical").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    tracer = spans.Tracer()
+    with tracer.install(pwbands.cli, pwbands.bands, pwbands.hamiltonian), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = pwbands.cli.main(["converge", "--config", str(config),
+                                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    dims = [span[5]["dim"] for span in tracer.spans
+            if span[0] == "hamiltonian.build"]
+    assert dims == [51, 89, 169]
+    stats = spans.layer_stats(tracer.spans)
+    assert stats["hamiltonian.potential_matrix.calls"] == 1
+    assert stats["lattice.enumerate_g.calls"] == 2
+    assert stats["bands.solves"] == 3
