@@ -11,6 +11,9 @@ from .hamiltonian import PlaneWaveBasis, build, potential_matrix
 from .lattice import KPath, RealLattice, ReciprocalLattice
 from .potential import HBAR2_OVER_2M, Potential
 
+# A level may rise by at most this times max|H| from one cutoff to the next.
+INTERLACING_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class BandStructure:
@@ -120,7 +123,9 @@ def detect_gaps(bs: BandStructure) -> list:
 def convergence_study(kappa, model: Potential, lattice: RealLattice,
                       recip: ReciprocalLattice, cutoffs, num_bands: int) -> list:
     """Solve at one kappa for each cutoff in an ascending list: leading blocks
-    of one basis and V built at the largest, so interlacing is structural."""
+    of one basis and V built at the largest, so levels interlace (Cauchy):
+    no level may rise as the cutoff grows.  Each row is checked for that;
+    a rise beyond 1e-9 max|H| raises SweepError naming the cutoff."""
     cutoffs = [float(c) for c in cutoffs]
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"need strictly ascending cutoffs, got {cutoffs}")
@@ -129,7 +134,19 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
     rows = []
     for idx, g2_max in enumerate(cutoffs):
         sub = basis.truncate(g2_max)
-        rows.append(ConvergenceRow(g2_max, sub.dim, _solve(
-            kappa, sub, v[:sub.dim, :sub.dim], num_bands, idx,
-            lambda: f"cutoff g2_max={g2_max:g} 1/A^2 (cutoffs[{idx}])").values))
+
+        def where():
+            return f"cutoff g2_max={g2_max:g} 1/A^2 (cutoffs[{idx}])"
+
+        result = _solve(kappa, sub, v[:sub.dim, :sub.dim], num_bands, idx,
+                        where)
+        rise = result.values - rows[-1].values if rows else 0.0
+        over = rise > INTERLACING_TOL * result.scale
+        if np.any(over):
+            level = int(np.argmax(over))
+            raise SweepError(
+                f"levels do not interlace at {where()}: E{level + 1} rose by "
+                f"{rise[level]:.3e} eV from the previous cutoff",
+                index=idx, kappa=kappa)
+        rows.append(ConvergenceRow(g2_max, sub.dim, result.values))
     return rows

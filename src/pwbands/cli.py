@@ -21,9 +21,9 @@ from . import bands as bands_mod
 from .bands import BandStructure, SweepError, detect_gaps
 from .eigen import NonHermitianError, SolverError
 from .hamiltonian import AssemblyError, PlaneWaveBasis
-from .lattice import (KPath, LatticeError, RealLattice, ReciprocalLattice,
-                      fcc_symmetry_points, make_cubic, make_kpath,
-                      reciprocal_of, shell_index)
+from .lattice import (KPath, LatticeConstantError, LatticeError,
+                      RealLattice, ReciprocalLattice, fcc_symmetry_points,
+                      make_cubic, make_kpath, reciprocal_of, shell_index)
 from .potential import Potential, PotentialError
 from .svgplot import render_bands
 
@@ -187,16 +187,11 @@ def load_config(config_file) -> RunConfig:
     lat_sec = _section(raw, "lattice", {"kind", "a"}, required=True)
     kind = str(_require(lat_sec, "kind", "lattice"))
     a = _number(_require(lat_sec, "a", "lattice"), "lattice.a")
-    # Cell volumes, a^3 (SC) down to a^3/4 (FCC), must be normal floats;
-    # then a^2 and (2 pi/a)^2, which k-paths and G enumeration take, are
-    # finite too.
-    cube = a * a * a
-    if a > 0 and not (math.isfinite(cube) and cube / 4 >= sys.float_info.min):
-        raise ConfigError("lattice.a", f"{a!r} gives a cell volume out of "
-                          f"float range")
     try:
         lattice = make_cubic(kind, a)
         recip = reciprocal_of(lattice)
+    except LatticeConstantError as exc:
+        raise ConfigError("lattice.a", str(exc)) from exc
     except LatticeError as exc:
         raise ConfigError("lattice", str(exc)) from exc
     unit = 2.0 * math.pi / a

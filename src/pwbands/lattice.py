@@ -12,6 +12,7 @@ cartesian 1/A by ``cartesian`` and to n^2 shell labels by ``shell_index``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,10 @@ DUALITY_TOL = 1e-12
 
 class LatticeError(ValueError):
     """Invalid lattice geometry (degenerate vectors, bad parameters)."""
+
+
+class LatticeConstantError(LatticeError):
+    """Lattice constant not positive, or its cell volume not a normal float."""
 
 
 def _vec3(v) -> np.ndarray:
@@ -118,7 +123,15 @@ def make_cubic(kind: str, a: float) -> RealLattice:
     DIAMOND is FCC with the centered two-atom basis +/-(a/8)(1,1,1).
     """
     if a <= 0:
-        raise LatticeError(f"lattice constant must be positive, got {a}")
+        raise LatticeConstantError(
+            f"lattice constant must be positive, got {a}")
+    # Cell volumes, a^3 (SC) down to a^3/4 (FCC), must be normal floats;
+    # then a^2 and (2 pi/a)^2, which k-paths and G enumeration take, are
+    # finite too.
+    cube = a * a * a
+    if not (math.isfinite(cube) and cube / 4 >= sys.float_info.min):
+        raise LatticeConstantError(
+            f"{a:g} gives a cell volume out of float range")
     tag = kind.upper()
     if tag == "DIAMOND":
         vecs = _CUBIC_VECTORS["FCC"]

@@ -7,7 +7,7 @@ import pwbands.bands as bands_mod
 from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            convergence_study, detect_gaps,
                            free_electron_reference, sweep)
-from pwbands.eigen import SolverError
+from pwbands.eigen import EigenResult, SolverError
 from pwbands.hamiltonian import potential_matrix
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
     reciprocal_of
@@ -224,6 +224,62 @@ class TestConvergence:
         with pytest.raises(ValueError, match="outside 1..1"):
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
                               [0.0, 44 * SHELL], 8)
+
+
+def skip_lowest_level_on_call(monkeypatch, call):
+    """Stub eigh so that solve number ``call`` skips the lowest level, as a
+    subset solve that missed an eigenvalue would."""
+    solve, calls = bands_mod.eigh, []
+
+    def skipping(h, count):
+        calls.append(h)
+        if len(calls) != call:
+            return solve(h, count)
+        result = solve(h, count + 1)
+        return EigenResult(result.values[1:], result.vectors[:, 1:],
+                           result.scale)
+
+    monkeypatch.setattr(bands_mod, "eigh", skipping)
+
+
+class TestInterlacing:
+    def test_skipped_level_raises_naming_the_cutoff(self, diamond,
+                                                    monkeypatch):
+        lat, rec = diamond
+        skip_lowest_level_on_call(monkeypatch, 2)
+        with pytest.raises(SweepError, match=r"\(cutoffs\[1\]\): E1 rose") \
+                as excinfo:
+            convergence_study(np.zeros(3), Potential(0.5), lat, rec,
+                              [16 * SHELL, 44 * SHELL, 76 * SHELL], 4)
+        assert excinfo.value.index == 1
+        np.testing.assert_array_equal(excinfo.value.kappa, np.zeros(3))
+
+    def test_skip_at_the_largest_cutoff_is_caught(self, diamond,
+                                                  monkeypatch):
+        lat, rec = diamond
+        skip_lowest_level_on_call(monkeypatch, 3)
+        with pytest.raises(SweepError, match="do not interlace") as excinfo:
+            convergence_study(np.zeros(3), Potential(0.5), lat, rec,
+                              [16 * SHELL, 44 * SHELL, 76 * SHELL], 4)
+        assert excinfo.value.index == 2
+
+    def test_rise_within_tolerance_passes(self, diamond, monkeypatch):
+        # Free levels are equal at every cutoff; a rise of 1e-10 max|H|
+        # is rounding, not a violation.
+        lat, rec = diamond
+        solve, calls = bands_mod.eigh, []
+
+        def nudged(h, count):
+            calls.append(h)
+            result = solve(h, count)
+            rise = 1e-10 * result.scale if len(calls) == 2 else 0.0
+            return EigenResult(result.values + rise, result.vectors,
+                               result.scale)
+
+        monkeypatch.setattr(bands_mod, "eigh", nudged)
+        rows = convergence_study(np.zeros(3), Potential(0.0), lat, rec,
+                                 [12 * SHELL, 44 * SHELL], 4)
+        assert len(rows) == 2
 
 
 class TestTypes:

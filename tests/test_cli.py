@@ -490,6 +490,33 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
 
+    def test_levels_that_do_not_interlace_exit_3_naming_the_cutoff(
+            self, write_config, tmp_path, monkeypatch, capsys):
+        # The second cutoff's solve skips its lowest level, so E1 rises.
+        import pwbands.bands as bands_mod
+        from pwbands.eigen import EigenResult
+
+        solve, calls = bands_mod.eigh, []
+
+        def skipping(h, count):
+            calls.append(h)
+            if len(calls) != 2:
+                return solve(h, count)
+            result = solve(h, count + 1)
+            return EigenResult(result.values[1:], result.vectors[:, 1:],
+                               result.scale)
+
+        monkeypatch.setattr(bands_mod, "eigh", skipping)
+        path = write_config(mutate=lambda c: c["basis"].update(
+            cutoffs=[16, 44, 76]))
+        assert main(["converge", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: levels do not interlace "
+                              "at cutoff g2_max=")
+        assert "(cutoffs[1]): E1 rose" in err
+        assert not (tmp_path / "o").exists()
+
 class TestOverrideShells:
     def test_unoccupied_shell_exits_2_naming_the_key(self, tmp_path, capsys):
         # FCC reciprocal vectors occupy n^2 = 0, 12, 16, 32, 44, ... only.

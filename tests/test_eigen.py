@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from pwbands import eigen as eigen_mod
 from pwbands.eigen import (EigenResult, NonHermitianError, SolverError, eigh)
 from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
-from pwbands.lattice import make_cubic, reciprocal_of
+from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
+                             reciprocal_of)
 from pwbands.potential import Potential
 
 
@@ -134,6 +136,88 @@ class TestSubset:
             eigh(random_hermitian(12, seed=32), count)
 
 
+def bloch_entries(lattice, point="X", cutoff=76):
+    """z05-style Hamiltonian entries at an FCC symmetry point."""
+    a = lattice.lattice_constant
+    rec = reciprocal_of(lattice)
+    basis = PlaneWaveBasis.from_cutoff(rec, cutoff * (math.pi / a) ** 2)
+    v = potential_matrix(Potential(0.5), lattice, rec, basis)
+    return build(fcc_symmetry_points(a)[point], basis, v).entries
+
+
+def non_centered(a=5.431):
+    """FCC with offsets {0, (a/4)(1,1,1)}: no inversion centre, complex H."""
+    fcc = make_cubic("FCC", a)
+    return RealLattice(fcc.a1, fcc.a2, fcc.a3, (np.zeros(3), a / 4 * np.ones(3)),
+                       lattice_constant=a)
+
+
+def fallback(h, count):
+    values, vectors = np.linalg.eigh(h)
+    return values[:count], vectors[:, :count]
+
+
+class TestSolverPaths:
+    """The LAPACK subset solve against the full-spectrum fallback."""
+
+    @pytest.mark.parametrize("centred", [True, False])
+    @pytest.mark.parametrize("count", [1, 8, None])
+    def test_subset_matches_fallback(self, centred, count):
+        h = bloch_entries(make_cubic("DIAMOND", 5.431) if centred
+                          else non_centered(), point="L")
+        assert np.iscomplexobj(h) != centred
+        count = count or len(h)
+        result = eigh(h, count)
+        values, vectors = fallback(h, count)
+        np.testing.assert_allclose(result.values, values, rtol=0, atol=1e-10)
+        # Same spanned subspace: L's level count+1 is well separated.
+        projector = result.vectors @ result.vectors.conj().T
+        assert np.abs(projector - vectors @ vectors.conj().T).max() < 1e-8
+
+    @pytest.mark.parametrize("centred", [True, False])
+    def test_degenerate_pair_split_at_count(self, centred):
+        # At X levels pair; count 5 keeps one member of the 5th/6th pair.
+        h = bloch_entries(make_cubic("DIAMOND", 5.431) if centred
+                          else non_centered())
+        full = np.linalg.eigvalsh(h)
+        assert full[5] - full[4] < 1e-10 < full[4] - full[3]
+        result = eigh(h, 5)
+        np.testing.assert_allclose(result.values, full[:5], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_empty_binding_table_falls_back(self, monkeypatch,
+                                            complex_entries):
+        h = random_hermitian(30, seed=40, complex_entries=complex_entries)
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        result = eigh(h, 8)
+        values, vectors = fallback(h, 8)
+        np.testing.assert_array_equal(result.values, values)
+        np.testing.assert_array_equal(result.vectors, vectors)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_subset_path_does_not_call_numpy_eigh(self, monkeypatch,
+                                                  complex_entries):
+        if not eigen_mod._DRIVERS:
+            pytest.skip("this numpy's LAPACK has no ?syevr/?heevr symbols")
+
+        def unused(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", unused)
+        h = random_hermitian(20, seed=41, complex_entries=complex_entries)
+        assert eigh(h, 4).values.shape == (4,)
+
+    def test_drivers_bound_on_scipy_openblas(self):
+        try:
+            config = np.show_config(mode="dicts")
+        except TypeError:
+            pytest.skip("numpy.show_config has no dicts mode")
+        lapack = config["Build Dependencies"]["lapack"]["name"]
+        if lapack != "scipy-openblas":
+            pytest.skip(f"numpy links {lapack}, not scipy-openblas")
+        assert set(eigen_mod._DRIVERS) == {np.float64, np.complex128}
+
+
 class TestErrors:
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
@@ -160,22 +244,45 @@ class TestErrors:
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        monkeypatch.setattr(eigen_mod, "_solve", broken)
+        with pytest.raises(SolverError):
+            eigh(np.eye(3))
+
+    def test_fallback_convergence_failure_is_solver_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
         monkeypatch.setattr(np.linalg, "eigh", broken)
         with pytest.raises(SolverError):
             eigh(np.eye(3))
+
+    @pytest.mark.parametrize("info, found", [(2, 3), (0, 2), (-1011, 0)])
+    def test_driver_failure_is_solver_error(self, monkeypatch, info, found):
+        # info > 0: no convergence; m < count: a level went missing;
+        # info < 0: LAPACKE rejected an argument or ran out of memory.
+        solve = eigen_mod._solve
+
+        def reporting(a, count):
+            _, values, vectors = solve(a, count)
+            return info, values[:found], vectors[:, :found]
+
+        monkeypatch.setattr(eigen_mod, "_solve", reporting)
+        with pytest.raises(SolverError, match=f"info {info}, {found} of 3"):
+            eigh(random_hermitian(6, seed=42), 3)
 
     @pytest.mark.parametrize("shift", [0.0, 1e-6])
     def test_residual_bound_at_huge_scale(self, monkeypatch, shift):
         # ||H||_F overflows here; the bound is relative to max|H|, so exact
         # pairs pass and eigenvalues off by 1e-6 max|H| are caught.
         h = 1e200 * random_hermitian(6, seed=11)
-        solve = np.linalg.eigh
+        solve = eigen_mod._solve
 
-        def shifted(a):
-            values, vectors = solve(a)
-            return values + shift * np.abs(a).max(), vectors
+        def shifted(a, count):
+            info, values, vectors = solve(a, count)
+            return info, values + shift * np.abs(a).max(), vectors
 
-        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        monkeypatch.setattr(eigen_mod, "_solve", shifted)
         if shift:
             with pytest.raises(SolverError, match="residual"):
                 eigh(h)

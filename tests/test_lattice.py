@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pwbands.lattice import (LatticeError, RealLattice, cartesian,
-                             enumerate_g, fcc_symmetry_points, make_cubic,
-                             make_kpath, reciprocal_of, shell_index)
+from pwbands.lattice import (LatticeConstantError, LatticeError, RealLattice,
+                             cartesian, enumerate_g, fcc_symmetry_points,
+                             make_cubic, make_kpath, reciprocal_of,
+                             shell_index)
 
 A_SI = 5.431
 TWO_PI = 2.0 * math.pi
@@ -75,6 +77,24 @@ class TestMakeCubic:
     def test_rejects_nonpositive_constant(self, a):
         with pytest.raises(LatticeError):
             make_cubic("FCC", a)
+
+    @pytest.mark.parametrize("kind", ["SC", "BCC", "FCC", "DIAMOND"])
+    @pytest.mark.parametrize("a", [1e-200, 1e-150, 1e110, 1e154, 1e200,
+                                   math.inf, math.nan])
+    def test_rejects_unrepresentable_constant_without_warning(self, kind, a):
+        # The cell volume a^3 (a^3/4 for FCC) overflows or underflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LatticeConstantError, match="out of float"):
+                make_cubic(kind, a)
+
+    @pytest.mark.parametrize("kind", ["SC", "BCC", "FCC", "DIAMOND"])
+    @pytest.mark.parametrize("a", [2.2e-102, 5.6e102])
+    def test_extreme_representable_constant_runs_clean(self, kind, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recip = reciprocal_of(make_cubic(kind, a))
+        assert 0.0 < recip.omega < math.inf
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(LatticeError):

@@ -6,6 +6,8 @@ Each preset runs from a copy with ``basis.cutoffs`` set to [44, 76, 108]
 directory is masked in stdout.  ``bands.json`` holds energies at full
 precision, so its digest is that of the numpy/LAPACK build the digests
 were recorded with; the CSV, SVG and stdout round to 1e-6 eV or coarser.
+The JSON numbers are also checked against the full-spectrum
+``numpy.linalg.eigh`` fallback, to 1e-10 eV.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import json
 
 import pytest
 
+from pwbands import eigen
 from pwbands.cli import main
 from pwbands.presets import PRESETS, preset_path
 
@@ -29,7 +32,7 @@ EXPECTED = {
             "bands.csv":
                 "534a91503c039c1cb7f68755a123ef0504bddf7f285b17599ca6afa7c6b67520",
             "bands.json":
-                "a8158b387b1b44a0e25cceff4dc9f9e1ca1bc5978884507e14e0b12616e62471",
+                "eb0fe09778d22b3c930927f372d2fdedc24ee7b38482c49783511cd803d44158",
             "bands.svg":
                 "359b2b13fdf3baa2f3a0301270d18e8fe16d40038879e3e77852f089f55396d8",
         },
@@ -59,7 +62,7 @@ EXPECTED = {
             "bands.csv":
                 "c2e680413e6831d525e27febce31e002da8e72edfae73b233c815d1444c48ab7",
             "bands.json":
-                "6e0330ff2247b89c487e283603c639d988723fe0397ed412fc43bec6a7320fbd",
+                "329bfed01ba7b3b685fc07330aa459fa01b6b8fd6a05b091038426bb691d49c2",
             "bands.svg":
                 "cce64d47105041929e7411f500cd883701a5deff446353427a9e1d95c188a972",
         },
@@ -75,7 +78,7 @@ EXPECTED = {
             "converge.csv":
                 "492dad97b183cac70a09e9ba3e81e98a623f6968f9a3e1a846c0e0c103e66c0d",
             "converge.json":
-                "8a191bb438172220d25cbda5a1e348901da2996c682c667fd50e2d31bbbd3018",
+                "7a7d819b2564a1d206fe13b9dd21d76932e65a35b18638bd0624fc73c4035099",
         },
         "info": {
             "stdout":
@@ -89,7 +92,7 @@ EXPECTED = {
             "bands.csv":
                 "ad9f1e83a55f625741773fd9e5014faead67c457d2dbf3e71530313bbb041f38",
             "bands.json":
-                "544f3230a0164bea24633a830aab20d93c157831d674a87cdaa8869662cdee0b",
+                "ab90652438d53514480789b09386964257475f2703529dc85ad161aaca2852bd",
             "bands.svg":
                 "ceda8e6a3bf94f0924876bf6dc8ec52b27e165bf82067e27291739cef32b38f8",
         },
@@ -97,7 +100,7 @@ EXPECTED = {
             "stdout":
                 "8fca297ac334877abdf3b0ad92a3cb1db6372cfcba0c363f906b7e907401dc2d",
             "gaps.json":
-                "1b4573a69019c4bf2f3d11e2abb0186cb07ee1f7d47f5ecb6167a76d96e16fcb",
+                "ce76f20d83163c9898fdaebfb34e93c2a4aacb682cbb023e8610bfaa9fce439a",
         },
         "converge": {
             "stdout":
@@ -105,7 +108,7 @@ EXPECTED = {
             "converge.csv":
                 "6cf6d4476efd6d65885968bc2fe72048e02123239356eec941af9ff357f7eb53",
             "converge.json":
-                "ad1f3678e9cf87abe218b46ad2561f1560ef73b69d81dec34a830ed8c80c8afb",
+                "57b4a75e61592a2cd80ce08db63ebfa6be12bf4b0e70d3ebd969f673124db183",
         },
         "info": {
             "stdout":
@@ -119,7 +122,7 @@ EXPECTED = {
             "bands.csv":
                 "162ac7c14484a22d6ec3bee60e56c09833e46943eaf78ebd0ef7964108ff4f99",
             "bands.json":
-                "eb4c8777a0dfb839cf0ae094d626ec49ffbeffa54d742bc3ebd4d4ae8983e3f8",
+                "529d668d16499e4c2ea8648b4c7cd22e2c35cce60cb2cd6b497b07890d9e5fae",
             "bands.svg":
                 "fb9a4127f0cec9cc81b3d709978f840af6edf3d9b84476c01123abd35bc6d2e6",
         },
@@ -127,7 +130,7 @@ EXPECTED = {
             "stdout":
                 "0d9c988d4004465264531fccdb503d20a4526e802fd055d23d31350340011baa",
             "gaps.json":
-                "2b775232fb474acc3718b9efe1f85870981aa2826b1a71158f3ab86fe101c5f1",
+                "d46091c10e062076ae1055d08ffc7390c8e43c2782846fffaeffef5b0fcca96a",
         },
         "converge": {
             "stdout":
@@ -135,7 +138,7 @@ EXPECTED = {
             "converge.csv":
                 "de7e00346b130203ac1111608239836430d996c2b7257759a1da6a4721e46461",
             "converge.json":
-                "e307a77c80feb11253de8b5a6e82b2b2e312378857b422b16c14d30202884325",
+                "a57a0f1d272bf4835e94651229c49c0b0fd5b5d0e9a91ddcf1a1c86bd452c37f",
         },
         "info": {
             "stdout":
@@ -149,7 +152,7 @@ EXPECTED = {
             "bands.csv":
                 "3f672fb89b7b76d69cc0e5fb641a59562c8410fa5941f985fb06e7028123a36f",
             "bands.json":
-                "86dc9e2f4ea651645ee5238ea14c072ec07adb3130b431feed41b0effd4aa858",
+                "088602835dd85f5048098dcc9934e600aa7ca73e35b374c2f49ca6f58e2f29f4",
             "bands.svg":
                 "9f59d8d38bf08f1df21d35b8023445f2545aae20e53c34915504152682aff544",
         },
@@ -157,7 +160,7 @@ EXPECTED = {
             "stdout":
                 "95e4f52795407160a9228bc8ca21073e907a6c3ecde495d964e7d042f480f7fb",
             "gaps.json":
-                "15ed13ebb43e950a2b49ec6646670da67cac97294bcefbb3883d47b1f6a47f02",
+                "44f8c88bea8a76e2f3530dbfd3404d74393594ec527b30ccf73f7dd15e8f2418",
         },
         "converge": {
             "stdout":
@@ -165,7 +168,7 @@ EXPECTED = {
             "converge.csv":
                 "a7bd21ba222491dd4ff1aa52b8d3de3d85657ae854b589de35282ab72a948597",
             "converge.json":
-                "aac0b7b8a29fde5918c4e2a68b500d7db2909dc76c68be160df81a266c819511",
+                "f8adf97a68a805b389971fe6d3d07f6d47393fc6cef05bc07c44f1f75347ac1e",
         },
         "info": {
             "stdout":
@@ -179,10 +182,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(tmp_path, preset: str, command: str) -> dict:
-    """Run one command on a preset copy; sha256 of stdout and each file."""
+def run_command(tmp_path, preset: str, command: str):
+    """Run one command on a preset copy; its stdout and {file name: bytes}."""
     cfg = json.loads(preset_path(preset).read_text(encoding="utf-8"))
     cfg["basis"]["cutoffs"] = CUTOFFS
+    tmp_path.mkdir(exist_ok=True)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "out"
@@ -191,14 +195,48 @@ def run_digests(tmp_path, preset: str, command: str) -> dict:
         code = main([command, "--config", str(config), "--out", str(out)])
     assert code == 0
     text = stdout.getvalue().replace(str(out), "<out>")
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} \
+        if out.exists() else {}
+    return text, files
+
+
+def run_digests(tmp_path, preset: str, command: str) -> dict:
+    """sha256 of one command's stdout and of each file it writes."""
+    text, files = run_command(tmp_path, preset, command)
     digests = {"stdout": _sha(text.encode("utf-8"))}
-    if out.exists():
-        digests.update((p.name, _sha(p.read_bytes()))
-                       for p in sorted(out.iterdir()))
+    digests.update((name, _sha(data)) for name, data in files.items())
     return digests
+
+
+def assert_close(got, ref, where="$"):
+    """Same JSON structure; every float within 1e-10 (eV for energies)."""
+    assert type(got) is type(ref), where
+    if isinstance(ref, dict):
+        assert list(got) == list(ref), where
+        for key in ref:
+            assert_close(got[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert len(got) == len(ref), where
+        for i, (g, r) in enumerate(zip(got, ref)):
+            assert_close(g, r, f"{where}[{i}]")
+    elif isinstance(ref, float):
+        assert abs(got - ref) <= 1e-10, f"{where}: {got!r} vs {ref!r}"
+    else:
+        assert got == ref, where
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("preset", PRESETS)
 def test_artifacts_match_recorded_digests(tmp_path, preset, command):
     assert run_digests(tmp_path, preset, command) == EXPECTED[preset][command]
+
+
+@pytest.mark.parametrize("command", ("bands", "gaps", "converge"))
+@pytest.mark.parametrize("preset", PRESETS)
+def test_json_matches_full_spectrum_fallback(tmp_path, monkeypatch, preset,
+                                             command):
+    _, subset = run_command(tmp_path / "subset", preset, command)
+    monkeypatch.setattr(eigen, "_DRIVERS", {})
+    _, full = run_command(tmp_path / "full", preset, command)
+    name = f"{command}.json"
+    assert_close(json.loads(subset[name]), json.loads(full[name]))
