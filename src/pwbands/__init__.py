@@ -9,7 +9,8 @@ reports, and cutoff convergence tables.
 from .bands import (BandStructure, ConvergenceRow, GapEntry, SweepError,
                     convergence_study, detect_gaps, free_electron_reference,
                     sweep)
-from .eigen import EigenResult, NonHermitianError, SolverError, eigh
+from .eigen import (CheckedBlock, EigenResult, NonHermitianError,
+                    SolverError, eigh)
 from .hamiltonian import AssemblyError, BlochMatrix, PlaneWaveBasis, build
 from .lattice import (KPath, KPoint, LatticeError, RealLattice,
                       ReciprocalLattice, enumerate_g, fcc_symmetry_points,
@@ -20,7 +21,8 @@ from .potential import (E2, HBAR2_OVER_2M, Potential, PotentialError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandStructure", "BlochMatrix", "ConvergenceRow", "EigenResult",
+    "BandStructure", "BlochMatrix", "CheckedBlock", "ConvergenceRow",
+    "EigenResult",
     "GapEntry", "KPath", "KPoint", "PlaneWaveBasis", "Potential",
     "RealLattice", "ReciprocalLattice", "SweepError",
     "AssemblyError", "LatticeError", "NonHermitianError", "PotentialError",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import NonHermitianError, SolverError, eigh
+from .eigen import CheckedBlock, NonHermitianError, SolverError, eigh
 from .hamiltonian import PlaneWaveBasis, build, potential_matrix
 from .lattice import KPath, RealLattice, ReciprocalLattice
 from .potential import HBAR2_OVER_2M, Potential
@@ -63,12 +63,12 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
           recip: ReciprocalLattice, g2_max: float, num_bands: int) -> BandStructure:
     """Diagonalize the Bloch Hamiltonian at every path point.
 
-    The potential block is assembled once and reused; only the kinetic
-    diagonal changes with kappa.  Each solve returns and verifies only the
-    lowest ``num_bands`` eigenpairs.
+    The potential block is assembled and checked once and reused; only the
+    kinetic diagonal changes with kappa.  Each solve returns and verifies
+    only the lowest ``num_bands`` eigenpairs.
     """
     basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
-    v = potential_matrix(model, lattice, recip, basis)
+    v = CheckedBlock.of(potential_matrix(model, lattice, recip, basis))
     energies = np.empty((len(path.points), num_bands))
     for idx, point in enumerate(path.points):
         # Live until the next solve, or malloc trims and re-faults its pages.

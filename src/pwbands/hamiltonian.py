@@ -13,6 +13,12 @@ box of possible differences; it is built once per basis and shared by
 every k-point, whose Hamiltonian is that block plus a kinetic diagonal.
 A smaller cutoff's basis is the leading rows of a larger one, and its
 potential block the leading principal block (``PlaneWaveBasis.truncate``).
+
+The block is checked once, as an ``eigen.CheckedBlock``, when a sweep
+makes it (or when ``build`` is handed a bare array): that is where its
+finiteness and Hermiticity are measured.  A k-point then costs O(dim) here,
+the kinetic diagonal; ``build`` returns the block and that diagonal, and
+the dense matrix exists only in the solver's buffer, or as ``entries``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import BlochMatrix, CheckedBlock
 from .lattice import (CUTOFF_SLACK, RealLattice, ReciprocalLattice, cartesian,
                       enumerate_g)
 from .potential import HBAR2_OVER_2M, Potential, matrix_element
@@ -62,14 +69,6 @@ class PlaneWaveBasis:
         return PlaneWaveBasis(self.coeffs[:n], self.cart[:n])
 
 
-@dataclass(frozen=True, eq=False)
-class BlochMatrix:
-    """Hermitian Hamiltonian at one Bloch vector, in eV."""
-
-    dim: int
-    entries: np.ndarray
-
-
 def potential_matrix(model: Potential, lattice: RealLattice,
                      recip: ReciprocalLattice, basis: PlaneWaveBasis) -> np.ndarray:
     """Kappa-independent potential block V[i,j] = <G_i|V|G_j>.
@@ -94,18 +93,20 @@ def potential_matrix(model: Potential, lattice: RealLattice,
     return table[np.subtract.outer(key + span @ strides, key)]
 
 
-def build(kappa, basis: PlaneWaveBasis, potential: np.ndarray) -> BlochMatrix:
+def build(kappa, basis: PlaneWaveBasis, potential) -> BlochMatrix:
     """Bloch Hamiltonian at kappa: the potential block plus kinetic terms.
 
-    ``potential`` is the ``potential_matrix`` of ``basis``; it does not
-    depend on kappa, so sweeps build it once.  The matrix has its dtype:
-    real symmetric for a real block, complex Hermitian otherwise.
-    Hermiticity and finiteness are checked once, by ``eigen.eigh``.
+    ``potential`` is the ``potential_matrix`` of ``basis``, or the
+    ``CheckedBlock`` of it that a sweep makes once; a bare array is checked
+    here, at O(dim^2).  The block does not depend on kappa, so with a
+    checked block this is O(dim): it computes hbar^2 |kappa + G|^2 / 2m and
+    leaves V untouched.  The matrix keeps V's dtype: real symmetric for a
+    real block, complex Hermitian otherwise.
     """
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (3,) or not np.all(np.isfinite(kappa)):
         raise AssemblyError(f"bad Bloch vector: {kappa}")
+    if not isinstance(potential, CheckedBlock):
+        potential = CheckedBlock.of(potential)
     kinetic = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
-    h = potential.copy()
-    h.flat[::basis.dim + 1] += kinetic
-    return BlochMatrix(dim=basis.dim, entries=h)
+    return BlochMatrix(potential, kinetic)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pwbands.bands as bands_mod
 from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            convergence_study, detect_gaps,
                            free_electron_reference, sweep)
-from pwbands.eigen import EigenResult, SolverError
-from pwbands.hamiltonian import potential_matrix
+from pwbands.eigen import SolverError, eigh
+from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
     reciprocal_of
 from pwbands.potential import HBAR2_OVER_2M, Potential
@@ -94,6 +95,68 @@ class TestRealPath:
         assert assembled == [np.float64]
         np.testing.assert_allclose(forced.energies, real.energies,
                                    rtol=0, atol=1e-10)
+
+
+def corrupt(v, kind):
+    """A copy of the block broken one way: off-Hermitian, NaN or infinite."""
+    v = v.copy()
+    if kind == "asymmetric":
+        v[0, 1] += 1e-6 * np.abs(v).max()
+    elif kind == "nan":
+        v[0, 0] = np.nan
+    else:
+        v[1, 2] = v[2, 1] = np.inf
+    return v
+
+
+class TestBlockPath:
+    """The sweep checks its potential block once; each k-point's solve must
+    still be the dense matrix's solve, and a bad block must still fail at
+    the first k-point."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
+                             ids=["real", "forced-complex"])
+    def test_sweep_equals_dense_solves_bit_for_bit(self, diamond, quick_tour,
+                                                   monkeypatch, dtype):
+        lat, rec = diamond
+        model = Potential(0.5)
+        basis = PlaneWaveBasis.from_cutoff(rec, 76 * SHELL)
+        v = potential_matrix(model, lat, rec, basis).astype(dtype)
+        monkeypatch.setattr(bands_mod, "potential_matrix", lambda *_: v)
+        solve, results = bands_mod.eigh, []
+
+        def recording(h, count):
+            results.append(solve(h, count))
+            return results[-1]
+
+        monkeypatch.setattr(bands_mod, "eigh", recording)
+        bs = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
+        assert len(results) == len(quick_tour.points)
+        for point, energies, result in zip(quick_tour.points, bs.energies,
+                                           results):
+            dense = build(point.kappa, basis, v).entries
+            assert dense.dtype == dtype
+            expected = eigh(dense, 8)
+            np.testing.assert_array_equal(energies, expected.values)
+            assert result.scale == expected.scale == np.abs(dense).max()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("asymmetric", "not Hermitian"), ("nan", "non-finite"),
+        ("inf", "non-finite")])
+    def test_bad_block_fails_at_the_first_kpoint(self, diamond, quick_tour,
+                                                 monkeypatch, kind, message):
+        lat, rec = diamond
+
+        def broken(*args):
+            return corrupt(potential_matrix(*args), kind)
+
+        monkeypatch.setattr(bands_mod, "potential_matrix", broken)
+        with pytest.raises(SweepError, match=f"at k-point 0 .*{message}") \
+                as excinfo:
+            sweep(quick_tour, Potential(0.5), lat, rec, 44 * SHELL, 4)
+        assert excinfo.value.index == 0
+        np.testing.assert_array_equal(excinfo.value.kappa,
+                                      quick_tour.points[0].kappa)
 
 
 class TestFreeElectronReference:
@@ -236,8 +299,8 @@ def skip_lowest_level_on_call(monkeypatch, call):
         if len(calls) != call:
             return solve(h, count)
         result = solve(h, count + 1)
-        return EigenResult(result.values[1:], result.vectors[:, 1:],
-                           result.scale)
+        return dataclasses.replace(result, values=result.values[1:],
+                                   vectors=result.vectors[:, 1:])
 
     monkeypatch.setattr(bands_mod, "eigh", skipping)
 
@@ -273,8 +336,7 @@ class TestInterlacing:
             calls.append(h)
             result = solve(h, count)
             rise = 1e-10 * result.scale if len(calls) == 2 else 0.0
-            return EigenResult(result.values + rise, result.vectors,
-                               result.scale)
+            return dataclasses.replace(result, values=result.values + rise)
 
         monkeypatch.setattr(bands_mod, "eigh", nudged)
         rows = convergence_study(np.zeros(3), Potential(0.0), lat, rec,

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -490,11 +491,37 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
 
+    @pytest.mark.parametrize("kind, message", [
+        ("asymmetric", "not Hermitian"), ("nan", "non-finite")])
+    def test_bad_potential_block_exits_3_at_the_first_kpoint(
+            self, write_config, tmp_path, monkeypatch, capsys, kind, message):
+        # The block is checked once per sweep; a bad one still stops the
+        # run at its first solve, before LAPACK, with nothing written.
+        import pwbands.bands as bands_mod
+
+        assemble = bands_mod.potential_matrix
+
+        def broken(*args):
+            v = assemble(*args).copy()
+            if kind == "asymmetric":
+                v[0, 1] += 1e-6 * np.abs(v).max()
+            else:
+                v[0, 0] = np.nan
+            return v
+
+        monkeypatch.setattr(bands_mod, "potential_matrix", broken)
+        assert main(["bands", "--config", str(write_config()),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: solve failed at k-point 0 "
+                              "kappa=")
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
     def test_levels_that_do_not_interlace_exit_3_naming_the_cutoff(
             self, write_config, tmp_path, monkeypatch, capsys):
         # The second cutoff's solve skips its lowest level, so E1 rises.
         import pwbands.bands as bands_mod
-        from pwbands.eigen import EigenResult
 
         solve, calls = bands_mod.eigh, []
 
@@ -503,8 +530,8 @@ class TestMain:
             if len(calls) != 2:
                 return solve(h, count)
             result = solve(h, count + 1)
-            return EigenResult(result.values[1:], result.vectors[:, 1:],
-                               result.scale)
+            return dataclasses.replace(result, values=result.values[1:],
+                                       vectors=result.vectors[:, 1:])
 
         monkeypatch.setattr(bands_mod, "eigh", skipping)
         path = write_config(mutate=lambda c: c["basis"].update(

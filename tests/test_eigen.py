@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pwbands import eigen as eigen_mod
-from pwbands.eigen import (EigenResult, NonHermitianError, SolverError, eigh)
+from pwbands.eigen import (BlochMatrix, CheckedBlock, EigenResult,
+                           NonHermitianError, SolverError, eigh)
 from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
                              reciprocal_of)
@@ -134,6 +135,93 @@ class TestSubset:
     def test_count_out_of_range(self, count):
         with pytest.raises(ValueError):
             eigh(random_hermitian(12, seed=32), count)
+
+
+class TestVerificationFigures:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("count", [3, None])
+    def test_each_figure_lies_within_its_tolerance(self, count,
+                                                   complex_entries):
+        # Off-Hermitian by 1e-14, well inside 1e-12 max|H|: accepted, and
+        # the deviation is reported as measured, not as zero.
+        h = random_hermitian(30, seed=50, complex_entries=complex_entries)
+        h[3, 7] += 1e-14
+        result = eigh(h, count)
+        assert 0.0 < result.residual <= eigen_mod.RESIDUAL_TOL
+        assert 0.0 <= result.orthonormality <= eigen_mod.ORTHONORMALITY_TOL
+        assert 0.0 < result.hermiticity \
+            <= eigen_mod.HERMITICITY_TOL * result.scale
+        x = result.vectors
+        assert result.hermiticity == np.abs(h - h.conj().T).max()
+        assert result.orthonormality == np.abs(
+            x.conj().T @ x - np.eye(x.shape[1])).max()
+        residual = np.linalg.norm(h @ x - x * result.values, axis=0)
+        assert abs(residual.max() / result.scale - result.residual) < 1e-13
+
+    def test_bloch_matrix_reports_its_block_deviation(self):
+        v = random_hermitian(20, seed=51)
+        v[0, 4] += 2e-13
+        block = CheckedBlock.of(v)
+        kinetic = np.linspace(0.0, 40.0, 20)
+        result = eigh(BlochMatrix(block, kinetic), 5)
+        assert result.hermiticity == block.herm \
+            == abs(v[0, 4] - np.conj(v[4, 0]))
+        assert result.residual <= eigen_mod.RESIDUAL_TOL
+
+
+class TestCheckedBlock:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_block_figures(self, complex_entries):
+        v = random_hermitian(15, seed=52, complex_entries=complex_entries)
+        v[2, 9] += 3e-14
+        block = CheckedBlock.of(v)
+        assert block.matrix is v  # checked in place, not copied
+        assert block.dim == 15
+        assert block.herm == np.abs(v - v.conj().T).max()
+        off = np.abs(v)
+        np.fill_diagonal(off, 0.0)
+        assert block.off_max == off.max()
+        np.testing.assert_array_equal(block.diag, v.diagonal())
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("seed", [53, 54, 55])
+    def test_scale_is_max_abs_of_the_dense_matrix(self, seed,
+                                                  complex_entries):
+        # max|H| from the block's figures and diag V + T, in O(dim), is
+        # np.abs(H).max() bit for bit, whichever part holds the maximum.
+        rng = np.random.RandomState(seed)
+        v = random_hermitian(25, seed, complex_entries)
+        kinetic = rng.uniform(-4.0, 4.0, 25) * (seed - 53)
+        h = BlochMatrix(CheckedBlock.of(v), kinetic)
+        assert eigh(h, 4).scale == np.abs(h.entries).max()
+        assert eigh(h.entries, 4).scale == np.abs(h.entries).max()
+
+    def test_integer_input_is_solved_as_float(self):
+        block = CheckedBlock.of([[2, 1], [1, 2]])
+        assert block.matrix.dtype == np.float64
+        np.testing.assert_allclose(eigh([[2, 1], [1, 2]]).values, [1.0, 3.0],
+                                   atol=1e-14)
+
+    def test_overflowing_kinetic_diagonal_rejected(self):
+        # A finite Bloch vector whose |k + G|^2 overflows: V is fine, T is
+        # not, and the per-solve max|H| still catches it before LAPACK.
+        lat = make_cubic("DIAMOND", 5.431)
+        rec = reciprocal_of(lat)
+        basis = PlaneWaveBasis.from_cutoff(rec, 12 * (math.pi / 5.431) ** 2)
+        block = CheckedBlock.of(potential_matrix(Potential(0.5), lat, rec,
+                                                 basis))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            h = build(np.full(3, 1e160), basis, block)
+        assert np.isfinite(block.off_max) and np.isinf(h.kinetic).all()
+        with pytest.raises(NonHermitianError, match="non-finite"):
+            eigh(h, 4)
+
+    def test_dropping_an_imaginary_part_is_an_error(self):
+        # pytest turns numpy's ComplexWarning into an error, so a complex
+        # block written into a real buffer cannot lose its imaginary part.
+        buffer = np.empty(2)
+        with pytest.raises(np.exceptions.ComplexWarning):
+            buffer[:] = np.array([1.0 + 1e-3j, 2.0])
 
 
 def bloch_entries(lattice, point="X", cutoff=76):
@@ -280,7 +368,7 @@ class TestErrors:
 
         def shifted(a, count):
             info, values, vectors = solve(a, count)
-            return info, values + shift * np.abs(a).max(), vectors
+            return info, values + shift * np.abs(a.entries).max(), vectors
 
         monkeypatch.setattr(eigen_mod, "_solve", shifted)
         if shift:

@@ -193,7 +193,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_potential(self, diamond, basis12, bad):
-        # build no longer scans the matrix; eigh is the one check.
+        # The block's figures carry the NaN/inf; eigh rejects it per solve.
         lat, rec = diamond
         v = potential_matrix(Potential(0.5), lat, rec, basis12)
         v[1, 2] = v[2, 1] = bad

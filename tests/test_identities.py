@@ -1,6 +1,7 @@
 """Physics identities every band structure must obey, whatever the code path:
-Cauchy interlacing across nested cutoffs, time reversal, and cubic
-point-group invariance, on the presets and on drawn crystals."""
+Cauchy interlacing across nested cutoffs, time reversal, cubic point-group
+invariance and the level pairing of the diamond space group at X, on the
+presets and on drawn crystals."""
 
 import itertools
 import math
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from pwbands.bands import convergence_study, sweep
 from pwbands.cli import load_config
 from pwbands.hamiltonian import PlaneWaveBasis, potential_matrix
-from pwbands.lattice import RealLattice, make_cubic, make_kpath, reciprocal_of
+from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
+                             make_kpath, reciprocal_of)
 from pwbands.potential import Potential
 from pwbands.presets import preset_path
 
@@ -88,6 +90,33 @@ def test_cubic_point_group_invariance(name):
     assert len({tuple(op.ravel()) for op in CUBIC_OPS}) == 48
     np.testing.assert_allclose(energies, np.broadcast_to(
         energies[0], energies.shape), rtol=0, atol=TOL)
+
+
+def levels_at_x(name, cutoff, num_bands=8):
+    """Lowest levels at X for a preset at a cutoff in (pi/a)^2."""
+    model, lat, rec = preset(name)
+    x = fcc_symmetry_points(A_SI)["X"]
+    return convergence_study(x, model, lat, rec, [cutoff * SHELL],
+                             num_bands)[0].values
+
+
+def test_levels_pair_at_x():
+    # The diamond space group is nonsymmorphic, so every level at X is at
+    # least doubly degenerate.  The Gamma-centred cutoff sphere splits the
+    # pairs only by truncation: the lowest pair by 1.3e-3 eV at 200 (pi/a)^2
+    # and 3.5e-5 eV at 400 (higher pairs converge more slowly).  A
+    # structure-factor phase or sign error breaks the pairing, which cubic
+    # invariance alone does not see.
+    levels = levels_at_x("z05", 400, 2)
+    assert levels[1] - levels[0] <= 1e-4
+
+
+def test_element_mode_does_not_pair_at_x():
+    # si_empirical applies one value per shell whatever the sign of
+    # cos(G.tau): its potential is symmorphic about the bond centre, so its
+    # X levels need not pair (-9.82 and -6.60 eV at 200 (pi/a)^2).
+    levels = levels_at_x("si_empirical", 200, 2)
+    assert levels[1] - levels[0] > 3.0
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
