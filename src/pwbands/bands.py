@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigen import CheckedBlock, NonHermitianError, SolverError, eigh
-from .hamiltonian import PlaneWaveBasis, build, potential_matrix
+from .hamiltonian import (PlaneWaveBasis, build, involutions,
+                          leading_sectors, potential_matrix, sectors)
 from .lattice import KPath, RealLattice, ReciprocalLattice
 from .potential import HBAR2_OVER_2M, Potential
 
@@ -64,24 +65,64 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     """Diagonalize the Bloch Hamiltonian at every path point.
 
     The potential block is assembled and checked once and reused; only the
-    kinetic diagonal changes with kappa.  Each solve returns and verifies
-    only the lowest ``num_bands`` eigenpairs.
+    kinetic diagonal changes with kappa.  Each point is solved in the two
+    sectors of the symmetry ``_choose`` picks for it (whole, if none fixes
+    it), whose blocks are built when the choice changes.  Each solve
+    returns and verifies only the lowest ``num_bands`` eigenpairs.
     """
     basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
     v = CheckedBlock.of(potential_matrix(model, lattice, recip, basis))
+    choose = _chooser(lattice, recip, basis, v, path.kappas)
     energies = np.empty((len(path.points), num_bands))
+    inv, split = None, ()
     for idx, point in enumerate(path.points):
+        pick = choose(idx, inv)
+        if pick is not inv:
+            inv, split = pick, ()  # one symmetry's blocks at a time
+            if pick is not None:
+                split = sectors(v, pick)
         # Live until the next solve, or malloc trims and re-faults its pages.
-        result = _solve(point.kappa, basis, v, num_bands, idx,
+        result = _solve(point.kappa, basis, v, split, num_bands, idx,
                         lambda: f"k-point {idx} kappa={point.kappa}")
         energies[idx] = result.values
     return BandStructure(path=path, num_bands=num_bands, energies=energies)
 
 
-def _solve(kappa, basis, v, num_bands, index, where):
+def _chooser(lattice, recip, basis, v, kappas):
+    """choose(index, current): the symmetry to split kappas[index] by.
+
+    Among the candidate involutions that fix that kappa exactly and commute
+    with V, the one with the smallest |tr Q| (the most even split), then
+    the one in use, then the first; None if there is none.  The O(dim^2)
+    test against V runs once per candidate, and only on those considered;
+    points that the same candidates fix share one answer.
+    """
+    candidates = [inv for inv in involutions(lattice, recip, basis)
+                  if abs(inv.trace) < basis.dim]
+    fixes = np.array([inv.fixes(kappas) for inv in candidates],
+                     bool).reshape(len(candidates), len(kappas)).T
+    commutes, picks = {}, {}
+
+    def choose(index, current):
+        key = (fixes[index].tobytes(), current)
+        if key not in picks:
+            fixing = [inv for inv, f in zip(candidates, fixes[index]) if f]
+            fixing.sort(key=lambda inv: (abs(inv.trace), inv is not current))
+            picks[key] = None
+            for inv in fixing:
+                if inv not in commutes:
+                    commutes[inv] = inv.commutes(v)
+                if commutes[inv]:
+                    picks[key] = inv
+                    break
+        return picks[key]
+    return choose
+
+
+def _solve(kappa, basis, v, split, num_bands, index, where):
     """Eigenpairs at kappa; a failure raises SweepError located by where()."""
     try:
-        return eigh(build(kappa, basis, v), num_bands)
+        return eigh(build(kappa, basis, v, split), num_bands)
     except (SolverError, NonHermitianError) as exc:
         raise SweepError(f"solve failed at {where()}: {exc}",
                          index=index, kappa=kappa) from exc
@@ -131,6 +172,12 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
         raise ValueError(f"need strictly ascending cutoffs, got {cutoffs}")
     basis = PlaneWaveBasis.from_cutoff(recip, cutoffs[-1])
     v = potential_matrix(model, lattice, recip, basis)
+    kappa = np.asarray(kappa, dtype=float)
+    block = CheckedBlock.of(v)
+    # A kappa of any other shape is left to build to reject.
+    inv = _chooser(lattice, recip, basis, block, kappa[None])(0, None) \
+        if kappa.shape == (3,) else None
+    split = () if inv is None else sectors(block, inv)
     rows = []
     for idx, g2_max in enumerate(cutoffs):
         sub = basis.truncate(g2_max)
@@ -138,8 +185,9 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
         def where():
             return f"cutoff g2_max={g2_max:g} 1/A^2 (cutoffs[{idx}])"
 
-        result = _solve(kappa, sub, v[:sub.dim, :sub.dim], num_bands, idx,
-                        where)
+        sub_v = block if sub.dim == basis.dim else v[:sub.dim, :sub.dim]
+        result = _solve(kappa, sub, sub_v, leading_sectors(split, sub.dim),
+                        num_bands, idx, where)
         rise = result.values - rows[-1].values if rows else 0.0
         over = rise > INTERLACING_TOL * result.scale
         if np.any(over):

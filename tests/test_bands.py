@@ -123,21 +123,28 @@ class TestBlockPath:
         basis = PlaneWaveBasis.from_cutoff(rec, 76 * SHELL)
         v = potential_matrix(model, lat, rec, basis).astype(dtype)
         monkeypatch.setattr(bands_mod, "potential_matrix", lambda *_: v)
-        solve, results = bands_mod.eigh, []
+        solve, calls = bands_mod.eigh, []
 
         def recording(h, count):
-            results.append(solve(h, count))
-            return results[-1]
+            calls.append((h, solve(h, count)))
+            return calls[-1][1]
 
         monkeypatch.setattr(bands_mod, "eigh", recording)
         bs = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
-        assert len(results) == len(quick_tour.points)
-        for point, energies, result in zip(quick_tour.points, bs.energies,
-                                           results):
+        assert len(calls) == len(quick_tour.points)
+        for point, energies, (h, result) in zip(quick_tour.points,
+                                                bs.energies, calls):
+            # The block checked once solves as the dense block checked at
+            # this k-point, split the same way, bit for bit ...
+            fresh = eigh(build(point.kappa, basis, v.copy(), h.sectors), 8)
+            np.testing.assert_array_equal(energies, fresh.values)
+            assert len(result.sectors) == 2  # every tour point is split
+            # ... and as the dense matrix solved whole, to rounding.
             dense = build(point.kappa, basis, v).entries
             assert dense.dtype == dtype
             expected = eigh(dense, 8)
-            np.testing.assert_array_equal(energies, expected.values)
+            np.testing.assert_allclose(energies, expected.values, rtol=0,
+                                       atol=1e-10)
             assert result.scale == expected.scale == np.abs(dense).max()
 
     @pytest.mark.parametrize("kind, message", [
@@ -157,6 +164,54 @@ class TestBlockPath:
         assert excinfo.value.index == 0
         np.testing.assert_array_equal(excinfo.value.kappa,
                                       quick_tour.points[0].kappa)
+
+
+class TestSectors:
+    def test_sector_dims_on_the_dense_tour_basis(self, diamond, monkeypatch):
+        # z05 at 200 (pi/a)^2, dim 339: inversion splits Gamma, and a
+        # mirror of the Delta line splits Delta and X, each into two
+        # matrices of about half the dim.
+        lat, rec = diamond
+        pts = fcc_symmetry_points(A_SI)
+        path = make_kpath([("Γ", pts["Γ"]), ("Δ", 0.37 * pts["X"]),
+                           ("X", pts["X"])], 2)
+        solve, results = bands_mod.eigh, []
+        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
+            results.append(solve(h, count)) or results[-1]))
+        sweep(path, Potential(0.5), lat, rec, 200 * SHELL, 8)
+        assert [r.sectors for r in results] == [(170, 169), (172, 167),
+                                                (172, 167)]
+
+    def test_point_no_symmetry_fixes_is_solved_whole(self, diamond,
+                                                     monkeypatch):
+        lat, rec = diamond
+        path = make_kpath([("a", (0.31, 0.17, 0.42)), ("b", (0.3, 0.2, 0.1))],
+                          2)
+        solve, results = bands_mod.eigh, []
+        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
+            results.append(solve(h, count)) or results[-1]))
+        sweep(path, Potential(0.5), lat, rec, 44 * SHELL, 8)
+        assert [r.sectors for r in results] == [(51,), (51,)]
+
+    def test_convergence_rows_are_leading_sector_blocks(self, diamond,
+                                                        monkeypatch):
+        # One split at the largest cutoff; each smaller cutoff solves the
+        # leading columns of its sectors, and the levels match whole solves.
+        lat, rec = diamond
+        x = fcc_symmetry_points(A_SI)["X"]
+        cutoffs = [c * SHELL for c in (12, 44, 76)]
+        solve, results = bands_mod.eigh, []
+        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
+            results.append(solve(h, count)) or results[-1]))
+        rows = convergence_study(x, Potential(0.5), lat, rec, cutoffs, 8)
+        assert [sum(r.sectors) for r in results] == [row.dim for row in rows]
+        assert all(len(r.sectors) == 2 for r in results)
+        monkeypatch.setattr(bands_mod, "involutions", lambda *_: [])
+        whole = convergence_study(x, Potential(0.5), lat, rec, cutoffs, 8)
+        assert all(len(r.sectors) == 1 for r in results[3:])
+        for row, ref in zip(rows, whole):
+            np.testing.assert_allclose(row.values, ref.values, rtol=0,
+                                       atol=1e-10)
 
 
 class TestFreeElectronReference:

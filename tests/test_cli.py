@@ -491,6 +491,27 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
 
+    def test_nan_eigenpairs_exit_3_naming_the_kpoint(
+            self, write_config, tmp_path, monkeypatch, capsys):
+        # A solver that reports success with NaN values: the check after it
+        # stops the run at that k-point, with nothing written.
+        import pwbands.eigen as eigen_mod
+
+        solve = eigen_mod._solve
+
+        def poisoned(h, count):
+            info, values, vectors = solve(h, count)
+            return info, np.full_like(values, np.nan), vectors
+
+        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        assert main(["bands", "--config", str(write_config()),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: solve failed at k-point 0 "
+                              "kappa=")
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind, message", [
         ("asymmetric", "not Hermitian"), ("nan", "non-finite")])
     def test_bad_potential_block_exits_3_at_the_first_kpoint(

@@ -6,7 +6,8 @@ import pytest
 from pwbands import eigen as eigen_mod
 from pwbands.eigen import (BlochMatrix, CheckedBlock, EigenResult,
                            NonHermitianError, SolverError, eigh)
-from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
+from pwbands.hamiltonian import (PlaneWaveBasis, build, involutions,
+                                 potential_matrix, sectors)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
                              reciprocal_of)
 from pwbands.potential import Potential
@@ -306,6 +307,69 @@ class TestSolverPaths:
         assert set(eigen_mod._DRIVERS) == {np.float64, np.complex128}
 
 
+def split_x_matrix(lattice, cutoff=76):
+    """z05-style H at X with the sectors of the involution bands picks."""
+    a = lattice.lattice_constant
+    rec = reciprocal_of(lattice)
+    basis = PlaneWaveBasis.from_cutoff(rec, cutoff * (math.pi / a) ** 2)
+    block = CheckedBlock.of(potential_matrix(Potential(0.5), lattice, rec,
+                                             basis))
+    x = fcc_symmetry_points(a)["X"]
+    inv = min((q for q in involutions(lattice, rec, basis)
+               if q.fixes(x) and q.commutes(block)
+               and abs(q.trace) < basis.dim),
+              key=lambda q: abs(q.trace))
+    return build(x, basis, block, sectors(block, inv))
+
+
+class TestSectors:
+    """Solving in a symmetry's sectors against solving H whole."""
+
+    @pytest.mark.parametrize("centred", [True, False])
+    def test_split_matches_whole(self, centred):
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431) if centred
+                           else non_centered())
+        whole = eigh(BlochMatrix(h.block, h.kinetic), 8)
+        split = eigh(h, 8)
+        assert whole.sectors == (h.dim,)
+        assert len(split.sectors) == 2 and sum(split.sectors) == h.dim
+        np.testing.assert_allclose(split.values, whole.values, rtol=0,
+                                   atol=1e-10)
+        # Back-mapped to the whole basis, verified against the whole H.
+        assert split.vectors.shape == (h.dim, 8)
+        assert split.residual <= eigen_mod.RESIDUAL_TOL
+        assert split.scale == whole.scale
+        assert split.hermiticity == whole.hermiticity
+
+    def test_sectors_are_orthogonal_eigenspaces(self):
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        u = [s.expand(np.eye(len(s.rows))).T for s in h.sectors]
+        q = np.hstack(u)
+        np.testing.assert_allclose(q.T @ q, np.eye(h.dim), atol=1e-15)
+        for s, us in zip(h.sectors, u):
+            np.testing.assert_allclose(us.T @ h.block.matrix @ us,
+                                       s.block.matrix, atol=1e-12)
+
+    def test_fallback_solves_whole(self, monkeypatch):
+        # numpy.linalg.eigh is the unsplit reference a split is held to.
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        result = eigh(h, 8)
+        assert result.sectors == (h.dim,)
+        values, _ = fallback(h.entries, 8)
+        np.testing.assert_array_equal(result.values, values)
+
+    def test_wrong_sector_is_solver_error(self):
+        # Sectors of a symmetry H does not have: the back-mapped pairs miss
+        # the whole H, and the verification, not the energies, says so.
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        rng = np.random.RandomState(60)
+        noise = rng.standard_normal((h.dim, h.dim))
+        v = h.block.matrix + 1e-2 * (noise + noise.T)
+        with pytest.raises(SolverError, match="residual"):
+            eigh(BlochMatrix(CheckedBlock.of(v), h.kinetic, h.sectors), 8)
+
+
 class TestErrors:
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
@@ -358,6 +422,24 @@ class TestErrors:
         monkeypatch.setattr(eigen_mod, "_solve", reporting)
         with pytest.raises(SolverError, match=f"info {info}, {found} of 3"):
             eigh(random_hermitian(6, seed=42), 3)
+
+    @pytest.mark.parametrize("bad", ["values", "vectors"])
+    def test_nan_pairs_are_solver_error(self, monkeypatch, bad):
+        # LAPACK info 0 and the right count, but NaN figures: every test of
+        # the contract must fail on NaN, not pass it.
+        solve = eigen_mod._solve
+
+        def poisoned(a, count):
+            info, values, vectors = solve(a, count)
+            if bad == "values":
+                return info, np.full_like(values, np.nan), vectors
+            return info, values, np.full_like(vectors, np.nan)
+
+        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        with pytest.raises(SolverError):
+            eigh(np.diag([1.0, 2.0, 3.0]), 2)
+        with pytest.raises(SolverError):
+            eigh(np.diag([1.0, 2.0, 3.0]), 1)
 
     @pytest.mark.parametrize("shift", [0.0, 1e-6])
     def test_residual_bound_at_huge_scale(self, monkeypatch, shift):

@@ -1,7 +1,9 @@
 """Physics identities every band structure must obey, whatever the code path:
 Cauchy interlacing across nested cutoffs, time reversal, cubic point-group
 invariance and the level pairing of the diamond space group at X, on the
-presets and on drawn crystals."""
+presets and on drawn crystals; and the split of each k-point's solve into
+the sectors of a symmetry that fixes it, which must give the energies of
+the whole solve."""
 
 import itertools
 import math
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pwbands.bands as bands_mod
 from pwbands.bands import convergence_study, sweep
 from pwbands.cli import load_config
 from pwbands.hamiltonian import PlaneWaveBasis, potential_matrix
@@ -28,6 +31,15 @@ TOL = 1e-9
 CUBIC_OPS = [np.diag(signs)[list(perm)]
              for perm in itertools.permutations(range(3))
              for signs in itertools.product((1, -1), repeat=3)]
+
+
+TOUR = ("L", "Γ", "X", "U", "Γ")
+
+# Sector dims at the 13 points of the 4-sample tour at 76 (pi/a)^2 (dim
+# 89), the same for z05 and si_empirical: a mirror on L-Gamma, X-U and
+# U-Gamma, inversion at Gamma, and a mirror of the Delta line on Gamma-X.
+LINE, GAMMA, DELTA = (56, 33), (45, 44), (47, 42)
+TOUR_DIMS = [LINE] * 3 + [GAMMA] + [DELTA] * 3 + [LINE] * 5 + [GAMMA]
 
 
 def preset(name):
@@ -146,3 +158,58 @@ def test_identities_on_drawn_crystals(kind, a, model, small, extra, frac, op):
     assert np.all(np.diff(images, axis=1) >= 0)
     np.testing.assert_allclose(images, np.broadcast_to(
         energies[0], images.shape), rtol=0, atol=tol)
+
+
+def solve_tour(monkeypatch, crystal, op, whole=False):
+    """Energies and per-point sector dims on the 4-sample tour turned by op;
+    ``whole`` forces one sector at every point."""
+    pts = fcc_symmetry_points(A_SI)
+    path = make_kpath([(s, op @ pts[s]) for s in TOUR], 4)
+    solve, dims = bands_mod.eigh, []
+
+    def recording(h, count):
+        result = solve(h, count)
+        dims.append(result.sectors)
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bands_mod, "eigh", recording)
+        if whole:
+            patch.setattr(bands_mod, "involutions", lambda *_: [])
+        energies = sweep(path, *crystal, 76 * SHELL, 8).energies
+    return energies, dims
+
+
+@pytest.mark.parametrize("name", ["z05", "si_empirical"])
+def test_split_matches_whole_under_every_cubic_operation(monkeypatch, name):
+    # z05's diamond potential needs the glide and screw operations to split
+    # every point; si_empirical's is symmorphic.  Either way the split is
+    # the same at every turn of the tour, and so are the energies.
+    crystal = preset(name)
+    for op in CUBIC_OPS:
+        split, dims = solve_tour(monkeypatch, crystal, op)
+        whole, whole_dims = solve_tour(monkeypatch, crystal, op, whole=True)
+        assert dims == TOUR_DIMS
+        assert whole_dims == [(89,)] * len(TOUR_DIMS)
+        np.testing.assert_allclose(split, whole, rtol=0, atol=1e-10)
+
+
+def test_broken_symmetry_falls_back_to_one_sector(monkeypatch):
+    # Symmetric noise at 1e-6 max|V| breaks every operation: no split, and
+    # the solves are the forced whole ones.
+    crystal = preset("z05")
+    intact, dims = solve_tour(monkeypatch, crystal, np.eye(3))
+    assert dims == TOUR_DIMS
+    assemble = bands_mod.potential_matrix
+
+    def broken(*args):
+        v = assemble(*args)
+        noise = np.random.RandomState(5).standard_normal(v.shape)
+        return v + 1e-6 * np.abs(v).max() * (noise + noise.T)
+
+    monkeypatch.setattr(bands_mod, "potential_matrix", broken)
+    split, dims = solve_tour(monkeypatch, crystal, np.eye(3))
+    whole, _ = solve_tour(monkeypatch, crystal, np.eye(3), whole=True)
+    assert dims == [(89,)] * len(TOUR_DIMS)
+    np.testing.assert_array_equal(split, whole)
+    assert 0 < np.abs(split - intact).max() < 1e-4

@@ -32,7 +32,7 @@ EXPECTED = {
             "bands.csv":
                 "534a91503c039c1cb7f68755a123ef0504bddf7f285b17599ca6afa7c6b67520",
             "bands.json":
-                "eb0fe09778d22b3c930927f372d2fdedc24ee7b38482c49783511cd803d44158",
+                "410ce7f8c702cb4501894e11d8e6b25ec9eaac54bd5f027734357d6079f50522",
             "bands.svg":
                 "359b2b13fdf3baa2f3a0301270d18e8fe16d40038879e3e77852f089f55396d8",
         },
@@ -62,7 +62,7 @@ EXPECTED = {
             "bands.csv":
                 "c2e680413e6831d525e27febce31e002da8e72edfae73b233c815d1444c48ab7",
             "bands.json":
-                "329bfed01ba7b3b685fc07330aa459fa01b6b8fd6a05b091038426bb691d49c2",
+                "82fbf7011e629434c4b84a5dd5dd122cfad3c24d25adc6e426044dfe4a21dac0",
             "bands.svg":
                 "cce64d47105041929e7411f500cd883701a5deff446353427a9e1d95c188a972",
         },
@@ -78,7 +78,7 @@ EXPECTED = {
             "converge.csv":
                 "492dad97b183cac70a09e9ba3e81e98a623f6968f9a3e1a846c0e0c103e66c0d",
             "converge.json":
-                "7a7d819b2564a1d206fe13b9dd21d76932e65a35b18638bd0624fc73c4035099",
+                "a5e0420082ec313149d172fb43201030cbdf6d3eef84c117c5d3faa1e847b9b0",
         },
         "info": {
             "stdout":
@@ -92,7 +92,7 @@ EXPECTED = {
             "bands.csv":
                 "ad9f1e83a55f625741773fd9e5014faead67c457d2dbf3e71530313bbb041f38",
             "bands.json":
-                "ab90652438d53514480789b09386964257475f2703529dc85ad161aaca2852bd",
+                "be341d9b2a481f220b7da8a5c83877e083d3317ef4012a81f804cfa63bca7ae0",
             "bands.svg":
                 "ceda8e6a3bf94f0924876bf6dc8ec52b27e165bf82067e27291739cef32b38f8",
         },
@@ -100,7 +100,7 @@ EXPECTED = {
             "stdout":
                 "8fca297ac334877abdf3b0ad92a3cb1db6372cfcba0c363f906b7e907401dc2d",
             "gaps.json":
-                "ce76f20d83163c9898fdaebfb34e93c2a4aacb682cbb023e8610bfaa9fce439a",
+                "12f091f7728f4750568814afe432a9ff51b4913f05ff93b074a3a6fbedf8c5bd",
         },
         "converge": {
             "stdout":
@@ -108,7 +108,7 @@ EXPECTED = {
             "converge.csv":
                 "6cf6d4476efd6d65885968bc2fe72048e02123239356eec941af9ff357f7eb53",
             "converge.json":
-                "57b4a75e61592a2cd80ce08db63ebfa6be12bf4b0e70d3ebd969f673124db183",
+                "b0ca167696ef21a5c1215a43bd2a165b3ac1d288332a9570eaa15342f34f7aa9",
         },
         "info": {
             "stdout":
@@ -122,7 +122,7 @@ EXPECTED = {
             "bands.csv":
                 "162ac7c14484a22d6ec3bee60e56c09833e46943eaf78ebd0ef7964108ff4f99",
             "bands.json":
-                "529d668d16499e4c2ea8648b4c7cd22e2c35cce60cb2cd6b497b07890d9e5fae",
+                "e7d8283ffe6e0091944d3597eb77503f6f02a5ce55fc94e1be6705d9c8f613cf",
             "bands.svg":
                 "fb9a4127f0cec9cc81b3d709978f840af6edf3d9b84476c01123abd35bc6d2e6",
         },
@@ -130,7 +130,7 @@ EXPECTED = {
             "stdout":
                 "0d9c988d4004465264531fccdb503d20a4526e802fd055d23d31350340011baa",
             "gaps.json":
-                "d46091c10e062076ae1055d08ffc7390c8e43c2782846fffaeffef5b0fcca96a",
+                "333e940387ef44565c95da4eb0a3500b8bf39aa23834f6944be46c4b071b7e57",
         },
         "converge": {
             "stdout":
@@ -138,7 +138,7 @@ EXPECTED = {
             "converge.csv":
                 "de7e00346b130203ac1111608239836430d996c2b7257759a1da6a4721e46461",
             "converge.json":
-                "a57a0f1d272bf4835e94651229c49c0b0fd5b5d0e9a91ddcf1a1c86bd452c37f",
+                "ef0e1a1f95c98019bf1fc1568fa3e8bbc9f012814c702ead0b4611e836899672",
         },
         "info": {
             "stdout":
@@ -152,7 +152,7 @@ EXPECTED = {
             "bands.csv":
                 "3f672fb89b7b76d69cc0e5fb641a59562c8410fa5941f985fb06e7028123a36f",
             "bands.json":
-                "088602835dd85f5048098dcc9934e600aa7ca73e35b374c2f49ca6f58e2f29f4",
+                "179bf6c9b5c4b85c3e2a33673f3d4a818ed22ac40635de27ba497d4372fcf761",
             "bands.svg":
                 "9f59d8d38bf08f1df21d35b8023445f2545aae20e53c34915504152682aff544",
         },
@@ -160,7 +160,7 @@ EXPECTED = {
             "stdout":
                 "95e4f52795407160a9228bc8ca21073e907a6c3ecde495d964e7d042f480f7fb",
             "gaps.json":
-                "44f8c88bea8a76e2f3530dbfd3404d74393594ec527b30ccf73f7dd15e8f2418",
+                "ca13ffbd267b8a09996a61f358d7c8a01601b792930f9481fff3b2fb0a7d3afb",
         },
         "converge": {
             "stdout":
@@ -168,7 +168,7 @@ EXPECTED = {
             "converge.csv":
                 "a7bd21ba222491dd4ff1aa52b8d3de3d85657ae854b589de35282ab72a948597",
             "converge.json":
-                "f8adf97a68a805b389971fe6d3d07f6d47393fc6cef05bc07c44f1f75347ac1e",
+                "b50f2f472782d4c6e76a66ac07b781ca80be2ffde2f4f364d2044805c285aef1",
         },
         "info": {
             "stdout":
