@@ -245,6 +245,8 @@ def eigh(h, count: int | None = None) -> EigenResult:
         values, vectors = values[0], rows[0].T
     else:  # the lowest count of all sectors' pairs, ascending
         values = np.concatenate(values)
+        if not np.all(np.isfinite(values)):  # NaN would sort past the kept
+            raise SolverError("eigensolver returned non-finite eigenvalues")
         keep = np.argsort(values, kind="stable")[:count]
         values, vectors = values[keep], np.concatenate(rows)[keep].T
     residual, ortho = _verify(h, values, vectors, scale)

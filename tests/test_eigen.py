@@ -359,6 +359,23 @@ class TestSectors:
         values, _ = fallback(h.entries, 8)
         np.testing.assert_array_equal(result.values, values)
 
+    def test_nan_in_one_sector_is_solver_error(self, monkeypatch):
+        # The other sector holds the lowest pairs, so a NaN would sort past
+        # the kept ones and vanish unverified; it must raise instead.
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        solve, calls = eigen_mod._solve, []
+
+        def poisoned(sub, count):
+            info, values, vectors = solve(sub, count)
+            calls.append(sub.dim)
+            if len(calls) == 2:
+                values = np.full_like(values, np.nan)
+            return info, values, vectors
+
+        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        with pytest.raises(SolverError, match="non-finite"):
+            eigh(h, 8)
+
     def test_wrong_sector_is_solver_error(self):
         # Sectors of a symmetry H does not have: the back-mapped pairs miss
         # the whole H, and the verification, not the energies, says so.
