@@ -9,9 +9,9 @@ reports, and cutoff convergence tables.
 from .bands import (BandStructure, ConvergenceRow, GapEntry, SweepError,
                     convergence_study, detect_gaps, free_electron_reference,
                     sweep)
-from .eigen import (CheckedBlock, EigenResult, NonHermitianError,
-                    SolverError, eigh)
-from .hamiltonian import AssemblyError, BlochMatrix, PlaneWaveBasis, build
+from .eigen import (BlochMatrix, CheckedBlock, EigenResult,
+                    NonHermitianError, SolverError, eigh)
+from .hamiltonian import AssemblyError, PlaneWaveBasis, build
 from .lattice import (KPath, KPoint, LatticeError, RealLattice,
                       ReciprocalLattice, enumerate_g, fcc_symmetry_points,
                       make_cubic, make_kpath, reciprocal_of)

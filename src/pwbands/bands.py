@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,21 +68,20 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
 
     The potential block is assembled and checked once and reused; only the
     kinetic diagonal changes with kappa.  Each point is solved in the two
-    sectors of the symmetry ``_choose`` picks for it (whole, if none fixes
-    it), whose blocks are built when the choice changes.  Each solve
-    returns and verifies only the lowest ``num_bands`` eigenpairs.
+    sectors of the symmetry ``_symmetries`` yields for it (whole, if none
+    fixes it), whose blocks are built when that symmetry changes.  Each
+    solve returns and verifies only the lowest ``num_bands`` eigenpairs.
     """
     basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
     v = CheckedBlock.of(potential_matrix(model, lattice, recip, basis))
-    choose = _chooser(lattice, recip, basis, v, path.kappas)
+    picks = _symmetries(lattice, recip, basis, v, path.kappas)
     energies = np.empty((len(path.points), num_bands))
     inv, split = None, ()
-    for idx, point in enumerate(path.points):
-        pick = choose(idx, inv)
+    for idx, (point, pick) in enumerate(zip(path.points, picks)):
         if pick is not inv:
             inv, split = pick, ()  # one symmetry's blocks at a time
             if pick is not None:
-                split = sectors(v, pick)
+                split = sectors(v.matrix, pick)
         # Live until the next solve, or malloc trims and re-faults its pages.
         result = _solve(point.kappa, basis, v, split, num_bands, idx,
                         lambda: f"k-point {idx} kappa={point.kappa}")
@@ -88,35 +89,25 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     return BandStructure(path=path, num_bands=num_bands, energies=energies)
 
 
-def _chooser(lattice, recip, basis, v, kappas):
-    """choose(index, current): the symmetry to split kappas[index] by.
+def _symmetries(lattice, recip, basis, v, kappas):
+    """Yield, for each of kappas in turn, the symmetry to split it by.
 
-    Among the candidate involutions that fix that kappa exactly and commute
-    with V, the one with the smallest |tr Q| (the most even split), then
-    the one in use, then the first; None if there is none.  The O(dim^2)
-    test against V runs once per candidate, and only on those considered;
-    points that the same candidates fix share one answer.
+    Among the candidate involutions that fix kappa exactly and commute with
+    V, the one with the smallest |tr Q| (the most even split), then the one
+    last yielded, then the first; None if there is none.  The O(dim^2) test
+    against V runs once per candidate, and only on those reached.
     """
     candidates = [inv for inv in involutions(lattice, recip, basis)
                   if abs(inv.trace) < basis.dim]
     fixes = np.array([inv.fixes(kappas) for inv in candidates],
                      bool).reshape(len(candidates), len(kappas)).T
-    commutes, picks = {}, {}
-
-    def choose(index, current):
-        key = (fixes[index].tobytes(), current)
-        if key not in picks:
-            fixing = [inv for inv, f in zip(candidates, fixes[index]) if f]
-            fixing.sort(key=lambda inv: (abs(inv.trace), inv is not current))
-            picks[key] = None
-            for inv in fixing:
-                if inv not in commutes:
-                    commutes[inv] = inv.commutes(v)
-                if commutes[inv]:
-                    picks[key] = inv
-                    break
-        return picks[key]
-    return choose
+    commutes = functools.cache(lambda inv: inv.commutes(v))
+    current = None
+    for row in fixes:
+        fixing = sorted(itertools.compress(candidates, row), key=lambda inv: (
+            abs(inv.trace), inv is not current))
+        current = next(filter(commutes, fixing), None)
+        yield current
 
 
 def _solve(kappa, basis, v, split, num_bands, index, where):
@@ -175,9 +166,9 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
     kappa = np.asarray(kappa, dtype=float)
     block = CheckedBlock.of(v)
     # A kappa of any other shape is left to build to reject.
-    inv = _chooser(lattice, recip, basis, block, kappa[None])(0, None) \
+    inv = next(_symmetries(lattice, recip, basis, block, kappa[None])) \
         if kappa.shape == (3,) else None
-    split = () if inv is None else sectors(block, inv)
+    split = () if inv is None else sectors(v, inv)
     rows = []
     for idx, g2_max in enumerate(cutoffs):
         sub = basis.truncate(g2_max)

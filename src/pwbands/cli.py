@@ -349,13 +349,18 @@ def converge_json(rows, cutoffs, raw_config: dict) -> str:
 def _write(cfg: RunConfig, out, emitters: dict, formats=None):
     """Write each ``{file name: emitter}`` whose suffix is in ``formats``
     (default: the config's); return the directory and the names written.
-    Called after the compute, so a failed run makes no directory."""
+    Called after the compute, so a failed run makes no directory; a place
+    it cannot write to is a config error."""
     texts = {name: emit() for name, emit in emitters.items()
              if name.rsplit(".", 1)[1] in (formats or cfg.formats)}
     directory = Path(out if out is not None else cfg.out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (directory / name).write_text(text, encoding="utf-8")
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            (directory / name).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError("--out" if out is not None else "output.directory",
+                          str(exc)) from exc
     return directory, list(texts)
 
 

@@ -16,14 +16,15 @@ is solved on the same path, as a block with T = 0.
 A BlochMatrix may carry ``sectors``: the eigenspaces of a symmetry Q of
 the crystal that commutes with H (an involution of the cubic group that
 fixes the Bloch vector, found by ``hamiltonian`` and chosen by ``bands``).
-H has no element between them, so each sector's block U^dagger V U (built
-once per symmetry) plus T at its rows is solved on its own, for the lowest
-min(count, dim) pairs, and the lowest ``count`` of all of them are kept.
-Two sectors of about dim/2 cost about a quarter of the tridiagonalisation
-of one matrix of dim.  The pairs are mapped back to the whole basis before
-they are verified, and max|H|, the Hermiticity test and the verification
-stay on the whole H, so a wrong split raises SolverError and cannot write
-wrong energies.  With no sectors, H is solved whole: the trivial split.
+H has no element between them, so each sector's block U^dagger V U (a
+plain array, built once per symmetry) plus T at its rows is solved on its
+own, for the lowest min(count, dim) pairs, and the lowest ``count`` of all
+of them are kept.  Two sectors of about dim/2 cost about a quarter of the
+tridiagonalisation of one matrix of dim.  The pairs are mapped back to the
+whole basis before they are verified, and max|H|, the Hermiticity test and
+the verification stay on the whole H, so a wrong split raises SolverError
+and cannot write wrong energies.  With no sectors, H is solved whole, as
+the one sector of the trivial split.
 
 The decomposition itself is delegated to LAPACK's MRRR subset solvers,
 which compute only the lowest ``count`` eigenpairs: dsyevr for a real block
@@ -135,15 +136,15 @@ class Sector:
     leading columns span leading rows of the basis; ``mates`` the other
     row (the row itself, for a fixed one).  U, the n x dim matrix of the
     columns, holds one entry per basis row: U[i, column[i]] = coef[i]
-    (0 where row i lies outside the sector).  ``block`` is U^dagger V U,
-    checked; a kinetic diagonal that Q fixes enters as T[rows].
+    (0 where row i lies outside the sector).  ``matrix`` is U^dagger V U,
+    unchecked (``eigh`` checks H); T enters as T[rows].
     """
 
     rows: np.ndarray
     mates: np.ndarray
     column: np.ndarray
     coef: np.ndarray
-    block: CheckedBlock
+    matrix: np.ndarray
 
     def expand(self, ys: np.ndarray) -> np.ndarray:
         """(U y)^T for each row y of ys: sector vectors as basis vectors."""
@@ -200,8 +201,8 @@ def eigh(h, count: int | None = None) -> EigenResult:
 
     ``h`` is a BlochMatrix or an ndarray, which is checked as a block with
     a zero diagonal; a real block is solved as real symmetric, a complex
-    one as complex Hermitian, in the sectors ``h`` carries (if any) one
-    LAPACK call (range 'I' of ?syevr) each.  Guarantees on return, for the
+    one as complex Hermitian, one LAPACK call (range 'I' of ?syevr) per
+    sector ``h`` carries, or one for H whole.  Guarantees on return, for the
     ``count`` pairs returned, as vectors of the whole basis: values
     ascending, columns orthonormal to 1e-8, and
     ||H v_i - lambda_i v_i|| <= 1e-8 max|H| for every i.
@@ -227,50 +228,50 @@ def eigh(h, count: int | None = None) -> EigenResult:
             f"(max entry {scale:.3e})")
     # The fallback solves H whole: it is the reference a split is held to.
     split = h.sectors if block.matrix.dtype.type in _DRIVERS else ()
-    parts = [(s, BlochMatrix(s.block, h.kinetic[s.rows])) for s in split] \
-        or [(None, h)]
+    if not split:  # the trivial split: H as one sector
+        every = np.arange(n)
+        split = (Sector(every, every, every, np.ones(n), block.matrix),)
     values, rows = [], []  # eigenvectors as rows, C-ordered for the gather
-    for sector, sub in parts:
-        want = min(count, sub.dim)
+    for sector in split:
+        want = min(count, len(sector.rows))
         try:
-            info, w, z = _solve(sub, want)
+            info, w, z = _solve(sector.matrix, h.kinetic[sector.rows], want)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigensolver did not converge: {exc}") from exc
         if info != 0 or len(w) != want:
             raise SolverError(f"eigensolver failed: LAPACK info {info}, "
                               f"{len(w)} of {want} eigenpairs")
         values.append(w)
-        rows.append(z.T if sector is None else sector.expand(z.T))
-    if len(parts) == 1:
-        values, vectors = values[0], rows[0].T
-    else:  # the lowest count of all sectors' pairs, ascending
-        values = np.concatenate(values)
-        if not np.all(np.isfinite(values)):  # NaN would sort past the kept
-            raise SolverError("eigensolver returned non-finite eigenvalues")
-        keep = np.argsort(values, kind="stable")[:count]
-        values, vectors = values[keep], np.concatenate(rows)[keep].T
+        rows.append(sector.expand(z.T))
+    # The lowest count of all sectors' pairs, ascending.
+    values = np.concatenate(values)
+    if not np.all(np.isfinite(values)):  # NaN would sort past the kept
+        raise SolverError("eigensolver returned non-finite eigenvalues")
+    keep = np.argsort(values, kind="stable")[:count]
+    values, vectors = values[keep], np.concatenate(rows)[keep].T
     residual, ortho = _verify(h, values, vectors, scale)
     return EigenResult(values=values, vectors=vectors, scale=float(scale),
                        residual=residual, orthonormality=ortho,
                        hermiticity=float(block.herm),
-                       sectors=tuple(sub.dim for _, sub in parts))
+                       sectors=tuple(len(s.rows) for s in split))
 
 
-def _solve(h, count):
-    """LAPACK's lowest ``count`` eigenpairs of a BlochMatrix:
+def _solve(v, kinetic, count):
+    """LAPACK's lowest ``count`` eigenpairs of V + diag(kinetic):
     (info, values, vectors)."""
-    v = h.block.matrix
+    n = len(kinetic)
     driver = _DRIVERS.get(v.dtype.type)
     if driver is None:
-        values, vectors = np.linalg.eigh(h.entries)
+        h = v.copy()
+        h.flat[::n + 1] += kinetic
+        values, vectors = np.linalg.eigh(h)
         return 0, values[:count], vectors[:, :count]
-    n = h.dim
     # ?syevr overwrites its input, so it gets a private H, written as
     # conj(V) + T.  Read as column-major, this C-order conj(H) is H itself,
     # and its upper triangle is the lower triangle numpy.linalg.eigh reads.
     a = np.empty((n, n), v.dtype)
     np.conjugate(v, out=a)
-    a.reshape(-1)[::n + 1] += h.kinetic
+    a.reshape(-1)[::n + 1] += kinetic
     m = np.zeros(1, np.int64)
     w = np.empty(n)
     z = np.empty((count, n), v.dtype)  # column-major n x count

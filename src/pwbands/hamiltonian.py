@@ -26,8 +26,8 @@ candidates among the cubic group's involutions, ``Involution.commutes``
 tests one against V).  Q commutes with V, and with the kinetic diagonal
 wherever R fixes kappa, so H(kappa) is block diagonal in Q's +1 and -1
 eigenspaces.  ``sectors`` gathers V's block in each, once per basis and
-symmetry, as ``eigen.Sector``s that ``build`` attaches to the matrix; a
-smaller cutoff's sectors are their leading columns (``leading_sectors``).
+symmetry, as plain arrays in ``eigen.Sector``s that ``build`` attaches to
+the matrix; a smaller cutoff's are slices of them (``leading_sectors``).
 """
 
 from __future__ import annotations
@@ -201,8 +201,8 @@ def involutions(lattice: RealLattice, recip: ReciprocalLattice,
     return found
 
 
-def sectors(block: CheckedBlock, inv: Involution) -> tuple:
-    """V's blocks in the +1 and -1 eigenspaces of Q, each checked once.
+def sectors(v: np.ndarray, inv: Involution) -> tuple:
+    """V's blocks in the +1 and -1 eigenspaces of Q.
 
     Q must commute with V.  The blocks do not depend on kappa.  Each orbit
     of Q (a row it fixes, or a pair it swaps) gives a column, placed by its
@@ -215,7 +215,6 @@ def sectors(block: CheckedBlock, inv: Involution) -> tuple:
     mates = inv.perm[rows]
     pair = mates != rows
     half = np.sqrt(0.5)
-    v = block.matrix
     split = []
     for parity in (1.0, -1.0):
         keep = pair | (inv.sign[rows] == parity)
@@ -234,13 +233,13 @@ def sectors(block: CheckedBlock, inv: Involution) -> tuple:
         u += mate
         del mate
         u /= weight[:, None]
-        split.append(Sector(r, m, column, coef, CheckedBlock.of(u)))
+        split.append(Sector(r, m, column, coef, u))
     return tuple(split)
 
 
 def leading_sectors(split: tuple, dim: int) -> tuple:
     """The sectors of a basis's first ``dim`` rows (a smaller cutoff's), or
-    () if some orbit straddles row ``dim``."""
+    () if some orbit straddles row ``dim``: views of ``split``, no copies."""
     lead = []
     for sector in split:
         m = np.searchsorted(sector.rows, dim)
@@ -249,7 +248,7 @@ def leading_sectors(split: tuple, dim: int) -> tuple:
         if m:
             lead.append(Sector(sector.rows[:m], sector.mates[:m],
                                sector.column[:dim], sector.coef[:dim],
-                               CheckedBlock.of(sector.block.matrix[:m, :m])))
+                               sector.matrix[:m, :m]))
     return tuple(lead)
 
 

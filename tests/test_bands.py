@@ -8,11 +8,14 @@ import pwbands.bands as bands_mod
 from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            convergence_study, detect_gaps,
                            free_electron_reference, sweep)
+from pwbands.cli import load_config
 from pwbands.eigen import SolverError, eigh
-from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
+from pwbands.hamiltonian import (Involution, PlaneWaveBasis, build,
+                                 potential_matrix)
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
     reciprocal_of
 from pwbands.potential import HBAR2_OVER_2M, Potential
+from pwbands.presets import preset_path
 
 A_SI = 5.431
 SHELL = (math.pi / A_SI) ** 2
@@ -181,6 +184,29 @@ class TestSectors:
         sweep(path, Potential(0.5), lat, rec, 200 * SHELL, 8)
         assert [r.sectors for r in results] == [(170, 169), (172, 167),
                                                 (172, 167)]
+
+    @pytest.mark.parametrize("g2_units", [76, 200])
+    def test_symmetry_search_cost_on_the_preset_tour(self, monkeypatch,
+                                                     g2_units):
+        # The 197-point z05 tour: 3 of the 31 candidates are tested against
+        # V, and sector blocks are built 5 times, for 3 symmetries, not at
+        # every point.
+        cfg = load_config(preset_path("z05"))
+        found, tested, built = [], [], []
+        search, commutes, split = (bands_mod.involutions, Involution.commutes,
+                                   bands_mod.sectors)
+        monkeypatch.setattr(bands_mod, "involutions", lambda *args: (
+            found.extend(search(*args)) or found))
+        monkeypatch.setattr(Involution, "commutes", lambda inv, v: (
+            tested.append(inv) or commutes(inv, v)))
+        monkeypatch.setattr(bands_mod, "sectors", lambda v, inv: (
+            built.append(inv) or split(v, inv)))
+        sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
+              g2_units * SHELL, cfg.num_bands)
+        assert len(cfg.path.points) == 197
+        assert len(found) == 31
+        assert len(tested) == 3
+        assert len(built) == 5 and len(set(built)) == 3
 
     def test_point_no_symmetry_fixes_is_solved_whole(self, diamond,
                                                      monkeypatch):

@@ -393,6 +393,26 @@ class TestMain:
         assert main(["bands", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_2(self, write_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["bands", "--config", str(write_config()),
+                     "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at --out: ")
+        assert "Traceback" not in err
+
+    def test_output_directory_below_a_file_exits_2(self, write_config,
+                                                   tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        path = write_config(mutate=lambda c: c["output"].update(
+            directory=str(taken / "o")))
+        assert main(["bands", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at output.directory: ")
+        assert "Traceback" not in err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["info", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -499,8 +519,8 @@ class TestMain:
 
         solve = eigen_mod._solve
 
-        def poisoned(h, count):
-            info, values, vectors = solve(h, count)
+        def poisoned(v, kinetic, count):
+            info, values, vectors = solve(v, kinetic, count)
             return info, np.full_like(values, np.nan), vectors
 
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)

@@ -7,7 +7,7 @@ from pwbands import eigen as eigen_mod
 from pwbands.eigen import (BlochMatrix, CheckedBlock, EigenResult,
                            NonHermitianError, SolverError, eigh)
 from pwbands.hamiltonian import (PlaneWaveBasis, build, involutions,
-                                 potential_matrix, sectors)
+                                 leading_sectors, potential_matrix, sectors)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
                              reciprocal_of)
 from pwbands.potential import Potential
@@ -319,7 +319,7 @@ def split_x_matrix(lattice, cutoff=76):
                if q.fixes(x) and q.commutes(block)
                and abs(q.trace) < basis.dim),
               key=lambda q: abs(q.trace))
-    return build(x, basis, block, sectors(block, inv))
+    return build(x, basis, block, sectors(block.matrix, inv))
 
 
 class TestSectors:
@@ -348,7 +348,24 @@ class TestSectors:
         np.testing.assert_allclose(q.T @ q, np.eye(h.dim), atol=1e-15)
         for s, us in zip(h.sectors, u):
             np.testing.assert_allclose(us.T @ h.block.matrix @ us,
-                                       s.block.matrix, atol=1e-12)
+                                       s.matrix, atol=1e-12)
+
+    def test_orbit_straddling_the_cut_is_solved_whole(self):
+        # Cut the basis inside its 12 shell (rows 15 to 26), between the two
+        # rows of an orbit of Q: the leading block has no sectors of Q, so
+        # it is solved whole, to the energies of the unsplit solve.
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        first = h.sectors[0]
+        pairs = first.rows[(first.rows >= 15) & (first.mates != first.rows)]
+        dim = pairs[0] + 1  # the pair's other row lies past the cut
+        assert dim < 27
+        lead = leading_sectors(h.sectors, dim)
+        assert lead == ()
+        block = CheckedBlock.of(h.block.matrix[:dim, :dim])
+        result = eigh(BlochMatrix(block, h.kinetic[:dim], lead), 8)
+        assert result.sectors == (dim,)
+        values, _ = fallback(BlochMatrix(block, h.kinetic[:dim]).entries, 8)
+        np.testing.assert_allclose(result.values, values, rtol=0, atol=1e-10)
 
     def test_fallback_solves_whole(self, monkeypatch):
         # numpy.linalg.eigh is the unsplit reference a split is held to.
@@ -365,9 +382,9 @@ class TestSectors:
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
         solve, calls = eigen_mod._solve, []
 
-        def poisoned(sub, count):
-            info, values, vectors = solve(sub, count)
-            calls.append(sub.dim)
+        def poisoned(v, kinetic, count):
+            info, values, vectors = solve(v, kinetic, count)
+            calls.append(len(kinetic))
             if len(calls) == 2:
                 values = np.full_like(values, np.nan)
             return info, values, vectors
@@ -432,8 +449,8 @@ class TestErrors:
         # info < 0: LAPACKE rejected an argument or ran out of memory.
         solve = eigen_mod._solve
 
-        def reporting(a, count):
-            _, values, vectors = solve(a, count)
+        def reporting(v, kinetic, count):
+            _, values, vectors = solve(v, kinetic, count)
             return info, values[:found], vectors[:, :found]
 
         monkeypatch.setattr(eigen_mod, "_solve", reporting)
@@ -446,8 +463,8 @@ class TestErrors:
         # the contract must fail on NaN, not pass it.
         solve = eigen_mod._solve
 
-        def poisoned(a, count):
-            info, values, vectors = solve(a, count)
+        def poisoned(v, kinetic, count):
+            info, values, vectors = solve(v, kinetic, count)
             if bad == "values":
                 return info, np.full_like(values, np.nan), vectors
             return info, values, np.full_like(vectors, np.nan)
@@ -465,9 +482,10 @@ class TestErrors:
         h = 1e200 * random_hermitian(6, seed=11)
         solve = eigen_mod._solve
 
-        def shifted(a, count):
-            info, values, vectors = solve(a, count)
-            return info, values + shift * np.abs(a.entries).max(), vectors
+        def shifted(v, kinetic, count):
+            info, values, vectors = solve(v, kinetic, count)
+            h = v + np.diag(kinetic)
+            return info, values + shift * np.abs(h).max(), vectors
 
         monkeypatch.setattr(eigen_mod, "_solve", shifted)
         if shift:
