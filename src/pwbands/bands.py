@@ -1,4 +1,5 @@
-"""Band-structure sweeps along k-paths, gap detection, convergence studies."""
+"""Band-structure sweeps along k-paths and cutoff convergence studies, both
+on a plane-wave basis the caller enumerates, and gap detection."""
 
 from __future__ import annotations
 
@@ -63,8 +64,9 @@ class SweepError(RuntimeError):
 
 
 def sweep(path: KPath, model: Potential, lattice: RealLattice,
-          recip: ReciprocalLattice, g2_max: float, num_bands: int) -> BandStructure:
-    """Diagonalize the Bloch Hamiltonian at every path point.
+          recip: ReciprocalLattice, basis: PlaneWaveBasis,
+          num_bands: int) -> BandStructure:
+    """Diagonalize the Bloch Hamiltonian over ``basis`` at every path point.
 
     The potential block is assembled and checked once and reused; only the
     kinetic diagonal changes with kappa.  Each point is solved in the two
@@ -72,7 +74,6 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     fixes it), whose blocks are built when that symmetry changes.  Each
     solve returns and verifies only the lowest ``num_bands`` eigenpairs.
     """
-    basis = PlaneWaveBasis.from_cutoff(recip, g2_max)
     v = CheckedBlock.of(potential_matrix(model, lattice, recip, basis))
     picks = _symmetries(lattice, recip, basis, v, path.kappas)
     energies = np.empty((len(path.points), num_bands))
@@ -153,15 +154,16 @@ def detect_gaps(bs: BandStructure) -> list:
 
 
 def convergence_study(kappa, model: Potential, lattice: RealLattice,
-                      recip: ReciprocalLattice, cutoffs, num_bands: int) -> list:
+                      recip: ReciprocalLattice, basis: PlaneWaveBasis,
+                      cutoffs, num_bands: int) -> list:
     """Solve at one kappa for each cutoff in an ascending list: leading blocks
-    of one basis and V built at the largest, so levels interlace (Cauchy):
-    no level may rise as the cutoff grows.  Each row is checked for that;
-    a rise beyond 1e-9 max|H| raises SweepError naming the cutoff."""
+    of ``basis`` (holding every G up to the largest) and of V there, so levels
+    interlace (Cauchy): no level may rise as the cutoff grows.  Each row is
+    checked; a rise beyond 1e-9 max|H| raises SweepError naming the cutoff."""
     cutoffs = [float(c) for c in cutoffs]
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"need strictly ascending cutoffs, got {cutoffs}")
-    basis = PlaneWaveBasis.from_cutoff(recip, cutoffs[-1])
+    basis = basis.truncate(cutoffs[-1])
     v = potential_matrix(model, lattice, recip, basis)
     kappa = np.asarray(kappa, dtype=float)
     block = CheckedBlock.of(v)

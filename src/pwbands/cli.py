@@ -1,9 +1,11 @@
 """Command-line interface: config ingestion, dispatch, and artifact output.
 
 Commands read a single JSON config describing the crystal, the potential
-model, the basis cutoff, and the k-path, and emit band data as CSV/JSON
-and band diagrams as SVG.  Exit codes: 0 success, 2 config error,
-3 numerical failure.
+model, the basis cutoffs and the k-path; ``load_config`` enumerates the
+run's one plane-wave basis.  A command solves on truncations of it, writes
+band data as CSV/JSON and band diagrams as SVG, and only then prints, so a
+run that cannot write prints nothing.  Exit codes: 0 success, 2 config
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,12 +57,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Validated configuration; cutoffs are in config units of (pi/a)^2."""
+    """Validated configuration: ``*_units`` cutoffs in config units of
+    (pi/a)^2, ``g2_max`` and ``shell_unit`` in 1/A^2, and ``basis``, the run's
+    one basis (at the top cutoff or reachable override shell)."""
 
     lattice: RealLattice
     recip: ReciprocalLattice
     model: Potential
     g2_max_units: float
+    g2_max: float
     cutoffs_units: tuple | None
     converge_kappa: np.ndarray
     path: KPath
@@ -66,16 +73,8 @@ class RunConfig:
     formats: tuple
     out_dir: str
     raw: dict
-
-    @property
-    def shell_unit(self) -> float:
-        """(pi/a)^2 in 1/A^2, the unit of cutoffs and override shells."""
-        return (math.pi / self.lattice.lattice_constant) ** 2
-
-    @property
-    def g2_max(self) -> float:
-        """Plane-wave cutoff on |G|^2 in 1/A^2."""
-        return self.g2_max_units * self.shell_unit
+    shell_unit: float
+    basis: PlaneWaveBasis
 
 
 def _require(section: dict, key: str, where: str):
@@ -248,33 +247,50 @@ def load_config(config_file) -> RunConfig:
             raise ConfigError("output.formats", f"unknown format {fmt!r}")
     out_dir = str(out_sec.get("directory", "."))
 
-    cfg = RunConfig(
-        lattice=lattice, recip=recip, model=model, g2_max_units=g2_units,
-        cutoffs_units=cutoffs, converge_kappa=converge_kappa,
-        path=kpath, num_bands=num_bands, formats=tuple(formats),
-        out_dir=out_dir, raw=raw)
-    # One basis serves both checks; no G - G' reaches 4x the top cutoff.
     smallest = min((g2_units, *(cutoffs or ())))
-    reach = 4.0 * max((g2_units, *(cutoffs or ())))
-    shells = [shell for shell in model.overrides if shell <= reach]
-    basis = PlaneWaveBasis.from_cutoff(
-        recip, max((smallest, *shells)) * cfg.shell_unit)
+    top = max((g2_units, *(cutoffs or ())))
+    # Refuse, before enumerating, a cutoff whose V alone (8 bytes or more
+    # per entry) cannot fit in physical memory.  About (pi/6)(omega/a^3) n^3
+    # plane waves, the ball over the reciprocal cell, lie within n^2 (pi/a)^2.
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    waves = math.pi / 6 * float(lattice.volume) / a ** 3 * top * math.sqrt(top)
+    if 8 * waves * waves > memory:
+        raise ConfigError(
+            "basis.cutoffs" if top > g2_units else "basis.g2_max",
+            f"cutoff {top:g} gives about {waves:.3g} plane waves, whose "
+            f"potential block exceeds the {memory} bytes of physical memory")
+    # One basis serves every check and command; G - G' stays within 4x top.
+    shell_unit = (math.pi / a) ** 2
+    shells = [shell for shell in model.overrides if shell <= 4.0 * top]
+    basis = PlaneWaveBasis.from_cutoff(recip, max((top, *shells)) * shell_unit)
     occupied = shell_index(basis.g2, a)
     for shell in shells:
         if shell not in occupied:
             raise ConfigError(f"potential.overrides.{shell}", "no reciprocal-"
                               f"lattice vector lies on shell {shell}")
-    dim = basis.truncate(smallest * cfg.shell_unit).dim
+    dim = basis.truncate(smallest * shell_unit).dim
     if num_bands > dim:
         key = "basis.cutoffs" if smallest < g2_units else "output.num_bands"
         raise ConfigError(key, f"cutoff {smallest:g} gives basis size {dim}, "
                           f"below output.num_bands={num_bands}")
-    return cfg
+    return RunConfig(
+        lattice=lattice, recip=recip, model=model, g2_max_units=g2_units,
+        g2_max=g2_units * shell_unit, cutoffs_units=cutoffs,
+        converge_kappa=converge_kappa, path=kpath, num_bands=num_bands,
+        formats=tuple(formats), out_dir=out_dir, raw=raw,
+        shell_unit=shell_unit, basis=basis)
 
 
-def _lines(header, rows, sep=",") -> str:
-    """One line per row of cells, header first, cells joined by ``sep``."""
-    return "".join(sep.join(row) + "\n" for row in [header, *rows])
+def _lines(header, rows, specs, sep=",") -> str:
+    """Header, then one line per row: each cell in its column's format spec
+    (the last spec serves every further column), and each header name
+    right-aligned to its spec's width."""
+    specs = [*specs, *[specs[-1]] * len(header)]
+    lines = [[name.rjust(int(re.match(r"\d*", spec)[0] or 0))
+              for name, spec in zip(header, specs)],
+             *([format(cell, spec) for cell, spec in zip(row, specs)]
+               for row in rows)]
+    return "".join(sep.join(line) + "\n" for line in lines)
 
 
 def _json(doc: dict) -> str:
@@ -286,9 +302,8 @@ def bands_csv(bs: BandStructure) -> str:
     return _lines(
         ["k_index", "arc_distance", "label",
          *(f"E{i + 1}" for i in range(bs.num_bands))],
-        ([str(i), f"{point.arc_distance:.6f}", point.label or "",
-          *(f"{e:.6f}" for e in bs.energies[i])]
-         for i, point in enumerate(bs.path.points)))
+        ((i, point.arc_distance, point.label or "", *bs.energies[i])
+         for i, point in enumerate(bs.path.points)), ("d", ".6f", "s", ".6f"))
 
 
 def bands_json(bs: BandStructure, gaps, raw_config: dict) -> str:
@@ -313,45 +328,31 @@ def gaps_json(gaps, raw_config: dict) -> str:
 def gaps_text(gaps) -> str:
     if not gaps:
         return "no gaps detected\n"
-    return _lines(
-        ["below_band", "gap_bottom(eV)", "gap_top(eV)", "width(eV)"],
-        ([f"{g.below_band:10d}", f"{g.gap_bottom:14.6f}",
-          f"{g.gap_top:11.6f}", f"{g.width:9.6f}"] for g in gaps), sep="  ")
+    return _lines(["below_band", "gap_bottom(eV)", "gap_top(eV)", "width(eV)"],
+                  map(astuple, gaps), ("10d", "14.6f", "11.6f", "9.6f"),
+                  sep="  ")
 
 
-def converge_text(rows, cutoffs) -> str:
-    """Fixed-width cutoff study table; ``cutoffs`` in config units."""
-    return _lines(
-        ["g2_max".rjust(10), "dim".rjust(6),
-         *(f"E{i + 1}".rjust(12) for i in range(len(rows[0].values)))],
-        ([f"{cutoff:10.2f}", f"{row.dim:6d}", *(f"{e:12.6f}" for e in row.values)]
-         for cutoff, row in zip(cutoffs, rows)), sep="")
+def converge_text(study) -> str:
+    """Fixed-width table of the study: header, rows (g2_max, dim, E1..En)."""
+    return _lines(*study, ("10.2f", "6d", "12.6f"), sep="")
 
 
-def converge_csv(rows, cutoffs) -> str:
-    return _lines(
-        ["g2_max", "dim", *(f"E{i + 1}" for i in range(len(rows[0].values)))],
-        ([f"{cutoff:.6f}", str(row.dim), *(f"{e:.6f}" for e in row.values)]
-         for cutoff, row in zip(cutoffs, rows)))
+def converge_csv(study) -> str:
+    return _lines(*study, (".6f", "d", ".6f"))
 
 
-def converge_json(rows, cutoffs, raw_config: dict) -> str:
-    return _json({
-        "config": raw_config,
-        "rows": [{
-            "g2_max": cutoff,
-            "dim": row.dim,
-            "energies": [float(e) for e in row.values],
-        } for cutoff, row in zip(cutoffs, rows)],
-    })
+def converge_json(study, raw_config: dict) -> str:
+    return _json({"config": raw_config, "rows": [
+        {"g2_max": cutoff, "dim": dim, "energies": [float(e) for e in levels]}
+        for cutoff, dim, *levels in study[1]]})
 
 
-def _write(cfg: RunConfig, out, emitters: dict, formats=None):
-    """Write each ``{file name: emitter}`` whose suffix is in ``formats``
-    (default: the config's); return the directory and the names written.
-    Called after the compute, so a failed run makes no directory; a place
-    it cannot write to is a config error."""
-    texts = {name: emit() for name, emit in emitters.items()
+def _finish(cfg: RunConfig, out, files: dict, stdout, formats=None) -> int:
+    """Emit each ``{file name: (emitter, *args)}`` whose suffix is in
+    ``formats`` (default: the config's), write them, and only then print
+    ``stdout(directory, names)``: a run that cannot write prints nothing."""
+    texts = {name: emit(*args) for name, (emit, *args) in files.items()
              if name.rsplit(".", 1)[1] in (formats or cfg.formats)}
     directory = Path(out if out is not None else cfg.out_dir)
     try:
@@ -361,12 +362,13 @@ def _write(cfg: RunConfig, out, emitters: dict, formats=None):
     except OSError as exc:
         raise ConfigError("--out" if out is not None else "output.directory",
                           str(exc)) from exc
-    return directory, list(texts)
+    sys.stdout.write(stdout(directory, list(texts)))
+    return 0
 
 
 def _run_sweep(cfg: RunConfig) -> BandStructure:
     return bands_mod.sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
-                           cfg.g2_max, cfg.num_bands)
+                           cfg.basis.truncate(cfg.g2_max), cfg.num_bands)
 
 
 def cmd_bands(config_file, out=None) -> int:
@@ -374,43 +376,38 @@ def cmd_bands(config_file, out=None) -> int:
     cfg = load_config(config_file)
     bs = _run_sweep(cfg)
     gaps = detect_gaps(bs)
-    directory, written = _write(cfg, out, {
-        "bands.csv": lambda: bands_csv(bs),
-        "bands.json": lambda: bands_json(bs, gaps, cfg.raw),
-        "bands.svg": lambda: render_bands(bs, gaps),
-    })
-    print(f"{len(bs.path.points)} k-points, {bs.num_bands} bands, "
-          f"{len(gaps)} gap(s)")
-    print(f"wrote {', '.join(written)} to {directory}")
-    return 0
+    return _finish(cfg, out, {
+        "bands.csv": (bands_csv, bs),
+        "bands.json": (bands_json, bs, gaps, cfg.raw),
+        "bands.svg": (render_bands, bs, gaps),
+    }, lambda directory, names: (
+        f"{len(bs.path.points)} k-points, {bs.num_bands} bands, "
+        f"{len(gaps)} gap(s)\nwrote {', '.join(names)} to {directory}\n"))
 
 
 def cmd_gaps(config_file, out=None) -> int:
-    """Sweep, detect gaps, print the table, and write gaps.json."""
+    """Sweep, detect gaps, write gaps.json, and print the table."""
     cfg = load_config(config_file)
     gaps = detect_gaps(_run_sweep(cfg))
-    sys.stdout.write(gaps_text(gaps))
     # gaps.json is written whatever output.formats lists.
-    _write(cfg, out, {"gaps.json": lambda: gaps_json(gaps, cfg.raw)},
-           formats=("json",))
-    return 0
+    return _finish(cfg, out, {"gaps.json": (gaps_json, gaps, cfg.raw)},
+                   lambda *_: gaps_text(gaps), formats=("json",))
 
 
 def cmd_converge(config_file, out=None) -> int:
-    """Run the cutoff convergence study and write the table artifact."""
+    """Run the cutoff convergence study; write and print its table."""
     cfg = load_config(config_file)
     cutoffs = cfg.cutoffs_units
     if cutoffs is None:
         raise ConfigError("basis.cutoffs", "required for the converge command")
     rows = bands_mod.convergence_study(
-        cfg.converge_kappa, cfg.model, cfg.lattice, cfg.recip,
+        cfg.converge_kappa, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
         [c * cfg.shell_unit for c in cutoffs], cfg.num_bands)
-    sys.stdout.write(converge_text(rows, cutoffs))
-    _write(cfg, out, {
-        "converge.csv": lambda: converge_csv(rows, cutoffs),
-        "converge.json": lambda: converge_json(rows, cutoffs, cfg.raw),
-    })
-    return 0
+    study = (["g2_max", "dim", *(f"E{i + 1}" for i in range(cfg.num_bands))],
+             [(c, row.dim, *row.values) for c, row in zip(cutoffs, rows)])
+    return _finish(cfg, out, {"converge.csv": (converge_csv, study),
+                              "converge.json": (converge_json, study, cfg.raw)},
+                   lambda *_: converge_text(study))
 
 
 def cmd_info(config_file, out=None) -> int:
@@ -430,7 +427,7 @@ def cmd_info(config_file, out=None) -> int:
     for name, vec in (("g1", recip.g1), ("g2", recip.g2), ("g3", recip.g3)):
         print(f"  {name} = {fmt(vec)} 1/A")
     print(f"  omega = {recip.omega:.6f} A^3")
-    dim = PlaneWaveBasis.from_cutoff(recip, cfg.g2_max).dim
+    dim = cfg.basis.truncate(cfg.g2_max).dim
     print(f"  basis size at g2_max = {cfg.g2_max_units:g} (pi/a)^2: {dim}")
     return 0
 

@@ -51,6 +51,11 @@ class criterion:
         return False
 
 
+def basis(rec, units):
+    """Every G up to a cutoff of ``units`` (pi/a)^2."""
+    return PlaneWaveBasis.from_cutoff(rec, units * SHELL)
+
+
 def default_tour(samples=50):
     pts = fcc_symmetry_points(A_SI)
     return make_kpath([(s, pts[s]) for s in ("L", "Γ", "X", "U", "Γ")],
@@ -88,7 +93,7 @@ def test_criterion_2_free_electron_oracle(diamond):
         start = time.perf_counter()
         lat, rec = diamond
         tour = default_tour(50)
-        bs = sweep(tour, Potential(0.0), lat, rec, 76 * SHELL, 8)
+        bs = sweep(tour, Potential(0.0), lat, rec, basis(rec, 76), 8)
         ref = free_electron_reference(tour, lat, rec, 76 * SHELL, 8)
         assert np.abs(bs.energies - ref.energies).max() < 1e-9
 
@@ -179,7 +184,7 @@ def test_criterion_6_coulomb_phenomenology(diamond):
         tour = default_tour(50)
         runs = {}
         for z in (0.0, 0.25, 0.5, 2.0):
-            runs[z] = sweep(tour, Potential(z), lat, rec, 76 * SHELL, 8)
+            runs[z] = sweep(tour, Potential(z), lat, rec, basis(rec, 76), 8)
         # (a) free bands overlap everywhere
         assert detect_gaps(runs[0.0]) == []
         # (b) band-1/band-2 splitting at L is nondecreasing in z_eff
@@ -200,7 +205,7 @@ def test_criterion_7_empirical_preset_gap(diamond):
         tour = default_tour(50)
         model = Potential(0.0, overrides=FIG4A_TABLE,
                           override_mode="element")
-        bs = sweep(tour, model, lat, rec, 76 * SHELL, 8)
+        bs = sweep(tour, model, lat, rec, basis(rec, 76), 8)
         gaps = {g.below_band: g for g in detect_gaps(bs)}
         assert 4 in gaps and gaps[4].width > 0
         band4 = bs.energies[:, 3]
@@ -214,7 +219,7 @@ def test_criterion_8_convergence(diamond):
         lat, rec = diamond
         cutoffs = [44 * SHELL, 76 * SHELL, 108 * SHELL]
         rows = convergence_study(np.zeros(3), Potential(0.5), lat, rec,
-                                 cutoffs, 8)
+                                 basis(rec, 108), cutoffs, 8)
         d1 = np.abs(rows[1].values - rows[0].values)
         d2 = np.abs(rows[2].values - rows[1].values)
         assert np.all(d2 < d1)

@@ -22,6 +22,11 @@ SHELL = (math.pi / A_SI) ** 2
 FIG4A_TABLE = {0: -9.50, 12: 2.42, 32: 0.80, 44: -0.82, 64: 0.88, 76: 0.00}
 
 
+def basis(rec, units):
+    """Every G up to a cutoff of ``units`` (pi/a)^2."""
+    return PlaneWaveBasis.from_cutoff(rec, units * SHELL)
+
+
 @pytest.fixture(scope="module")
 def diamond():
     lat = make_cubic("DIAMOND", A_SI)
@@ -37,13 +42,13 @@ def quick_tour():
 class TestSweep:
     def test_free_sweep_matches_reference(self, diamond, quick_tour):
         lat, rec = diamond
-        bs = sweep(quick_tour, Potential(0.0), lat, rec, 76 * SHELL, 8)
+        bs = sweep(quick_tour, Potential(0.0), lat, rec, basis(rec, 76), 8)
         ref = free_electron_reference(quick_tour, lat, rec, 76 * SHELL, 8)
         assert np.abs(bs.energies - ref.energies).max() < 1e-9
 
     def test_rows_ascending(self, diamond, quick_tour):
         lat, rec = diamond
-        bs = sweep(quick_tour, Potential(0.5), lat, rec, 44 * SHELL, 8)
+        bs = sweep(quick_tour, Potential(0.5), lat, rec, basis(rec, 44), 8)
         assert np.all(np.diff(bs.energies, axis=1) >= 0)
 
     def test_folded_parabola_along_l_gamma(self, diamond):
@@ -51,7 +56,7 @@ class TestSweep:
         lat, rec = diamond
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("L", pts["L"]), ("Γ", pts["Γ"])], 12)
-        bs = sweep(path, Potential(0.0), lat, rec, 44 * SHELL, 6)
+        bs = sweep(path, Potential(0.0), lat, rec, basis(rec, 44), 6)
         for i, point in enumerate(path.points):
             cart = bands_mod.PlaneWaveBasis.from_cutoff(rec, 44 * SHELL).cart
             levels = np.sort(
@@ -61,7 +66,7 @@ class TestSweep:
     def test_rejects_num_bands_beyond_basis(self, diamond, quick_tour):
         lat, rec = diamond
         with pytest.raises(ValueError):
-            sweep(quick_tour, Potential(0.0), lat, rec, 0.0, 2)
+            sweep(quick_tour, Potential(0.0), lat, rec, basis(rec, 0), 2)
 
     def test_solver_failure_carries_kpoint(self, diamond, quick_tour,
                                            monkeypatch):
@@ -72,7 +77,7 @@ class TestSweep:
 
         monkeypatch.setattr(bands_mod, "eigh", fail)
         with pytest.raises(SweepError) as excinfo:
-            sweep(quick_tour, Potential(0.0), lat, rec, 12 * SHELL, 4)
+            sweep(quick_tour, Potential(0.0), lat, rec, basis(rec, 12), 4)
         assert excinfo.value.index == 0
         np.testing.assert_allclose(excinfo.value.kappa,
                                    quick_tour.points[0].kappa)
@@ -85,7 +90,7 @@ class TestRealPath:
     def test_complex_potential_gives_same_bands(self, diamond, quick_tour,
                                                 model, monkeypatch):
         lat, rec = diamond
-        real = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
+        real = sweep(quick_tour, model, lat, rec, basis(rec, 76), 8)
         assembled = []
 
         def complex_potential(*args):
@@ -94,7 +99,7 @@ class TestRealPath:
             return v.astype(complex)
 
         monkeypatch.setattr(bands_mod, "potential_matrix", complex_potential)
-        forced = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
+        forced = sweep(quick_tour, model, lat, rec, basis(rec, 76), 8)
         assert assembled == [np.float64]
         np.testing.assert_allclose(forced.energies, real.energies,
                                    rtol=0, atol=1e-10)
@@ -133,7 +138,7 @@ class TestBlockPath:
             return calls[-1][1]
 
         monkeypatch.setattr(bands_mod, "eigh", recording)
-        bs = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
+        bs = sweep(quick_tour, model, lat, rec, basis, 8)
         assert len(calls) == len(quick_tour.points)
         for point, energies, (h, result) in zip(quick_tour.points,
                                                 bs.energies, calls):
@@ -163,7 +168,7 @@ class TestBlockPath:
         monkeypatch.setattr(bands_mod, "potential_matrix", broken)
         with pytest.raises(SweepError, match=f"at k-point 0 .*{message}") \
                 as excinfo:
-            sweep(quick_tour, Potential(0.5), lat, rec, 44 * SHELL, 4)
+            sweep(quick_tour, Potential(0.5), lat, rec, basis(rec, 44), 4)
         assert excinfo.value.index == 0
         np.testing.assert_array_equal(excinfo.value.kappa,
                                       quick_tour.points[0].kappa)
@@ -181,7 +186,7 @@ class TestSectors:
         solve, results = bands_mod.eigh, []
         monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
             results.append(solve(h, count)) or results[-1]))
-        sweep(path, Potential(0.5), lat, rec, 200 * SHELL, 8)
+        sweep(path, Potential(0.5), lat, rec, basis(rec, 200), 8)
         assert [r.sectors for r in results] == [(170, 169), (172, 167),
                                                 (172, 167)]
 
@@ -202,7 +207,7 @@ class TestSectors:
         monkeypatch.setattr(bands_mod, "sectors", lambda v, inv: (
             built.append(inv) or split(v, inv)))
         sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
-              g2_units * SHELL, cfg.num_bands)
+              basis(cfg.recip, g2_units), cfg.num_bands)
         assert len(cfg.path.points) == 197
         assert len(found) == 31
         assert len(tested) == 3
@@ -216,7 +221,7 @@ class TestSectors:
         solve, results = bands_mod.eigh, []
         monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
             results.append(solve(h, count)) or results[-1]))
-        sweep(path, Potential(0.5), lat, rec, 44 * SHELL, 8)
+        sweep(path, Potential(0.5), lat, rec, basis(rec, 44), 8)
         assert [r.sectors for r in results] == [(51,), (51,)]
 
     def test_convergence_rows_are_leading_sector_blocks(self, diamond,
@@ -229,11 +234,13 @@ class TestSectors:
         solve, results = bands_mod.eigh, []
         monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
             results.append(solve(h, count)) or results[-1]))
-        rows = convergence_study(x, Potential(0.5), lat, rec, cutoffs, 8)
+        rows = convergence_study(x, Potential(0.5), lat, rec, basis(rec, 76),
+                                 cutoffs, 8)
         assert [sum(r.sectors) for r in results] == [row.dim for row in rows]
         assert all(len(r.sectors) == 2 for r in results)
         monkeypatch.setattr(bands_mod, "involutions", lambda *_: [])
-        whole = convergence_study(x, Potential(0.5), lat, rec, cutoffs, 8)
+        whole = convergence_study(x, Potential(0.5), lat, rec,
+                                  basis(rec, 76), cutoffs, 8)
         assert all(len(r.sectors) == 1 for r in results[3:])
         for row, ref in zip(rows, whole):
             np.testing.assert_allclose(row.values, ref.values, rtol=0,
@@ -258,7 +265,7 @@ class TestFreeElectronReference:
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("Γ", pts["Γ"]), ("X", pts["X"])], 3)
         ref = free_electron_reference(path, lat, rec, 44 * SHELL, 8)
-        bs = sweep(path, Potential(0.0), lat, rec, 44 * SHELL, 8)
+        bs = sweep(path, Potential(0.0), lat, rec, basis(rec, 44), 8)
         np.testing.assert_allclose(ref.energies[-1], bs.energies[-1],
                                    atol=1e-9)
 
@@ -272,7 +279,7 @@ class TestFreeElectronReference:
     def test_perturbative_limit_tracks_free_bands(self, diamond, quick_tour):
         # A tiny charge shifts every band by far less than 1e-2 eV.
         lat, rec = diamond
-        bs = sweep(quick_tour, Potential(1e-4), lat, rec, 76 * SHELL, 8)
+        bs = sweep(quick_tour, Potential(1e-4), lat, rec, basis(rec, 76), 8)
         ref = free_electron_reference(quick_tour, lat, rec, 76 * SHELL, 8)
         assert np.abs(bs.energies - ref.energies).max() < 1e-2
 
@@ -285,7 +292,7 @@ class TestDetectGaps:
 
     def test_strong_coupling_opens_gap(self, diamond, quick_tour):
         lat, rec = diamond
-        bs = sweep(quick_tour, Potential(2.0), lat, rec, 76 * SHELL, 8)
+        bs = sweep(quick_tour, Potential(2.0), lat, rec, basis(rec, 76), 8)
         gaps = detect_gaps(bs)
         assert len(gaps) >= 1
         for gap in gaps:
@@ -296,7 +303,7 @@ class TestDetectGaps:
         lat, rec = diamond
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("L", pts["L"]), ("L", pts["L"])], 2)
-        bs = sweep(path, Potential(0.5), lat, rec, 44 * SHELL, 4)
+        bs = sweep(path, Potential(0.5), lat, rec, basis(rec, 44), 4)
         gaps = detect_gaps(bs)
         levels = bs.energies[0]
         expected = [(n + 1, levels[n + 1] - levels[n])
@@ -308,7 +315,7 @@ class TestDetectGaps:
         lat, rec = diamond
         splits = []
         for z in (0.0, 0.25, 0.5, 2.0):
-            bs = sweep(quick_tour, Potential(z), lat, rec, 76 * SHELL, 2)
+            bs = sweep(quick_tour, Potential(z), lat, rec, basis(rec, 76), 2)
             splits.append(bs.energies[0, 1] - bs.energies[0, 0])
         assert all(b >= a - 1e-12 for a, b in zip(splits, splits[1:]))
 
@@ -316,7 +323,7 @@ class TestDetectGaps:
         lat, rec = diamond
         widths = {}
         for z in (0.5, 2.0):
-            bs = sweep(quick_tour, Potential(z), lat, rec, 76 * SHELL, 1)
+            bs = sweep(quick_tour, Potential(z), lat, rec, basis(rec, 76), 1)
             widths[z] = np.ptp(bs.energies[:, 0])
         assert widths[2.0] < widths[0.5]
 
@@ -324,7 +331,7 @@ class TestDetectGaps:
         lat, rec = diamond
         model = Potential(0.0, overrides=FIG4A_TABLE,
                           override_mode="element")
-        bs = sweep(quick_tour, model, lat, rec, 76 * SHELL, 8)
+        bs = sweep(quick_tour, model, lat, rec, basis(rec, 76), 8)
         gaps = {g.below_band: g for g in detect_gaps(bs)}
         assert 4 in gaps
         assert gaps[4].width > 0
@@ -335,7 +342,7 @@ class TestConvergence:
         lat, rec = diamond
         cutoffs = [12 * SHELL, 44 * SHELL, 76 * SHELL]
         rows = convergence_study(np.zeros(3), Potential(0.0), lat, rec,
-                                 cutoffs, 4)
+                                 basis(rec, 76), cutoffs, 4)
         assert len(rows) == 3
         for a, b in zip(rows, rows[1:]):
             np.testing.assert_allclose(a.values, b.values, atol=1e-12)
@@ -344,7 +351,7 @@ class TestConvergence:
         lat, rec = diamond
         cutoffs = [44 * SHELL, 76 * SHELL, 108 * SHELL]
         rows = convergence_study(np.zeros(3), Potential(0.5), lat, rec,
-                                 cutoffs, 8)
+                                 basis(rec, 108), cutoffs, 8)
         d1 = np.abs(rows[1].values - rows[0].values)
         d2 = np.abs(rows[2].values - rows[1].values)
         assert np.all(d2 < d1)
@@ -352,7 +359,7 @@ class TestConvergence:
     def test_single_cutoff_single_row(self, diamond):
         lat, rec = diamond
         rows = convergence_study(np.zeros(3), Potential(0.5), lat, rec,
-                                 [44 * SHELL], 8)
+                                 basis(rec, 44), [44 * SHELL], 8)
         assert len(rows) == 1
         assert rows[0].dim == 51
 
@@ -360,14 +367,14 @@ class TestConvergence:
         lat, rec = diamond
         with pytest.raises(ValueError):
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
-                              [76 * SHELL, 44 * SHELL], 8)
+                              basis(rec, 76), [76 * SHELL, 44 * SHELL], 8)
 
     def test_rejects_num_bands_beyond_smallest_basis(self, diamond):
         # The largest basis holds 8 bands; the first cutoff's (dim 1) not.
         lat, rec = diamond
         with pytest.raises(ValueError, match="outside 1..1"):
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
-                              [0.0, 44 * SHELL], 8)
+                              basis(rec, 44), [0.0, 44 * SHELL], 8)
 
 
 def skip_lowest_level_on_call(monkeypatch, call):
@@ -394,6 +401,7 @@ class TestInterlacing:
         with pytest.raises(SweepError, match=r"\(cutoffs\[1\]\): E1 rose") \
                 as excinfo:
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
+                              basis(rec, 76),
                               [16 * SHELL, 44 * SHELL, 76 * SHELL], 4)
         assert excinfo.value.index == 1
         np.testing.assert_array_equal(excinfo.value.kappa, np.zeros(3))
@@ -404,6 +412,7 @@ class TestInterlacing:
         skip_lowest_level_on_call(monkeypatch, 3)
         with pytest.raises(SweepError, match="do not interlace") as excinfo:
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
+                              basis(rec, 76),
                               [16 * SHELL, 44 * SHELL, 76 * SHELL], 4)
         assert excinfo.value.index == 2
 
@@ -421,14 +430,14 @@ class TestInterlacing:
 
         monkeypatch.setattr(bands_mod, "eigh", nudged)
         rows = convergence_study(np.zeros(3), Potential(0.0), lat, rec,
-                                 [12 * SHELL, 44 * SHELL], 4)
+                                 basis(rec, 44), [12 * SHELL, 44 * SHELL], 4)
         assert len(rows) == 2
 
 
 class TestTypes:
     def test_band_structure_shape(self, diamond, quick_tour):
         lat, rec = diamond
-        bs = sweep(quick_tour, Potential(0.0), lat, rec, 12 * SHELL, 4)
+        bs = sweep(quick_tour, Potential(0.0), lat, rec, basis(rec, 12), 4)
         assert isinstance(bs, BandStructure)
         assert bs.energies.shape == (len(quick_tour.points), 4)
 

@@ -159,8 +159,8 @@ class TestBandsCommand:
         out = tmp_path / "out"
         cmd_bands(path, out=out)
         cfg = load_config(path)
-        bs = sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.g2_max,
-                   cfg.num_bands)
+        bs = sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
+                   cfg.basis.truncate(cfg.g2_max), cfg.num_bands)
         with (out / "bands.csv").open(encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k_index", "arc_distance", "label"] \
@@ -191,8 +191,8 @@ class TestBandsCommand:
         doc = json.loads((out / "bands.json").read_text(encoding="utf-8"))
         assert doc["config"] == json.loads(path.read_text(encoding="utf-8"))
         cfg = load_config(path)
-        bs = sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.g2_max,
-                   cfg.num_bands)
+        bs = sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
+                   cfg.basis.truncate(cfg.g2_max), cfg.num_bands)
         gaps = detect_gaps(bs)
         assert doc["num_bands"] == 6
         assert len(doc["points"]) == len(bs.path.points)
@@ -393,14 +393,35 @@ class TestMain:
         assert main(["bands", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_out_naming_a_file_exits_2(self, write_config, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["bands", "gaps", "converge"])
+    def test_out_naming_a_file_exits_2(self, write_config, tmp_path, capsys,
+                                       command):
+        # Files are written before anything is printed, so a failed write
+        # leaves stdout empty.
         taken = tmp_path / "taken"
         taken.write_text("", encoding="utf-8")
-        assert main(["bands", "--config", str(write_config()),
+        path = write_config(mutate=lambda c: c["basis"].update(
+            cutoffs=[12, 16]))
+        assert main([command, "--config", str(path),
                      "--out", str(taken)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("config error at --out: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [1e15, 3e4], ids=["1e15", "3e4"])
+    @pytest.mark.parametrize("key", ["g2_max", "cutoffs"])
+    def test_cutoff_beyond_physical_memory_exits_2(self, write_config, capsys,
+                                                   key, value):
+        # At 3e4 (pi/a)^2 silicon has 680,507 plane waves, and V alone
+        # would take 3.7 TB; the estimate refuses it before enumerating.
+        path = write_config(mutate=lambda c: c["basis"].update(
+            {key: [12, value] if key == "cutoffs" else value}))
+        assert main(["info", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error at basis.{key}: ")
+        assert "physical memory" in err
 
     def test_output_directory_below_a_file_exits_2(self, write_config,
                                                    tmp_path, capsys):

@@ -59,7 +59,8 @@ def non_centered():
 def bands_at(kappas, model, lat, rec, g2_max=44 * SHELL, num_bands=8):
     """Lowest bands at each kappa: a two-sample path hits only vertices."""
     path = make_kpath([(str(i), k) for i, k in enumerate(kappas)], 2)
-    return sweep(path, model, lat, rec, g2_max, num_bands).energies
+    basis = PlaneWaveBasis.from_cutoff(rec, g2_max)
+    return sweep(path, model, lat, rec, basis, num_bands).energies
 
 
 @pytest.mark.parametrize("name", ["z05", "si_empirical"])
@@ -71,6 +72,7 @@ def test_cauchy_interlacing(name, kappa):
     model, lat, rec = preset(name)
     cutoffs = [c * SHELL for c in (12, 20, 44, 76, 108)]
     rows = convergence_study(UNIT * np.array(kappa), model, lat, rec,
+                             PlaneWaveBasis.from_cutoff(rec, cutoffs[-1]),
                              cutoffs, 8)
     assert [row.dim for row in rows] == sorted({row.dim for row in rows})
     energies = np.array([row.values for row in rows])
@@ -108,7 +110,8 @@ def levels_at_x(name, cutoff, num_bands=8):
     """Lowest levels at X for a preset at a cutoff in (pi/a)^2."""
     model, lat, rec = preset(name)
     x = fcc_symmetry_points(A_SI)["X"]
-    return convergence_study(x, model, lat, rec, [cutoff * SHELL],
+    basis = PlaneWaveBasis.from_cutoff(rec, cutoff * SHELL)
+    return convergence_study(x, model, lat, rec, basis, [cutoff * SHELL],
                              num_bands)[0].values
 
 
@@ -147,8 +150,10 @@ def test_identities_on_drawn_crystals(kind, a, model, small, extra, frac, op):
     rec = reciprocal_of(lat)
     shell = (math.pi / a) ** 2
     kappa = (2.0 * math.pi / a) * np.array(frac)
+    cutoffs = [small * shell, (small + extra) * shell]
     rows = convergence_study(kappa, model, lat, rec,
-                             [small * shell, (small + extra) * shell], 6)
+                             PlaneWaveBasis.from_cutoff(rec, cutoffs[-1]),
+                             cutoffs, 6)
     energies = np.array([row.values for row in rows])
     tol = TOL * max(1.0, np.abs(energies).max())
     assert np.all(energies[1] - energies[0] <= tol)
@@ -176,7 +181,8 @@ def solve_tour(monkeypatch, crystal, op, whole=False):
         patch.setattr(bands_mod, "eigh", recording)
         if whole:
             patch.setattr(bands_mod, "involutions", lambda *_: [])
-        energies = sweep(path, *crystal, 76 * SHELL, 8).energies
+        basis = PlaneWaveBasis.from_cutoff(crystal[2], 76 * SHELL)
+        energies = sweep(path, *crystal, basis, 8).energies
     return energies, dims
 
 
