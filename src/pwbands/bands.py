@@ -1,17 +1,16 @@
 """Band-structure sweeps along k-paths and cutoff convergence studies, both
-on a plane-wave basis the caller enumerates, and gap detection."""
+on a plane-wave basis the caller enumerates, and gap detection.  Each
+k-point is solved in one row of each irrep of its little group."""
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .eigen import CheckedBlock, NonHermitianError, SolverError, eigh
-from .hamiltonian import (PlaneWaveBasis, build, involutions,
-                          leading_sectors, potential_matrix, sectors)
+from .hamiltonian import (PlaneWaveBasis, build, leading_blocks, little_group,
+                          operations, potential_matrix, row_blocks)
 from .lattice import KPath, RealLattice, ReciprocalLattice
 from .potential import HBAR2_OVER_2M, Potential
 
@@ -69,46 +68,25 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     """Diagonalize the Bloch Hamiltonian over ``basis`` at every path point.
 
     The potential block is assembled and checked once and reused; only the
-    kinetic diagonal changes with kappa.  Each point is solved in the two
-    sectors of the symmetry ``_symmetries`` yields for it (whole, if none
-    fixes it), whose blocks are built when that symmetry changes.  Each
-    solve returns and verifies only the lowest ``num_bands`` eigenpairs.
+    kinetic diagonal changes with kappa.  Each point is solved in one row
+    of each irrep of its little group (whole, if only the identity fixes
+    it), whose blocks are built once per sweep for each distinct group.
+    Each solve returns and verifies only the lowest ``num_bands`` pairs.
     """
+    crystal = operations(lattice, recip, basis)
     v = CheckedBlock.of(potential_matrix(model, lattice, recip, basis))
-    picks = _symmetries(lattice, recip, basis, v, path.kappas)
     energies = np.empty((len(path.points), num_bands))
-    inv, split = None, ()
-    for idx, (point, pick) in enumerate(zip(path.points, picks)):
-        if pick is not inv:
-            inv, split = pick, ()  # one symmetry's blocks at a time
-            if pick is not None:
-                split = sectors(v.matrix, pick)
+    blocks = {}
+    for idx, (point, fixing) in enumerate(zip(path.points,
+                                              crystal.fixes(path.kappas))):
+        key = fixing.tobytes()
+        if key not in blocks:
+            blocks[key] = row_blocks(v.matrix, little_group(crystal, v, fixing))
         # Live until the next solve, or malloc trims and re-faults its pages.
-        result = _solve(point.kappa, basis, v, split, num_bands, idx,
+        result = _solve(point.kappa, basis, v, blocks[key], num_bands, idx,
                         lambda: f"k-point {idx} kappa={point.kappa}")
         energies[idx] = result.values
     return BandStructure(path=path, num_bands=num_bands, energies=energies)
-
-
-def _symmetries(lattice, recip, basis, v, kappas):
-    """Yield, for each of kappas in turn, the symmetry to split it by.
-
-    Among the candidate involutions that fix kappa exactly and commute with
-    V, the one with the smallest |tr Q| (the most even split), then the one
-    last yielded, then the first; None if there is none.  The O(dim^2) test
-    against V runs once per candidate, and only on those reached.
-    """
-    candidates = [inv for inv in involutions(lattice, recip, basis)
-                  if abs(inv.trace) < basis.dim]
-    fixes = np.array([inv.fixes(kappas) for inv in candidates],
-                     bool).reshape(len(candidates), len(kappas)).T
-    commutes = functools.cache(lambda inv: inv.commutes(v))
-    current = None
-    for row in fixes:
-        fixing = sorted(itertools.compress(candidates, row), key=lambda inv: (
-            abs(inv.trace), inv is not current))
-        current = next(filter(commutes, fixing), None)
-        yield current
 
 
 def _solve(kappa, basis, v, split, num_bands, index, where):
@@ -167,10 +145,11 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
     v = potential_matrix(model, lattice, recip, basis)
     kappa = np.asarray(kappa, dtype=float)
     block = CheckedBlock.of(v)
-    # A kappa of any other shape is left to build to reject.
-    inv = next(_symmetries(lattice, recip, basis, block, kappa[None])) \
-        if kappa.shape == (3,) else None
-    split = () if inv is None else sectors(v, inv)
+    split = ()
+    if kappa.shape == (3,):  # any other shape is left to build to reject
+        crystal = operations(lattice, recip, basis)
+        split = row_blocks(v, little_group(crystal, block,
+                                           crystal.fixes(kappa[None])[0]))
     rows = []
     for idx, g2_max in enumerate(cutoffs):
         sub = basis.truncate(g2_max)
@@ -179,7 +158,7 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
             return f"cutoff g2_max={g2_max:g} 1/A^2 (cutoffs[{idx}])"
 
         sub_v = block if sub.dim == basis.dim else v[:sub.dim, :sub.dim]
-        result = _solve(kappa, sub, sub_v, leading_sectors(split, sub.dim),
+        result = _solve(kappa, sub, sub_v, leading_blocks(split, sub.dim),
                         num_bands, idx, where)
         rise = result.values - rows[-1].values if rows else 0.0
         over = rise > INTERLACING_TOL * result.scale

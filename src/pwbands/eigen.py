@@ -13,18 +13,13 @@ overflowing T, make max|H| non-finite and are rejected there, before LAPACK
 sees the matrix; so is a stored deviation above 1e-12 max|H|.  An ndarray
 is solved on the same path, as a block with T = 0.
 
-A BlochMatrix may carry ``sectors``: the eigenspaces of a symmetry Q of
-the crystal that commutes with H (an involution of the cubic group that
-fixes the Bloch vector, found by ``hamiltonian`` and chosen by ``bands``).
-H has no element between them, so each sector's block U^dagger V U (a
-plain array, built once per symmetry) plus T at its rows is solved on its
-own, for the lowest min(count, dim) pairs, and the lowest ``count`` of all
-of them are kept.  Two sectors of about dim/2 cost about a quarter of the
-tridiagonalisation of one matrix of dim.  The pairs are mapped back to the
-whole basis before they are verified, and max|H|, the Hermiticity test and
-the verification stay on the whole H, so a wrong split raises SolverError
-and cannot write wrong energies.  With no sectors, H is solved whole, as
-the one sector of the trivial split.
+A BlochMatrix may carry ``sectors``: one row of each irrep of the Bloch
+vector's little group (``hamiltonian.row_blocks``).  Each row's block plus
+T is solved once, for the lowest ceil(count/d) pairs of a d-dimensional
+irrep, whose d partner rows repeat its levels; the lowest ``count`` of all
+are kept, mapped back to the whole basis and verified against the whole H,
+so a wrong split, or rows that do not span the basis, raise SolverError
+instead of writing energies.  With no sectors H is solved whole.
 
 The decomposition itself is delegated to LAPACK's MRRR subset solvers,
 which compute only the lowest ``count`` eigenpairs: dsyevr for a real block
@@ -44,6 +39,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -126,39 +122,35 @@ class CheckedBlock:
         return len(self.diag)
 
 
-@dataclass(frozen=True, eq=False)
-class Sector:
-    """One eigenspace of a symmetry Q of V, and V's block in it.
+class Sector(NamedTuple):
+    """One row of an irrep of a group of symmetries of V, and V's block in it.
 
-    Each orbit of Q gives the sector one column: e_i for a row i that Q
-    maps to +/- itself, or (e_i +/- e_j) / sqrt(2) for a pair i < j it
-    swaps.  ``rows`` holds each column's smaller row, ascending, so the
-    leading columns span leading rows of the basis; ``mates`` the other
-    row (the row itself, for a fixed one).  U, the n x dim matrix of the
-    columns, holds one entry per basis row: U[i, column[i]] = coef[i]
-    (0 where row i lies outside the sector).  ``matrix`` is U^dagger V U,
-    unchecked (``eigh`` checks H); T enters as T[rows].
-    """
+    U_j, the dim x n basis of partner row j < d, has U_j[i, column[i, e]] =
+    coef[j, i, e].  Each column lies in one orbit of the group, whose first
+    basis row ``rows`` holds, ascending, so leading columns span leading
+    rows.  ``matrix`` is U_0^T V U_0 (every partner's block; unchecked,
+    ``eigh`` checks H), T enters as T[rows], and ``label`` is the irrep's
+    symbol, "" for H solved whole."""
 
+    label: str
     rows: np.ndarray
-    mates: np.ndarray
     column: np.ndarray
     coef: np.ndarray
     matrix: np.ndarray
 
     def expand(self, ys: np.ndarray) -> np.ndarray:
-        """(U y)^T for each row y of ys: sector vectors as basis vectors."""
-        xs = np.take(ys, self.column, axis=1)
-        xs *= self.coef
-        return xs
+        """(U_j y)^T for each partner j, then each row y of ys."""
+        xs = sum(np.take(ys, col, axis=1) * coef[:, None] for col, coef in
+                 zip(self.column.T, np.moveaxis(self.coef, 2, 0)))
+        return xs.reshape(-1, xs.shape[-1])
 
 
 @dataclass(frozen=True, eq=False)
 class BlochMatrix:
     """Hermitian H = V + diag(kinetic) at one Bloch vector, in eV.
 
-    ``sectors`` splits the basis into eigenspaces of a symmetry of H, which
-    ``eigh`` solves one by one; empty, H is solved whole.
+    ``sectors`` splits the basis into rows of the irreps of a group of
+    symmetries of H, which ``eigh`` solves one by one; empty, H is whole.
     """
 
     block: CheckedBlock
@@ -185,7 +177,8 @@ class EigenResult:
     ``orthonormality`` max|X^dagger X - I| (at most 1e-8) and
     ``hermiticity`` max|H - H^dagger| (eV, at most 1e-12 max|H|).
     ``sectors`` holds the dims of the matrices LAPACK solved: one per
-    symmetry sector, or H's own dim when it was solved whole."""
+    irrep of the little group, or H's own dim when it was solved whole, and
+    ``labels`` each level's irrep symbol ("" when H was solved whole)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -194,6 +187,7 @@ class EigenResult:
     orthonormality: float
     hermiticity: float
     sectors: tuple
+    labels: tuple
 
 
 def eigh(h, count: int | None = None) -> EigenResult:
@@ -202,9 +196,9 @@ def eigh(h, count: int | None = None) -> EigenResult:
     ``h`` is a BlochMatrix or an ndarray, which is checked as a block with
     a zero diagonal; a real block is solved as real symmetric, a complex
     one as complex Hermitian, one LAPACK call (range 'I' of ?syevr) per
-    sector ``h`` carries, or one for H whole.  Guarantees on return, for the
-    ``count`` pairs returned, as vectors of the whole basis: values
-    ascending, columns orthonormal to 1e-8, and
+    row of an irrep ``h`` carries, or one for H whole.  Guarantees on
+    return, for the ``count`` pairs returned, as vectors of the whole basis:
+    values ascending, columns orthonormal to 1e-8, and
     ||H v_i - lambda_i v_i|| <= 1e-8 max|H| for every i.
     A ``count`` outside 1..dim raises ValueError (sweeps rely on this).
     """
@@ -228,12 +222,17 @@ def eigh(h, count: int | None = None) -> EigenResult:
             f"(max entry {scale:.3e})")
     # The fallback solves H whole: it is the reference a split is held to.
     split = h.sectors if block.matrix.dtype.type in _DRIVERS else ()
-    if not split:  # the trivial split: H as one sector
+    if not split:  # the trivial split: H as one row
         every = np.arange(n)
-        split = (Sector(every, every, every, np.ones(n), block.matrix),)
-    values, rows = [], []  # eigenvectors as rows, C-ordered for the gather
+        split = (Sector("", every, every[:, None], np.ones((1, n, 1)),
+                        block.matrix),)
+    if sum(len(s.coef) * len(s.rows) for s in split) != n:
+        raise SolverError("symmetry rows do not span the basis")
+    values, rows, labels = [], [], []  # eigenvectors as rows, C-ordered
     for sector in split:
-        want = min(count, len(sector.rows))
+        # A row of a d-dimensional irrep holds every d-th level.
+        partners = len(sector.coef)
+        want = min(-(-count // partners), len(sector.rows))
         try:
             info, w, z = _solve(sector.matrix, h.kinetic[sector.rows], want)
         except np.linalg.LinAlgError as exc:
@@ -241,9 +240,10 @@ def eigh(h, count: int | None = None) -> EigenResult:
         if info != 0 or len(w) != want:
             raise SolverError(f"eigensolver failed: LAPACK info {info}, "
                               f"{len(w)} of {want} eigenpairs")
-        values.append(w)
+        values += [w] * partners
         rows.append(sector.expand(z.T))
-    # The lowest count of all sectors' pairs, ascending.
+        labels += [sector.label] * (partners * want)
+    # The lowest count of all rows' pairs, ascending.
     values = np.concatenate(values)
     if not np.all(np.isfinite(values)):  # NaN would sort past the kept
         raise SolverError("eigensolver returned non-finite eigenvalues")
@@ -253,7 +253,8 @@ def eigh(h, count: int | None = None) -> EigenResult:
     return EigenResult(values=values, vectors=vectors, scale=float(scale),
                        residual=residual, orthonormality=ortho,
                        hermiticity=float(block.herm),
-                       sectors=tuple(len(s.rows) for s in split))
+                       sectors=tuple(len(s.rows) for s in split),
+                       labels=tuple(labels[i] for i in keep))
 
 
 def _solve(v, kinetic, count):

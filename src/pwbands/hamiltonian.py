@@ -20,25 +20,24 @@ finiteness and Hermiticity are measured.  A k-point then costs O(dim) here,
 the kinetic diagonal; ``build`` returns the block and that diagonal, and
 the dense matrix exists only in the solver's buffer, or as ``entries``.
 
-Symmetry splits the solve.  An operation {R|t} of the crystal with R R = 1
-acts on the basis as a signed permutation Q (``involutions`` finds the
-candidates among the cubic group's involutions, ``Involution.commutes``
-tests one against V).  Q commutes with V, and with the kinetic diagonal
-wherever R fixes kappa, so H(kappa) is block diagonal in Q's +1 and -1
-eigenspaces.  ``sectors`` gathers V's block in each, once per basis and
-symmetry, as plain arrays in ``eigen.Sector``s that ``build`` attaches to
-the matrix; a smaller cutoff's are slices of them (``leading_sectors``).
+Symmetry splits the solve: the crystal's operations {R|t} act on the
+basis as signed permutations Q (``operations``), those whose R fixes kappa
+and whose Q commutes with V form its little group (``little_group``), and
+H(kappa) is block diagonal in the rows of the group's irreps, whose blocks
+``row_blocks`` gathers once per basis and group; a smaller cutoff's are
+slices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import BlochMatrix, CheckedBlock, Sector
+from .eigen import BlochMatrix, CheckedBlock, Sector, SolverError, _solve
 from .lattice import (CUTOFF_SLACK, RealLattice, ReciprocalLattice, cartesian,
-                      cubic_involutions, enumerate_g)
+                      cubic_operations, enumerate_g)
 from .potential import HBAR2_OVER_2M, Potential, matrix_element
 
 
@@ -110,145 +109,227 @@ def potential_matrix(model: Potential, lattice: RealLattice,
     return table[np.subtract.outer(key + span @ strides, key)]
 
 
-@dataclass(frozen=True, eq=False)
-class Involution:
-    """A candidate crystal operation {R|t} with R R = 1, acting on a basis
-    as the signed permutation Q e_i = sign[i] e_perm[i]: G_perm[i] = R G_i
-    and sign[i] = exp(-i R G_i . t), which is +/-1, with Q Q = 1.  It is a
-    symmetry of the crystal if Q also commutes with V (``commutes``); then
-    at a Bloch vector R fixes, H(kappa) has no element between Q's +1 and
-    -1 eigenspaces, whose dims differ by ``trace``.
-    """
+class Operations(NamedTuple):
+    """Operations {R|t} on a basis as signed permutations Q e_i = sign[i]
+    e_perm[i], G_perm[i] = R G_i, sign[i] = exp(-i R G_i . t): integer R
+    (identity first), a perm row per R, signs (n, c, dim) per candidate t
+    (int8, 0 unless +/-1; c = 1 in a group), R_a R_b = R_table[a, b]."""
 
-    op: np.ndarray
+    ops: np.ndarray
     perm: np.ndarray
-    sign: np.ndarray
-    trace: int
+    signs: np.ndarray
+    table: np.ndarray
 
     def fixes(self, kappas) -> np.ndarray:
-        """Whether R kappa == kappa exactly, for each row of kappas."""
-        kappas = np.asarray(kappas)
-        axes = np.abs(self.op).argmax(axis=1)
-        # A signed permutation, applied without multiplying by 0.
-        image = kappas[..., axes] * self.op[np.arange(3), axes]
-        return np.all(image == kappas, axis=-1)
-
-    def commutes(self, block: CheckedBlock) -> bool:
-        """Q V = V Q to 1e-12 max|V|, for the Hermitian V of ``block``.
-
-        Q is real symmetric, so this is Q V = (Q V)^dagger: one row gather
-        (Q V)[a] = sign[a] V[perm[a]], not a gather of Q V Q^T.  A V that
-        is not finite commutes with nothing.
-        """
-        v, perm, sign = block.matrix, self.perm, self.sign
-        vmax = max(block.off_max, np.abs(block.diag).max())
-        if not np.isfinite(vmax):
-            return False
-        dev = 0.0
-        # A band of rows of Q V against the same band of its columns, so
-        # that no dim x dim temporary is made.
-        for start in range(0, len(perm), 64):
-            band = slice(start, start + 64)
-            rows = v[perm[band]] * sign[band, None]
-            cols = v[perm, band] * sign[:, None]
-            with np.errstate(over="ignore"):
-                dev = max(dev, np.abs(rows - cols.conj().T).max())
-        return bool(dev <= SYMMETRY_TOL * vmax)
+        """(points, n): R kappa == kappa, exactly (R's entries are 0, +/-1)."""
+        image = np.einsum("oij,pj->poi", self.ops, kappas)
+        return np.all(image == np.asarray(kappas)[:, None], axis=-1)
 
 
-def involutions(lattice: RealLattice, recip: ReciprocalLattice,
-                basis: PlaneWaveBasis) -> list:
-    """Candidate involutions of a basis, in ``cubic_involutions`` order.
-
-    For each R that maps the basis onto itself, each candidate t whose Q
-    has only +/-1 phases and squares to 1 gives one (a t repeating the
-    previous one's signs is dropped).  Whether Q commutes with V is left
-    to ``Involution.commutes``; the non-symmorphic pairs (t not 0: the
-    glides and screws of diamond) are what make every point of a zone tour
-    fixed by a symmetry.
+def operations(lattice: RealLattice, recip: ReciprocalLattice,
+               basis: PlaneWaveBasis) -> Operations:
+    """Each R of ``cubic_operations`` that maps the basis onto itself (a
+    group), with the signs of each of its translations; which t, if any,
+    commutes with V is left to ``little_group``.  The non-symmorphic ones
+    (the glides and screws of diamond) give the zone's lines their groups.
     """
-    ops, shifts = cubic_involutions(lattice)
+    ops, shifts = cubic_operations(lattice)
     # G = c B, so R G = c B R^T = c M with M = B R^T B^-1.
     m = recip.matrix @ ops.transpose(0, 2, 1) @ np.linalg.inv(recip.matrix)
     whole = np.abs(m - np.rint(m)).max(axis=(1, 2)) <= 1e-9
-    image = basis.coeffs @ np.rint(m).astype(basis.coeffs.dtype)
-    # A row is found by its coefficients' flat index in the basis's box.
-    low = basis.coeffs.min(axis=0)
-    shape = basis.coeffs.max(axis=0) - low + 1
+    image = basis.coeffs.astype(np.int16) @ np.rint(m).astype(np.int16)
+    # Flat indices in a box that holds every image (ops[0] is 1, so the
+    # basis too): equal indices are equal vectors.
+    low = image.min(axis=(0, 1))
+    shape = image.max(axis=(0, 1)) - low + 1
     strides = np.array([shape[1] * shape[2], shape[2], 1])
-    key = (basis.coeffs - low) @ strides
-    order = np.argsort(key)
-    spot = np.searchsorted(key, (image - low) @ strides, sorter=order)
-    perm = order[spot.clip(max=basis.dim - 1)]  # (op, row)
-    onto = whole & np.all(basis.coeffs[perm] == image, axis=(1, 2))
-    # exp(-i R G_i . t) is (-1)^turns when turns = R G_i . t / pi is whole;
-    # one row of signs per candidate t.
-    turns = shifts @ basis.cart[perm].transpose(0, 2, 1) / np.pi
-    half = np.rint(turns)
-    sign = 1.0 - 2.0 * np.mod(half, 2.0)
-    squares = sign * np.take_along_axis(sign, perm[:, None, :], axis=2)
-    good = (np.abs(turns - half).max(axis=2) <= PHASE_TOL) \
-        & np.all(squares == 1.0, axis=2)
-    fixed = perm == np.arange(basis.dim)
-    found = []
-    for o in np.flatnonzero(onto):
-        last = None
-        for t in np.flatnonzero(good[o]):
-            if last is None or not np.array_equal(sign[o, t], last):
-                last = sign[o, t]
-                found.append(Involution(ops[o], perm[o], last,
-                                        int(last[fixed[o]].sum())))
-    return found
+    flat = image @ strides - low @ strides
+    row = np.full(shape.prod(), -1)
+    row[flat[0]] = np.arange(basis.dim)
+    perm = row[flat]  # (op, row)
+    keep = whole & np.all(perm >= 0, axis=1)
+    # exp(-i R G_i . t) is (-1)^turns when turns = G_i . R^T t / pi is whole.
+    turns = (shifts @ ops)[keep] @ (basis.cart.T / np.pi)
+    signs = 1 - 2 * (np.rint(turns).astype(np.int8) & 1)
+    turns -= np.rint(turns)
+    signs *= np.abs(turns, out=turns).max(axis=2, keepdims=True) <= PHASE_TOL
+    ops = np.rint(ops[keep]).astype(int)
+    # Each R and product ranked by its 9 entries as base-3 digits.
+    rank = np.unique((np.concatenate([ops, ops[:, None] @ ops[None]], None)
+                      .reshape(-1, 9) + 1) @ 3 ** np.arange(9),
+                     return_inverse=True)[1]
+    return Operations(ops, perm[keep], signs, np.argsort(rank[:len(ops)])[
+        rank[len(ops):]].reshape(len(ops), -1))
 
 
-def sectors(v: np.ndarray, inv: Involution) -> tuple:
-    """V's blocks in the +1 and -1 eigenspaces of Q.
+def _symmetry(block: CheckedBlock, perm: np.ndarray, signs: np.ndarray) -> int:
+    """The first row of ``signs`` (none zero) with which Q V Q^T = V to
+    1e-12 max|V|, or -1 if none; a V that is not finite has no symmetry."""
+    v = block.matrix
+    bound = SYMMETRY_TOL * max(block.off_max, np.abs(block.diag).max())
+    for t, sign in enumerate(signs if np.isfinite(bound) else ()):
+        if not sign.all():
+            continue
+        # By bands of rows: no dim^2 temporary, and a wrong t fails early.
+        for start in range(0, len(perm), 64):
+            band = slice(start, start + 64)
+            image = np.take(v[perm[band]], perm, axis=1) * sign
+            image *= sign[band, None]
+            if not np.abs(image - v[band]).max() <= bound:
+                break
+        else:
+            return t
+    return -1
 
-    Q must commute with V.  The blocks do not depend on kappa.  Each orbit
-    of Q (a row it fixes, or a pair it swaps) gives a column, placed by its
-    smaller row, and (U^T V U)[a, b] is gathered from V's rows at those
-    smaller rows: for any y that Q maps to +/-y, (U^T y)_a is y at row a
-    over U's entry there.
-    """
-    n = len(inv.perm)
-    rows = np.flatnonzero(np.arange(n) <= inv.perm)
-    mates = inv.perm[rows]
-    pair = mates != rows
-    half = np.sqrt(0.5)
+
+def little_group(crystal: Operations, block: CheckedBlock,
+                 fixing: np.ndarray) -> Operations:
+    """The operations ``fixing`` marks (R kappa = kappa) whose Q commutes
+    with V: each R not yet held is tested once (``_symmetry``) and, passing,
+    generates; each Q is a product of theirs.  If Q_s Q_a = Q_sa fails (a
+    translation the lattice lacks), the group is the identity alone."""
+    at, elems, table = {0: 0}, [0], crystal.table.tolist()
+    perm, sign = [crystal.perm[0]], [crystal.signs[0, 0]]
+    gens = [(0, sign[0])]  # the identity, so that the check below has one
+    # Rotations of high order first (C4, C3 make O): fewer generators.
+    first = np.lexsort((np.abs(np.trace(crystal.ops, axis1=1, axis2=2) - 0.5),
+                        np.linalg.det(crystal.ops) < 0))
+    for g in first[fixing[first]].tolist():
+        t = -1 if g in at else _symmetry(block, crystal.perm[g],
+                                         crystal.signs[g])
+        if t < 0:
+            continue
+        gens.append((g, crystal.signs[g, t]))
+        a = 0
+        while a < len(elems):  # every element times every generator
+            for s, s_sign in gens:
+                if table[s][elems[a]] not in at:
+                    at[table[s][elems[a]]] = len(elems)
+                    elems.append(table[s][elems[a]])
+                    perm.append(crystal.perm[s][perm[a]])
+                    sign.append(sign[a] * s_sign[perm[a]])
+            a += 1
+    perm, sign, spot = np.array(perm), np.array(sign), np.zeros_like(first)
+    spot[elems] = np.arange(len(elems))
+    if not all(np.array_equal(crystal.perm[g][perm], perm[image]) and
+               np.array_equal(g_sign[perm] * sign, sign[image])
+               for g, g_sign in gens
+               for image in [spot[crystal.table[g, elems]]]):
+        elems, perm, sign = [0], perm[:1], sign[:1]
+    return Operations(crystal.ops[elems], perm, sign[:, None],
+                      spot[crystal.table[np.ix_(elems, elems)]])
+
+
+# Kinds of O_h's elements by (det R, tr R, R diagonal); ' = face diagonal.
+_KINDS = {(1, 3, 1): "E", (1, 1, 0): "C4", (1, 0, 0): "C3", (1, -1, 0): "C2'",
+          (1, -1, 1): "C2", (-1, -3, 1): "I", (-1, 1, 0): "m'", (-1, 1, 1): "m",
+          (-1, -1, 0): "S4", (-1, 0, 0): "S6"}
+
+
+def _symbol(chi: dict) -> str:
+    """Mulliken symbol of an irrep of a subgroup of O_h, from its character
+    on each kind of element (``_KINDS``)."""
+    d = round(chi["E"])
+    axis = next((chi[k] for k in ("C4", "C3", "C2'", "C2") if k in chi), None)
+    mirror = chi.get("m", chi.get("m'"))
+    if axis is None:
+        return "A" if mirror is None else "A" + "'" * (1 if mirror > 0 else 2)
+    cubic = "C3" in chi and ("C4" in chi or "S4" in chi)
+    name = "B" if d == 1 and axis < 0 and not cubic else " AET"[d]
+    ref = chi.get("C4", chi.get("S4")) if cubic else mirror
+    name += "" if d == 2 or ref is None else "1" if ref > 0 else "2"
+    return name + ("" if "I" not in chi else "g" if chi["I"] > 0 else "u")
+
+
+def irreps(group: Operations) -> list:
+    """Each irrep of a group as (Mulliken symbol, real orthogonal D(g)),
+    computed: M = sum_g L_g x x^T L_g^T commutes with the regular
+    representation L, so for a generic x each eigenspace of M is a copy of
+    a (real) irrep, on which L_g is D(g); one copy per character is kept."""
+    n = len(group.ops)
+    back = group.table[np.argmax(group.table == 0, axis=1)]  # g^-1 a
+    orbit = (np.sin(12.9898 * np.arange(1, n + 1)) * 43758.5453 % 1.0)[back]
+    # LAPACK's dsyevr, as for H: numpy's dsyevd wakes OpenBLAS's threads.
+    _, w, e = _solve(orbit.T @ orbit, np.zeros(n), n)
+    starts = np.flatnonzero(np.r_[True, np.diff(w) > 1e-8 * np.abs(w).max()])
+    ops = group.ops
+    kinds = [_KINDS[k] for k in zip(
+        np.rint(np.linalg.det(ops)).astype(int).tolist(),
+        np.trace(ops, axis1=1, axis2=2).tolist(),
+        np.all(ops.diagonal(axis1=1, axis2=2) != 0, axis=1).tolist())]
+    found = {}
+    for space in np.split(e, starts[1:], axis=1):
+        rep = space.T @ space[back]  # (L_g e)[a] = e[g^-1 a]
+        chi = np.rint(np.trace(rep, axis1=1, axis2=2)).astype(int).tolist()
+        found.setdefault(tuple(chi), rep)
+    return sorted(((_symbol(dict(zip(kinds, chi))), rep)
+                   for chi, rep in found.items()), key=lambda r: r[0])
+
+
+def row_blocks(v: np.ndarray, group: Operations) -> tuple:
+    """V's block in row 1 of each irrep of ``group`` (Schur-orthogonal, or
+    SolverError) as ``eigen.Sector``s with partner rows; () for identity.
+    With P_jl = (d/|G|) sum_g D_jl(g) Q_g, row 1 on the orbit of first row
+    h is spanned by the P_1l e_h, orthonormal through their Gram matrix
+    e_h^T P_ll' e_h (eigenvalues d/m or 0, m rows); P_j1 maps it to row j."""
+    order, dim = group.perm.shape
+    if order == 1:
+        return ()
+    reps = irreps(group)
+    dims = np.array([len(rep[0]) for _, rep in reps])
+    scale = np.repeat(dims, dims ** 2) / order
+    # sqrt(d/|G|) D_jl(g), column by (irrep, j, l): an orthogonal matrix.
+    fourier = np.concatenate([rep.reshape(order, -1) for _, rep in reps],
+                             axis=1) * np.sqrt(scale)
+    if fourier.shape != (order, order) or not np.abs(
+            fourier.T @ fourier - np.eye(order)).max() <= 1e-9:
+        raise SolverError("little group's irreps fail Schur's orthogonality")
+    head = group.perm.min(axis=0)  # each row's orbit, by its first row
+    heads = np.flatnonzero(head == np.arange(dim))
+    size, of = np.bincount(head)[heads], np.searchsorted(heads, head)
+    hits = np.zeros((order, dim))  # Q_g e_h, summed over the heads h
+    hits[np.arange(order)[:, None], group.perm[:, heads]] = \
+        group.signs[:, 0, heads]
+    # (P_jl e_h)[i] for h the first row of row i's orbit, by (irrep, j, l).
+    units = np.split((fourier * np.sqrt(scale)).T @ hits, np.cumsum(dims**2))
+    span = np.arange(size.max())  # each orbit's rows, padded with its first
+    members = np.argsort(of, kind="stable")[np.where(
+        span < size[:, None], (np.cumsum(size) - size)[:, None] + span, 0)]
     split = []
-    for parity in (1.0, -1.0):
-        keep = pair | (inv.sign[rows] == parity)
-        r, m, p = rows[keep], mates[keep], pair[keep]
-        weight = np.where(p, half, 1.0)
-        mate_weight = np.where(p, parity * inv.sign[r] * half, 0.0)
-        column = np.zeros(n, int)
-        column[m] = column[r] = np.arange(len(r))
-        coef = np.zeros(n)
-        coef[m] = mate_weight
-        coef[r] = weight
-        u = v[np.ix_(r, r)]
-        u *= weight
-        mate = v[np.ix_(r, m)]
-        mate *= mate_weight
-        u += mate
-        del mate
-        u /= weight[:, None]
-        split.append(Sector(r, m, column, coef, u))
+    for d, (label, _), unit in zip(dims, reps, units):
+        unit = unit.reshape(d, d, dim)
+        lam, vec = np.linalg.eigh(unit[:, :, heads].transpose(2, 0, 1))
+        keep = lam[:, ::-1] * size[:, None] > 0.5 * d  # largest first
+        count = np.count_nonzero(keep, axis=1)
+        mix = vec[:, :, ::-1] * (keep * np.sqrt(size / d)[:, None])[:, None]
+        coef = (unit.transpose(2, 0, 1) @ mix[of, :, :max(count)]
+                ).transpose(1, 0, 2)
+        start = np.cumsum(count) - count  # each orbit's first column
+        inside = np.arange(max(count)) < count[of, None]
+        column = np.where(inside, np.arange(max(count)) + start[of, None], 0)
+        # u = sum_l c_l P_1l e_h: u'^T V u = sum_l c_l (P_l1 u')^T V e_h.
+        o = np.repeat(np.arange(len(heads)), count)  # each column's orbit
+        slot = np.arange(len(o)) - start[o]
+        frames = coef[:, members[o], slot[:, None]] * (span < size[o, None])
+        if count.any():
+            split.append(Sector(label, heads[o], column, coef, np.einsum(
+                "lca,cab,lb->cb", frames, v[members[o][..., None], heads[o]],
+                mix[o, :, slot].T)))
     return tuple(split)
 
 
-def leading_sectors(split: tuple, dim: int) -> tuple:
-    """The sectors of a basis's first ``dim`` rows (a smaller cutoff's), or
-    () if some orbit straddles row ``dim``: views of ``split``, no copies."""
+def leading_blocks(split: tuple, dim: int) -> tuple:
+    """The row blocks of a basis's first ``dim`` rows (a smaller cutoff's),
+    or () if some orbit straddles row ``dim``: views of ``split``."""
     lead = []
     for sector in split:
         m = np.searchsorted(sector.rows, dim)
-        if np.any(sector.mates[:m] >= dim):
+        if np.any((sector.coef[:, dim:] != 0) & (sector.column[dim:] < m)):
             return ()
         if m:
-            lead.append(Sector(sector.rows[:m], sector.mates[:m],
-                               sector.column[:dim], sector.coef[:dim],
-                               sector.matrix[:m, :m]))
+            lead.append(sector._replace(
+                rows=sector.rows[:m], column=sector.column[:dim],
+                coef=sector.coef[:, :dim], matrix=sector.matrix[:m, :m]))
     return tuple(lead)
 
 
@@ -260,8 +341,8 @@ def build(kappa, basis: PlaneWaveBasis, potential, sectors=()) -> BlochMatrix:
     here, at O(dim^2).  The block does not depend on kappa, so with a
     checked block this is O(dim): it computes hbar^2 |kappa + G|^2 / 2m and
     leaves V untouched.  The matrix keeps V's dtype: real symmetric for a
-    real block, complex Hermitian otherwise.  ``sectors``, from ``sectors``
-    for a symmetry whose R fixes kappa, tell ``eigh`` how to split it.
+    real block, complex Hermitian otherwise.  ``sectors`` (``row_blocks``
+    of kappa's little group) tell ``eigh`` how to split it.
     """
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (3,) or not np.all(np.isfinite(kappa)):

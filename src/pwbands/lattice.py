@@ -147,23 +147,22 @@ def make_cubic(kind: str, a: float) -> RealLattice:
     return RealLattice(a1, a2, a3, offsets, lattice_constant=a)
 
 
-def cubic_involutions(real: RealLattice) -> tuple:
-    """The 19 involutions R of the cubic group O_h (R R = 1, R != 1), each
+def cubic_operations(real: RealLattice) -> tuple:
+    """The 48 operations R of the cubic group O_h, identity first, each
     with the translations t that may pair with it in the crystal's space
     group: 0 first, then o_j - R o_0 for every atom offset o_j.
 
-    Returns (ops, shifts): ops is (19, 3, 3), each R a signed permutation of
+    Returns (ops, shifts): ops is (48, 3, 3), each R a signed permutation of
     the cartesian axes (entries 0 and +/-1) in a fixed order, and shifts is
-    (19, 1 + atoms, 3).  Which pairs {R|t} are symmetries of a given
+    (48, 1 + atoms, 3).  Which pairs {R|t} are symmetries of a given
     crystal is left to the caller, who has its potential.
     """
     perms = np.eye(3)[list(itertools.permutations(range(3)))]
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
     ops = (signs[None, :, :, None] * perms[:, None]).reshape(48, 3, 3)
-    ops = ops[np.all(ops @ ops == np.eye(3), axis=(1, 2))][1:]  # [0] is 1
     offsets = np.array(real.basis_offsets)
     shifts = offsets[None] - (ops @ offsets[0])[:, None]
-    return ops, np.concatenate([np.zeros((len(ops), 1, 3)), shifts], axis=1)
+    return ops, np.concatenate([np.zeros((48, 1, 3)), shifts], axis=1)
 
 
 def reciprocal_of(real: RealLattice) -> ReciprocalLattice:

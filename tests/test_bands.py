@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import pwbands.bands as bands_mod
+import pwbands.hamiltonian as hamiltonian_mod
 from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            convergence_study, detect_gaps,
                            free_electron_reference, sweep)
 from pwbands.cli import load_config
 from pwbands.eigen import SolverError, eigh
-from pwbands.hamiltonian import (Involution, PlaneWaveBasis, build,
-                                 potential_matrix)
+from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
     reciprocal_of
 from pwbands.potential import HBAR2_OVER_2M, Potential
@@ -146,7 +146,7 @@ class TestBlockPath:
             # this k-point, split the same way, bit for bit ...
             fresh = eigh(build(point.kappa, basis, v.copy(), h.sectors), 8)
             np.testing.assert_array_equal(energies, fresh.values)
-            assert len(result.sectors) == 2  # every tour point is split
+            assert len(result.sectors) > 1  # every tour point is split
             # ... and as the dense matrix solved whole, to rounding.
             dense = build(point.kappa, basis, v).entries
             assert dense.dtype == dtype
@@ -176,9 +176,9 @@ class TestBlockPath:
 
 class TestSectors:
     def test_sector_dims_on_the_dense_tour_basis(self, diamond, monkeypatch):
-        # z05 at 200 (pi/a)^2, dim 339: inversion splits Gamma, and a
-        # mirror of the Delta line splits Delta and X, each into two
-        # matrices of about half the dim.
+        # z05 at 200 (pi/a)^2, dim 339: O_h splits Gamma into one row of each
+        # of its ten irreps, and C4v splits Delta and X into five; the E row
+        # holds one level of each pair.
         lat, rec = diamond
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("Γ", pts["Γ"]), ("Δ", 0.37 * pts["X"]),
@@ -187,31 +187,34 @@ class TestSectors:
         monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
             results.append(solve(h, count)) or results[-1]))
         sweep(path, Potential(0.5), lat, rec, basis(rec, 200), 8)
-        assert [r.sectors for r in results] == [(170, 169), (172, 167),
-                                                (172, 167)]
+        assert [r.sectors for r in results] == [
+            (17, 2, 2, 15, 14, 13, 13, 27, 28, 15), (58, 28, 31, 56, 83),
+            (58, 28, 31, 56, 83)]
 
     @pytest.mark.parametrize("g2_units", [76, 200])
     def test_symmetry_search_cost_on_the_preset_tour(self, monkeypatch,
                                                      g2_units):
-        # The 197-point z05 tour: 3 of the 31 candidates are tested against
-        # V, and sector blocks are built 5 times, for 3 symmetries, not at
-        # every point.
+        # The 197-point z05 tour has four little groups: C3v on L-Gamma, O_h
+        # at Gamma, C4v on Gamma-X and at X, C_s on X-U-Gamma.  V is tested
+        # once per generator (2 + 3 + 2 + 1), and each group's blocks are
+        # built once, not at every point.
         cfg = load_config(preset_path("z05"))
         found, tested, built = [], [], []
-        search, commutes, split = (bands_mod.involutions, Involution.commutes,
-                                   bands_mod.sectors)
-        monkeypatch.setattr(bands_mod, "involutions", lambda *args: (
-            found.extend(search(*args)) or found))
-        monkeypatch.setattr(Involution, "commutes", lambda inv, v: (
-            tested.append(inv) or commutes(inv, v)))
-        monkeypatch.setattr(bands_mod, "sectors", lambda v, inv: (
-            built.append(inv) or split(v, inv)))
+        search, symmetry, split = (bands_mod.operations,
+                                   hamiltonian_mod._symmetry,
+                                   bands_mod.row_blocks)
+        monkeypatch.setattr(bands_mod, "operations", lambda *args: (
+            found.append(search(*args)) or found[-1]))
+        monkeypatch.setattr(hamiltonian_mod, "_symmetry", lambda *args: (
+            tested.append(args[1]) or symmetry(*args)))
+        monkeypatch.setattr(bands_mod, "row_blocks", lambda v, group: (
+            built.append(len(group.ops)) or split(v, group)))
         sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
               basis(cfg.recip, g2_units), cfg.num_bands)
         assert len(cfg.path.points) == 197
-        assert len(found) == 31
-        assert len(tested) == 3
-        assert len(built) == 5 and len(set(built)) == 3
+        assert len(found) == 1 and len(found[0].ops) == 48
+        assert len(tested) == 8
+        assert built == [6, 48, 8, 2]
 
     def test_point_no_symmetry_fixes_is_solved_whole(self, diamond,
                                                      monkeypatch):
@@ -227,7 +230,7 @@ class TestSectors:
     def test_convergence_rows_are_leading_sector_blocks(self, diamond,
                                                         monkeypatch):
         # One split at the largest cutoff; each smaller cutoff solves the
-        # leading columns of its sectors, and the levels match whole solves.
+        # leading columns of its rows, and the levels match whole solves.
         lat, rec = diamond
         x = fcc_symmetry_points(A_SI)["X"]
         cutoffs = [c * SHELL for c in (12, 44, 76)]
@@ -236,9 +239,10 @@ class TestSectors:
             results.append(solve(h, count)) or results[-1]))
         rows = convergence_study(x, Potential(0.5), lat, rec, basis(rec, 76),
                                  cutoffs, 8)
-        assert [sum(r.sectors) for r in results] == [row.dim for row in rows]
-        assert all(len(r.sectors) == 2 for r in results)
-        monkeypatch.setattr(bands_mod, "involutions", lambda *_: [])
+        assert [r.sectors for r in results] == [
+            (3, 2, 2), (10, 3, 4, 10, 12), (19, 5, 7, 16, 21)]
+        assert all(len(r.sectors) > 1 for r in results)
+        monkeypatch.setattr(bands_mod, "row_blocks", lambda *_: ())
         whole = convergence_study(x, Potential(0.5), lat, rec,
                                   basis(rec, 76), cutoffs, 8)
         assert all(len(r.sectors) == 1 for r in results[3:])

@@ -6,8 +6,10 @@ import pytest
 from pwbands import eigen as eigen_mod
 from pwbands.eigen import (BlochMatrix, CheckedBlock, EigenResult,
                            NonHermitianError, SolverError, eigh)
-from pwbands.hamiltonian import (PlaneWaveBasis, build, involutions,
-                                 leading_sectors, potential_matrix, sectors)
+import pwbands.hamiltonian as hamiltonian_mod
+from pwbands.hamiltonian import (PlaneWaveBasis, build, leading_blocks,
+                                 little_group, operations, potential_matrix,
+                                 row_blocks)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
                              reciprocal_of)
 from pwbands.potential import Potential
@@ -307,19 +309,17 @@ class TestSolverPaths:
         assert set(eigen_mod._DRIVERS) == {np.float64, np.complex128}
 
 
-def split_x_matrix(lattice, cutoff=76):
-    """z05-style H at X with the sectors of the involution bands picks."""
+def split_x_matrix(lattice, cutoff=76, point="X"):
+    """z05-style H at a symmetry point with the rows of its little group."""
     a = lattice.lattice_constant
     rec = reciprocal_of(lattice)
     basis = PlaneWaveBasis.from_cutoff(rec, cutoff * (math.pi / a) ** 2)
     block = CheckedBlock.of(potential_matrix(Potential(0.5), lattice, rec,
                                              basis))
-    x = fcc_symmetry_points(a)["X"]
-    inv = min((q for q in involutions(lattice, rec, basis)
-               if q.fixes(x) and q.commutes(block)
-               and abs(q.trace) < basis.dim),
-              key=lambda q: abs(q.trace))
-    return build(x, basis, block, sectors(block.matrix, inv))
+    kappa = fcc_symmetry_points(a)[point]
+    crystal = operations(lattice, rec, basis)
+    group = little_group(crystal, block, crystal.fixes(kappa[None])[0])
+    return build(kappa, basis, block, row_blocks(block.matrix, group))
 
 
 class TestSectors:
@@ -332,7 +332,10 @@ class TestSectors:
         whole = eigh(BlochMatrix(h.block, h.kinetic), 8)
         split = eigh(h, 8)
         assert whole.sectors == (h.dim,)
-        assert len(split.sectors) == 2 and sum(split.sectors) == h.dim
+        assert split.sectors == tuple(len(s.rows) for s in h.sectors)
+        assert len(split.sectors) == (5 if centred else 4)  # C4v; C2v
+        assert sum(len(s.coef) * n for s, n in zip(h.sectors, split.sectors)) \
+            == h.dim
         np.testing.assert_allclose(split.values, whole.values, rtol=0,
                                    atol=1e-10)
         # Back-mapped to the whole basis, verified against the whole H.
@@ -342,24 +345,26 @@ class TestSectors:
         assert split.hermiticity == whole.hermiticity
 
     def test_sectors_are_orthogonal_eigenspaces(self):
-        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
-        u = [s.expand(np.eye(len(s.rows))).T for s in h.sectors]
-        q = np.hstack(u)
-        np.testing.assert_allclose(q.T @ q, np.eye(h.dim), atol=1e-15)
-        for s, us in zip(h.sectors, u):
-            np.testing.assert_allclose(us.T @ h.block.matrix @ us,
-                                       s.matrix, atol=1e-12)
+        # The rows of every irrep, partners included, span the basis, and
+        # V's block in each partner row is the row's one block.
+        for point in ("X", "Γ", "L"):
+            h = split_x_matrix(make_cubic("DIAMOND", 5.431), point=point)
+            u = [s.expand(np.eye(len(s.rows))).T for s in h.sectors]
+            q = np.hstack(u)
+            np.testing.assert_allclose(q.T @ q, np.eye(h.dim), atol=1e-14)
+            for s, us in zip(h.sectors, u):
+                np.testing.assert_allclose(us.T @ h.block.matrix @ us, np.kron(
+                    np.eye(len(s.coef)), s.matrix), atol=1e-12)
 
     def test_orbit_straddling_the_cut_is_solved_whole(self):
-        # Cut the basis inside its 12 shell (rows 15 to 26), between the two
-        # rows of an orbit of Q: the leading block has no sectors of Q, so
-        # it is solved whole, to the energies of the unsplit solve.
+        # Cut the basis inside its 12 shell (rows 15 to 26), past the first
+        # row of an orbit of the group: the leading block has no rows of the
+        # group, so it is solved whole, to the energies of the unsplit solve.
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
         first = h.sectors[0]
-        pairs = first.rows[(first.rows >= 15) & (first.mates != first.rows)]
-        dim = pairs[0] + 1  # the pair's other row lies past the cut
+        dim = first.rows[first.rows >= 15][0] + 1  # its orbit runs past
         assert dim < 27
-        lead = leading_sectors(h.sectors, dim)
+        lead = leading_blocks(h.sectors, dim)
         assert lead == ()
         block = CheckedBlock.of(h.block.matrix[:dim, :dim])
         result = eigh(BlochMatrix(block, h.kinetic[:dim], lead), 8)
@@ -392,6 +397,48 @@ class TestSectors:
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
         with pytest.raises(SolverError, match="non-finite"):
             eigh(h, 8)
+
+    def test_e_levels_pair_bit_for_bit(self):
+        # A row of E is solved once; its partner row repeats the levels.
+        for point in ("X", "L"):
+            result = eigh(split_x_matrix(make_cubic("DIAMOND", 5.431), 200,
+                                         point), 16)
+            pair = result.values[np.array(result.labels) == "E"]
+            pair = pair[:len(pair) // 2 * 2]
+            assert len(pair) >= 4
+            np.testing.assert_array_equal(pair[0::2], pair[1::2])
+
+    def test_flipped_character_is_solver_error(self, monkeypatch):
+        # One character of one irrep flipped: not a representation, so the
+        # blocks are never built, let alone solved.
+        lattice = make_cubic("DIAMOND", 5.431)
+        assert len(split_x_matrix(lattice).sectors) == 5
+        compute = hamiltonian_mod.irreps
+
+        def flipped(group):
+            reps = compute(group)
+            label, rep = reps[1]  # A2, whose matrices are its characters
+            rep = rep.copy()
+            rep[1] *= -1.0
+            return [reps[0], (label, rep)] + reps[2:]
+
+        monkeypatch.setattr(hamiltonian_mod, "irreps", flipped)
+        with pytest.raises(SolverError, match="orthogonality"):
+            split_x_matrix(lattice)
+
+    def test_wrong_partner_is_solver_error(self):
+        # The partner row of E carries row 0's vectors moved to other basis
+        # rows: the repeated levels' vectors miss the whole H.
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        e = [s for s in h.sectors if s.label == "E"][0]
+        coef = e.coef.copy()
+        coef[1] = np.roll(coef[1], 1, axis=0)
+        sectors = tuple(e._replace(coef=coef) if s is e else s
+                        for s in h.sectors)
+        assert eigh(h, 8).sectors == eigh(BlochMatrix(h.block, h.kinetic,
+                                                      sectors), 1).sectors
+        with pytest.raises(SolverError):
+            eigh(BlochMatrix(h.block, h.kinetic, sectors), 8)
 
     def test_wrong_sector_is_solver_error(self):
         # Sectors of a symmetry H does not have: the back-mapped pairs miss

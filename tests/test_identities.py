@@ -2,8 +2,8 @@
 Cauchy interlacing across nested cutoffs, time reversal, cubic point-group
 invariance and the level pairing of the diamond space group at X, on the
 presets and on drawn crystals; and the split of each k-point's solve into
-the sectors of a symmetry that fixes it, which must give the energies of
-the whole solve."""
+one row of each irrep of its little group, which must give the energies
+of the whole solve."""
 
 import itertools
 import math
@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 import pwbands.bands as bands_mod
 from pwbands.bands import convergence_study, sweep
 from pwbands.cli import load_config
-from pwbands.hamiltonian import PlaneWaveBasis, potential_matrix
+from pwbands.eigen import CheckedBlock
+from pwbands.hamiltonian import (PlaneWaveBasis, little_group, operations,
+                                 potential_matrix, row_blocks)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
                              make_kpath, reciprocal_of)
 from pwbands.potential import Potential
@@ -35,11 +37,17 @@ CUBIC_OPS = [np.diag(signs)[list(perm)]
 
 TOUR = ("L", "Γ", "X", "U", "Γ")
 
-# Sector dims at the 13 points of the 4-sample tour at 76 (pi/a)^2 (dim
-# 89), the same for z05 and si_empirical: a mirror on L-Gamma, X-U and
-# U-Gamma, inversion at Gamma, and a mirror of the Delta line on Gamma-X.
-LINE, GAMMA, DELTA = (56, 33), (45, 44), (47, 42)
-TOUR_DIMS = [LINE] * 3 + [GAMMA] + [DELTA] * 3 + [LINE] * 5 + [GAMMA]
+# Row dims at the 13 points of the 4-sample tour at 76 (pi/a)^2 (dim 89):
+# C3v on L-Gamma, O_h at Gamma, C4v on Gamma-X and at X, and a mirror on
+# X-U and U-Gamma.  z05's diamond potential needs the glides and screws for
+# its full groups; si_empirical's is symmorphic, so O_h and C4v split it
+# otherwise.
+LINE, MIRROR = (28, 5, 28), (56, 33)
+GAMMA = {"z05": (7, 5, 4, 3, 2, 8, 8, 3),
+         "si_empirical": (8, 4, 5, 2, 2, 9, 7, 3)}
+DELTA = {"z05": (19, 5, 7, 16, 21), "si_empirical": (22, 4, 8, 13, 21)}
+TOUR_DIMS = {name: [LINE] * 3 + [GAMMA[name]] + [DELTA[name]] * 3
+             + [MIRROR] * 5 + [GAMMA[name]] for name in GAMMA}
 
 
 def preset(name):
@@ -180,7 +188,7 @@ def solve_tour(monkeypatch, crystal, op, whole=False):
     with monkeypatch.context() as patch:
         patch.setattr(bands_mod, "eigh", recording)
         if whole:
-            patch.setattr(bands_mod, "involutions", lambda *_: [])
+            patch.setattr(bands_mod, "row_blocks", lambda *_: ())
         basis = PlaneWaveBasis.from_cutoff(crystal[2], 76 * SHELL)
         energies = sweep(path, *crystal, basis, 8).energies
     return energies, dims
@@ -195,9 +203,25 @@ def test_split_matches_whole_under_every_cubic_operation(monkeypatch, name):
     for op in CUBIC_OPS:
         split, dims = solve_tour(monkeypatch, crystal, op)
         whole, whole_dims = solve_tour(monkeypatch, crystal, op, whole=True)
-        assert dims == TOUR_DIMS
-        assert whole_dims == [(89,)] * len(TOUR_DIMS)
+        assert dims == TOUR_DIMS[name]
+        assert whole_dims == [(89,)] * len(TOUR_DIMS[name])
         np.testing.assert_allclose(split, whole, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["z05", "si_empirical"])
+def test_111_plane_waves_at_gamma(name):
+    # G = 0 and the eight {111} waves, the first nine rows: under O_h, with
+    # diamond's glides or without them, the eight are Gamma1 + Gamma2' +
+    # Gamma15 + Gamma25' (A1g + A2u + T1u + T2g), and G = 0 one more A1g.
+    model, lat, rec = preset(name)
+    basis = PlaneWaveBasis.from_cutoff(rec, 12 * SHELL)
+    v = CheckedBlock.of(potential_matrix(model, lat, rec, basis))
+    crystal = operations(lat, rec, basis)
+    group = little_group(crystal, v, crystal.fixes(np.zeros((1, 3)))[0])
+    assert basis.dim == 9 and len(group.ops) == 48
+    assert {s.label: (len(s.coef), len(s.rows))
+            for s in row_blocks(v.matrix, group)} == {
+        "A1g": (1, 2), "A2u": (1, 1), "T1u": (3, 1), "T2g": (3, 1)}
 
 
 def test_broken_symmetry_falls_back_to_one_sector(monkeypatch):
@@ -205,7 +229,7 @@ def test_broken_symmetry_falls_back_to_one_sector(monkeypatch):
     # the solves are the forced whole ones.
     crystal = preset("z05")
     intact, dims = solve_tour(monkeypatch, crystal, np.eye(3))
-    assert dims == TOUR_DIMS
+    assert dims == TOUR_DIMS["z05"]
     assemble = bands_mod.potential_matrix
 
     def broken(*args):
@@ -216,6 +240,6 @@ def test_broken_symmetry_falls_back_to_one_sector(monkeypatch):
     monkeypatch.setattr(bands_mod, "potential_matrix", broken)
     split, dims = solve_tour(monkeypatch, crystal, np.eye(3))
     whole, _ = solve_tour(monkeypatch, crystal, np.eye(3), whole=True)
-    assert dims == [(89,)] * len(TOUR_DIMS)
+    assert dims == [(89,)] * len(TOUR_DIMS["z05"])
     np.testing.assert_array_equal(split, whole)
     assert 0 < np.abs(split - intact).max() < 1e-4

@@ -32,7 +32,7 @@ EXPECTED = {
             "bands.csv":
                 "534a91503c039c1cb7f68755a123ef0504bddf7f285b17599ca6afa7c6b67520",
             "bands.json":
-                "410ce7f8c702cb4501894e11d8e6b25ec9eaac54bd5f027734357d6079f50522",
+                "ee763205a34abac7c1700fc3942cb38f77f4c91aa4fc3cfe69263217f68bc452",
             "bands.svg":
                 "359b2b13fdf3baa2f3a0301270d18e8fe16d40038879e3e77852f089f55396d8",
         },
@@ -48,7 +48,7 @@ EXPECTED = {
             "converge.csv":
                 "a416e7a66c1c8f664c8a0ecda0d952c27d344d43f7cd103fc5b86d66f0922781",
             "converge.json":
-                "f369bcfebce6121074da963265638e46d5672bce60bba9f25a14c842944f3c07",
+                "827ea79ff848c9c5b49493e9c63aa7e880ea2aa3ddcf216b9b73b50cab21ce31",
         },
         "info": {
             "stdout":
@@ -62,7 +62,7 @@ EXPECTED = {
             "bands.csv":
                 "c2e680413e6831d525e27febce31e002da8e72edfae73b233c815d1444c48ab7",
             "bands.json":
-                "82fbf7011e629434c4b84a5dd5dd122cfad3c24d25adc6e426044dfe4a21dac0",
+                "713a5a2104a66105ee4121e1ca82c1e5f99209de154193e09e88f836288a1b85",
             "bands.svg":
                 "cce64d47105041929e7411f500cd883701a5deff446353427a9e1d95c188a972",
         },
@@ -78,7 +78,7 @@ EXPECTED = {
             "converge.csv":
                 "492dad97b183cac70a09e9ba3e81e98a623f6968f9a3e1a846c0e0c103e66c0d",
             "converge.json":
-                "a5e0420082ec313149d172fb43201030cbdf6d3eef84c117c5d3faa1e847b9b0",
+                "c6ba08d6561f36ad14c55e473eb672fd8655a9efdb0b5f85d6fe688b40b93cbb",
         },
         "info": {
             "stdout":
@@ -92,7 +92,7 @@ EXPECTED = {
             "bands.csv":
                 "ad9f1e83a55f625741773fd9e5014faead67c457d2dbf3e71530313bbb041f38",
             "bands.json":
-                "be341d9b2a481f220b7da8a5c83877e083d3317ef4012a81f804cfa63bca7ae0",
+                "99560196ef0e18145bbea194eb5a0977355cc6d2eb6bad5c5d1e47f25800ffe0",
             "bands.svg":
                 "ceda8e6a3bf94f0924876bf6dc8ec52b27e165bf82067e27291739cef32b38f8",
         },
@@ -100,7 +100,7 @@ EXPECTED = {
             "stdout":
                 "8fca297ac334877abdf3b0ad92a3cb1db6372cfcba0c363f906b7e907401dc2d",
             "gaps.json":
-                "12f091f7728f4750568814afe432a9ff51b4913f05ff93b074a3a6fbedf8c5bd",
+                "8aa31b01fb4799df8887d6d6b60116d8b5f30b04d40166fa76710bc8955a8f4b",
         },
         "converge": {
             "stdout":
@@ -108,7 +108,7 @@ EXPECTED = {
             "converge.csv":
                 "6cf6d4476efd6d65885968bc2fe72048e02123239356eec941af9ff357f7eb53",
             "converge.json":
-                "b0ca167696ef21a5c1215a43bd2a165b3ac1d288332a9570eaa15342f34f7aa9",
+                "314476593459cc576c963ca6e1e1733045562322ba71dbec14fc759e9cee7070",
         },
         "info": {
             "stdout":
@@ -122,7 +122,7 @@ EXPECTED = {
             "bands.csv":
                 "162ac7c14484a22d6ec3bee60e56c09833e46943eaf78ebd0ef7964108ff4f99",
             "bands.json":
-                "e7d8283ffe6e0091944d3597eb77503f6f02a5ce55fc94e1be6705d9c8f613cf",
+                "044bf751775def0b679b9813e07b629662b08fc6acee2ac392d0a88ffdcab4b7",
             "bands.svg":
                 "fb9a4127f0cec9cc81b3d709978f840af6edf3d9b84476c01123abd35bc6d2e6",
         },
@@ -130,7 +130,7 @@ EXPECTED = {
             "stdout":
                 "0d9c988d4004465264531fccdb503d20a4526e802fd055d23d31350340011baa",
             "gaps.json":
-                "333e940387ef44565c95da4eb0a3500b8bf39aa23834f6944be46c4b071b7e57",
+                "b9d2ed12af36ea24f93d6d43bc72d31895d384ff25ff64500ec5d9f874608b35",
         },
         "converge": {
             "stdout":
@@ -138,7 +138,7 @@ EXPECTED = {
             "converge.csv":
                 "de7e00346b130203ac1111608239836430d996c2b7257759a1da6a4721e46461",
             "converge.json":
-                "ef0e1a1f95c98019bf1fc1568fa3e8bbc9f012814c702ead0b4611e836899672",
+                "2794c097d1d4a9ea8b7481140435ab9b12080a9a4e3b428c615177d26c9ba479",
         },
         "info": {
             "stdout":
@@ -152,7 +152,7 @@ EXPECTED = {
             "bands.csv":
                 "3f672fb89b7b76d69cc0e5fb641a59562c8410fa5941f985fb06e7028123a36f",
             "bands.json":
-                "179bf6c9b5c4b85c3e2a33673f3d4a818ed22ac40635de27ba497d4372fcf761",
+                "8127d1717944cf02c2bc3c8d77b74ebf5307e848e30cafe43349a2ed8bec9598",
             "bands.svg":
                 "9f59d8d38bf08f1df21d35b8023445f2545aae20e53c34915504152682aff544",
         },
@@ -160,7 +160,7 @@ EXPECTED = {
             "stdout":
                 "95e4f52795407160a9228bc8ca21073e907a6c3ecde495d964e7d042f480f7fb",
             "gaps.json":
-                "ca13ffbd267b8a09996a61f358d7c8a01601b792930f9481fff3b2fb0a7d3afb",
+                "35ce85d0226ba7c4d87dedca9a34d6f987cbaa9a06e0a19ffd1ae7265217ed58",
         },
         "converge": {
             "stdout":
@@ -168,7 +168,7 @@ EXPECTED = {
             "converge.csv":
                 "a7bd21ba222491dd4ff1aa52b8d3de3d85657ae854b589de35282ab72a948597",
             "converge.json":
-                "b50f2f472782d4c6e76a66ac07b781ca80be2ffde2f4f364d2044805c285aef1",
+                "43192d3c4e8e9a2507e19edda210f60d47b9174e7b90907db6843e54f8c7d4a1",
         },
         "info": {
             "stdout":
