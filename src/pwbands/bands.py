@@ -75,8 +75,7 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     """
     crystal = operations(lattice, recip, basis)
     v = CheckedBlock.of(potential_matrix(model, lattice, recip, basis))
-    energies = np.empty((len(path.points), num_bands))
-    blocks = {}
+    energies, blocks = np.empty((len(path.points), num_bands)), {}
     for idx, (point, fixing) in enumerate(zip(path.points,
                                               crystal.fixes(path.kappas))):
         key = fixing.tobytes()

@@ -141,7 +141,7 @@ class Sector(NamedTuple):
     def expand(self, ys: np.ndarray) -> np.ndarray:
         """(U_j y)^T for each partner j, then each row y of ys."""
         xs = sum(np.take(ys, col, axis=1) * coef[:, None] for col, coef in
-                 zip(self.column.T, np.moveaxis(self.coef, 2, 0)))
+                 zip(self.column.T, self.coef.transpose(2, 0, 1)))
         return xs.reshape(-1, xs.shape[-1])
 
 
@@ -245,7 +245,7 @@ def eigh(h, count: int | None = None) -> EigenResult:
         labels += [sector.label] * (partners * want)
     # The lowest count of all rows' pairs, ascending.
     values = np.concatenate(values)
-    if not np.all(np.isfinite(values)):  # NaN would sort past the kept
+    if not np.isfinite(values).all():  # NaN would sort past the kept
         raise SolverError("eigensolver returned non-finite eigenvalues")
     keep = np.argsort(values, kind="stable")[:count]
     values, vectors = values[keep], np.concatenate(rows)[keep].T
@@ -254,7 +254,7 @@ def eigh(h, count: int | None = None) -> EigenResult:
                        residual=residual, orthonormality=ortho,
                        hermiticity=float(block.herm),
                        sectors=tuple(len(s.rows) for s in split),
-                       labels=tuple(labels[i] for i in keep))
+                       labels=tuple(labels[i] for i in keep.tolist()))
 
 
 def _solve(v, kinetic, count):
@@ -268,20 +268,22 @@ def _solve(v, kinetic, count):
         values, vectors = np.linalg.eigh(h)
         return 0, values[:count], vectors[:, :count]
     # ?syevr overwrites its input, so it gets a private H, written as
-    # conj(V) + T.  Read as column-major, this C-order conj(H) is H itself,
-    # and its upper triangle is the lower triangle numpy.linalg.eigh reads.
-    a = np.empty((n, n), v.dtype)
+    # conj(V) + T: read as column-major, this C-order conj(H) is H itself,
+    # its upper triangle numpy.linalg.eigh's lower.  One buffer of 8-byte
+    # words holds H, the n x count vectors, the values, m and isuppz.
+    k = v.itemsize // 8
+    w = k * n * (n + int(count))  # the values' first word
+    buf = np.empty(w + n + 1 + 2 * count)
+    a = buf[:k * n * n].view(v.dtype).reshape(n, n)
     np.conjugate(v, out=a)
     a.reshape(-1)[::n + 1] += kinetic
-    m = np.zeros(1, np.int64)
-    w = np.empty(n)
-    z = np.empty((count, n), v.dtype)  # column-major n x count
-    isuppz = np.empty(2 * count, np.int64)
-    info = driver(_COL_MAJOR, b"V", b"I", b"U", n, a.ctypes.data, n, 0.0, 0.0,
-                  1, count, 0.0, m.ctypes.data, w.ctypes.data, z.ctypes.data,
-                  n, isuppz.ctypes.data)
-    found = int(m[0])
-    return info, w[:found], z[:found].T
+    at = buf.ctypes.data
+    info = driver(_COL_MAJOR, b"V", b"I", b"U", n, at, n, 0.0, 0.0, 1, count,
+                  0.0, at + 8 * (w + n), at + 8 * w, at + 8 * k * n * n, n,
+                  at + 8 * (w + n + 1))
+    found = int(buf[w + n:w + n + 1].view(np.int64)[0])
+    z = buf[k * n * n:w].view(v.dtype).reshape(count, n)[:found]
+    return info, buf[w:w + found].copy(), z.copy().T
 
 
 def _verify(h, values, vectors, scale):

@@ -120,10 +120,9 @@ class Operations(NamedTuple):
     signs: np.ndarray
     table: np.ndarray
 
-    def fixes(self, kappas) -> np.ndarray:
+    def fixes(self, kappas: np.ndarray) -> np.ndarray:
         """(points, n): R kappa == kappa, exactly (R's entries are 0, +/-1)."""
-        image = np.einsum("oij,pj->poi", self.ops, kappas)
-        return np.all(image == np.asarray(kappas)[:, None], axis=-1)
+        return np.all(kappas @ self.ops.transpose(0, 2, 1) == kappas, -1).T
 
 
 def operations(lattice: RealLattice, recip: ReciprocalLattice,
@@ -137,29 +136,24 @@ def operations(lattice: RealLattice, recip: ReciprocalLattice,
     # G = c B, so R G = c B R^T = c M with M = B R^T B^-1.
     m = recip.matrix @ ops.transpose(0, 2, 1) @ np.linalg.inv(recip.matrix)
     whole = np.abs(m - np.rint(m)).max(axis=(1, 2)) <= 1e-9
-    image = basis.coeffs.astype(np.int16) @ np.rint(m).astype(np.int16)
-    # Flat indices in a box that holds every image (ops[0] is 1, so the
-    # basis too): equal indices are equal vectors.
-    low = image.min(axis=(0, 1))
-    shape = image.max(axis=(0, 1)) - low + 1
-    strides = np.array([shape[1] * shape[2], shape[2], 1])
-    flat = image @ strides - low @ strides
-    row = np.full(shape.prod(), -1)
-    row[flat[0]] = np.arange(basis.dim)
-    perm = row[flat]  # (op, row)
-    keep = whole & np.all(perm >= 0, axis=1)
+    # Coefficients as digits of a base wider than any image's: equal keys
+    # are equal vectors; the basis's sorted keys (ops[0] is 1) find rows.
+    base = 6 * np.abs(basis.coeffs).max() * round(np.abs(m).max()) + 1
+    key = basis.coeffs @ (np.rint(m) @ [base**2, base, 1]).astype(int).T
+    order = np.argsort(key[:, 0])
+    perm = order[np.searchsorted(key[order, 0], key.T).clip(max=len(key) - 1)]
+    keep = whole & np.all(key[perm, 0] == key.T, axis=1)
     # exp(-i R G_i . t) is (-1)^turns when turns = G_i . R^T t / pi is whole.
     turns = (shifts @ ops)[keep] @ (basis.cart.T / np.pi)
     signs = 1 - 2 * (np.rint(turns).astype(np.int8) & 1)
     turns -= np.rint(turns)
     signs *= np.abs(turns, out=turns).max(axis=2, keepdims=True) <= PHASE_TOL
     ops = np.rint(ops[keep]).astype(int)
-    # Each R and product ranked by its 9 entries as base-3 digits.
-    rank = np.unique((np.concatenate([ops, ops[:, None] @ ops[None]], None)
-                      .reshape(-1, 9) + 1) @ 3 ** np.arange(9),
-                     return_inverse=True)[1]
-    return Operations(ops, perm[keep], signs, np.argsort(rank[:len(ops)])[
-        rank[len(ops):]].reshape(len(ops), -1))
+    # R is known by R (1, 2, 3), a signed permutation, as base-7 digits.
+    sig, index = ops @ [1, 2, 3], np.zeros(343, int)
+    index[(sig + 3) @ [49, 7, 1]] = np.arange(len(ops))
+    return Operations(ops, perm[keep], signs, index[
+        (ops[:, None] @ sig[None, :, :, None])[..., 0] @ [49, 7, 1] + 171])
 
 
 def _symmetry(block: CheckedBlock, perm: np.ndarray, signs: np.ndarray) -> int:
@@ -173,8 +167,7 @@ def _symmetry(block: CheckedBlock, perm: np.ndarray, signs: np.ndarray) -> int:
         # By bands of rows: no dim^2 temporary, and a wrong t fails early.
         for start in range(0, len(perm), 64):
             band = slice(start, start + 64)
-            image = np.take(v[perm[band]], perm, axis=1) * sign
-            image *= sign[band, None]
+            image = v[perm[band]][:, perm] * sign * sign[band, None]
             if not np.abs(image - v[band]).max() <= bound:
                 break
         else:
@@ -186,11 +179,11 @@ def little_group(crystal: Operations, block: CheckedBlock,
                  fixing: np.ndarray) -> Operations:
     """The operations ``fixing`` marks (R kappa = kappa) whose Q commutes
     with V: each R not yet held is tested once (``_symmetry``) and, passing,
-    generates; each Q is a product of theirs.  If Q_s Q_a = Q_sa fails (a
-    translation the lattice lacks), the group is the identity alone."""
-    at, elems, table = {0: 0}, [0], crystal.table.tolist()
-    perm, sign = [crystal.perm[0]], [crystal.signs[0, 0]]
-    gens = [(0, sign[0])]  # the identity, so that the check below has one
+    generates; each Q's signs are a product of theirs (its permutation is
+    R's).  If Q_s Q_a = Q_sa fails (a translation the lattice lacks), the
+    group is the identity alone."""
+    at, elems, sign = {0: 0}, [0], [crystal.signs[0, 0]]
+    table, gens = crystal.table.tolist(), [(0, sign[0])]  # 1, for the check
     # Rotations of high order first (C4, C3 make O): fewer generators.
     first = np.lexsort((np.abs(np.trace(crystal.ops, axis1=1, axis2=2) - 0.5),
                         np.linalg.det(crystal.ops) < 0))
@@ -200,21 +193,17 @@ def little_group(crystal: Operations, block: CheckedBlock,
         if t < 0:
             continue
         gens.append((g, crystal.signs[g, t]))
-        a = 0
-        while a < len(elems):  # every element times every generator
+        for a, e in enumerate(elems):  # elems grows: each times each gen
             for s, s_sign in gens:
-                if table[s][elems[a]] not in at:
-                    at[table[s][elems[a]]] = len(elems)
-                    elems.append(table[s][elems[a]])
-                    perm.append(crystal.perm[s][perm[a]])
-                    sign.append(sign[a] * s_sign[perm[a]])
-            a += 1
-    perm, sign, spot = np.array(perm), np.array(sign), np.zeros_like(first)
+                if table[s][e] not in at:
+                    at[table[s][e]] = len(elems)
+                    elems.append(table[s][e])
+                    sign.append(sign[a] * s_sign[crystal.perm[e]])
+    perm, sign, spot = crystal.perm[elems], np.array(sign), 0 * first
     spot[elems] = np.arange(len(elems))
-    if not all(np.array_equal(crystal.perm[g][perm], perm[image]) and
-               np.array_equal(g_sign[perm] * sign, sign[image])
-               for g, g_sign in gens
-               for image in [spot[crystal.table[g, elems]]]):
+    if not all(np.array_equal(g_sign[perm] * sign,
+                              sign[spot[crystal.table[g, elems]]])
+               for g, g_sign in gens):
         elems, perm, sign = [0], perm[:1], sign[:1]
     return Operations(crystal.ops[elems], perm, sign[:, None],
                       spot[crystal.table[np.ix_(elems, elems)]])
@@ -224,6 +213,7 @@ def little_group(crystal: Operations, block: CheckedBlock,
 _KINDS = {(1, 3, 1): "E", (1, 1, 0): "C4", (1, 0, 0): "C3", (1, -1, 0): "C2'",
           (1, -1, 1): "C2", (-1, -3, 1): "I", (-1, 1, 0): "m'", (-1, 1, 1): "m",
           (-1, -1, 0): "S4", (-1, 0, 0): "S6"}
+_IRREPS = {}  # ``irreps`` by the group's R, in order: nothing else moves them
 
 
 def _symbol(chi: dict) -> str:
@@ -243,27 +233,32 @@ def _symbol(chi: dict) -> str:
 
 def irreps(group: Operations) -> list:
     """Each irrep of a group as (Mulliken symbol, real orthogonal D(g)),
-    computed: M = sum_g L_g x x^T L_g^T commutes with the regular
-    representation L, so for a generic x each eigenspace of M is a copy of
-    a (real) irrep, on which L_g is D(g); one copy per character is kept."""
+    computed once per list of R: M = sum_g L_g x x^T L_g^T commutes with
+    the regular representation L, so for a generic x each eigenspace of M
+    is a copy of a (real) irrep, on which L_g is D(g); one per character."""
+    key = group.ops.tobytes()
+    if key in _IRREPS:
+        return _IRREPS[key]
     n = len(group.ops)
     back = group.table[np.argmax(group.table == 0, axis=1)]  # g^-1 a
     orbit = (np.sin(12.9898 * np.arange(1, n + 1)) * 43758.5453 % 1.0)[back]
     # LAPACK's dsyevr, as for H: numpy's dsyevd wakes OpenBLAS's threads.
-    _, w, e = _solve(orbit.T @ orbit, np.zeros(n), n)
+    info, w, e = _solve(orbit.T @ orbit, np.zeros(n), n)
+    if info != 0 or len(w) != n:
+        raise SolverError(f"little group's irreps: LAPACK info {info}")
     starts = np.flatnonzero(np.r_[True, np.diff(w) > 1e-8 * np.abs(w).max()])
-    ops = group.ops
     kinds = [_KINDS[k] for k in zip(
-        np.rint(np.linalg.det(ops)).astype(int).tolist(),
-        np.trace(ops, axis1=1, axis2=2).tolist(),
-        np.all(ops.diagonal(axis1=1, axis2=2) != 0, axis=1).tolist())]
+        np.rint(np.linalg.det(group.ops)).astype(int).tolist(),
+        np.trace(group.ops, axis1=1, axis2=2).tolist(),
+        np.all(group.ops.diagonal(axis1=1, axis2=2) != 0, axis=1).tolist())]
     found = {}
     for space in np.split(e, starts[1:], axis=1):
         rep = space.T @ space[back]  # (L_g e)[a] = e[g^-1 a]
         chi = np.rint(np.trace(rep, axis1=1, axis2=2)).astype(int).tolist()
         found.setdefault(tuple(chi), rep)
-    return sorted(((_symbol(dict(zip(kinds, chi))), rep)
-                   for chi, rep in found.items()), key=lambda r: r[0])
+    return _IRREPS.setdefault(key, sorted(
+        ((_symbol(dict(zip(kinds, chi))), rep) for chi, rep in found.items()),
+        key=lambda r: r[0]))
 
 
 def row_blocks(v: np.ndarray, group: Operations) -> tuple:
@@ -291,31 +286,34 @@ def row_blocks(v: np.ndarray, group: Operations) -> tuple:
     hits[np.arange(order)[:, None], group.perm[:, heads]] = \
         group.signs[:, 0, heads]
     # (P_jl e_h)[i] for h the first row of row i's orbit, by (irrep, j, l).
-    units = np.split((fourier * np.sqrt(scale)).T @ hits, np.cumsum(dims**2))
+    units = (fourier * np.sqrt(scale)).T @ hits
     span = np.arange(size.max())  # each orbit's rows, padded with its first
     members = np.argsort(of, kind="stable")[np.where(
         span < size[:, None], (np.cumsum(size) - size)[:, None] + span, 0)]
-    split = []
-    for d, (label, _), unit in zip(dims, reps, units):
-        unit = unit.reshape(d, d, dim)
-        lam, vec = np.linalg.eigh(unit[:, :, heads].transpose(2, 0, 1))
-        keep = lam[:, ::-1] * size[:, None] > 0.5 * d  # largest first
-        count = np.count_nonzero(keep, axis=1)
-        mix = vec[:, :, ::-1] * (keep * np.sqrt(size / d)[:, None])[:, None]
-        coef = (unit.transpose(2, 0, 1) @ mix[of, :, :max(count)]
-                ).transpose(1, 0, 2)
-        start = np.cumsum(count) - count  # each orbit's first column
-        inside = np.arange(max(count)) < count[of, None]
-        column = np.where(inside, np.arange(max(count)) + start[of, None], 0)
-        # u = sum_l c_l P_1l e_h: u'^T V u = sum_l c_l (P_l1 u')^T V e_h.
-        o = np.repeat(np.arange(len(heads)), count)  # each column's orbit
-        slot = np.arange(len(o)) - start[o]
-        frames = coef[:, members[o], slot[:, None]] * (span < size[o, None])
-        if count.any():
-            split.append(Sector(label, heads[o], column, coef, np.einsum(
-                "lca,cab,lb->cb", frames, v[members[o][..., None], heads[o]],
-                mix[o, :, slot].T)))
-    return tuple(split)
+    split = {}
+    for d in set(dims.tolist()):  # the irreps of one dimension at once
+        at = np.flatnonzero(dims == d)
+        unit = units[scale == d / order].reshape(len(at), d, d, dim)
+        lam, vec = np.linalg.eigh(unit[..., heads].transpose(0, 3, 1, 2))
+        keep = lam[..., ::-1] * size[:, None] > 0.5 * d  # largest first
+        counts = np.count_nonzero(keep, axis=-1)
+        mixes = vec[..., ::-1] * (keep * np.sqrt(size / d)[:, None])[
+            ..., None, :]
+        coefs = (unit.transpose(0, 3, 1, 2) @ mixes[:, of, :, :counts.max()]
+                 ).transpose(0, 2, 1, 3)
+        for r, count, coef, mix in zip(at, counts, coefs, mixes):
+            if not count.any():
+                continue
+            start, slots = np.cumsum(count) - count, np.arange(count.max())
+            column = (slots < count[of, None]) * (slots + start[of, None])
+            # u = sum_l c_l P_1l e_h: u'^T V u = sum_l c_l (P_l1 u')^T V e_h.
+            o = np.repeat(np.arange(len(heads)), count)  # each column's orbit
+            slot, coef = np.arange(len(o)) - start[o], coef[..., :len(slots)]
+            frame = coef[:, members[o], slot[:, None]] * (span < size[o, None])
+            split[r] = Sector(reps[r][0], heads[o], column, coef, np.einsum(
+                "lca,cab,lb->cb", frame, v[members[o][..., None], heads[o]],
+                mix[o, :, slot].T))
+    return tuple(split[r] for r in sorted(split))
 
 
 def leading_blocks(split: tuple, dim: int) -> tuple:

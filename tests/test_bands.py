@@ -140,13 +140,18 @@ class TestBlockPath:
         monkeypatch.setattr(bands_mod, "eigh", recording)
         bs = sweep(quick_tour, model, lat, rec, basis, 8)
         assert len(calls) == len(quick_tour.points)
-        for point, energies, (h, result) in zip(quick_tour.points,
-                                                bs.energies, calls):
+        # Every tour point is split: C3v on L-Gamma, O_h at Gamma, C4v on
+        # Gamma-X and at X, the mirror on X-U-Gamma.
+        gamma = (7, 5, 4, 3, 2, 8, 8, 3)
+        rows = ([(28, 5, 28)] * 14 + [gamma] + [(19, 5, 7, 16, 21)] * 14
+                + [(56, 33)] * 27 + [gamma])
+        for point, energies, (h, result), dims in zip(
+                quick_tour.points, bs.energies, calls, rows):
             # The block checked once solves as the dense block checked at
             # this k-point, split the same way, bit for bit ...
             fresh = eigh(build(point.kappa, basis, v.copy(), h.sectors), 8)
             np.testing.assert_array_equal(energies, fresh.values)
-            assert len(result.sectors) > 1  # every tour point is split
+            assert result.sectors == dims
             # ... and as the dense matrix solved whole, to rounding.
             dense = build(point.kappa, basis, v).entries
             assert dense.dtype == dtype
@@ -241,7 +246,7 @@ class TestSectors:
                                  cutoffs, 8)
         assert [r.sectors for r in results] == [
             (3, 2, 2), (10, 3, 4, 10, 12), (19, 5, 7, 16, 21)]
-        assert all(len(r.sectors) > 1 for r in results)
+        assert [len(r.sectors) for r in results] == [3, 5, 5]
         monkeypatch.setattr(bands_mod, "row_blocks", lambda *_: ())
         whole = convergence_study(x, Potential(0.5), lat, rec,
                                   basis(rec, 76), cutoffs, 8)
