@@ -1,6 +1,7 @@
 """Band-structure sweeps along k-paths and cutoff convergence studies, both
-on a plane-wave basis the caller enumerates, and gap detection.  Each
-k-point is solved in one row of each irrep of its little group."""
+on a plane-wave basis the caller enumerates and both one loop over (kappa,
+dim) pairs, and gap detection.  Each k-point is solved in one row of each
+irrep of its little group."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigen import CheckedBlock, NonHermitianError, SolverError, eigh
-from .hamiltonian import (PlaneWaveBasis, build, leading_blocks, little_group,
+from .eigen import BlochMatrix, NonHermitianError, SolverError, eigh
+from .hamiltonian import (AssemblyError, PlaneWaveBasis, build, little_group,
                           operations, potential_matrix, row_blocks)
 from .lattice import KPath, RealLattice, ReciprocalLattice
 from .potential import HBAR2_OVER_2M, Potential
@@ -65,36 +66,39 @@ class SweepError(RuntimeError):
 def sweep(path: KPath, model: Potential, lattice: RealLattice,
           recip: ReciprocalLattice, basis: PlaneWaveBasis,
           num_bands: int) -> BandStructure:
-    """Diagonalize the Bloch Hamiltonian over ``basis`` at every path point.
-
-    The potential block is assembled and checked once and reused; only the
-    kinetic diagonal changes with kappa.  Each point is solved in one row
-    of each irrep of its little group (whole, if only the identity fixes
-    it), whose blocks are built once per sweep for each distinct group.
-    Each solve returns and verifies only the lowest ``num_bands`` pairs.
-    """
-    crystal = operations(lattice, recip, basis)
-    v = CheckedBlock.of(potential_matrix(model, lattice, recip, basis))
-    energies, blocks = np.empty((len(path.points), num_bands)), {}
-    for idx, (point, fixing) in enumerate(zip(path.points,
-                                              crystal.fixes(path.kappas))):
-        key = fixing.tobytes()
-        if key not in blocks:
-            blocks[key] = row_blocks(v.matrix, little_group(crystal, v, fixing))
-        # Live until the next solve, or malloc trims and re-faults its pages.
-        result = _solve(point.kappa, basis, v, blocks[key], num_bands, idx,
-                        lambda: f"k-point {idx} kappa={point.kappa}")
-        energies[idx] = result.values
+    """Diagonalize the Bloch Hamiltonian over ``basis`` at every path point:
+    only the kinetic diagonal changes with kappa, and each point is solved
+    in one row of each irrep of its little group (whole, if only the
+    identity fixes it) for its lowest ``num_bands`` pairs, verified."""
+    energies = np.array([result.values for result in _solves(
+        path.kappas, [basis.dim] * len(path.points), model, lattice, recip,
+        basis, num_bands, lambda i, kappa: f"k-point {i} kappa={kappa}")])
     return BandStructure(path=path, num_bands=num_bands, energies=energies)
 
 
-def _solve(kappa, basis, v, split, num_bands, index, where):
-    """Eigenpairs at kappa; a failure raises SweepError located by where()."""
-    try:
-        return eigh(build(kappa, basis, v, split), num_bands)
-    except (SolverError, NonHermitianError) as exc:
-        raise SweepError(f"solve failed at {where()}: {exc}",
-                         index=index, kappa=kappa) from exc
+def _solves(kappas, dims, model, lattice, recip, basis, num_bands, where):
+    """Eigenpairs at each (kappa, dim) pair in turn, on the first dim rows of
+    ``basis``; a failure raises SweepError located by where(index, kappa).
+    V and the crystal's operations are built once, and each little group's
+    row blocks once, on the whole basis; a smaller dim solves V's leading
+    block and views of those row blocks (``BlochMatrix.leading``)."""
+    crystal = operations(lattice, recip, basis)
+    v = BlochMatrix.of(potential_matrix(model, lattice, recip, basis))
+    groups = {}
+    for idx, (kappa, fixing, dim) in enumerate(zip(kappas,
+                                                   crystal.fixes(kappas), dims)):
+        key = fixing.tobytes()
+        if key not in groups:
+            groups[key] = v._replace(sectors=row_blocks(
+                v.matrix, little_group(crystal, v, fixing)))
+        h = groups[key].leading(dim)
+        sub = PlaneWaveBasis(basis.coeffs[:dim], basis.cart[:dim])
+        try:  # result lives until the next solve, or malloc re-faults pages
+            result = eigh(build(kappa, sub, h, h.sectors), num_bands)
+        except (SolverError, NonHermitianError) as exc:
+            raise SweepError(f"solve failed at {where(idx, kappa)}: {exc}",
+                             index=idx, kappa=kappa) from exc
+        yield result
 
 
 def free_electron_reference(path: KPath, lattice: RealLattice,
@@ -140,32 +144,26 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
     cutoffs = [float(c) for c in cutoffs]
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"need strictly ascending cutoffs, got {cutoffs}")
-    basis = basis.truncate(cutoffs[-1])
-    v = potential_matrix(model, lattice, recip, basis)
     kappa = np.asarray(kappa, dtype=float)
-    block = CheckedBlock.of(v)
-    split = ()
-    if kappa.shape == (3,):  # any other shape is left to build to reject
-        crystal = operations(lattice, recip, basis)
-        split = row_blocks(v, little_group(crystal, block,
-                                           crystal.fixes(kappa[None])[0]))
+    if kappa.shape != (3,):
+        raise AssemblyError(f"bad Bloch vector: {kappa}")
+    basis = basis.truncate(cutoffs[-1])
+    dims = [basis.truncate(g2_max).dim for g2_max in cutoffs]
+
+    def where(idx, _):
+        return f"cutoff g2_max={cutoffs[idx]:g} 1/A^2 (cutoffs[{idx}])"
+
     rows = []
-    for idx, g2_max in enumerate(cutoffs):
-        sub = basis.truncate(g2_max)
-
-        def where():
-            return f"cutoff g2_max={g2_max:g} 1/A^2 (cutoffs[{idx}])"
-
-        sub_v = block if sub.dim == basis.dim else v[:sub.dim, :sub.dim]
-        result = _solve(kappa, sub, sub_v, leading_blocks(split, sub.dim),
-                        num_bands, idx, where)
+    for idx, result in enumerate(_solves(
+            np.tile(kappa, (len(cutoffs), 1)), dims, model, lattice, recip,
+            basis, num_bands, where)):
         rise = result.values - rows[-1].values if rows else 0.0
         over = rise > INTERLACING_TOL * result.scale
         if np.any(over):
             level = int(np.argmax(over))
             raise SweepError(
-                f"levels do not interlace at {where()}: E{level + 1} rose by "
-                f"{rise[level]:.3e} eV from the previous cutoff",
-                index=idx, kappa=kappa)
-        rows.append(ConvergenceRow(g2_max, sub.dim, result.values))
+                f"levels do not interlace at {where(idx, kappa)}: "
+                f"E{level + 1} rose by {rise[level]:.3e} eV from the "
+                "previous cutoff", index=idx, kappa=kappa)
+        rows.append(ConvergenceRow(cutoffs[idx], dims[idx], result.values))
     return rows

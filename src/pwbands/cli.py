@@ -140,6 +140,9 @@ def _resolve_potential(pot: dict) -> Potential:
         except ValueError:
             raise ConfigError("potential.overrides",
                               f"shell key {key!r} is not an integer") from None
+        if shell in table:  # "12", "012", " 12" and "1_2" are one shell
+            raise ConfigError(f"potential.overrides.{key}",
+                              f"shell {shell} is already overridden")
         table[shell] = _number(value, f"potential.overrides.{key}")
     try:
         return Potential(

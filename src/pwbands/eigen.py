@@ -1,17 +1,18 @@
 """Dense Hermitian eigendecomposition with verified contracts.
 
-A matrix reaches the solver as a ``BlochMatrix``: a ``CheckedBlock`` V plus
-a real diagonal T, H = V + diag(T).  Along a sweep only T changes, and
+A matrix reaches the solver as a ``BlochMatrix``: V, a real diagonal T,
+H = V + diag(T), and V's figures.  Along a sweep only T changes, and
 H - H^dagger equals V - V^dagger entry for entry, so every pass over the
-dim x dim entries that checks H is made once per block, by
-``CheckedBlock.of``: the shape, max|V - V^dagger| and the off-diagonal
-max|V|.  Each solve then costs, outside LAPACK, O(dim) for max|H| (the
-larger of the off-diagonal max|V| and max|diag V + T|), one dim x dim write
-of conj(V) + T into the buffer LAPACK overwrites, and the residual product
+dim x dim entries that checks H is made once per V, by ``BlochMatrix.of``:
+the shape, max|V - V^dagger| and the off-diagonal max|V|; a smaller
+cutoff's V, a leading block, is checked anew by ``BlochMatrix.leading``.
+Each solve then costs, outside LAPACK, O(dim) for max|H| (the larger of
+the off-diagonal max|V| and max|diag V + T|), one dim x dim write of
+conj(V) + T into the buffer LAPACK overwrites, and the residual product
 V X + T X on the pairs returned.  Non-finite entries, of V or of an
 overflowing T, make max|H| non-finite and are rejected there, before LAPACK
 sees the matrix; so is a stored deviation above 1e-12 max|H|.  An ndarray
-is solved on the same path, as a block with T = 0.
+is solved on the same path, as V with T = 0.
 
 A BlochMatrix may carry ``sectors``: one row of each irrep of the Bloch
 vector's little group (``hamiltonian.row_blocks``).  Each row's block plus
@@ -84,44 +85,6 @@ class SolverError(RuntimeError):
     """The eigensolver failed to converge or to meet its contract."""
 
 
-@dataclass(frozen=True, eq=False)
-class CheckedBlock:
-    """A square matrix V with the figures ``eigh`` needs from it, taken once.
-
-    ``herm`` is max|V - V^dagger|, ``off_max`` the largest off-diagonal
-    |V_ij| and ``diag`` a copy of V's diagonal.  ``matrix`` is V itself (as
-    float64 or complex128), not a copy, so it must not change while the
-    block is in use.  Non-finite entries are kept, not raised here: they
-    make max|H| non-finite at every solve, so the error names the first
-    k-point solved.
-    """
-
-    matrix: np.ndarray
-    herm: float
-    off_max: float
-    diag: np.ndarray
-
-    @classmethod
-    def of(cls, v) -> "CheckedBlock":
-        v = np.asarray(v)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise NonHermitianError(f"matrix must be square, got {v.shape}")
-        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64,
-                     copy=False)
-        # One dim x dim float scratch holds |V - V^dagger|, then |V|.
-        with np.errstate(invalid="ignore"):  # inf - inf; max|H| rejects it
-            dev = v - v.conj().T
-        scratch = np.abs(dev, out=dev if dev.dtype == np.float64 else None)
-        herm = scratch.max()
-        off = np.abs(v, out=scratch)
-        off.flat[::len(v) + 1] = 0.0
-        return cls(v, herm, off.max(), v.diagonal().copy())
-
-    @property
-    def dim(self) -> int:
-        return len(self.diag)
-
-
 class Sector(NamedTuple):
     """One row of an irrep of a group of symmetries of V, and V's block in it.
 
@@ -145,28 +108,75 @@ class Sector(NamedTuple):
         return xs.reshape(-1, xs.shape[-1])
 
 
-@dataclass(frozen=True, eq=False)
-class BlochMatrix:
-    """Hermitian H = V + diag(kinetic) at one Bloch vector, in eV.
+class BlochMatrix(NamedTuple):
+    """Hermitian H = V + diag(kinetic) at one Bloch vector, in eV, with the
+    figures ``eigh`` needs from V, taken once by ``of``.
 
-    ``sectors`` splits the basis into rows of the irreps of a group of
-    symmetries of H, which ``eigh`` solves one by one; empty, H is whole.
+    ``matrix`` is V itself (as float64 or complex128), not a copy, so it
+    must not change while H is in use.  ``herm`` is max|V - V^dagger|,
+    ``off_max`` the largest off-diagonal |V_ij| and ``diag`` a copy of V's
+    diagonal.  Non-finite entries are kept, not raised here: they make
+    max|H| non-finite at every solve, so the error names the first k-point
+    solved.  ``sectors`` splits the basis into rows of the irreps of a
+    group of symmetries of H, which ``eigh`` solves one by one; empty, H is
+    whole.
     """
 
-    block: CheckedBlock
+    matrix: np.ndarray
+    herm: float
+    off_max: float
+    diag: np.ndarray
     kinetic: np.ndarray
     sectors: tuple = ()
 
+    @classmethod
+    def of(cls, v, kinetic=None, sectors=()) -> "BlochMatrix":
+        """V checked in one O(dim^2) pass; T = 0 unless ``kinetic``."""
+        v = np.asarray(v)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise NonHermitianError(f"matrix must be square, got {v.shape}")
+        v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64,
+                     copy=False)
+        # One dim x dim float scratch holds |V - V^dagger|, then |V|.
+        with np.errstate(invalid="ignore"):  # inf - inf; max|H| rejects it
+            dev = v - v.conj().T
+        scratch = np.abs(dev, out=dev if dev.dtype == np.float64 else None)
+        herm = scratch.max()
+        off = np.abs(v, out=scratch)
+        off.flat[::len(v) + 1] = 0.0
+        return cls(v, herm, off.max(), v.diagonal().copy(),
+                   np.zeros(len(v)) if kinetic is None else kinetic, sectors)
+
     @property
     def dim(self) -> int:
-        return len(self.kinetic)
+        return len(self.diag)
 
     @property
     def entries(self) -> np.ndarray:
         """H as a dense array, assembled anew at each access."""
-        h = self.block.matrix.copy()
+        h = self.matrix.copy()
         h.flat[::self.dim + 1] += self.kinetic
         return h
+
+    def leading(self, dim: int) -> "BlochMatrix":
+        """H on the first ``dim`` rows (a smaller cutoff's): V's leading
+        block, checked anew, T[:dim] and views of the row blocks, or no row
+        blocks if some orbit straddles row ``dim``.  At the whole dim, H
+        itself, not checked again."""
+        if dim == self.dim:
+            return self
+        lead = []
+        for sector in self.sectors:
+            m = np.searchsorted(sector.rows, dim)
+            if np.any((sector.coef[:, dim:] != 0) & (sector.column[dim:] < m)):
+                lead = []
+                break
+            if m:
+                lead.append(sector._replace(
+                    rows=sector.rows[:m], column=sector.column[:dim],
+                    coef=sector.coef[:, :dim], matrix=sector.matrix[:m, :m]))
+        return BlochMatrix.of(self.matrix[:dim, :dim], self.kinetic[:dim],
+                              tuple(lead))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,29 +213,27 @@ def eigh(h, count: int | None = None) -> EigenResult:
     A ``count`` outside 1..dim raises ValueError (sweeps rely on this).
     """
     if not isinstance(h, BlochMatrix):
-        block = CheckedBlock.of(h)
-        h = BlochMatrix(block, np.zeros(block.dim))
+        h = BlochMatrix.of(h)
     n = h.dim
     if count is None:
         count = n
     elif not 1 <= count <= n:
         raise ValueError(f"count={count} outside 1..{n}")
-    block = h.block
     # Off the diagonal H is V, so max|H| needs only diag V + T; the same
     # number np.abs(H).max() gives, NaN included.
-    scale = np.maximum(block.off_max, np.abs(block.diag + h.kinetic).max())
+    scale = np.maximum(h.off_max, np.abs(h.diag + h.kinetic).max())
     if not np.isfinite(scale):
         raise NonHermitianError("matrix has non-finite entries")
-    if block.herm > HERMITICITY_TOL * scale:
+    if h.herm > HERMITICITY_TOL * scale:
         raise NonHermitianError(
-            f"matrix is not Hermitian: max deviation {block.herm:.3e} "
+            f"matrix is not Hermitian: max deviation {h.herm:.3e} "
             f"(max entry {scale:.3e})")
     # The fallback solves H whole: it is the reference a split is held to.
-    split = h.sectors if block.matrix.dtype.type in _DRIVERS else ()
+    split = h.sectors if h.matrix.dtype.type in _DRIVERS else ()
     if not split:  # the trivial split: H as one row
         every = np.arange(n)
         split = (Sector("", every, every[:, None], np.ones((1, n, 1)),
-                        block.matrix),)
+                        h.matrix),)
     if sum(len(s.coef) * len(s.rows) for s in split) != n:
         raise SolverError("symmetry rows do not span the basis")
     values, rows, labels = [], [], []  # eigenvectors as rows, C-ordered
@@ -252,7 +260,7 @@ def eigh(h, count: int | None = None) -> EigenResult:
     residual, ortho = _verify(h, values, vectors, scale)
     return EigenResult(values=values, vectors=vectors, scale=float(scale),
                        residual=residual, orthonormality=ortho,
-                       hermiticity=float(block.herm),
+                       hermiticity=float(h.herm),
                        sectors=tuple(len(s.rows) for s in split),
                        labels=tuple(labels[i] for i in keep.tolist()))
 
@@ -299,7 +307,7 @@ def _verify(h, values, vectors, scale):
         raise SolverError(f"eigenvectors not orthonormal: {ortho:.3e}")
     # H X - X diag(lambda) = V X + (T - lambda) X.  Scaled before the norm,
     # whose squares overflow once |H| passes 1e154.
-    r = h.block.matrix @ vectors
+    r = h.matrix @ vectors
     r += (h.kinetic[:, None] - values) * vectors
     r /= max(scale, 1e-300)
     residual = float(np.linalg.norm(r, axis=0).max())

@@ -14,18 +14,19 @@ every k-point, whose Hamiltonian is that block plus a kinetic diagonal.
 A smaller cutoff's basis is the leading rows of a larger one, and its
 potential block the leading principal block (``PlaneWaveBasis.truncate``).
 
-The block is checked once, as an ``eigen.CheckedBlock``, when a sweep
+The block is checked once, by ``eigen.BlochMatrix.of``, when a sweep
 makes it (or when ``build`` is handed a bare array): that is where its
 finiteness and Hermiticity are measured.  A k-point then costs O(dim) here,
-the kinetic diagonal; ``build`` returns the block and that diagonal, and
-the dense matrix exists only in the solver's buffer, or as ``entries``.
+the kinetic diagonal; ``build`` returns the checked block with that
+diagonal, and the dense matrix exists only in the solver's buffer, or as
+``entries``.
 
 Symmetry splits the solve: the crystal's operations {R|t} act on the
 basis as signed permutations Q (``operations``), those whose R fixes kappa
 and whose Q commutes with V form its little group (``little_group``), and
 H(kappa) is block diagonal in the rows of the group's irreps, whose blocks
 ``row_blocks`` gathers once per basis and group; a smaller cutoff's are
-slices.
+slices (``BlochMatrix.leading``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eigen import BlochMatrix, CheckedBlock, Sector, SolverError, _solve
+from .eigen import BlochMatrix, Sector, SolverError, _solve
 from .lattice import (CUTOFF_SLACK, RealLattice, ReciprocalLattice, cartesian,
                       cubic_operations, enumerate_g)
 from .potential import HBAR2_OVER_2M, Potential, matrix_element
@@ -156,7 +157,7 @@ def operations(lattice: RealLattice, recip: ReciprocalLattice,
         (ops[:, None] @ sig[None, :, :, None])[..., 0] @ [49, 7, 1] + 171])
 
 
-def _symmetry(block: CheckedBlock, perm: np.ndarray, signs: np.ndarray) -> int:
+def _symmetry(block: BlochMatrix, perm: np.ndarray, signs: np.ndarray) -> int:
     """The first row of ``signs`` (none zero) with which Q V Q^T = V to
     1e-12 max|V|, or -1 if none; a V that is not finite has no symmetry."""
     v = block.matrix
@@ -175,7 +176,7 @@ def _symmetry(block: CheckedBlock, perm: np.ndarray, signs: np.ndarray) -> int:
     return -1
 
 
-def little_group(crystal: Operations, block: CheckedBlock,
+def little_group(crystal: Operations, block: BlochMatrix,
                  fixing: np.ndarray) -> Operations:
     """The operations ``fixing`` marks (R kappa = kappa) whose Q commutes
     with V: each R not yet held is tested once (``_symmetry``) and, passing,
@@ -316,26 +317,11 @@ def row_blocks(v: np.ndarray, group: Operations) -> tuple:
     return tuple(split[r] for r in sorted(split))
 
 
-def leading_blocks(split: tuple, dim: int) -> tuple:
-    """The row blocks of a basis's first ``dim`` rows (a smaller cutoff's),
-    or () if some orbit straddles row ``dim``: views of ``split``."""
-    lead = []
-    for sector in split:
-        m = np.searchsorted(sector.rows, dim)
-        if np.any((sector.coef[:, dim:] != 0) & (sector.column[dim:] < m)):
-            return ()
-        if m:
-            lead.append(sector._replace(
-                rows=sector.rows[:m], column=sector.column[:dim],
-                coef=sector.coef[:, :dim], matrix=sector.matrix[:m, :m]))
-    return tuple(lead)
-
-
 def build(kappa, basis: PlaneWaveBasis, potential, sectors=()) -> BlochMatrix:
     """Bloch Hamiltonian at kappa: the potential block plus kinetic terms.
 
     ``potential`` is the ``potential_matrix`` of ``basis``, or the
-    ``CheckedBlock`` of it that a sweep makes once; a bare array is checked
+    ``BlochMatrix`` of it that a sweep makes once; a bare array is checked
     here, at O(dim^2).  The block does not depend on kappa, so with a
     checked block this is O(dim): it computes hbar^2 |kappa + G|^2 / 2m and
     leaves V untouched.  The matrix keeps V's dtype: real symmetric for a
@@ -345,7 +331,8 @@ def build(kappa, basis: PlaneWaveBasis, potential, sectors=()) -> BlochMatrix:
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (3,) or not np.all(np.isfinite(kappa)):
         raise AssemblyError(f"bad Bloch vector: {kappa}")
-    if not isinstance(potential, CheckedBlock):
-        potential = CheckedBlock.of(potential)
-    kinetic = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
-    return BlochMatrix(potential, kinetic, sectors)
+    if not isinstance(potential, BlochMatrix):
+        potential = BlochMatrix.of(potential)
+    with np.errstate(over="ignore"):  # an inf T is rejected by eigh
+        kinetic = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
+    return potential._replace(kinetic=kinetic, sectors=sectors)

@@ -297,7 +297,8 @@ def make_kpath(points: Sequence, samples_per_segment: int) -> KPath:
     arc = 0.0
     samples.append(KPoint(verts[0][1], 0.0, verts[0][0]))
     for (_, start), (label_b, end) in zip(verts, verts[1:]):
-        seg_len = float(np.linalg.norm(end - start))
+        with np.errstate(over="ignore"):  # past 1e154 the arc is inf
+            seg_len = float(np.linalg.norm(end - start))
         for j in range(1, samples_per_segment):
             t = j / (samples_per_segment - 1)
             kappa = (1.0 - t) * start + t * end

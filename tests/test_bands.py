@@ -11,7 +11,8 @@ from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            free_electron_reference, sweep)
 from pwbands.cli import load_config
 from pwbands.eigen import SolverError, eigh
-from pwbands.hamiltonian import PlaneWaveBasis, build, potential_matrix
+from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
+                                 potential_matrix)
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
     reciprocal_of
 from pwbands.potential import HBAR2_OVER_2M, Potential
@@ -384,6 +385,41 @@ class TestConvergence:
         with pytest.raises(ValueError, match="outside 1..1"):
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
                               basis(rec, 44), [0.0, 44 * SHELL], 8)
+
+    def test_bloch_vector_of_two_components_rejected_before_any_solve(
+            self, diamond, monkeypatch):
+        lat, rec = diamond
+        solves = []
+        monkeypatch.setattr(bands_mod, "eigh", lambda *args: solves.append(
+            args))
+        with pytest.raises(AssemblyError, match="bad Bloch vector"):
+            convergence_study(np.zeros(2), Potential(0.5), lat, rec,
+                              basis(rec, 44), [12 * SHELL, 44 * SHELL], 4)
+        assert solves == []
+
+
+class TestOneLoop:
+    """A sweep and a convergence study run the same loop, which builds V
+    and the crystal's operations once, however many points or cutoffs."""
+
+    @pytest.mark.parametrize("study", ["sweep", "convergence_study"])
+    def test_operations_and_potential_built_once(self, diamond, quick_tour,
+                                                 monkeypatch, study):
+        lat, rec = diamond
+        calls = {"operations": 0, "potential_matrix": 0}
+        for name in calls:
+            def counting(*args, _build=getattr(bands_mod, name), _name=name):
+                calls[_name] += 1
+                return _build(*args)
+
+            monkeypatch.setattr(bands_mod, name, counting)
+        if study == "sweep":
+            sweep(quick_tour, Potential(0.5), lat, rec, basis(rec, 44), 4)
+        else:
+            convergence_study(fcc_symmetry_points(A_SI)["X"], Potential(0.5),
+                              lat, rec, basis(rec, 76),
+                              [c * SHELL for c in (12, 16, 44, 76)], 4)
+        assert calls == {"operations": 1, "potential_matrix": 1}
 
 
 def skip_lowest_level_on_call(monkeypatch, call):

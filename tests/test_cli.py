@@ -500,6 +500,36 @@ class TestMain:
         assert len(rows) == 9
         assert all(math.isfinite(e) for e in energies)
 
+    @pytest.mark.parametrize("command, where, code", [
+        ("info", "path", 0), ("converge", "path", 0), ("bands", "path", 3),
+        ("converge", "converge_at", 3)])
+    def test_far_out_bloch_vector_warns_nothing(self, tmp_path, capsys,
+                                                command, where, code):
+        # |kappa| near 1e200 1/A: the arc length to it and |kappa + G|^2
+        # overflow to inf.  info and converge never read the arc, and an
+        # infinite kinetic diagonal is rejected at the first solve; numpy's
+        # overflow warnings must not reach stderr on the way.
+        cfg = json.loads(preset_path("z05").read_text(encoding="utf-8"))
+        cfg["basis"]["cutoffs"] = [12, 44]
+        if where == "path":
+            cfg["path"]["points"][0] = {"label": "A", "coords": [1e200, 0, 0]}
+        else:
+            cfg["basis"]["converge_at"] = [1e200, 0, 0]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == code
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "Warning" not in err and "Traceback" not in err
+        if code == 3:
+            assert err.startswith("numerical failure: solve failed at " + (
+                "k-point 0 kappa=" if command == "bands" else
+                "cutoff g2_max="))
+            assert "non-finite" in err
+
     def test_numerical_failure_exit_code(self, write_config, tmp_path,
                                          monkeypatch, capsys):
         import pwbands.cli as cli_mod
@@ -628,6 +658,20 @@ class TestOverrideShells:
         with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         assert excinfo.value.key == f"potential.overrides.{bad}"
+
+    @pytest.mark.parametrize("spelling", ["012", "1_2", " 12"])
+    def test_two_keys_for_one_shell_exit_2(self, write_config, tmp_path,
+                                           capsys, spelling):
+        # int() reads each spelling as shell 12, so one value would
+        # silently replace the other.
+        path = write_config(potential={"model": "empirical", "overrides": {
+            "12": -2.0, spelling: 5.0}})
+        assert main(["gaps", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at potential.overrides.{spelling}"
+                              ": shell 12 ")
+        assert not (tmp_path / "o").exists()
 
     def test_shells_beyond_reach_are_not_enumerated(self, write_config):
         # g2_max 16 bases hold no G - G' beyond n^2 = 64, so a table entry

@@ -1,15 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pwbands import eigen as eigen_mod
-from pwbands.eigen import (BlochMatrix, CheckedBlock, EigenResult,
-                           NonHermitianError, SolverError, eigh)
+from pwbands.eigen import (BlochMatrix, EigenResult, NonHermitianError,
+                           SolverError, eigh)
 import pwbands.hamiltonian as hamiltonian_mod
-from pwbands.hamiltonian import (PlaneWaveBasis, build, leading_blocks,
-                                 little_group, operations, potential_matrix,
-                                 row_blocks)
+from pwbands.hamiltonian import (PlaneWaveBasis, build, little_group,
+                                 operations, potential_matrix, row_blocks)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
                              reciprocal_of)
 from pwbands.potential import Potential
@@ -164,20 +164,21 @@ class TestVerificationFigures:
     def test_bloch_matrix_reports_its_block_deviation(self):
         v = random_hermitian(20, seed=51)
         v[0, 4] += 2e-13
-        block = CheckedBlock.of(v)
-        kinetic = np.linspace(0.0, 40.0, 20)
-        result = eigh(BlochMatrix(block, kinetic), 5)
-        assert result.hermiticity == block.herm \
+        h = BlochMatrix.of(v, np.linspace(0.0, 40.0, 20))
+        result = eigh(h, 5)
+        assert result.hermiticity == h.herm \
             == abs(v[0, 4] - np.conj(v[4, 0]))
         assert result.residual <= eigen_mod.RESIDUAL_TOL
 
 
 class TestCheckedBlock:
+    """V's figures, taken once by ``BlochMatrix.of``."""
+
     @pytest.mark.parametrize("complex_entries", [False, True])
     def test_block_figures(self, complex_entries):
         v = random_hermitian(15, seed=52, complex_entries=complex_entries)
         v[2, 9] += 3e-14
-        block = CheckedBlock.of(v)
+        block = BlochMatrix.of(v)
         assert block.matrix is v  # checked in place, not copied
         assert block.dim == 15
         assert block.herm == np.abs(v - v.conj().T).max()
@@ -195,12 +196,12 @@ class TestCheckedBlock:
         rng = np.random.RandomState(seed)
         v = random_hermitian(25, seed, complex_entries)
         kinetic = rng.uniform(-4.0, 4.0, 25) * (seed - 53)
-        h = BlochMatrix(CheckedBlock.of(v), kinetic)
+        h = BlochMatrix.of(v, kinetic)
         assert eigh(h, 4).scale == np.abs(h.entries).max()
         assert eigh(h.entries, 4).scale == np.abs(h.entries).max()
 
     def test_integer_input_is_solved_as_float(self):
-        block = CheckedBlock.of([[2, 1], [1, 2]])
+        block = BlochMatrix.of([[2, 1], [1, 2]])
         assert block.matrix.dtype == np.float64
         np.testing.assert_allclose(eigh([[2, 1], [1, 2]]).values, [1.0, 3.0],
                                    atol=1e-14)
@@ -211,9 +212,10 @@ class TestCheckedBlock:
         lat = make_cubic("DIAMOND", 5.431)
         rec = reciprocal_of(lat)
         basis = PlaneWaveBasis.from_cutoff(rec, 12 * (math.pi / 5.431) ** 2)
-        block = CheckedBlock.of(potential_matrix(Potential(0.5), lat, rec,
-                                                 basis))
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        block = BlochMatrix.of(potential_matrix(Potential(0.5), lat, rec,
+                                                basis))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is silent
             h = build(np.full(3, 1e160), basis, block)
         assert np.isfinite(block.off_max) and np.isinf(h.kinetic).all()
         with pytest.raises(NonHermitianError, match="non-finite"):
@@ -314,8 +316,8 @@ def split_x_matrix(lattice, cutoff=76, point="X"):
     a = lattice.lattice_constant
     rec = reciprocal_of(lattice)
     basis = PlaneWaveBasis.from_cutoff(rec, cutoff * (math.pi / a) ** 2)
-    block = CheckedBlock.of(potential_matrix(Potential(0.5), lattice, rec,
-                                             basis))
+    block = BlochMatrix.of(potential_matrix(Potential(0.5), lattice, rec,
+                                            basis))
     kappa = fcc_symmetry_points(a)[point]
     crystal = operations(lattice, rec, basis)
     group = little_group(crystal, block, crystal.fixes(kappa[None])[0])
@@ -329,7 +331,7 @@ class TestSectors:
     def test_split_matches_whole(self, centred):
         h = split_x_matrix(make_cubic("DIAMOND", 5.431) if centred
                            else non_centered())
-        whole = eigh(BlochMatrix(h.block, h.kinetic), 8)
+        whole = eigh(h._replace(sectors=()), 8)
         split = eigh(h, 8)
         assert whole.sectors == (h.dim,)
         assert split.sectors == tuple(len(s.rows) for s in h.sectors)
@@ -356,7 +358,7 @@ class TestSectors:
             q = np.hstack(u)
             np.testing.assert_allclose(q.T @ q, np.eye(h.dim), atol=atol)
             for s, us in zip(h.sectors, u):
-                np.testing.assert_allclose(us.T @ h.block.matrix @ us, np.kron(
+                np.testing.assert_allclose(us.T @ h.matrix @ us, np.kron(
                     np.eye(len(s.coef)), s.matrix), atol=1e-12)
 
     def test_orbit_straddling_the_cut_is_solved_whole(self):
@@ -367,12 +369,39 @@ class TestSectors:
         first = h.sectors[0]
         dim = first.rows[first.rows >= 15][0] + 1  # its orbit runs past
         assert dim < 27
-        lead = leading_blocks(h.sectors, dim)
-        assert lead == ()
-        block = CheckedBlock.of(h.block.matrix[:dim, :dim])
-        result = eigh(BlochMatrix(block, h.kinetic[:dim], lead), 8)
+        lead = h.leading(dim)
+        assert lead.sectors == ()
+        result = eigh(lead, 8)
         assert result.sectors == (dim,)
-        values, _ = fallback(BlochMatrix(block, h.kinetic[:dim]).entries, 8)
+        values, _ = fallback(lead.entries, 8)
+        np.testing.assert_allclose(result.values, values, rtol=0, atol=1e-10)
+
+    def test_leading_block_is_checked_anew_on_views(self):
+        # Past the 12 shell (27 rows) no orbit straddles the cut: V's
+        # leading block gets its own figures, as if checked alone, and the
+        # row blocks are views of the whole basis's.
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        noise = np.zeros((h.dim, h.dim))
+        noise[3, 20] = 2e-14  # inside the leading block
+        noise[40, 2] = 5e-14  # outside it, and larger
+        h = BlochMatrix.of(h.matrix + noise, h.kinetic, h.sectors)
+        assert h.leading(h.dim) is h
+        lead, alone = h.leading(27), BlochMatrix.of(h.matrix[:27, :27])
+        assert 0 < lead.herm == alone.herm < h.herm
+        assert lead.off_max == alone.off_max
+        np.testing.assert_array_equal(lead.diag, alone.diag)
+        np.testing.assert_array_equal(lead.kinetic, h.kinetic[:27])
+        assert np.shares_memory(lead.matrix, h.matrix)
+        assert len(lead.sectors) == len(h.sectors)
+        for part, whole in zip(lead.sectors, h.sectors):
+            assert part.label == whole.label
+            for field in ("rows", "column", "coef", "matrix"):
+                assert np.shares_memory(getattr(part, field),
+                                        getattr(whole, field))
+        result = eigh(lead, 8)
+        assert sum(result.sectors) < 27 == sum(
+            len(s.coef) * len(s.rows) for s in lead.sectors)
+        values, _ = fallback(lead.entries, 8)
         np.testing.assert_allclose(result.values, values, rtol=0, atol=1e-10)
 
     def test_fallback_solves_whole(self, monkeypatch):
@@ -438,10 +467,10 @@ class TestSectors:
         coef[1] = np.roll(coef[1], 1, axis=0)
         sectors = tuple(e._replace(coef=coef) if s is e else s
                         for s in h.sectors)
-        assert eigh(h, 8).sectors == eigh(BlochMatrix(h.block, h.kinetic,
-                                                      sectors), 1).sectors
+        assert eigh(h, 8).sectors == eigh(h._replace(sectors=sectors),
+                                          1).sectors
         with pytest.raises(SolverError):
-            eigh(BlochMatrix(h.block, h.kinetic, sectors), 8)
+            eigh(h._replace(sectors=sectors), 8)
 
     def test_wrong_sector_is_solver_error(self):
         # Sectors of a symmetry H does not have: the back-mapped pairs miss
@@ -449,9 +478,9 @@ class TestSectors:
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
         rng = np.random.RandomState(60)
         noise = rng.standard_normal((h.dim, h.dim))
-        v = h.block.matrix + 1e-2 * (noise + noise.T)
+        v = h.matrix + 1e-2 * (noise + noise.T)
         with pytest.raises(SolverError, match="residual"):
-            eigh(BlochMatrix(CheckedBlock.of(v), h.kinetic, h.sectors), 8)
+            eigh(BlochMatrix.of(v, h.kinetic, h.sectors), 8)
 
 
 class TestErrors:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import pwbands.bands as bands_mod
 from pwbands.bands import convergence_study, sweep
 from pwbands.cli import load_config
-from pwbands.eigen import CheckedBlock
+from pwbands.eigen import BlochMatrix
 from pwbands.hamiltonian import (PlaneWaveBasis, little_group, operations,
                                  potential_matrix, row_blocks)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
@@ -215,7 +215,7 @@ def test_111_plane_waves_at_gamma(name):
     # Gamma15 + Gamma25' (A1g + A2u + T1u + T2g), and G = 0 one more A1g.
     model, lat, rec = preset(name)
     basis = PlaneWaveBasis.from_cutoff(rec, 12 * SHELL)
-    v = CheckedBlock.of(potential_matrix(model, lat, rec, basis))
+    v = BlochMatrix.of(potential_matrix(model, lat, rec, basis))
     crystal = operations(lat, rec, basis)
     group = little_group(crystal, v, crystal.fixes(np.zeros((1, 3)))[0])
     assert basis.dim == 9 and len(group.ops) == 48
