@@ -29,7 +29,7 @@ from .lattice import (KPath, LatticeConstantError, LatticeError,
                       RealLattice, ReciprocalLattice, fcc_symmetry_points,
                       make_cubic, make_kpath, reciprocal_of, shell_index)
 from .potential import Potential, PotentialError
-from .svgplot import render_bands
+from .svgplot import PlotError, render_bands
 
 DEFAULT_TOUR = ("L", "Γ", "X", "U", "Γ")
 DEFAULT_SAMPLES = 50
@@ -154,6 +154,18 @@ def _resolve_potential(pot: dict) -> Potential:
         raise ConfigError("potential", str(exc)) from exc
 
 
+def _coords(coords, unit: float, where: str) -> np.ndarray:
+    """[x, y, z] in units of 2 pi / a, as a Bloch vector in 1/A."""
+    if not isinstance(coords, list) or len(coords) != 3:
+        raise ConfigError(where, "expected [x, y, z]")
+    with np.errstate(over="ignore"):
+        vec = unit * np.array([_number(c, where) for c in coords])
+    if not np.isfinite(vec).all():
+        raise ConfigError(where, f"{coords} times 2 pi / a ({unit:g} 1/A) "
+                          "overflows float64")
+    return vec
+
+
 def _resolve_point(entry, symmetry: dict, unit: float, where: str):
     if isinstance(entry, str):
         label = _canonical_label(entry)
@@ -166,22 +178,59 @@ def _resolve_point(entry, symmetry: dict, unit: float, where: str):
         _check_keys(entry, {"label", "coords"}, where)
         label = _canonical_label(str(_require(entry, "label", where)))
         coords = _require(entry, "coords", where)
-        if not isinstance(coords, list) or len(coords) != 3:
-            raise ConfigError(f"{where}.coords", "expected [x, y, z]")
-        vec = unit * np.array([_number(c, f"{where}.coords") for c in coords])
-        return label, vec
+        return label, _coords(coords, unit, f"{where}.coords")
     raise ConfigError(where, f"expected a label or an object, got {entry!r}")
+
+
+class _Repeats(dict):
+    """A JSON object that gave the key ``repeated`` more than once."""
+
+    repeated: str
+
+
+def _object_pairs(pairs) -> dict:
+    """``json`` object hook: the object, marked if a key repeats (json
+    would keep the last value silently)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        obj = _Repeats(obj)
+        obj.repeated = next(k for k, _ in pairs if k in seen or seen.add(k))
+    return obj
+
+
+def _repeated_key(node, where: str = ""):
+    """Path of the first key given twice in a parsed document, or None."""
+    if isinstance(node, _Repeats):
+        return f"{where}.{node.repeated}" if where else node.repeated
+    if isinstance(node, dict):
+        items = ((f"{where}.{k}" if where else k, v) for k, v in node.items())
+    elif isinstance(node, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    for path, child in items:
+        found = _repeated_key(child, path)
+        if found is not None:
+            return found
+    return None
 
 
 def load_config(config_file) -> RunConfig:
     """Parse and validate a JSON config file into resolved objects."""
     path = Path(config_file)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"),
+                         object_pairs_hook=_object_pairs)
+        repeated = _repeated_key(raw)
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("<file>", "invalid JSON: nested too deeply") from None
+    if repeated is not None:
+        raise ConfigError(repeated, "key given more than once")
     if not isinstance(raw, dict):
         raise ConfigError("<file>", "top level must be an object")
     _check_keys(raw, {"lattice", "potential", "basis", "path", "output"}, "config")
@@ -218,10 +267,7 @@ def load_config(config_file) -> RunConfig:
 
     converge_at = basis_sec.get("converge_at", "Γ")
     if isinstance(converge_at, list):
-        if len(converge_at) != 3:
-            raise ConfigError("basis.converge_at", "expected [x, y, z]")
-        converge_kappa = unit * np.array(
-            [_number(c, "basis.converge_at") for c in converge_at])
+        converge_kappa = _coords(converge_at, unit, "basis.converge_at")
     else:
         _, converge_kappa = _resolve_point(str(converge_at), symmetry, unit,
                                            "basis.converge_at")
@@ -458,7 +504,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except (SweepError, SolverError, NonHermitianError, AssemblyError) as exc:
+    except (SweepError, SolverError, NonHermitianError, AssemblyError,
+            PlotError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -34,11 +34,25 @@ the contract: ascending eigenvalues, orthonormal eigenvectors, and a
 residual bound relative to max|H|, checked on every solve for exactly the
 eigenpairs returned, whose figures the result carries.  Non-Hermitian or
 non-finite input and solver non-convergence raise distinct errors.
+
+A matrix whose largest LAPACK block has fewer than ONE_THREAD_BELOW (512)
+rows is solved and verified on one OpenBLAS thread, a larger one at the
+caller's thread count.  On 2 cores a dsyevr solve for 8 pairs takes, on one
+thread against two, 0.75x as long at 128 rows, within 4% from 256 to 450,
+1.1-1.15x at 512 to 600, 1.35-1.4x at 800 and 1.65x at 1100; below the
+crossover the second thread only busy-waits, doubling the CPU time.  The
+count is OpenBLAS's one setting for the whole process (numpy's
+``scipy_openblas_{get,set}_num_threads64_``), so while any such solve runs,
+every BLAS call in the process runs on one thread; the count in force
+before the first of them is put back when the last returns or raises.
+Without those symbols the count is left alone.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,15 +66,25 @@ HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-8
 
+# A matrix whose largest LAPACK block has fewer rows than this is solved
+# and verified on one OpenBLAS thread: the crossover measured below which
+# a second thread saves no time (see the module docstring).
+ONE_THREAD_BELOW = 512
 
-def _bind() -> dict:
-    """LAPACKE subset drivers keyed by the dtype they solve; {} if absent."""
+
+def _bind():
+    """numpy's OpenBLAS: the LAPACKE subset drivers keyed by the dtype they
+    solve, {} if absent, and its (get, set) thread count pair, None if
+    absent."""
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return {}, None
+    try:
         drivers = {np.float64: lib.scipy_LAPACKE_dsyevr64_,
                    np.complex128: lib.scipy_LAPACKE_zheevr64_}
-    except (OSError, AttributeError):
-        return {}
+    except AttributeError:
+        drivers = {}
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for driver in drivers.values():
         # (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
@@ -70,11 +94,48 @@ def _bind() -> dict:
                            ctypes.c_double, i64, i64, ctypes.c_double, ptr,
                            ptr, ptr, i64, ptr]
         driver.restype = i64
-    return drivers
+    try:  # int get(void) and void set(int), C ints despite the suffix
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return drivers, None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return drivers, (get, put)
 
 
-_DRIVERS = _bind()
+_DRIVERS, _THREADS = _bind()
 _COL_MAJOR = 102
+
+# OpenBLAS's thread count is one per process, so its scope is too: the
+# first of any concurrent one-thread solves saves the count and the last
+# to leave puts it back.
+_scope = threading.Lock()
+_held = {"depth": 0, "count": 0}
+
+
+@contextmanager
+def _one_thread(rows: int):
+    """OpenBLAS on one thread inside, for a largest block of fewer than
+    ONE_THREAD_BELOW ``rows``; the caller's count again on every exit.  No
+    effect for a larger block or without the thread binding."""
+    threads = _THREADS
+    if threads is None or rows >= ONE_THREAD_BELOW:
+        yield
+        return
+    get, put = threads
+    with _scope:
+        if not _held["depth"]:
+            _held["count"] = get()
+            put(1)
+        _held["depth"] += 1
+    try:
+        yield
+    finally:
+        with _scope:
+            _held["depth"] -= 1
+            if not _held["depth"]:
+                put(_held["count"])
 
 
 class NonHermitianError(ValueError):
@@ -236,13 +297,26 @@ def eigh(h, count: int | None = None) -> EigenResult:
                         h.matrix),)
     if sum(len(s.coef) * len(s.rows) for s in split) != n:
         raise SolverError("symmetry rows do not span the basis")
+    with _one_thread(max(len(s.rows) for s in split)):
+        values, vectors, labels = _lowest(split, h.kinetic, count)
+        residual, ortho = _verify(h, values, vectors, scale)
+    return EigenResult(values=values, vectors=vectors, scale=float(scale),
+                       residual=residual, orthonormality=ortho,
+                       hermiticity=float(h.herm),
+                       sectors=tuple(len(s.rows) for s in split),
+                       labels=labels)
+
+
+def _lowest(split, kinetic, count):
+    """The lowest ``count`` of the pairs of every row in ``split``, as
+    (ascending values, vectors of the whole basis, each level's label)."""
     values, rows, labels = [], [], []  # eigenvectors as rows, C-ordered
     for sector in split:
         # A row of a d-dimensional irrep holds every d-th level.
         partners = len(sector.coef)
         want = min(-(-count // partners), len(sector.rows))
         try:
-            info, w, z = _solve(sector.matrix, h.kinetic[sector.rows], want)
+            info, w, z = _solve(sector.matrix, kinetic[sector.rows], want)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"eigensolver did not converge: {exc}") from exc
         if info != 0 or len(w) != want:
@@ -251,18 +325,12 @@ def eigh(h, count: int | None = None) -> EigenResult:
         values += [w] * partners
         rows.append(sector.expand(z.T))
         labels += [sector.label] * (partners * want)
-    # The lowest count of all rows' pairs, ascending.
     values = np.concatenate(values)
     if not np.isfinite(values).all():  # NaN would sort past the kept
         raise SolverError("eigensolver returned non-finite eigenvalues")
     keep = np.argsort(values, kind="stable")[:count]
-    values, vectors = values[keep], np.concatenate(rows)[keep].T
-    residual, ortho = _verify(h, values, vectors, scale)
-    return EigenResult(values=values, vectors=vectors, scale=float(scale),
-                       residual=residual, orthonormality=ortho,
-                       hermiticity=float(h.herm),
-                       sectors=tuple(len(s.rows) for s in split),
-                       labels=tuple(labels[i] for i in keep.tolist()))
+    return (values[keep], np.concatenate(rows)[keep].T,
+            tuple(labels[i] for i in keep.tolist()))
 
 
 def _solve(v, kinetic, count):

@@ -3,7 +3,9 @@
 Fixed 900x600 viewport, linear axes, energy range auto-fit with a 5%
 margin.  Detected gaps appear as gray rectangles spanning the plot width;
 tour vertices are marked and labeled on the horizontal axis.  Output is
-deterministic byte-for-byte for identical input.
+deterministic byte-for-byte for identical input.  Energies whose axis
+float64 cannot tick (its span overflows, or a tick step is below the
+spacing of floats there) raise PlotError.
 """
 
 from __future__ import annotations
@@ -25,19 +27,30 @@ GRID_COLOR = "#999999"
 FONT = 'font-family="Helvetica, Arial, sans-serif"'
 
 
+class PlotError(ArithmeticError):
+    """Energies whose range the diagram's axis cannot show."""
+
+
 def _fmt(x: float) -> str:
     s = f"{x:.2f}"
     return "0.00" if s == "-0.00" else s
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6):
+    """Ticks at a round step over [lo, hi], and the decimals they need;
+    None if the span overflows or the step is below the spacing of floats
+    at the larger of |lo| and |hi|."""
     raw = (hi - lo) / target
+    if not 0.0 < raw < math.inf:
+        return None
     mag = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * mag
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
+    if step < math.ulp(max(abs(lo), abs(hi))):  # t += step could stall
+        return None
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
@@ -61,6 +74,12 @@ def render_bands(bs: BandStructure, gaps) -> str:
         e_lo -= 0.5
     e_lo -= 0.05 * span
     e_hi = e_lo + 1.1 * span
+    axis = _nice_ticks(e_lo, e_hi)
+    if axis is None:
+        raise PlotError(
+            f"cannot plot energies from {float(energies.min()):.6g} to "
+            f"{float(energies.max()):.6g} eV: no float64 tick step fits "
+            "that axis")
 
     x0, x1 = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     y0, y1 = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM
@@ -84,7 +103,7 @@ def render_bands(bs: BandStructure, gaps) -> str:
             f'<rect x="{_fmt(x0)}" y="{_fmt(top)}" width="{_fmt(x1 - x0)}" '
             f'height="{_fmt(sy(gap.gap_bottom) - top)}" fill="{GAP_COLOR}"/>')
 
-    ticks, decimals = _nice_ticks(e_lo, e_hi)
+    ticks, decimals = axis
     for t in ticks:
         y = sy(t)
         parts.append(

@@ -134,6 +134,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # json raises RecursionError, not JSONDecodeError, past its depth.
+        path = tmp_path / "config.json"
+        path.write_text('{"lattice": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}",
+                        encoding="utf-8")
+        assert main(["info", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error at <file>: ")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
@@ -530,6 +538,71 @@ class TestMain:
                 "cutoff g2_max="))
             assert "non-finite" in err
 
+    @pytest.mark.parametrize("command, where, key", [
+        ("bands", "path", "path.points[0].coords"),
+        ("info", "path", "path.points[0].coords"),
+        ("converge", "converge_at", "basis.converge_at")])
+    def test_overflowing_coordinates_exit_2_naming_the_key(
+            self, tmp_path, capsys, command, where, key):
+        # 1.7e308 is a finite float, but times 2 pi / a it overflows.
+        cfg = json.loads(preset_path("z05").read_text(encoding="utf-8"))
+        cfg["basis"]["cutoffs"] = [12, 44]
+        if where == "path":
+            cfg["path"]["points"][0] = {"label": "A", "coords": [1.7e308, 0, 0]}
+        else:
+            cfg["basis"]["converge_at"] = [1.7e308, 0, 0]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert [str(w.message) for w in caught] == []
+        out, err = capsys.readouterr()
+        assert err.startswith(f"config error at {key}: ")
+        assert err.count("\n") == 1 and out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("preset, mutate, energies", [
+        # |kappa| near 6e153 1/A: E reaches 1.76e308 eV, and the axis
+        # margin above it overflows.
+        ("z05", lambda c: c["path"].update(samples_per_segment=3, points=[
+            {"label": "A", "coords": [5.88e153, 0, 0]},
+            {"label": "B", "coords": [-5.88e153, 0, 0]}]),
+         "from -0.522342 to 1.7631e+308 eV"),
+        # One flat band at 1e16 eV, where floats lie 2 eV apart: a tick
+        # step of 0.2 eV would never move the tick.
+        ("free", lambda c: (
+            c.update(potential={"model": "empirical", "z_eff": 0.0,
+                                "overrides": {"0": 1e16}}),
+            c["basis"].update(g2_max=4),
+            c["output"].update(num_bands=1),
+            c["path"].update(samples_per_segment=3, points=[
+                {"label": "A", "coords": [1e-9, 0, 0]},
+                {"label": "B", "coords": [-1e-9, 0, 0]}])),
+         "from 1e+16 to 1e+16 eV")], ids=["overflow", "flat-at-1e16"])
+    def test_energies_the_svg_axis_cannot_tick_exit_3(
+            self, tmp_path, capsys, preset, mutate, energies):
+        cfg = json.loads(preset_path(preset).read_text(encoding="utf-8"))
+        mutate(cfg)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["bands", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert [str(w.message) for w in caught] == []
+        out, err = capsys.readouterr()
+        assert err == (f"numerical failure: cannot plot energies {energies}: "
+                       "no float64 tick step fits that axis\n")
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+        # Without the SVG the same energies are written.
+        cfg["output"]["formats"] = ["csv"]
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bands", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_numerical_failure_exit_code(self, write_config, tmp_path,
                                          monkeypatch, capsys):
         import pwbands.cli as cli_mod
@@ -671,6 +744,26 @@ class TestOverrideShells:
         err = capsys.readouterr().err
         assert err.startswith(f"config error at potential.overrides.{spelling}"
                               ": shell 12 ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("old, new, key", [
+        ('"12": 2.42', '"12": -2.0, "12": 2.42', "potential.overrides.12"),
+        ('"basis": {', '"basis": {"g2_max": 44}, "basis": {', "basis"),
+        ('"points": ["L"', '"points": [{"label": "A", "label": "B", '
+         '"coords": [0, 0, 0]}, "L"', "path.points[0].label")],
+        ids=["override", "section", "list-entry"])
+    def test_repeated_json_key_exits_2_naming_it(self, tmp_path, capsys,
+                                                 old, new, key):
+        # json.loads would keep the last value silently.
+        text = preset_path("si_empirical").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path = tmp_path / "config.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["gaps", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"config error at {key}: key given more than once\n"
+        assert out == ""
         assert not (tmp_path / "o").exists()
 
     def test_shells_beyond_reach_are_not_enumerated(self, write_config):

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -7,11 +10,13 @@ import pytest
 from pwbands import eigen as eigen_mod
 from pwbands.eigen import (BlochMatrix, EigenResult, NonHermitianError,
                            SolverError, eigh)
+import pwbands.bands as bands_mod
 import pwbands.hamiltonian as hamiltonian_mod
+from pwbands.bands import SweepError, convergence_study, sweep
 from pwbands.hamiltonian import (PlaneWaveBasis, build, little_group,
                                  operations, potential_matrix, row_blocks)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
-                             reciprocal_of)
+                             make_kpath, reciprocal_of)
 from pwbands.potential import Potential
 
 
@@ -309,6 +314,7 @@ class TestSolverPaths:
         if lapack != "scipy-openblas":
             pytest.skip(f"numpy links {lapack}, not scipy-openblas")
         assert set(eigen_mod._DRIVERS) == {np.float64, np.complex128}
+        assert eigen_mod._THREADS is not None
 
 
 def split_x_matrix(lattice, cutoff=76, point="X"):
@@ -572,3 +578,207 @@ class TestErrors:
                 eigh(h)
         else:
             assert np.all(np.isfinite(eigh(h).values))
+
+
+# The binding as imported, read even where a test replaces eigen's.
+THREADS = eigen_mod._THREADS
+needs_threads = pytest.mark.skipif(
+    THREADS is None,
+    reason="numpy's OpenBLAS exports no scipy_openblas_get_num_threads64_ "
+           "or scipy_openblas_set_num_threads64_")
+
+
+def blas_threads():
+    return THREADS[0]()
+
+
+@pytest.fixture
+def two_threads():
+    """OpenBLAS at 2 threads for the test; the count found is put back."""
+    get, put = THREADS
+    before = get()
+    put(2)
+    yield
+    put(before)
+
+
+def record_threads(monkeypatch):
+    """(block rows, thread count) at each LAPACK call through eigh."""
+    solve, seen = eigen_mod._solve, []
+
+    def recording(v, kinetic, count):
+        seen.append((len(kinetic), blas_threads()))
+        return solve(v, kinetic, count)
+
+    monkeypatch.setattr(eigen_mod, "_solve", recording)
+    return seen
+
+
+def z05_basis():
+    """Diamond, its reciprocal lattice and the basis at g2_max 76."""
+    lattice = make_cubic("DIAMOND", 5.431)
+    rec = reciprocal_of(lattice)
+    return lattice, rec, PlaneWaveBasis.from_cutoff(
+        rec, 76 * (math.pi / 5.431) ** 2)
+
+
+@needs_threads
+@pytest.mark.usefixtures("two_threads")
+class TestThreadScope:
+    """OpenBLAS on one thread while a matrix whose largest block has fewer
+    than 512 rows is solved; the caller's count otherwise and afterwards."""
+
+    @pytest.mark.parametrize("n, inside", [
+        (eigen_mod.ONE_THREAD_BELOW - 1, 1), (eigen_mod.ONE_THREAD_BELOW, 2)])
+    def test_count_inside_the_solve(self, monkeypatch, n, inside):
+        seen = record_threads(monkeypatch)
+        eigh(random_hermitian(n, seed=70, complex_entries=False), 4)
+        assert seen == [(n, inside)]
+        assert blas_threads() == 2
+
+    def test_every_row_block_solves_on_one_thread(self, monkeypatch):
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        seen = record_threads(monkeypatch)
+        eigh(h, 8)
+        assert [rows for rows, _ in seen] == [len(s.rows) for s in h.sectors]
+        assert {count for _, count in seen} == {1}
+        assert blas_threads() == 2
+
+    def test_sweep_and_convergence_study_put_the_count_back(self,
+                                                            monkeypatch):
+        lattice, rec, basis = z05_basis()
+        pts = fcc_symmetry_points(5.431)
+        seen = record_threads(monkeypatch)
+        sweep(make_kpath([("L", pts["L"]), ("Γ", pts["Γ"])], 3),
+              Potential(0.5), lattice, rec, basis, 8)
+        assert blas_threads() == 2
+        convergence_study(pts["X"], Potential(0.5), lattice, rec, basis,
+                          [16 * (math.pi / 5.431) ** 2, basis.g2.max()], 8)
+        assert blas_threads() == 2
+        assert seen and {count for _, count in seen} == {1}
+
+    def test_solver_error_puts_the_count_back(self, monkeypatch):
+        solve = eigen_mod._solve
+
+        def poisoned(v, kinetic, count):
+            assert blas_threads() == 1
+            info, values, vectors = solve(v, kinetic, count)
+            return info, np.full_like(values, np.nan), vectors
+
+        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        with pytest.raises(SolverError, match="non-finite"):
+            eigh(random_hermitian(30, seed=71), 4)
+        assert blas_threads() == 2
+
+    def test_interlacing_error_puts_the_count_back(self, monkeypatch):
+        # The second cutoff's solve skips its lowest level, so E1 rises.
+        lattice, rec, basis = z05_basis()
+        solve, calls = bands_mod.eigh, []
+
+        def skipping(h, count):
+            calls.append(h)
+            if len(calls) != 2:
+                return solve(h, count)
+            result = solve(h, count + 1)
+            return dataclasses.replace(result, values=result.values[1:],
+                                       vectors=result.vectors[:, 1:])
+
+        monkeypatch.setattr(bands_mod, "eigh", skipping)
+        with pytest.raises(SweepError, match="interlace"):
+            convergence_study(fcc_symmetry_points(5.431)["X"], Potential(0.5),
+                              lattice, rec, basis,
+                              [16 * (math.pi / 5.431) ** 2, basis.g2.max()], 8)
+        assert blas_threads() == 2
+
+    def test_overlapping_callers_put_the_count_back(self, monkeypatch):
+        # The first caller in leaves first: a save and restore per call
+        # would put 2 back while the second still solves, and the second
+        # would then leave the process at 1.
+        solve = eigen_mod._solve
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        inside, errors = {}, []
+
+        def staged(v, kinetic, count):
+            if threading.current_thread().name == "first":
+                first_in.set()
+                assert second_in.wait(10)
+            else:
+                second_in.set()
+                assert first_out.wait(10)
+                inside["after the first left"] = blas_threads()
+            return solve(v, kinetic, count)
+
+        def call(seed, done=None):
+            try:
+                eigh(random_hermitian(40, seed), 4)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+            finally:
+                if done is not None:
+                    done.set()
+
+        monkeypatch.setattr(eigen_mod, "_solve", staged)
+        first = threading.Thread(target=call, args=(72, first_out),
+                                 name="first")
+        second = threading.Thread(target=call, args=(73,), name="second")
+        first.start()
+        assert first_in.wait(10)
+        second.start()
+        for thread in (first, second):
+            thread.join(20)
+            assert not thread.is_alive()
+        assert errors == []
+        assert inside == {"after the first left": 1}
+        assert blas_threads() == 2
+
+    def test_many_concurrent_callers_put_the_count_back(self):
+        # More callers than cores, switching often: a lost update of the
+        # depth would leave the process at 1 thread, or at 2 mid-solve.
+        switch = sys.getswitchinterval()
+        errors = []
+
+        def calls(seed):
+            try:
+                for i in range(20):
+                    eigh(random_hermitian(8 + i, seed), 3)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=calls, args=(80 + i,))
+                   for i in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("point, cutoff, whole, atol", [
+        ("L", 200, False, 0), ("X", 200, False, 0), ("Γ", 200, False, 0),
+        ("L", 120, True, 0), ("X", 120, True, 0),
+        ("L", 200, True, 1e-12), ("X", 200, True, 1e-12)])
+    def test_energies_without_the_binding(self, monkeypatch, point, cutoff,
+                                          whole, atol):
+        # One thread against two gives the same bits for every row block of
+        # the tour at dim 339 (at most 110 rows) and for H whole at dim
+        # 169.  Whole at dim 339, OpenBLAS's threaded reduction rounds
+        # differently: the levels move by up to 1e-13 eV.
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431), cutoff, point)
+        if whole:
+            h = h._replace(sectors=())
+        scoped = eigh(h, 8)
+        monkeypatch.setattr(eigen_mod, "_THREADS", None)
+        seen = record_threads(monkeypatch)
+        unscoped = eigh(h, 8)
+        assert {count for _, count in seen} == {2}
+        if atol:
+            np.testing.assert_allclose(scoped.values, unscoped.values,
+                                       rtol=0, atol=atol)
+        else:
+            np.testing.assert_array_equal(scoped.values, unscoped.values)
+            np.testing.assert_array_equal(scoped.vectors, unscoped.vectors)
