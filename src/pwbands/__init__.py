@@ -12,9 +12,9 @@ from .bands import (BandStructure, ConvergenceRow, GapEntry, SweepError,
 from .eigen import (BlochMatrix, EigenResult, NonHermitianError,
                     SolverError, eigh)
 from .hamiltonian import AssemblyError, PlaneWaveBasis, build
-from .lattice import (KPath, KPoint, LatticeError, RealLattice,
-                      ReciprocalLattice, enumerate_g, fcc_symmetry_points,
-                      make_cubic, make_kpath, reciprocal_of)
+from .lattice import (KPath, LatticeError, RealLattice, ReciprocalLattice,
+                      enumerate_g, fcc_symmetry_points, make_cubic,
+                      make_kpath, reciprocal_of)
 from .potential import (E2, HBAR2_OVER_2M, Potential, PotentialError,
                         ion_ft, matrix_element, structure_factor)
 
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandStructure", "BlochMatrix", "ConvergenceRow", "EigenResult",
-    "GapEntry", "KPath", "KPoint", "PlaneWaveBasis", "Potential",
+    "GapEntry", "KPath", "PlaneWaveBasis", "Potential",
     "RealLattice", "ReciprocalLattice", "SweepError",
     "AssemblyError", "LatticeError", "NonHermitianError", "PotentialError",
     "SolverError",

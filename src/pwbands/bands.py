@@ -1,7 +1,7 @@
 """Band-structure sweeps along k-paths and cutoff convergence studies, both
 on a plane-wave basis the caller enumerates and both one loop over (kappa,
-dim) pairs, and gap detection.  Each k-point is solved in one row of each
-irrep of its little group."""
+dim) pairs, and gap detection.  A sweep solves each row of ``path.kappas``
+in one row of each irrep of its little group."""
 
 from __future__ import annotations
 
@@ -21,14 +21,15 @@ INTERLACING_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class BandStructure:
-    """Lowest ``num_bands`` eigenvalues (eV) at every point of ``path``.
-
-    ``energies`` has shape (n_points, num_bands), ascending along each row.
-    """
+    """Lowest eigenvalues (eV) at every sample of ``path``: ``energies``
+    has shape (n_points, num_bands), ascending along each row."""
 
     path: KPath
-    num_bands: int
     energies: np.ndarray
+
+    @property
+    def num_bands(self) -> int:
+        return self.energies.shape[1]
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,9 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     in one row of each irrep of its little group (whole, if only the
     identity fixes it) for its lowest ``num_bands`` pairs, verified."""
     energies = np.array([result.values for result in _solves(
-        path.kappas, [basis.dim] * len(path.points), model, lattice, recip,
+        path.kappas, [basis.dim] * len(path.kappas), model, lattice, recip,
         basis, num_bands, lambda i, kappa: f"k-point {i} kappa={kappa}")])
-    return BandStructure(path=path, num_bands=num_bands, energies=energies)
+    return BandStructure(path=path, energies=energies)
 
 
 def _solves(kappas, dims, model, lattice, recip, basis, num_bands, where):
@@ -94,7 +95,7 @@ def _solves(kappas, dims, model, lattice, recip, basis, num_bands, where):
         h = groups[key].leading(dim)
         sub = PlaneWaveBasis(basis.coeffs[:dim], basis.cart[:dim])
         try:  # result lives until the next solve, or malloc re-faults pages
-            result = eigh(build(kappa, sub, h, h.sectors), num_bands)
+            result = eigh(build(kappa, sub, h), num_bands)
         except (SolverError, NonHermitianError) as exc:
             raise SweepError(f"solve failed at {where(idx, kappa)}: {exc}",
                              index=idx, kappa=kappa) from exc
@@ -109,12 +110,12 @@ def free_electron_reference(path: KPath, lattice: RealLattice,
     if num_bands > basis.dim:
         raise ValueError(
             f"num_bands={num_bands} exceeds basis dimension {basis.dim}")
-    energies = np.empty((len(path.points), num_bands))
-    for idx, point in enumerate(path.points):
-        levels = HBAR2_OVER_2M * np.sum((point.kappa + basis.cart) ** 2, axis=1)
+    energies = np.empty((len(path.kappas), num_bands))
+    for idx, kappa in enumerate(path.kappas):  # O(dim) scratch, not O(n dim)
+        levels = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
         levels.sort()
         energies[idx] = levels[:num_bands]
-    return BandStructure(path=path, num_bands=num_bands, energies=energies)
+    return BandStructure(path=path, energies=energies)
 
 
 def detect_gaps(bs: BandStructure) -> list:

@@ -97,6 +97,12 @@ def _number(value, where: str, minimum: float | None = None) -> float:
     return number
 
 
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(where, f"expected a string, got {value!r}")
+    return value
+
+
 def _integer(value, where: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(where, f"expected an integer >= {minimum}")
@@ -124,7 +130,7 @@ def _canonical_label(label: str) -> str:
 
 def _resolve_potential(pot: dict) -> Potential:
     """One ``Potential`` record; the model tag only picks the allowed keys."""
-    tag = str(_require(pot, "model", "potential")).lower()
+    tag = _text(_require(pot, "model", "potential"), "potential.model").lower()
     if tag not in _MODEL_KEYS:
         raise ConfigError("potential.model", f"unknown model {tag!r}")
     _check_keys(pot, {"model", *_MODEL_KEYS[tag]}, "potential")
@@ -149,7 +155,8 @@ def _resolve_potential(pot: dict) -> Potential:
             z_eff=_number(pot.get("z_eff", 0.0), "potential.z_eff"),
             mu=_number(pot.get("mu", 0.0), "potential.mu"),
             overrides=table,
-            override_mode=str(pot.get("override_mode", "element")))
+            override_mode=_text(pot.get("override_mode", "element"),
+                                "potential.override_mode"))
     except PotentialError as exc:
         raise ConfigError("potential", str(exc)) from exc
 
@@ -176,9 +183,9 @@ def _resolve_point(entry, symmetry: dict, unit: float, where: str):
         return label, symmetry[label]
     if isinstance(entry, dict):
         _check_keys(entry, {"label", "coords"}, where)
-        label = _canonical_label(str(_require(entry, "label", where)))
-        coords = _require(entry, "coords", where)
-        return label, _coords(coords, unit, f"{where}.coords")
+        label = _text(_require(entry, "label", where), f"{where}.label")
+        return _canonical_label(label), _coords(
+            _require(entry, "coords", where), unit, f"{where}.coords")
     raise ConfigError(where, f"expected a label or an object, got {entry!r}")
 
 
@@ -236,7 +243,7 @@ def load_config(config_file) -> RunConfig:
     _check_keys(raw, {"lattice", "potential", "basis", "path", "output"}, "config")
 
     lat_sec = _section(raw, "lattice", {"kind", "a"}, required=True)
-    kind = str(_require(lat_sec, "kind", "lattice"))
+    kind = _text(_require(lat_sec, "kind", "lattice"), "lattice.kind")
     a = _number(_require(lat_sec, "a", "lattice"), "lattice.a")
     try:
         lattice = make_cubic(kind, a)
@@ -265,12 +272,9 @@ def load_config(config_file) -> RunConfig:
     if kind.upper() in ("FCC", "DIAMOND"):
         symmetry.update(fcc_symmetry_points(a))
 
-    converge_at = basis_sec.get("converge_at", "Γ")
-    if isinstance(converge_at, list):
-        converge_kappa = _coords(converge_at, unit, "basis.converge_at")
-    else:
-        _, converge_kappa = _resolve_point(str(converge_at), symmetry, unit,
-                                           "basis.converge_at")
+    at, key = basis_sec.get("converge_at", "Γ"), "basis.converge_at"
+    converge_kappa = (_coords(at, unit, key) if isinstance(at, list) else
+                      _resolve_point(_text(at, key), symmetry, unit, key)[1])
 
     path_sec = _section(raw, "path", {"points", "samples_per_segment"})
     entries = path_sec.get("points", list(DEFAULT_TOUR))
@@ -280,10 +284,6 @@ def load_config(config_file) -> RunConfig:
                        "path.samples_per_segment", minimum=2)
     points = [_resolve_point(e, symmetry, unit, f"path.points[{i}]")
               for i, e in enumerate(entries)]
-    try:
-        kpath = make_kpath(points, samples)
-    except LatticeError as exc:
-        raise ConfigError("path", str(exc)) from exc
 
     out_sec = _section(raw, "output", {"num_bands", "formats", "directory"})
     num_bands = _integer(out_sec.get("num_bands", DEFAULT_NUM_BANDS),
@@ -294,13 +294,14 @@ def load_config(config_file) -> RunConfig:
     for fmt in formats:
         if fmt not in ALL_FORMATS:
             raise ConfigError("output.formats", f"unknown format {fmt!r}")
-    out_dir = str(out_sec.get("directory", "."))
+    out_dir = _text(out_sec.get("directory", "."), "output.directory")
 
     smallest = min((g2_units, *(cutoffs or ())))
     top = max((g2_units, *(cutoffs or ())))
     # Refuse, before enumerating, a cutoff whose V alone (8 bytes or more
-    # per entry) cannot fit in physical memory.  About (pi/6)(omega/a^3) n^3
-    # plane waves, the ball over the reciprocal cell, lie within n^2 (pi/a)^2.
+    # per entry), or a path whose samples (4 + num_bands floats each), cannot
+    # fit in physical memory.  About (pi/6)(omega/a^3) n^3 plane waves, the
+    # ball over the reciprocal cell, lie within n^2 (pi/a)^2.
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     waves = math.pi / 6 * float(lattice.volume) / a ** 3 * top * math.sqrt(top)
     if 8 * waves * waves > memory:
@@ -308,6 +309,11 @@ def load_config(config_file) -> RunConfig:
             "basis.cutoffs" if top > g2_units else "basis.g2_max",
             f"cutoff {top:g} gives about {waves:.3g} plane waves, whose "
             f"potential block exceeds the {memory} bytes of physical memory")
+    count = 1 + (samples - 1) * (len(points) - 1)
+    if 8 * (4 + num_bands) * count > memory:
+        raise ConfigError("path.samples_per_segment", f"{count} samples "
+                          f"exceed the {memory} bytes of physical memory")
+    kpath = make_kpath(points, samples)  # its inputs are validated above
     # One basis serves every check and command; G - G' stays within 4x top.
     shell_unit = (math.pi / a) ** 2
     shells = [shell for shell in model.overrides if shell <= 4.0 * top]
@@ -346,26 +352,40 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _band_rows(bs: BandStructure):
+    """(k_index, arc_distance, label or None, energies) at each sample."""
+    return zip(range(len(bs.energies)), bs.path.arc_distances.tolist(),
+               bs.path.labels, bs.energies)
+
+
+def _csv_field(text: str) -> str:
+    """One CSV field: quoted, quotes doubled, if it holds , " or a newline."""
+    if not re.search('[,"\r\n]', text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def bands_csv(bs: BandStructure) -> str:
     """CSV table: k_index,arc_distance,label,E1..En (energies to 1e-6 eV)."""
     return _lines(
         ["k_index", "arc_distance", "label",
          *(f"E{i + 1}" for i in range(bs.num_bands))],
-        ((i, point.arc_distance, point.label or "", *bs.energies[i])
-         for i, point in enumerate(bs.path.points)), ("d", ".6f", "s", ".6f"))
+        ((i, arc, _csv_field(label or ""), *energies)
+         for i, arc, label, energies in _band_rows(bs)),
+        ("d", ".6f", "s", ".6f"))
 
 
 def bands_json(bs: BandStructure, gaps, raw_config: dict) -> str:
-    """JSON mirror of the CSV content plus config echo and gap report."""
+    """JSON of the CSV's rows plus config echo and gap report."""
     return _json({
         "config": raw_config,
         "num_bands": bs.num_bands,
         "points": [{
             "k_index": i,
-            "arc_distance": point.arc_distance,
-            "label": point.label,
-            "energies": [float(e) for e in bs.energies[i]],
-        } for i, point in enumerate(bs.path.points)],
+            "arc_distance": arc,
+            "label": label,
+            "energies": energies.tolist(),
+        } for i, arc, label, energies in _band_rows(bs)],
         "gaps": [asdict(g) for g in gaps],
     })
 
@@ -430,7 +450,7 @@ def cmd_bands(config_file, out=None) -> int:
         "bands.json": (bands_json, bs, gaps, cfg.raw),
         "bands.svg": (render_bands, bs, gaps),
     }, lambda directory, names: (
-        f"{len(bs.path.points)} k-points, {bs.num_bands} bands, "
+        f"{len(bs.energies)} k-points, {bs.num_bands} bands, "
         f"{len(gaps)} gap(s)\nwrote {', '.join(names)} to {directory}\n"))
 
 

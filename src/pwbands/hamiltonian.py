@@ -317,22 +317,24 @@ def row_blocks(v: np.ndarray, group: Operations) -> tuple:
     return tuple(split[r] for r in sorted(split))
 
 
-def build(kappa, basis: PlaneWaveBasis, potential, sectors=()) -> BlochMatrix:
+def build(kappa, basis: PlaneWaveBasis, potential) -> BlochMatrix:
     """Bloch Hamiltonian at kappa: the potential block plus kinetic terms.
 
     ``potential`` is the ``potential_matrix`` of ``basis``, or the
     ``BlochMatrix`` of it that a sweep makes once; a bare array is checked
     here, at O(dim^2).  The block does not depend on kappa, so with a
     checked block this is O(dim): it computes hbar^2 |kappa + G|^2 / 2m and
-    leaves V untouched.  The matrix keeps V's dtype: real symmetric for a
-    real block, complex Hermitian otherwise.  ``sectors`` (``row_blocks``
-    of kappa's little group) tell ``eigh`` how to split it.
+    leaves V untouched.  The matrix keeps V's dtype (real symmetric for a
+    real block, complex Hermitian otherwise) and ``sectors``, which tell
+    ``eigh`` how to split it.  A basis not of V's dim raises AssemblyError.
     """
     kappa = np.asarray(kappa, dtype=float)
     if kappa.shape != (3,) or not np.all(np.isfinite(kappa)):
         raise AssemblyError(f"bad Bloch vector: {kappa}")
     if not isinstance(potential, BlochMatrix):
         potential = BlochMatrix.of(potential)
+    if basis.dim != potential.dim:
+        raise AssemblyError(f"basis dim {basis.dim} is not V's {potential.dim}")
     with np.errstate(over="ignore"):  # an inf T is rejected by eigh
         kinetic = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
-    return potential._replace(kinetic=kinetic, sectors=sectors)
+    return potential._replace(kinetic=kinetic)

@@ -7,6 +7,7 @@ cell volume, and is the geometry source for plane-wave basis enumeration
 and Brillouin-zone tours.  A reciprocal lattice vector is an integer
 coefficient row (n, m, l); sets of them are (k, 3) int arrays, mapped to
 cartesian 1/A by ``cartesian`` and to n^2 shell labels by ``shell_index``.
+A k-path (``KPath``) is three arrays over its samples.
 """
 
 from __future__ import annotations
@@ -252,33 +253,14 @@ def fcc_symmetry_points(a: float) -> dict:
 
 
 @dataclass(frozen=True, eq=False)
-class KPoint:
-    """One sample on a k-path; ``label`` is set only at tour vertices."""
-
-    kappa: np.ndarray
-    arc_distance: float
-    label: str | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class KPath:
-    """Piecewise-linear tour through reciprocal space.
+    """Piecewise-linear tour through reciprocal space as arrays over its n
+    samples: ``kappas`` (n, 3) in 1/A, cumulative Euclidean
+    ``arc_distances`` (n,) and ``labels`` (a vertex's label, else None)."""
 
-    ``points`` holds every sample exactly once (shared segment endpoints are
-    not duplicated) with cumulative Euclidean arc distance.
-    """
-
-    vertices: tuple
-    samples_per_segment: int
-    points: tuple
-
-    @property
-    def arc_distances(self) -> np.ndarray:
-        return np.array([p.arc_distance for p in self.points])
-
-    @property
-    def kappas(self) -> np.ndarray:
-        return np.array([p.kappa for p in self.points])
+    kappas: np.ndarray
+    arc_distances: np.ndarray
+    labels: tuple
 
 
 def make_kpath(points: Sequence, samples_per_segment: int) -> KPath:
@@ -293,16 +275,15 @@ def make_kpath(points: Sequence, samples_per_segment: int) -> KPath:
         raise LatticeError("a k-path needs at least two points")
     if samples_per_segment < 2:
         raise LatticeError("samples_per_segment must be at least 2")
-    samples = []
-    arc = 0.0
-    samples.append(KPoint(verts[0][1], 0.0, verts[0][0]))
-    for (_, start), (label_b, end) in zip(verts, verts[1:]):
+    last = samples_per_segment - 1
+    t = np.arange(1, samples_per_segment) / last
+    kappas, arcs, arc = [verts[0][1][None]], [np.zeros(1)], 0.0
+    for (_, start), (_, end) in zip(verts, verts[1:]):
         with np.errstate(over="ignore"):  # past 1e154 the arc is inf
             seg_len = float(np.linalg.norm(end - start))
-        for j in range(1, samples_per_segment):
-            t = j / (samples_per_segment - 1)
-            kappa = (1.0 - t) * start + t * end
-            label = label_b if j == samples_per_segment - 1 else None
-            samples.append(KPoint(kappa, arc + t * seg_len, label))
+        kappas.append((1.0 - t)[:, None] * start + t[:, None] * end)
+        arcs.append(arc + t * seg_len)
         arc += seg_len
-    return KPath(tuple(verts), samples_per_segment, tuple(samples))
+    labels = [None] * (1 + last * (len(verts) - 1))
+    labels[::last] = [label for label, _ in verts]
+    return KPath(np.concatenate(kappas), np.concatenate(arcs), tuple(labels))

@@ -2,9 +2,9 @@
 
 Fixed 900x600 viewport, linear axes, energy range auto-fit with a 5%
 margin.  Detected gaps appear as gray rectangles spanning the plot width;
-tour vertices are marked and labeled on the horizontal axis.  Output is
-deterministic byte-for-byte for identical input.  Energies whose axis
-float64 cannot tick (its span overflows, or a tick step is below the
+tour vertices are marked and labeled (XML-escaped) on the horizontal axis.
+Output is deterministic byte-for-byte for identical input.  Energies whose
+axis float64 cannot tick (its span overflows, or a tick step is below the
 spacing of floats there) raise PlotError.
 """
 
@@ -114,15 +114,18 @@ def render_bands(bs: BandStructure, gaps) -> str:
             f'<text x="{_fmt(x0 - 8)}" y="{_fmt(y + 4)}" {FONT} '
             f'font-size="13" text-anchor="end">{label}</text>')
 
-    for label, coord in _vertex_marks(bs):
-        x = sx(coord)
+    for label, arc in zip(bs.path.labels, arcs.tolist()):
+        if label is None:
+            continue
+        x = sx(arc)
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" '
             f'y2="{_fmt(y1)}" stroke="{GRID_COLOR}" stroke-width="1" '
             f'stroke-dasharray="4,4"/>')
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y1 + 22)}" {FONT} font-size="15" '
-            f'text-anchor="middle">{label}</text>')
+            f'text-anchor="middle">{text}</text>')
 
     for band in range(bs.num_bands):
         pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(e))}"
@@ -141,11 +144,3 @@ def render_bands(bs: BandStructure, gaps) -> str:
         f'E (eV)</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _vertex_marks(bs: BandStructure):
-    marks = []
-    for point in bs.path.points:
-        if point.label is not None:
-            marks.append((point.label, float(point.arc_distance)))
-    return marks

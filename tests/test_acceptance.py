@@ -98,7 +98,7 @@ def test_criterion_2_free_electron_oracle(diamond):
         assert np.abs(bs.energies - ref.energies).max() < 1e-9
 
         arcs = tour.arc_distances
-        labels = [p.label for p in tour.points]
+        labels = list(tour.labels)
         i_gamma = labels.index("Γ")
         i_x = labels.index("X")
         assert bs.energies[i_gamma, 0] == pytest.approx(0.0, abs=1e-12)
@@ -161,8 +161,8 @@ def test_criterion_5_hermiticity_and_solver_contract(diamond):
                   Potential(0.0, overrides=FIG4A_TABLE)]
         for model in models:
             v = potential_matrix(model, lat, rec, basis)
-            for point in tour.points:
-                h = build(point.kappa, basis, v).entries
+            for kappa in tour.kappas:
+                h = build(kappa, basis, v).entries
                 assert np.abs(h - h.conj().T).max() \
                     <= 1e-12 * np.abs(h).max()
                 result = eigh(h)
@@ -209,7 +209,7 @@ def test_criterion_7_empirical_preset_gap(diamond):
         gaps = {g.below_band: g for g in detect_gaps(bs)}
         assert 4 in gaps and gaps[4].width > 0
         band4 = bs.energies[:, 3]
-        labels = [p.label for p in tour.points]
+        labels = tour.labels
         assert labels[int(np.argmax(band4))] == "Γ"
         assert gaps[4].width == pytest.approx(PINNED_GAP_4_5, abs=1e-9)
 

@@ -10,7 +10,7 @@ from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            convergence_study, detect_gaps,
                            free_electron_reference, sweep)
 from pwbands.cli import load_config
-from pwbands.eigen import SolverError, eigh
+from pwbands.eigen import BlochMatrix, SolverError, eigh
 from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
                                  potential_matrix)
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
@@ -58,10 +58,10 @@ class TestSweep:
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("L", pts["L"]), ("Γ", pts["Γ"])], 12)
         bs = sweep(path, Potential(0.0), lat, rec, basis(rec, 44), 6)
-        for i, point in enumerate(path.points):
+        for i, kappa in enumerate(path.kappas):
             cart = bands_mod.PlaneWaveBasis.from_cutoff(rec, 44 * SHELL).cart
             levels = np.sort(
-                HBAR2_OVER_2M * np.sum((point.kappa + cart) ** 2, axis=1))
+                HBAR2_OVER_2M * np.sum((kappa + cart) ** 2, axis=1))
             np.testing.assert_allclose(bs.energies[i], levels[:6], atol=1e-9)
 
     def test_rejects_num_bands_beyond_basis(self, diamond, quick_tour):
@@ -81,7 +81,7 @@ class TestSweep:
             sweep(quick_tour, Potential(0.0), lat, rec, basis(rec, 12), 4)
         assert excinfo.value.index == 0
         np.testing.assert_allclose(excinfo.value.kappa,
-                                   quick_tour.points[0].kappa)
+                                   quick_tour.kappas[0])
 
 
 class TestRealPath:
@@ -140,21 +140,22 @@ class TestBlockPath:
 
         monkeypatch.setattr(bands_mod, "eigh", recording)
         bs = sweep(quick_tour, model, lat, rec, basis, 8)
-        assert len(calls) == len(quick_tour.points)
+        assert len(calls) == len(quick_tour.kappas)
         # Every tour point is split: C3v on L-Gamma, O_h at Gamma, C4v on
         # Gamma-X and at X, the mirror on X-U-Gamma.
         gamma = (7, 5, 4, 3, 2, 8, 8, 3)
         rows = ([(28, 5, 28)] * 14 + [gamma] + [(19, 5, 7, 16, 21)] * 14
                 + [(56, 33)] * 27 + [gamma])
-        for point, energies, (h, result), dims in zip(
-                quick_tour.points, bs.energies, calls, rows):
+        for kappa, energies, (h, result), dims in zip(
+                quick_tour.kappas, bs.energies, calls, rows):
             # The block checked once solves as the dense block checked at
             # this k-point, split the same way, bit for bit ...
-            fresh = eigh(build(point.kappa, basis, v.copy(), h.sectors), 8)
+            fresh = eigh(build(kappa, basis, BlochMatrix.of(
+                v.copy(), sectors=h.sectors)), 8)
             np.testing.assert_array_equal(energies, fresh.values)
             assert result.sectors == dims
             # ... and as the dense matrix solved whole, to rounding.
-            dense = build(point.kappa, basis, v).entries
+            dense = build(kappa, basis, v).entries
             assert dense.dtype == dtype
             expected = eigh(dense, 8)
             np.testing.assert_allclose(energies, expected.values, rtol=0,
@@ -177,7 +178,7 @@ class TestBlockPath:
             sweep(quick_tour, Potential(0.5), lat, rec, basis(rec, 44), 4)
         assert excinfo.value.index == 0
         np.testing.assert_array_equal(excinfo.value.kappa,
-                                      quick_tour.points[0].kappa)
+                                      quick_tour.kappas[0])
 
 
 class TestSectors:
@@ -217,7 +218,7 @@ class TestSectors:
             built.append(len(group.ops)) or split(v, group)))
         sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
               basis(cfg.recip, g2_units), cfg.num_bands)
-        assert len(cfg.path.points) == 197
+        assert len(cfg.path.kappas) == 197
         assert len(found) == 1 and len(found[0].ops) == 48
         assert len(tested) == 8
         assert built == [6, 48, 8, 2]
@@ -484,7 +485,7 @@ class TestTypes:
         lat, rec = diamond
         bs = sweep(quick_tour, Potential(0.0), lat, rec, basis(rec, 12), 4)
         assert isinstance(bs, BandStructure)
-        assert bs.energies.shape == (len(quick_tour.points), 4)
+        assert bs.energies.shape == (len(quick_tour.kappas), 4)
 
     def test_gap_entry_width_consistency(self):
         gap = GapEntry(below_band=2, gap_bottom=1.0, gap_top=3.5, width=2.5)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestLoadConfig:
         assert cfg.model.overrides == {}
         assert cfg.num_bands == 6
         assert cfg.g2_max == pytest.approx(16 * (math.pi / A_SI) ** 2)
-        assert [v[0] for v in cfg.path.vertices] == ["L", "Γ", "X"]
+        assert [s for s in cfg.path.labels if s] == ["L", "Γ", "X"]
 
     def test_yukawa_model(self, write_config):
         path = write_config(potential={"model": "yukawa", "z_eff": 1.0,
@@ -69,7 +70,7 @@ class TestLoadConfig:
         path = write_config(mutate=lambda c: c["path"].update(points=[
             "G", {"label": "H", "coords": [0.5, 0.5, 0.0]}]))
         cfg = load_config(path)
-        label, coord = cfg.path.vertices[1]
+        label, coord = cfg.path.labels[-1], cfg.path.kappas[-1]
         assert label == "H"
         np.testing.assert_allclose(
             coord, (2 * math.pi / A_SI) * np.array([0.5, 0.5, 0.0]))
@@ -109,6 +110,25 @@ class TestLoadConfig:
         (lambda c: c.update(basis=5), "basis: expected an object"),
         (lambda c: c.update(path="LGX"), "path: expected an object"),
         (lambda c: c.update(output=None), "output: expected an object"),
+        (lambda c: c["lattice"].update(kind=["FCC"]),
+         "lattice.kind: expected a string"),
+        (lambda c: c["potential"].update(model=5),
+         "potential.model: expected a string"),
+        (lambda c: c.update(potential={"model": "empirical",
+                                       "override_mode": None}),
+         "potential.override_mode: expected a string"),
+        (lambda c: c["path"].update(points=[
+            {"label": None, "coords": [0, 0, 0]}, "X"]),
+         "path.points[0].label: expected a string"),
+        (lambda c: c["path"].update(points=[
+            "L", {"label": 7, "coords": [0, 0, 0]}]),
+         "path.points[1].label: expected a string"),
+        (lambda c: c["basis"].update(converge_at=None),
+         "basis.converge_at: expected a string"),
+        (lambda c: c["output"].update(directory=None),
+         "output.directory: expected a string"),
+        (lambda c: c["output"].update(directory=5),
+         "output.directory: expected a string"),
     ])
     def test_bad_configs_name_the_key(self, write_config, mutate, needle):
         path = write_config(mutate=mutate)
@@ -173,12 +193,12 @@ class TestBandsCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k_index", "arc_distance", "label"] \
             + [f"E{i}" for i in range(1, 7)]
-        assert len(rows) - 1 == len(bs.path.points)
+        assert len(rows) - 1 == len(bs.path.kappas)
         for i, row in enumerate(rows[1:]):
             assert int(row[0]) == i
             assert float(row[1]) == pytest.approx(
-                bs.path.points[i].arc_distance, abs=5e-7)
-            assert row[2] == (bs.path.points[i].label or "")
+                bs.path.arc_distances[i], abs=5e-7)
+            assert row[2] == (bs.path.labels[i] or "")
             parsed = np.array([float(x) for x in row[3:]])
             np.testing.assert_allclose(parsed, np.round(bs.energies[i], 6),
                                        atol=1e-12)
@@ -203,10 +223,10 @@ class TestBandsCommand:
                    cfg.basis.truncate(cfg.g2_max), cfg.num_bands)
         gaps = detect_gaps(bs)
         assert doc["num_bands"] == 6
-        assert len(doc["points"]) == len(bs.path.points)
+        assert len(doc["points"]) == len(bs.path.kappas)
         for i, point in enumerate(doc["points"]):
             assert point["k_index"] == i
-            assert point["label"] == bs.path.points[i].label
+            assert point["label"] == bs.path.labels[i]
             np.testing.assert_array_equal(point["energies"], bs.energies[i])
         assert len(doc["gaps"]) == len(gaps)
         for entry, gap in zip(doc["gaps"], gaps):
@@ -251,6 +271,27 @@ class TestBandsCommand:
         assert ">Γ<" in svg and ">L<" in svg and ">X<" in svg
         assert 'fill="#cccccc"' in svg  # at least one gap rectangle
         assert svg.count("<polyline") == 6
+
+    @pytest.mark.parametrize("label", [
+        "A&B", "</text><script>alert(1)</script><text>", "a,b", '"k" point',
+        "two\nlines"])
+    def test_any_label_survives_every_format(self, write_config, tmp_path,
+                                            label):
+        path = write_config(mutate=lambda c: c["path"].update(
+            points=[{"label": label, "coords": [0, 0, 0]}, "X"],
+            samples_per_segment=2))
+        out = tmp_path / "out"
+        cmd_bands(path, out=out)
+        root = ElementTree.parse(out / "bands.svg").getroot()
+        svg = "{http://www.w3.org/2000/svg}"
+        assert label in [t.text for t in root.iter(f"{svg}text")]
+        assert not list(root.iter(f"{svg}script"))
+        with (out / "bands.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [3 + 6] * 3
+        assert [row[2] for row in rows[1:]] == [label, "X"]
+        doc = json.loads((out / "bands.json").read_text(encoding="utf-8"))
+        assert [p["label"] for p in doc["points"]] == [label, "X"]
 
     def test_deterministic_artifacts(self, write_config, tmp_path):
         path = write_config()
@@ -429,6 +470,16 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"config error at basis.{key}: ")
+        assert "physical memory" in err
+
+    def test_path_beyond_physical_memory_exits_2(self, write_config, capsys):
+        # 10**15 samples a segment: refused before any array is made.
+        path = write_config(mutate=lambda c: c["path"].update(
+            samples_per_segment=10**15))
+        assert main(["info", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error at path.samples_per_segment: ")
         assert "physical memory" in err
 
     def test_output_directory_below_a_file_exits_2(self, write_config,

@@ -327,7 +327,8 @@ def split_x_matrix(lattice, cutoff=76, point="X"):
     kappa = fcc_symmetry_points(a)[point]
     crystal = operations(lattice, rec, basis)
     group = little_group(crystal, block, crystal.fixes(kappa[None])[0])
-    return build(kappa, basis, block, row_blocks(block.matrix, group))
+    return build(kappa, basis,
+                 block._replace(sectors=row_blocks(block.matrix, group)))
 
 
 class TestSectors:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from pwbands.cli import load_config
-from pwbands.eigen import NonHermitianError, eigh
+from pwbands.eigen import BlochMatrix, NonHermitianError, eigh
 from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
-                                 potential_matrix)
-from pwbands.lattice import (RealLattice, cartesian, make_cubic,
-                             reciprocal_of, shell_index)
+                                 little_group, operations, potential_matrix,
+                                 row_blocks)
+from pwbands.lattice import (RealLattice, cartesian, fcc_symmetry_points,
+                             make_cubic, reciprocal_of, shell_index)
 from pwbands.potential import HBAR2_OVER_2M, Potential, matrix_element
 from pwbands.presets import PRESETS, preset_path
 
@@ -190,6 +191,31 @@ class TestBuild:
         h = build(np.array([0.3, 0.2, 0.1]), basis12, v)
         assert h.entries.dtype == np.float64
         np.testing.assert_array_equal(h.entries, h.entries.T)
+
+    @pytest.mark.parametrize("cutoff", [0, 44], ids=["dim-1", "dim-51"])
+    @pytest.mark.parametrize("checked", [True, False],
+                             ids=["checked", "bare"])
+    def test_rejects_a_basis_not_of_the_blocks_dim(self, diamond, basis76,
+                                                   cutoff, checked):
+        # V has 89 rows; a smaller basis cannot carry them.
+        lat, rec = diamond
+        v = potential_matrix(Potential(0.5), lat, rec, basis76)
+        small = basis76.truncate(cutoff * SHELL)
+        with pytest.raises(AssemblyError,
+                           match=f"basis dim {small.dim} is not V's 89"):
+            build(np.zeros(3), small, BlochMatrix.of(v) if checked else v)
+
+    def test_keeps_the_blocks_irrep_rows(self, diamond, basis76):
+        # The rows a sweep attaches to V once reach eigh through build.
+        lat, rec = diamond
+        v = BlochMatrix.of(potential_matrix(Potential(0.5), lat, rec, basis76))
+        crystal = operations(lat, rec, basis76)
+        x = fcc_symmetry_points(A_SI)["X"]
+        split = v._replace(sectors=row_blocks(v.matrix, little_group(
+            crystal, v, crystal.fixes(x[None])[0])))
+        h = build(x, basis76, split)
+        assert h.sectors is split.sectors and len(h.sectors) == 5  # C4v
+        assert eigh(h, 8).sectors == tuple(len(s.rows) for s in h.sectors)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_potential(self, diamond, basis12, bad):

@@ -272,16 +272,15 @@ class TestKPath:
         a = A_SI
         pts = fcc_symmetry_points(a)
         path = make_kpath([("Γ", pts["Γ"]), ("X", pts["X"])], 3)
-        assert len(path.points) == 3
-        np.testing.assert_allclose(path.points[0].kappa, [0, 0, 0])
-        np.testing.assert_allclose(path.points[1].kappa, [math.pi / a, 0, 0])
-        np.testing.assert_allclose(path.points[2].kappa,
-                                   [TWO_PI / a, 0, 0])
+        assert len(path.kappas) == 3
+        np.testing.assert_allclose(path.kappas[0], [0, 0, 0])
+        np.testing.assert_allclose(path.kappas[1], [math.pi / a, 0, 0])
+        np.testing.assert_allclose(path.kappas[2], [TWO_PI / a, 0, 0])
 
     def test_gamma_x_arc_length(self):
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("Γ", pts["Γ"]), ("X", pts["X"])], 10)
-        assert path.points[-1].arc_distance == pytest.approx(
+        assert path.arc_distances[-1] == pytest.approx(
             TWO_PI / A_SI, rel=1e-12)
 
     def test_default_tour_arc_strictly_increasing(self):
@@ -291,18 +290,38 @@ class TestKPath:
         arcs = path.arc_distances
         assert np.all(np.diff(arcs) > 0)
         # 4 segments, shared endpoints counted once
-        assert len(path.points) == 50 + 3 * 49
+        assert len(path.kappas) == 50 + 3 * 49
 
     def test_vertex_labels(self):
         pts = fcc_symmetry_points(A_SI)
         tour = [(s, pts[s]) for s in ("L", "Γ", "X")]
         path = make_kpath(tour, 5)
-        labels = [p.label for p in path.points]
+        labels = path.labels
         assert labels[0] == "L"
         assert labels[4] == "Γ"
         assert labels[-1] == "X"
         assert all(lab is None for i, lab in enumerate(labels)
                    if i not in (0, 4, 8))
+
+    def test_arrays_equal_the_per_sample_formula(self):
+        # Sample j of a segment is (1 - t) start + t end at arc distance
+        # arc + t |end - start|, t = j / (n - 1), bit for bit.
+        pts = fcc_symmetry_points(A_SI)
+        tour = [(s, pts[s]) for s in ("L", "Γ", "X", "U", "Γ")]
+        path = make_kpath(tour, 7)
+        kappas, arcs, labels, arc = [tour[0][1]], [0.0], ["L"], 0.0
+        for (_, start), (label, end) in zip(tour, tour[1:]):
+            seg_len = float(np.linalg.norm(end - start))
+            for j in range(1, 7):
+                t = j / 6
+                kappas.append((1.0 - t) * start + t * end)
+                arcs.append(arc + t * seg_len)
+                labels.append(label if j == 6 else None)
+            arc += seg_len
+        assert path.kappas.shape == (25, 3)
+        np.testing.assert_array_equal(path.kappas, kappas)
+        np.testing.assert_array_equal(path.arc_distances, arcs)
+        assert path.labels == tuple(labels)
 
     def test_rejects_too_few_points(self):
         pts = fcc_symmetry_points(A_SI)
