@@ -184,6 +184,12 @@ def _resolve_point(entry, symmetry: dict, unit: float, where: str):
     if isinstance(entry, dict):
         _check_keys(entry, {"label", "coords"}, where)
         label = _text(_require(entry, "label", where), f"{where}.label")
+        # XML 1.0 forbids these even as references: bands.svg would not parse.
+        bad = [c for c in label if c < " " and c not in "\t\n\r"
+               or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff"]
+        if bad:
+            raise ConfigError(f"{where}.label", f"U+{ord(bad[0]):04X} is not "
+                              "allowed in XML 1.0, so not in bands.svg")
         return _canonical_label(label), _coords(
             _require(entry, "coords", where), unit, f"{where}.coords")
     raise ConfigError(where, f"expected a label or an object, got {entry!r}")

@@ -1,59 +1,37 @@
 """Dense Hermitian eigendecomposition with verified contracts.
 
 A matrix reaches the solver as a ``BlochMatrix``: V, a real diagonal T,
-H = V + diag(T), and V's figures.  Along a sweep only T changes, and
-H - H^dagger equals V - V^dagger entry for entry, so every pass over the
-dim x dim entries that checks H is made once per V, by ``BlochMatrix.of``:
-the shape, max|V - V^dagger| and the off-diagonal max|V|; a smaller
-cutoff's V, a leading block, is checked anew by ``BlochMatrix.leading``.
-Each solve then costs, outside LAPACK, O(dim) for max|H| (the larger of
-the off-diagonal max|V| and max|diag V + T|), one dim x dim write of
-conj(V) + T into the buffer LAPACK overwrites, and the residual product
-V X + T X on the pairs returned.  Non-finite entries, of V or of an
-overflowing T, make max|H| non-finite and are rejected there, before LAPACK
-sees the matrix; so is a stored deviation above 1e-12 max|H|.  An ndarray
-is solved on the same path, as V with T = 0.
+H = V + diag(T), and V's figures, taken once per V by ``BlochMatrix.of``,
+so a solve costs, outside LAPACK, O(dim) for max|H|, one write of each
+row's block plus T, and the residual V X + T X on the pairs returned.
+Bad input is rejected before LAPACK; an ndarray is V with T = 0.
 
-A BlochMatrix may carry ``sectors``: one row of each irrep of the Bloch
-vector's little group (``hamiltonian.row_blocks``).  Each row's block plus
-T is solved once, for the lowest ceil(count/d) pairs of a d-dimensional
-irrep, whose d partner rows repeat its levels; the lowest ``count`` of all
-are kept, mapped back to the whole basis and verified against the whole H,
-so a wrong split, or rows that do not span the basis, raise SolverError
-instead of writing energies.  With no sectors H is solved whole.
+Its ``sectors`` (``hamiltonian.row_blocks``) are one row of each irrep
+of the k-point's little group; without them H is one row.  LAPACK
+solves a k-point once: ?sytrd (?hetrd) reduces each row's block to a
+tridiagonal, one ?stemr (MRRR) on those laid end to end, uncoupled, finds
+the lowest min(count, rows) levels of all rows in O(rows x levels) work,
+and ?ormtr (?unmtr) back-transforms each row's vectors.  A row's level is
+H's once per partner row; the lowest ``count``, so repeated, are verified
+against the whole H.  ?stemr picks levels by bisection to sqrt(eps)
+relative: of two rows' levels within about 1e-8 |E| across the cut, either
+may be returned.  The stages are numpy's own ``scipy_LAPACKE_*_work64_``,
+via ctypes; without them numpy.linalg.eigh solves the unsplit H whole.
 
-The decomposition itself is delegated to LAPACK's MRRR subset solvers,
-which compute only the lowest ``count`` eigenpairs: dsyevr for a real block
-and zheevr for a complex one.  Both are called through ctypes from the
-OpenBLAS that numpy itself links (the ILP64 ``scipy_LAPACKE_dsyevr64_`` and
-``..._zheevr64_`` symbols of numpy's wheels), so they cost no import and no
-dependency.  A numpy whose LAPACK lacks those symbols falls back to
-numpy.linalg.eigh on the dense, unsplit H, which solves the full spectrum
-(dsyevd / zheevd), and keeps the lowest ``count`` pairs.  This module owns
-the contract: ascending eigenvalues, orthonormal eigenvectors, and a
-residual bound relative to max|H|, checked on every solve for exactly the
-eigenpairs returned, whose figures the result carries.  Non-Hermitian or
-non-finite input and solver non-convergence raise distinct errors.
-
-A matrix whose largest LAPACK block has fewer than ONE_THREAD_BELOW (512)
-rows is solved and verified on one OpenBLAS thread, a larger one at the
-caller's thread count.  On 2 cores a dsyevr solve for 8 pairs takes, on one
-thread against two, 0.75x as long at 128 rows, within 4% from 256 to 450,
-1.1-1.15x at 512 to 600, 1.35-1.4x at 800 and 1.65x at 1100; below the
-crossover the second thread only busy-waits, doubling the CPU time.  The
-count is OpenBLAS's one setting for the whole process (numpy's
-``scipy_openblas_{get,set}_num_threads64_``), so while any such solve runs,
-every BLAS call in the process runs on one thread; the count in force
-before the first of them is put back when the last returns or raises.
-Without those symbols the count is left alone.
+A matrix whose largest row has fewer than ONE_THREAD_BELOW (512) rows is
+solved and verified on one OpenBLAS thread (a process-wide count, put back
+after): below that a second thread saves at most a tenth of the time
+but spins between calls, doubling CPU time.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -67,33 +45,32 @@ RESIDUAL_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-8
 
 # A matrix whose largest LAPACK block has fewer rows than this is solved
-# and verified on one OpenBLAS thread: the crossover measured below which
-# a second thread saves no time (see the module docstring).
+# on one OpenBLAS thread (see the module docstring).
 ONE_THREAD_BELOW = 512
 
 
 def _bind():
-    """numpy's OpenBLAS: the LAPACKE subset drivers keyed by the dtype they
-    solve, {} if absent, and its (get, set) thread count pair, None if
-    absent."""
+    """numpy's OpenBLAS: the three LAPACKE stages by the dtype they solve
+    ({} if one is absent), and its thread count's (get, set) or None."""
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return {}, None
     try:
-        drivers = {np.float64: lib.scipy_LAPACKE_dsyevr64_,
-                   np.complex128: lib.scipy_LAPACKE_zheevr64_}
+        drivers = {dtype: tuple(getattr(lib, f"scipy_LAPACKE_{name}_work64_")
+                                for name in names) for dtype, names in (
+            (np.float64, ("dsytrd", "dstemr", "dormtr")),
+            (np.complex128, ("zhetrd", "zstemr", "zunmtr")))}
     except AttributeError:
         drivers = {}
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    for driver in drivers.values():
-        # (layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
-        #  m, w, z, ldz, isuppz); the 64 suffix means 64-bit integers.
-        driver.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
-                           ctypes.c_char, i64, ptr, i64, ctypes.c_double,
-                           ctypes.c_double, i64, i64, ctypes.c_double, ptr,
-                           ptr, ptr, i64, ptr]
-        driver.restype = i64
+    # Arguments after the layout: c(har), i(nt64), p(ointer), d(ouble).
+    kinds = {"c": ctypes.c_char, "i": ctypes.c_int64, "p": ctypes.c_void_p,
+             "d": ctypes.c_double}
+    for stages in drivers.values():
+        for stage, sig in zip(stages, ("cipippppi", "ccippddiipppiipppipi",
+                                       "ccciipippipi")):
+            stage.argtypes = [ctypes.c_int] + [kinds[c] for c in sig]
+            stage.restype = ctypes.c_int64
     try:  # int get(void) and void set(int), C ints despite the suffix
         get = lib.scipy_openblas_get_num_threads64_
         put = lib.scipy_openblas_set_num_threads64_
@@ -107,9 +84,8 @@ def _bind():
 _DRIVERS, _THREADS = _bind()
 _COL_MAJOR = 102
 
-# OpenBLAS's thread count is one per process, so its scope is too: the
-# first of any concurrent one-thread solves saves the count and the last
-# to leave puts it back.
+# One thread count per process, so one scope: the first of any concurrent
+# one-thread solves saves the count and the last to leave puts it back.
 _scope = threading.Lock()
 _held = {"depth": 0, "count": 0}
 
@@ -117,8 +93,7 @@ _held = {"depth": 0, "count": 0}
 @contextmanager
 def _one_thread(rows: int):
     """OpenBLAS on one thread inside, for a largest block of fewer than
-    ONE_THREAD_BELOW ``rows``; the caller's count again on every exit.  No
-    effect for a larger block or without the thread binding."""
+    ONE_THREAD_BELOW ``rows``, else as it was; the caller's count after."""
     threads = _THREADS
     if threads is None or rows >= ONE_THREAD_BELOW:
         yield
@@ -173,15 +148,13 @@ class BlochMatrix(NamedTuple):
     """Hermitian H = V + diag(kinetic) at one Bloch vector, in eV, with the
     figures ``eigh`` needs from V, taken once by ``of``.
 
-    ``matrix`` is V itself (as float64 or complex128), not a copy, so it
-    must not change while H is in use.  ``herm`` is max|V - V^dagger|,
+    ``matrix`` is V itself (float64 or complex128), not a copy, so it must
+    not change while H is in use.  ``herm`` is max|V - V^dagger|,
     ``off_max`` the largest off-diagonal |V_ij| and ``diag`` a copy of V's
-    diagonal.  Non-finite entries are kept, not raised here: they make
-    max|H| non-finite at every solve, so the error names the first k-point
-    solved.  ``sectors`` splits the basis into rows of the irreps of a
-    group of symmetries of H, which ``eigh`` solves one by one; empty, H is
-    whole.
-    """
+    diagonal.  Non-finite entries are kept: they make max|H| non-finite at
+    every solve, so the error names the first k-point solved.  ``sectors``
+    splits the basis into rows of the irreps of a group of symmetries of H;
+    empty, H is whole."""
 
     matrix: np.ndarray
     herm: float
@@ -247,9 +220,8 @@ class EigenResult:
     ``residual`` the worst ||H v - lambda v|| / max|H| (at most 1e-8),
     ``orthonormality`` max|X^dagger X - I| (at most 1e-8) and
     ``hermiticity`` max|H - H^dagger| (eV, at most 1e-12 max|H|).
-    ``sectors`` holds the dims of the matrices LAPACK solved: one per
-    irrep of the little group, or H's own dim when it was solved whole, and
-    ``labels`` each level's irrep symbol ("" when H was solved whole)."""
+    ``sectors`` holds the dims of the row blocks solved (H's own dim for H
+    whole), ``labels`` each level's irrep symbol ("" for H whole)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -264,21 +236,16 @@ class EigenResult:
 def eigh(h, count: int | None = None) -> EigenResult:
     """Lowest ``count`` eigenpairs (default: all) of a Hermitian matrix.
 
-    ``h`` is a BlochMatrix or an ndarray, which is checked as a block with
-    a zero diagonal; a real block is solved as real symmetric, a complex
-    one as complex Hermitian, one LAPACK call (range 'I' of ?syevr) per
-    row of an irrep ``h`` carries, or one for H whole.  Guarantees on
-    return, for the ``count`` pairs returned, as vectors of the whole basis:
-    values ascending, columns orthonormal to 1e-8, and
-    ||H v_i - lambda_i v_i|| <= 1e-8 max|H| for every i.
-    A ``count`` outside 1..dim raises ValueError (sweeps rely on this).
-    """
+    ``h`` is a BlochMatrix or an ndarray (a block with a zero diagonal),
+    solved real symmetric or complex Hermitian as its dtype is.  Guaranteed
+    for the pairs returned, as vectors of the whole basis: values ascending,
+    columns orthonormal to 1e-8, ||H v_i - lambda_i v_i|| <= 1e-8 max|H|.
+    A ``count`` outside 1..dim raises ValueError."""
     if not isinstance(h, BlochMatrix):
         h = BlochMatrix.of(h)
     n = h.dim
-    if count is None:
-        count = n
-    elif not 1 <= count <= n:
+    count = n if count is None else count
+    if not 1 <= count <= n:
         raise ValueError(f"count={count} outside 1..{n}")
     # Off the diagonal H is V, so max|H| needs only diag V + T; the same
     # number np.abs(H).max() gives, NaN included.
@@ -298,7 +265,7 @@ def eigh(h, count: int | None = None) -> EigenResult:
     if sum(len(s.coef) * len(s.rows) for s in split) != n:
         raise SolverError("symmetry rows do not span the basis")
     with _one_thread(max(len(s.rows) for s in split)):
-        values, vectors, labels = _lowest(split, h.kinetic, count)
+        values, vectors, labels = _lowest(split, h.kinetic, count, scale)
         residual, ortho = _verify(h, values, vectors, scale)
     return EigenResult(values=values, vectors=vectors, scale=float(scale),
                        residual=residual, orthonormality=ortho,
@@ -307,24 +274,25 @@ def eigh(h, count: int | None = None) -> EigenResult:
                        labels=labels)
 
 
-def _lowest(split, kinetic, count):
-    """The lowest ``count`` of the pairs of every row in ``split``, as
+def _lowest(split, kinetic, count, scale):
+    """H's lowest ``count`` pairs from one solve of the rows in ``split``:
     (ascending values, vectors of the whole basis, each level's label)."""
+    want = min(count, sum(len(s.rows) for s in split))
+    try:
+        info, pairs = _solve([(s.matrix, kinetic[s.rows]) for s in split],
+                             want, scale)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"eigensolver did not converge: {exc}") from exc
+    found = sum(len(w) for w, _ in pairs)
+    if info != 0 or found != want:
+        raise SolverError(f"eigensolver failed: LAPACK info {info}, "
+                          f"{found} of {want} eigenpairs")
     values, rows, labels = [], [], []  # eigenvectors as rows, C-ordered
-    for sector in split:
-        # A row of a d-dimensional irrep holds every d-th level.
+    for sector, (w, z) in zip(split, pairs):  # by row, partner, level
         partners = len(sector.coef)
-        want = min(-(-count // partners), len(sector.rows))
-        try:
-            info, w, z = _solve(sector.matrix, kinetic[sector.rows], want)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"eigensolver did not converge: {exc}") from exc
-        if info != 0 or len(w) != want:
-            raise SolverError(f"eigensolver failed: LAPACK info {info}, "
-                              f"{len(w)} of {want} eigenpairs")
         values += [w] * partners
         rows.append(sector.expand(z.T))
-        labels += [sector.label] * (partners * want)
+        labels += [sector.label] * (partners * len(w))
     values = np.concatenate(values)
     if not np.isfinite(values).all():  # NaN would sort past the kept
         raise SolverError("eigensolver returned non-finite eigenvalues")
@@ -333,33 +301,62 @@ def _lowest(split, kinetic, count):
             tuple(labels[i] for i in keep.tolist()))
 
 
-def _solve(v, kinetic, count):
-    """LAPACK's lowest ``count`` eigenpairs of V + diag(kinetic):
-    (info, values, vectors)."""
-    n = len(kinetic)
-    driver = _DRIVERS.get(v.dtype.type)
-    if driver is None:
+def _solve(blocks, count, scale):
+    """The lowest ``count`` levels of blocks V_s + diag(T_s) of max|H|
+    ``scale``, each counted once: (info, [(values, vectors) per block])."""
+    v = blocks[0][0]
+    stages = _DRIVERS.get(v.dtype.type)
+    if stages is None:  # eigh splits nothing without a driver
+        (v, kinetic), = blocks
         h = v.copy()
-        h.flat[::n + 1] += kinetic
+        h.flat[::len(v) + 1] += kinetic
         values, vectors = np.linalg.eigh(h)
-        return 0, values[:count], vectors[:, :count]
-    # ?syevr overwrites its input, so it gets a private H, written as
-    # conj(V) + T: read as column-major, this C-order conj(H) is H itself,
-    # its upper triangle numpy.linalg.eigh's lower.  One buffer of 8-byte
-    # words holds H, the n x count vectors, the values, m and isuppz.
-    k = v.itemsize // 8
-    w = k * n * (n + int(count))  # the values' first word
-    buf = np.empty(w + n + 1 + 2 * count)
-    a = buf[:k * n * n].view(v.dtype).reshape(n, n)
-    np.conjugate(v, out=a)
-    a.reshape(-1)[::n + 1] += kinetic
-    at = buf.ctypes.data
-    info = driver(_COL_MAJOR, b"V", b"I", b"U", n, at, n, 0.0, 0.0, 1, count,
-                  0.0, at + 8 * (w + n), at + 8 * w, at + 8 * k * n * n, n,
-                  at + 8 * (w + n + 1))
-    found = int(buf[w + n:w + n + 1].view(np.int64)[0])
-    z = buf[k * n * n:w].view(v.dtype).reshape(count, n)[:found]
-    return info, buf[w:w + found].copy(), z.copy().T
+        return 0, [(values[:count], vectors[:, :count])]
+    reduce, stemr, back = stages
+    # max|H| scaled near 1 by a power of two, exactly: ?stemr meets no
+    # absolute threshold (z05 at a = 1e-6 A, max|H| 1e15 eV, gave info 22).
+    f = 2.0 ** min(-round(math.log2(scale)), 1023) if scale else 1.0
+    sizes = [len(kinetic) for _, kinetic in blocks]
+    n, rows, k, info = sum(sizes), [0, *accumulate(sizes)], v.itemsize // 8, 0
+    lwork = max(32 * max(sizes), 32 * count + 4160)  # ?sytrd, ?ormtr at nb 32
+    # One buffer of 8-byte words, as a ctypes pointer costs ~2 us: work, d,
+    # e, w, ?stemr's ints (isuppz, m, tryrac, iwork), z, z by block, blocks.
+    at = [0, *accumulate([max(18 * n, k * lwork), n, n, n, 2 * count + 2
+                          + 10 * n, k * n * count, k * n * count]
+                         + [k * (m * m + m) for m in sizes])]
+    buf = np.empty(at[-1])
+    base = buf.ctypes.data
+    ptr = [base + 8 * o for o in at]
+    buf[at[2]:at[3]] = 0.0  # e: no coupling between blocks
+    for s, ((v, kinetic), m) in enumerate(zip(blocks, sizes)):
+        a = buf[at[7 + s]:at[7 + s] + k * m * m].view(v.dtype).reshape(m, m)
+        np.multiply(v, f, out=a)  # C-order conj(H) is H column-major
+        if k == 2:
+            np.conjugate(a, out=a)
+        a.reshape(-1)[::m + 1] += kinetic * f
+        info = info or reduce(_COL_MAJOR, b"U", m, ptr[7 + s], m,
+                              ptr[1] + 8 * rows[s], ptr[2] + 8 * rows[s],
+                              ptr[7 + s] + 8 * k * m * m, ptr[0], lwork)
+    ints, tail = buf[at[4]:at[5]].view(np.int64), ptr[4] + 16 * count
+    ints[2 * count + 1] = 1  # TRYRAC: try for relative accuracy
+    info = info or stemr(_COL_MAJOR, b"V", b"I", n, ptr[1], ptr[2], 0.0, 0.0,
+                         1, count, tail, ptr[3], ptr[5], n, count, ptr[4],
+                         tail + 8, ptr[0], 18 * n, tail + 16, 10 * n)
+    found = 0 if info else int(ints[2 * count])
+    # Each level's block: where its vector's support starts.  By block,
+    # a block's p vectors are a column-major m x p matrix of z.
+    owner = np.searchsorted(rows[1:], ints[:2 * found:2] - 1, side="right")
+    order = np.argsort(owner, kind="stable")
+    ends = [0, *accumulate(np.bincount(owner, None, len(sizes)).tolist())]
+    z = buf[at[6]:at[7]].view(v.dtype).reshape(count, n)[:found]
+    np.take(buf[at[5]:at[6]].view(v.dtype).reshape(count, n), order, 0, z)
+    w, pairs = buf[at[3]:at[3] + found][order] / f, []
+    for s, (m, i, j) in enumerate(zip(sizes, ends, ends[1:])):
+        info = info or back(_COL_MAJOR, b"L", b"U", b"N", m, j - i, ptr[7 + s],
+                            m, ptr[7 + s] + 8 * k * m * m, ptr[6] + 8 * k
+                            * (i * n + rows[s]), n, ptr[0], lwork)
+        pairs.append((w[i:j], z[i:j, rows[s]:rows[s] + m].T))
+    return info, pairs
 
 
 def _verify(h, values, vectors, scale):

@@ -243,10 +243,12 @@ def irreps(group: Operations) -> list:
     n = len(group.ops)
     back = group.table[np.argmax(group.table == 0, axis=1)]  # g^-1 a
     orbit = (np.sin(12.9898 * np.arange(1, n + 1)) * 43758.5453 % 1.0)[back]
-    # LAPACK's dsyevr, as for H: numpy's dsyevd wakes OpenBLAS's threads.
-    info, w, e = _solve(orbit.T @ orbit, np.zeros(n), n)
-    if info != 0 or len(w) != n:
+    # LAPACK's solve, as for H: numpy's dsyevd wakes OpenBLAS's threads.
+    gram = orbit.T @ orbit
+    info, pairs = _solve([(gram, np.zeros(n))], n, np.abs(gram).max())
+    if info != 0 or len(pairs[0][0]) != n:
         raise SolverError(f"little group's irreps: LAPACK info {info}")
+    w, e = pairs[0]
     starts = np.flatnonzero(np.r_[True, np.diff(w) > 1e-8 * np.abs(w).max()])
     kinds = [_KINDS[k] for k in zip(
         np.rint(np.linalg.det(group.ops)).astype(int).tolist(),

@@ -123,6 +123,12 @@ class TestLoadConfig:
         (lambda c: c["path"].update(points=[
             "L", {"label": 7, "coords": [0, 0, 0]}]),
          "path.points[1].label: expected a string"),
+        # Characters XML 1.0 forbids: bands.svg would not parse.
+        *((lambda c, bad=bad: c["path"].update(points=[
+            "L", {"label": f"A{bad}", "coords": [0, 0, 0]}]),
+           f"path.points[1].label: U+{ord(bad):04X} is not allowed")
+          for bad in ("\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800",
+                      "\udfff", "\ufffe", "\uffff")),
         (lambda c: c["basis"].update(converge_at=None),
          "basis.converge_at: expected a string"),
         (lambda c: c["output"].update(directory=None),
@@ -274,7 +280,7 @@ class TestBandsCommand:
 
     @pytest.mark.parametrize("label", [
         "A&B", "</text><script>alert(1)</script><text>", "a,b", '"k" point',
-        "two\nlines"])
+        "two\nlines", "tab\tand\u0085\ud7ff\ue000\ufffd\U0010ffff"])
     def test_any_label_survives_every_format(self, write_config, tmp_path,
                                             label):
         path = write_config(mutate=lambda c: c["path"].update(
@@ -540,6 +546,19 @@ class TestMain:
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_label_svg_cannot_carry_exits_2(self, write_config, tmp_path,
+                                            capsys):
+        # XML 1.0 forbids U+0001 even as a reference: the run stops at the
+        # config, naming the label, instead of writing an unparsable SVG.
+        path = write_config(mutate=lambda c: c["path"].update(
+            points=["L", {"label": "A\u0001", "coords": [0, 0, 0]}]))
+        assert main(["bands", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("config error at path.points[1].label: U+0001 is not "
+                       "allowed in XML 1.0, so not in bands.svg\n")
+        assert out == "" and not (tmp_path / "o").exists()
+
     def test_tiny_lattice_scale_verifies_without_overflow(self, tmp_path):
         # At a = 1e-100 the entries of H reach 1e205 eV: ||H||_F overflows,
         # so the residual bound must scale by max|H| and stay finite.
@@ -558,6 +577,18 @@ class TestMain:
                     for i in range(cfg["output"]["num_bands"])]
         assert len(rows) == 9
         assert all(math.isfinite(e) for e in energies)
+
+    def test_small_lattice_scale_solves_on_the_mirror_lines(self, tmp_path):
+        # At a = 1e-6 A max|H| is 1e15 eV, inside LAPACK's safe range, and
+        # H is nearly free-electron: unless scaled to max|H| near 1, ?stemr
+        # found no representation for a tight cluster (info 22) on X-U.
+        cfg = json.loads(preset_path("z05").read_text(encoding="utf-8"))
+        cfg["lattice"]["a"] = 1e-6
+        cfg["path"]["samples_per_segment"] = 7
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["bands", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command, where, code", [
         ("info", "path", 0), ("converge", "path", 0), ("bands", "path", 3),
@@ -694,9 +725,10 @@ class TestMain:
 
         solve = eigen_mod._solve
 
-        def poisoned(v, kinetic, count):
-            info, values, vectors = solve(v, kinetic, count)
-            return info, np.full_like(values, np.nan), vectors
+        def poisoned(blocks, count, scale):
+            info, pairs = solve(blocks, count, scale)
+            return info, [(np.full_like(values, np.nan), vectors)
+                          for values, vectors in pairs]
 
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
         assert main(["bands", "--config", str(write_config()),

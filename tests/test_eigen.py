@@ -6,18 +6,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwbands import eigen as eigen_mod
 from pwbands.eigen import (BlochMatrix, EigenResult, NonHermitianError,
                            SolverError, eigh)
 import pwbands.bands as bands_mod
 import pwbands.hamiltonian as hamiltonian_mod
-from pwbands.bands import SweepError, convergence_study, sweep
+from pwbands.bands import (SweepError, convergence_study,
+                           free_electron_reference, sweep)
+from pwbands.cli import load_config
 from pwbands.hamiltonian import (PlaneWaveBasis, build, little_group,
                                  operations, potential_matrix, row_blocks)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
                              make_kpath, reciprocal_of)
 from pwbands.potential import Potential
+from pwbands.presets import preset_path
 
 
 def random_hermitian(n, seed, complex_entries=True):
@@ -296,7 +301,8 @@ class TestSolverPaths:
     def test_subset_path_does_not_call_numpy_eigh(self, monkeypatch,
                                                   complex_entries):
         if not eigen_mod._DRIVERS:
-            pytest.skip("this numpy's LAPACK has no ?syevr/?heevr symbols")
+            pytest.skip("this numpy's LAPACK lacks a ?sytrd, ?stemr or "
+                        "?ormtr symbol")
 
         def unused(*args, **kwargs):
             raise AssertionError("numpy.linalg.eigh called")
@@ -421,21 +427,25 @@ class TestSectors:
         np.testing.assert_array_equal(result.values, values)
 
     def test_nan_in_one_sector_is_solver_error(self, monkeypatch):
-        # The other sector holds the lowest pairs, so a NaN would sort past
-        # the kept ones and vanish unverified; it must raise instead.
+        # The highest level returned is not kept, so a NaN there would sort
+        # past the kept ones and vanish unverified; it must raise instead.
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
-        solve, calls = eigen_mod._solve, []
+        solve, tops = eigen_mod._solve, []
 
-        def poisoned(v, kinetic, count):
-            info, values, vectors = solve(v, kinetic, count)
-            calls.append(len(kinetic))
-            if len(calls) == 2:
-                values = np.full_like(values, np.nan)
-            return info, values, vectors
+        def poisoned(blocks, count, scale):
+            info, pairs = solve(blocks, count, scale)
+            top = max(range(len(pairs)), key=lambda s: max(pairs[s][0],
+                                                            default=-np.inf))
+            values, vectors = pairs[top]
+            tops.append(values[-1])
+            pairs[top] = np.r_[values[:-1], np.nan], vectors
+            return info, pairs
 
+        kept = eigh(h, 8).values
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
         with pytest.raises(SolverError, match="non-finite"):
             eigh(h, 8)
+        assert tops[0] > kept.max()
 
     def test_e_levels_pair_bit_for_bit(self):
         # A row of E is solved once; its partner row repeats the levels.
@@ -490,6 +500,105 @@ class TestSectors:
             eigh(BlochMatrix.of(v, h.kinetic, h.sectors), 8)
 
 
+def symmetric_v(group, rng, complex_entries):
+    """A random Hermitian V (eV) that commutes with every Q of ``group``:
+    the group average of Q R Q^T."""
+    dim = group.perm.shape[1]
+    r = rng.standard_normal((dim, dim))
+    if complex_entries:
+        r = r + 1j * rng.standard_normal((dim, dim))
+    r = 2.0 * (r + r.conj().T)
+    v = np.zeros_like(r)
+    for perm, sign in zip(group.perm, group.signs[:, 0]):
+        v[np.ix_(perm, perm)] += sign[:, None] * sign * r
+    return v / len(group.perm)
+
+
+_GROUPS = {}
+
+
+def z05_group(point):
+    """z05's dim-89 basis, a Bloch vector and its little group: C3v at L,
+    C4v at X, O_h at Gamma and a mirror halfway along U-Gamma."""
+    if point not in _GROUPS:
+        lattice, rec, basis = z05_basis()
+        pts = fcc_symmetry_points(5.431)
+        kappa = 0.5 * pts["U"] if point == "U/2" else pts[point]
+        crystal = operations(lattice, rec, basis)
+        block = BlochMatrix.of(potential_matrix(Potential(0.5), lattice, rec,
+                                                basis))
+        _GROUPS[point] = basis, kappa, little_group(
+            crystal, block, crystal.fixes(kappa[None])[0])
+    return _GROUPS[point]
+
+
+class TestSelection:
+    """One LAPACK solve per k-point picks the lowest levels of all its irrep
+    rows, each row's level once; partner rows then repeat them."""
+
+    def test_one_solve_per_kpoint_for_min_bands_rows(self, monkeypatch):
+        # At Gamma's first cutoff (dim 15) 8 rows hold 12 bands: fewer
+        # levels can be asked for than bands are kept.
+        lattice, rec, basis = z05_basis()
+        pts = fcc_symmetry_points(5.431)
+        path = make_kpath([("L", pts["L"]), ("Γ", pts["Γ"]),
+                           ("X", pts["X"]), ("U", pts["U"])], 3)
+        cutoffs = [16 * (math.pi / 5.431) ** 2, basis.g2.max()]
+        solve, calls = eigen_mod._solve, []
+
+        def recording(blocks, count, scale):
+            calls.append((sum(len(kinetic) for _, kinetic in blocks), count))
+            return solve(blocks, count, scale)
+
+        monkeypatch.setattr(eigen_mod, "_solve", recording)
+
+        def run():
+            return (sweep(path, Potential(0.5), lattice, rec, basis,
+                          12).energies,
+                    [row.values for row in convergence_study(
+                        pts["Γ"], Potential(0.5), lattice, rec, basis,
+                        cutoffs, 12)])
+
+        energies, ladder = run()
+        assert len(calls) == len(path.kappas) + len(cutoffs)
+        assert [count for _, count in calls] == [min(12, rows)
+                                                 for rows, _ in calls]
+        assert calls[len(path.kappas)] == (8, 8)
+        # Those levels hold the lowest 12 of H whole.
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        whole, whole_ladder = run()
+        np.testing.assert_allclose(energies, whole, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(ladder, whole_ladder, rtol=0, atol=1e-10)
+
+    def test_free_levels_tie_across_rows(self):
+        # V = 0: the levels of different rows tie exactly, and a row of a
+        # d-dimensional irrep stands for d of them.
+        cfg = load_config(preset_path("free"))
+        bs = sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
+                   cfg.num_bands)
+        ref = free_electron_reference(cfg.path, cfg.lattice, cfg.recip,
+                                      cfg.g2_max, cfg.num_bands)
+        np.testing.assert_allclose(bs.energies, ref.energies, rtol=0,
+                                   atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(point=st.sampled_from(["L", "X", "Γ", "U/2"]),
+           complex_entries=st.booleans(), count=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_symmetric_v_matches_whole_spectrum(
+            self, point, complex_entries, count, seed):
+        # Counts 1 to 12 cut through E and T multiplets at will.
+        basis, kappa, group = z05_group(point)
+        v = symmetric_v(group, np.random.default_rng(seed), complex_entries)
+        h = build(kappa, basis, BlochMatrix.of(v, sectors=row_blocks(v,
+                                                                   group)))
+        assert len(h.sectors) > 1
+        result = eigh(h, count)
+        whole = np.linalg.eigvalsh(h.entries)[:count]
+        np.testing.assert_allclose(result.values, whole, rtol=0,
+                                   atol=1e-10 * result.scale)
+
+
 class TestErrors:
     def test_non_hermitian_rejected(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
@@ -535,9 +644,10 @@ class TestErrors:
         # info < 0: LAPACKE rejected an argument or ran out of memory.
         solve = eigen_mod._solve
 
-        def reporting(v, kinetic, count):
-            _, values, vectors = solve(v, kinetic, count)
-            return info, values[:found], vectors[:, :found]
+        def reporting(blocks, count, scale):
+            _, pairs = solve(blocks, count, scale)
+            return info, [(values[:found], vectors[:, :found])
+                          for values, vectors in pairs]
 
         monkeypatch.setattr(eigen_mod, "_solve", reporting)
         with pytest.raises(SolverError, match=f"info {info}, {found} of 3"):
@@ -549,11 +659,13 @@ class TestErrors:
         # the contract must fail on NaN, not pass it.
         solve = eigen_mod._solve
 
-        def poisoned(v, kinetic, count):
-            info, values, vectors = solve(v, kinetic, count)
+        def poisoned(blocks, count, scale):
+            info, pairs = solve(blocks, count, scale)
             if bad == "values":
-                return info, np.full_like(values, np.nan), vectors
-            return info, values, np.full_like(vectors, np.nan)
+                return info, [(np.full_like(values, np.nan), vectors)
+                              for values, vectors in pairs]
+            return info, [(values, np.full_like(vectors, np.nan))
+                          for values, vectors in pairs]
 
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
         with pytest.raises(SolverError):
@@ -568,10 +680,12 @@ class TestErrors:
         h = 1e200 * random_hermitian(6, seed=11)
         solve = eigen_mod._solve
 
-        def shifted(v, kinetic, count):
-            info, values, vectors = solve(v, kinetic, count)
+        def shifted(blocks, count, scale):
+            info, pairs = solve(blocks, count, scale)
+            (v, kinetic), = blocks
             h = v + np.diag(kinetic)
-            return info, values + shift * np.abs(h).max(), vectors
+            return info, [(values + shift * np.abs(h).max(), vectors)
+                          for values, vectors in pairs]
 
         monkeypatch.setattr(eigen_mod, "_solve", shifted)
         if shift:
@@ -604,12 +718,13 @@ def two_threads():
 
 
 def record_threads(monkeypatch):
-    """(block rows, thread count) at each LAPACK call through eigh."""
+    """(block rows, thread count) for each block of each LAPACK call
+    through eigh."""
     solve, seen = eigen_mod._solve, []
 
-    def recording(v, kinetic, count):
-        seen.append((len(kinetic), blas_threads()))
-        return solve(v, kinetic, count)
+    def recording(blocks, count, scale):
+        seen.extend((len(kinetic), blas_threads()) for _, kinetic in blocks)
+        return solve(blocks, count, scale)
 
     monkeypatch.setattr(eigen_mod, "_solve", recording)
     return seen
@@ -661,10 +776,11 @@ class TestThreadScope:
     def test_solver_error_puts_the_count_back(self, monkeypatch):
         solve = eigen_mod._solve
 
-        def poisoned(v, kinetic, count):
+        def poisoned(blocks, count, scale):
             assert blas_threads() == 1
-            info, values, vectors = solve(v, kinetic, count)
-            return info, np.full_like(values, np.nan), vectors
+            info, pairs = solve(blocks, count, scale)
+            return info, [(np.full_like(values, np.nan), vectors)
+                          for values, vectors in pairs]
 
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
         with pytest.raises(SolverError, match="non-finite"):
@@ -699,7 +815,7 @@ class TestThreadScope:
         first_in, second_in, first_out = (threading.Event() for _ in range(3))
         inside, errors = {}, []
 
-        def staged(v, kinetic, count):
+        def staged(blocks, count, scale):
             if threading.current_thread().name == "first":
                 first_in.set()
                 assert second_in.wait(10)
@@ -707,7 +823,7 @@ class TestThreadScope:
                 second_in.set()
                 assert first_out.wait(10)
                 inside["after the first left"] = blas_threads()
-            return solve(v, kinetic, count)
+            return solve(blocks, count, scale)
 
         def call(seed, done=None):
             try:

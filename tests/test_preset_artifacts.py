@@ -32,7 +32,7 @@ EXPECTED = {
             "bands.csv":
                 "534a91503c039c1cb7f68755a123ef0504bddf7f285b17599ca6afa7c6b67520",
             "bands.json":
-                "ee763205a34abac7c1700fc3942cb38f77f4c91aa4fc3cfe69263217f68bc452",
+                "5e0a0aa0ed9f090d05cf9778d2111aed2686138d9dd38d1b520f2000e47f2916",
             "bands.svg":
                 "359b2b13fdf3baa2f3a0301270d18e8fe16d40038879e3e77852f089f55396d8",
         },
@@ -62,7 +62,7 @@ EXPECTED = {
             "bands.csv":
                 "c2e680413e6831d525e27febce31e002da8e72edfae73b233c815d1444c48ab7",
             "bands.json":
-                "713a5a2104a66105ee4121e1ca82c1e5f99209de154193e09e88f836288a1b85",
+                "ecb6db8a417c809abcc5ee41db43831799241ffaaf001702076e46f7816e68e8",
             "bands.svg":
                 "cce64d47105041929e7411f500cd883701a5deff446353427a9e1d95c188a972",
         },
@@ -78,7 +78,7 @@ EXPECTED = {
             "converge.csv":
                 "492dad97b183cac70a09e9ba3e81e98a623f6968f9a3e1a846c0e0c103e66c0d",
             "converge.json":
-                "c6ba08d6561f36ad14c55e473eb672fd8655a9efdb0b5f85d6fe688b40b93cbb",
+                "93183b004a94419fc2add9f3ba45ffa4f77d12069cb8c8756ead18af1d92167a",
         },
         "info": {
             "stdout":
@@ -92,7 +92,7 @@ EXPECTED = {
             "bands.csv":
                 "ad9f1e83a55f625741773fd9e5014faead67c457d2dbf3e71530313bbb041f38",
             "bands.json":
-                "99560196ef0e18145bbea194eb5a0977355cc6d2eb6bad5c5d1e47f25800ffe0",
+                "f754e5ec0b76f8c19c5d3f75c3440e4c3a1aef1b7c36cc991d22823a45046757",
             "bands.svg":
                 "ceda8e6a3bf94f0924876bf6dc8ec52b27e165bf82067e27291739cef32b38f8",
         },
@@ -100,7 +100,7 @@ EXPECTED = {
             "stdout":
                 "8fca297ac334877abdf3b0ad92a3cb1db6372cfcba0c363f906b7e907401dc2d",
             "gaps.json":
-                "8aa31b01fb4799df8887d6d6b60116d8b5f30b04d40166fa76710bc8955a8f4b",
+                "88ada098ca064bb2b82cec62c3cab56cd7f64ba36c6de61da8dce733adfde21e",
         },
         "converge": {
             "stdout":
@@ -108,7 +108,7 @@ EXPECTED = {
             "converge.csv":
                 "6cf6d4476efd6d65885968bc2fe72048e02123239356eec941af9ff357f7eb53",
             "converge.json":
-                "314476593459cc576c963ca6e1e1733045562322ba71dbec14fc759e9cee7070",
+                "ce8e4869dd31c22c0a2469036ad3f4c1708a79b0e9d7edf64646b87b03206de8",
         },
         "info": {
             "stdout":
@@ -122,7 +122,7 @@ EXPECTED = {
             "bands.csv":
                 "162ac7c14484a22d6ec3bee60e56c09833e46943eaf78ebd0ef7964108ff4f99",
             "bands.json":
-                "044bf751775def0b679b9813e07b629662b08fc6acee2ac392d0a88ffdcab4b7",
+                "3d6608df534ee23b8537934b84e79f1e86653392d44e16badc0319387f539889",
             "bands.svg":
                 "fb9a4127f0cec9cc81b3d709978f840af6edf3d9b84476c01123abd35bc6d2e6",
         },
@@ -130,7 +130,7 @@ EXPECTED = {
             "stdout":
                 "0d9c988d4004465264531fccdb503d20a4526e802fd055d23d31350340011baa",
             "gaps.json":
-                "b9d2ed12af36ea24f93d6d43bc72d31895d384ff25ff64500ec5d9f874608b35",
+                "860733694a570e3670041e18ad6cb8c085f94f77fd2a22f11e02bea74bcda1b4",
         },
         "converge": {
             "stdout":
@@ -138,7 +138,7 @@ EXPECTED = {
             "converge.csv":
                 "de7e00346b130203ac1111608239836430d996c2b7257759a1da6a4721e46461",
             "converge.json":
-                "2794c097d1d4a9ea8b7481140435ab9b12080a9a4e3b428c615177d26c9ba479",
+                "409e1804850b242cb689efddd295e186a4dcee64f43acdad631040ba1b3c60a7",
         },
         "info": {
             "stdout":
@@ -152,7 +152,7 @@ EXPECTED = {
             "bands.csv":
                 "3f672fb89b7b76d69cc0e5fb641a59562c8410fa5941f985fb06e7028123a36f",
             "bands.json":
-                "8127d1717944cf02c2bc3c8d77b74ebf5307e848e30cafe43349a2ed8bec9598",
+                "a77e274232c9827e9e378f37ee97bbd98ce7248f6a7d6724d65f46bfc3a1cdaa",
             "bands.svg":
                 "9f59d8d38bf08f1df21d35b8023445f2545aae20e53c34915504152682aff544",
         },
@@ -160,7 +160,7 @@ EXPECTED = {
             "stdout":
                 "95e4f52795407160a9228bc8ca21073e907a6c3ecde495d964e7d042f480f7fb",
             "gaps.json":
-                "35ce85d0226ba7c4d87dedca9a34d6f987cbaa9a06e0a19ffd1ae7265217ed58",
+                "3254868f72ec886bdf5e3d43dc0c2a84aa913282f5e820e70978b860017fac5b",
         },
         "converge": {
             "stdout":
@@ -168,7 +168,7 @@ EXPECTED = {
             "converge.csv":
                 "a7bd21ba222491dd4ff1aa52b8d3de3d85657ae854b589de35282ab72a948597",
             "converge.json":
-                "43192d3c4e8e9a2507e19edda210f60d47b9174e7b90907db6843e54f8c7d4a1",
+                "3c01b7896f90cccfb08b4c5332100ce36d04357a3719cd79166226f48b8d27aa",
         },
         "info": {
             "stdout":
