@@ -11,12 +11,19 @@ of the k-point's little group; without them H is one row.  LAPACK
 solves a k-point once: ?sytrd (?hetrd) reduces each row's block to a
 tridiagonal, one ?stemr (MRRR) on those laid end to end, uncoupled, finds
 the lowest min(count, rows) levels of all rows in O(rows x levels) work,
-and ?ormtr (?unmtr) back-transforms each row's vectors.  A row's level is
-H's once per partner row; the lowest ``count``, so repeated, are verified
-against the whole H.  ?stemr picks levels by bisection to sqrt(eps)
-relative: of two rows' levels within about 1e-8 |E| across the cut, either
-may be returned.  The stages are numpy's own ``scipy_LAPACKE_*_work64_``,
-via ctypes; without them numpy.linalg.eigh solves the unsplit H whole.
+and ?ormtr (?unmtr) back-transforms each row's vectors.  The reduction
+runs with a 16-column panel and the back-transform unblocked, its work one
+word a vector: for the few vectors kept, LAPACK's blocked path spends more
+forming a triangular factor per 32 reflectors than applying them (a
+197-row block, 5 vectors: 125 us blocked, 51 us unblocked).  ?stemr picks
+levels across rows by bisection, to about 1e-8 |E|, so one Sturm count
+(?larrc) of the stacked tridiagonal checks that no level lies more than
+SELECTION_TOL max|H| below the highest returned but was passed over; if
+one does, each row is solved alone, where the pick is exact.  A row's
+level is H's once per partner row; the lowest ``count``, so repeated, are
+verified against the whole H.  The stages are numpy's own
+``scipy_LAPACKE_*_work64_`` and ``scipy_dlarrc_64_``, via ctypes; without
+them numpy.linalg.eigh solves the unsplit H whole.
 
 A matrix whose largest row has fewer than ONE_THREAD_BELOW (512) rows is
 solved and verified on one OpenBLAS thread (a process-wide count, put back
@@ -44,14 +51,20 @@ HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-8
 
+# A level ?stemr passes over lies at most this times max|H| below the
+# highest it returns; a lower one makes each row be solved alone (see the
+# module docstring).
+SELECTION_TOL = 1e-12
+
 # A matrix whose largest LAPACK block has fewer rows than this is solved
 # on one OpenBLAS thread (see the module docstring).
 ONE_THREAD_BELOW = 512
 
 
 def _bind():
-    """numpy's OpenBLAS: the three LAPACKE stages by the dtype they solve
-    ({} if one is absent), and its thread count's (get, set) or None."""
+    """numpy's OpenBLAS: the three LAPACKE stages and the Sturm count
+    ?larrc by the dtype they solve ({} if one is absent), and its thread
+    count's (get, set) or None."""
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
@@ -61,6 +74,7 @@ def _bind():
                                 for name in names) for dtype, names in (
             (np.float64, ("dsytrd", "dstemr", "dormtr")),
             (np.complex128, ("zhetrd", "zstemr", "zunmtr")))}
+        sturm = lib.scipy_dlarrc_64_  # the tridiagonal is real for both
     except AttributeError:
         drivers = {}
     # Arguments after the layout: c(har), i(nt64), p(ointer), d(ouble).
@@ -71,6 +85,11 @@ def _bind():
                                        "ccciipippipi")):
             stage.argtypes = [ctypes.c_int] + [kinds[c] for c in sig]
             stage.restype = ctypes.c_int64
+    if drivers:  # Fortran: every argument by reference, then jobt's length
+        sturm.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [
+            ctypes.c_size_t]
+        sturm.restype = None
+        drivers = {dtype: (*stages, sturm) for dtype, stages in drivers.items()}
     try:  # int get(void) and void set(int), C ints despite the suffix
         get = lib.scipy_openblas_get_num_threads64_
         put = lib.scipy_openblas_set_num_threads64_
@@ -312,51 +331,87 @@ def _solve(blocks, count, scale):
         h.flat[::len(v) + 1] += kinetic
         values, vectors = np.linalg.eigh(h)
         return 0, [(values[:count], vectors[:, :count])]
-    reduce, stemr, back = stages
+    reduce, stemr, back, sturm = stages
     # max|H| scaled near 1 by a power of two, exactly: ?stemr meets no
     # absolute threshold (z05 at a = 1e-6 A, max|H| 1e15 eV, gave info 22).
     f = 2.0 ** min(-round(math.log2(scale)), 1023) if scale else 1.0
     sizes = [len(kinetic) for _, kinetic in blocks]
     n, rows, k, info = sum(sizes), [0, *accumulate(sizes)], v.itemsize // 8, 0
-    lwork = max(32 * max(sizes), 32 * count + 4160)  # ?sytrd, ?ormtr at nb 32
-    # One buffer of 8-byte words, as a ctypes pointer costs ~2 us: work, d,
-    # e, w, ?stemr's ints (isuppz, m, tryrac, iwork), z, z by block, blocks.
-    at = [0, *accumulate([max(18 * n, k * lwork), n, n, n, 2 * count + 2
-                          + 10 * n, k * n * count, k * n * count]
-                         + [k * (m * m + m) for m in sizes])]
+    # One buffer of 8-byte words, as a ctypes pointer costs ~2 us: work
+    # (?sytrd's 16-wide panel, ?stemr's, ?ormtr's one word a vector), d, e,
+    # copies of d and e then ?larrc's point and pivmin, w, ?stemr's ints
+    # (isuppz, m, tryrac, iwork) then ?larrc's (n and four counts), z, z by
+    # block, blocks.
+    at = [0, *accumulate([max(18 * n, 16 * k * max(sizes)), n, n, 2 * n + 2,
+                          n, 2 * count + 7 + 10 * n, k * n * count,
+                          k * n * count] + [k * (m * m + m) for m in sizes])]
     buf = np.empty(at[-1])
     base = buf.ctypes.data
     ptr = [base + 8 * o for o in at]
     buf[at[2]:at[3]] = 0.0  # e: no coupling between blocks
     for s, ((v, kinetic), m) in enumerate(zip(blocks, sizes)):
-        a = buf[at[7 + s]:at[7 + s] + k * m * m].view(v.dtype).reshape(m, m)
+        a = buf[at[8 + s]:at[8 + s] + k * m * m].view(v.dtype).reshape(m, m)
         np.multiply(v, f, out=a)  # C-order conj(H) is H column-major
         if k == 2:
             np.conjugate(a, out=a)
         a.reshape(-1)[::m + 1] += kinetic * f
-        info = info or reduce(_COL_MAJOR, b"U", m, ptr[7 + s], m,
+        info = info or reduce(_COL_MAJOR, b"U", m, ptr[8 + s], m,
                               ptr[1] + 8 * rows[s], ptr[2] + 8 * rows[s],
-                              ptr[7 + s] + 8 * k * m * m, ptr[0], lwork)
-    ints, tail = buf[at[4]:at[5]].view(np.int64), ptr[4] + 16 * count
+                              ptr[8 + s] + 8 * k * m * m, ptr[0], 16 * m)
+    buf[at[3]:at[3] + 2 * n] = buf[at[1]:at[3]]  # ?stemr overwrites d, e
+    ints, tail = buf[at[5]:at[6]].view(np.int64), ptr[5] + 16 * count
     ints[2 * count + 1] = 1  # TRYRAC: try for relative accuracy
     info = info or stemr(_COL_MAJOR, b"V", b"I", n, ptr[1], ptr[2], 0.0, 0.0,
-                         1, count, tail, ptr[3], ptr[5], n, count, ptr[4],
+                         1, count, tail, ptr[4], ptr[6], n, count, ptr[5],
                          tail + 8, ptr[0], 18 * n, tail + 16, 10 * n)
     found = 0 if info else int(ints[2 * count])
+    if found == count and len(sizes) > 1:
+        # ?stemr picks across blocks by bisection, to about 1e-8 |E|: one
+        # Sturm count of the copies finds a level it passed over below the
+        # highest returned, less SELECTION_TOL max|H|.  One block's pick is
+        # exact, so each block is then solved alone.
+        w = buf[at[4]:at[4] + found].tolist()  # ascending
+        buf[at[4] - 2] = point = w[-1] - SELECTION_TOL * scale * f
+        buf[at[4] - 1] = 0.0  # pivmin
+        ints[-5] = n
+        counts = tail + 16 + 80 * n  # n, then eigcnt, lcnt, rcnt, info
+        sturm(b"T", counts, ptr[4] - 16, ptr[4] - 16, ptr[3], ptr[3] + 8 * n,
+              ptr[4] - 8, counts + 8, counts + 16, counts + 24, counts + 32, 1)
+        below = found  # levels of w at or below the point
+        while below and w[below - 1] > point:
+            below -= 1
+        if ints[-3] > below:
+            return _by_row(blocks, count, scale)
     # Each level's block: where its vector's support starts.  By block,
     # a block's p vectors are a column-major m x p matrix of z.
     owner = np.searchsorted(rows[1:], ints[:2 * found:2] - 1, side="right")
     order = np.argsort(owner, kind="stable")
     ends = [0, *accumulate(np.bincount(owner, None, len(sizes)).tolist())]
-    z = buf[at[6]:at[7]].view(v.dtype).reshape(count, n)[:found]
-    np.take(buf[at[5]:at[6]].view(v.dtype).reshape(count, n), order, 0, z)
-    w, pairs = buf[at[3]:at[3] + found][order] / f, []
+    z = buf[at[7]:at[8]].view(v.dtype).reshape(count, n)[:found]
+    np.take(buf[at[6]:at[7]].view(v.dtype).reshape(count, n), order, 0, z)
+    w, pairs = buf[at[4]:at[4] + found][order] / f, []
     for s, (m, i, j) in enumerate(zip(sizes, ends, ends[1:])):
-        info = info or back(_COL_MAJOR, b"L", b"U", b"N", m, j - i, ptr[7 + s],
-                            m, ptr[7 + s] + 8 * k * m * m, ptr[6] + 8 * k
-                            * (i * n + rows[s]), n, ptr[0], lwork)
+        # Work of one word a vector: the unblocked back-transform, cheaper
+        # than forming a triangular factor per panel for so few vectors.
+        info = info or back(_COL_MAJOR, b"L", b"U", b"N", m, j - i, ptr[8 + s],
+                            m, ptr[8 + s] + 8 * k * m * m, ptr[7] + 8 * k
+                            * (i * n + rows[s]), n, ptr[0], max(1, j - i))
         pairs.append((w[i:j], z[i:j, rows[s]:rows[s] + m].T))
     return info, pairs
+
+
+def _by_row(blocks, count, scale):
+    """``_solve`` on each block alone, whose levels ?stemr picks exactly,
+    then the lowest ``count`` of them all: (info, pairs) as ``_solve``."""
+    solved = [_solve([block], min(count, len(block[1])), scale)
+              for block in blocks]
+    pairs = [pair for _, (pair,) in solved]
+    owner = np.repeat(np.arange(len(pairs)), [len(w) for w, _ in pairs])
+    kept = owner[np.argsort(np.concatenate([w for w, _ in pairs]),
+                            kind="stable")[:count]]
+    return (next((info for info, _ in solved if info), 0),
+            [(w[:p], z[:, :p]) for (w, z), p in
+             zip(pairs, np.bincount(kept, None, len(pairs)).tolist())])
 
 
 def _verify(h, values, vectors, scale):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -532,6 +533,24 @@ def z05_group(point):
     return _GROUPS[point]
 
 
+def record_by_row(monkeypatch):
+    """The count of each k-point that eigh re-solves row by row."""
+    by_row, resolved = eigen_mod._by_row, []
+
+    def recording(blocks, count, scale):
+        resolved.append(count)
+        return by_row(blocks, count, scale)
+
+    monkeypatch.setattr(eigen_mod, "_by_row", recording)
+    return resolved
+
+
+needs_drivers = pytest.mark.skipif(
+    not eigen_mod._DRIVERS,
+    reason="this numpy's LAPACK lacks a ?sytrd, ?stemr, ?ormtr or ?larrc "
+           "symbol")
+
+
 class TestSelection:
     """One LAPACK solve per k-point picks the lowest levels of all its irrep
     rows, each row's level once; partner rows then repeat them."""
@@ -597,6 +616,179 @@ class TestSelection:
         whole = np.linalg.eigvalsh(h.entries)[:count]
         np.testing.assert_allclose(result.values, whole, rtol=0,
                                    atol=1e-10 * result.scale)
+
+    @needs_drivers
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_levels_a_hair_apart_across_rows(self, monkeypatch,
+                                             complex_entries):
+        # ?stemr picks its levels across rows by bisection, to about
+        # 1e-8 |E|: at a gap of 1e-9 |E| it returned the 9th level for the
+        # 8th in 39 of these 100 real pairs and 48 of the complex ones.  A
+        # Sturm count of the stacked tridiagonal finds the level passed
+        # over, and the rows are solved one by one.
+        resolved = record_by_row(monkeypatch)
+        rng = np.random.default_rng(0)
+        for trial in range(100):
+            blocks, lowest = pair_tied_at_the_cut(rng, 1e-9, complex_entries)
+            info, pairs = eigen_mod._solve(
+                [(b, np.zeros(20)) for b in blocks], 8,
+                max(np.abs(b).max() for b in blocks))
+            assert info == 0
+            np.testing.assert_allclose(
+                np.sort(np.concatenate([w for w, _ in pairs])), lowest,
+                rtol=0, atol=1e-11, err_msg=f"trial {trial}")
+            for b, (w, z) in zip(blocks, pairs):
+                assert np.abs(b @ z - z * w).max() < 1e-10
+        assert 0 < len(resolved) < 100
+
+    @needs_drivers
+    def test_nearly_free_electrons_match_the_fallback(self, monkeypatch,
+                                                       tmp_path):
+        # z05 at a = 1e-6 A: max|H| is kinetic, V a 1e-13 perturbation, so
+        # rows' levels nearly tie across the cut; the one-call pick was off
+        # by 3.7e-9 max|E| against H solved whole.
+        resolved = record_by_row(monkeypatch)
+        raw = json.loads(preset_path("z05").read_text(encoding="utf-8"))
+        raw["lattice"]["a"] = 1e-6
+        raw["path"]["samples_per_segment"] = 11
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        cfg = load_config(config)
+
+        def energies():
+            return sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
+                         cfg.basis, cfg.num_bands).energies
+
+        split = energies()
+        assert resolved
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        whole = energies()
+        np.testing.assert_allclose(split, whole, rtol=0,
+                                   atol=1e-10 * np.abs(whole).max())
+
+    def test_no_preset_point_is_solved_by_row(self, monkeypatch):
+        # free's rows tie exactly across the cut (at Gamma its 2nd to 9th
+        # levels are the eight (111) waves, in four irreps); the Sturm
+        # count's tolerance must not take a tie for a level passed over.
+        resolved = record_by_row(monkeypatch)
+        for name in ("free", "z025", "z05", "z20", "si_empirical"):
+            cfg = load_config(preset_path(name))
+            sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
+                  cfg.num_bands)
+            if cfg.cutoffs_units:
+                convergence_study(cfg.converge_kappa, cfg.model, cfg.lattice,
+                                  cfg.recip, cfg.basis, [
+                                      c * cfg.shell_unit
+                                      for c in cfg.cutoffs_units],
+                                  cfg.num_bands)
+            if name == "free":
+                ref = free_electron_reference(
+                    cfg.path, cfg.lattice, cfg.recip, cfg.g2_max,
+                    cfg.num_bands + 1).energies
+                assert np.any(ref[:, -1] == ref[:, -2])
+        assert resolved == []
+
+
+def pair_tied_at_the_cut(rng, gap, complex_entries=False):
+    """Two random Hermitian 20-row blocks, in random order, whose 8th and
+    9th levels of 40 lie in different blocks ``gap`` |E| apart, each 1e-3
+    or more from the 7th and 10th; and their lowest 8 levels."""
+    while True:
+        m = rng.standard_normal((2, 20, 20))
+        if complex_entries:
+            m = m + 1j * rng.standard_normal((2, 20, 20))
+        a, b = m + m.conj().transpose(0, 2, 1)
+        alpha, beta = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+        j = int(rng.integers(1, 8))  # alpha's j-th, beta's (9-j)-th
+        b += (alpha[j - 1] + gap * abs(alpha[j - 1]) - beta[8 - j]) \
+            * np.eye(20)
+        levels = np.concatenate([alpha, np.linalg.eigvalsh(b)])
+        order = np.argsort(levels)
+        e = levels[order]
+        if ((order[7] < 20) != (order[8] < 20) and abs(e[7]) > 0.5
+                and 0.5 * gap < (e[8] - e[7]) / abs(e[7]) < 2 * gap
+                and min(e[7] - e[6], e[9] - e[8]) > 1e-3):
+            return ((a, b) if rng.integers(2) else (b, a)), e[:8]
+
+
+def two_rows(n, cut, seed, complex_entries):
+    """H = V + diag(T), a random V of no coupling between rows [0, cut)
+    and [cut, n), with those rows as two irrep rows; T in [0, 20) eV."""
+    rng = np.random.default_rng(seed)
+    v = np.zeros((n, n), complex if complex_entries else float)
+    sectors, every = [], np.arange(n)
+    for label, rows in (("A", every[:cut]), ("B", every[cut:])):
+        v[np.ix_(rows, rows)] = random_hermitian(
+            len(rows), int(rng.integers(2**31)), complex_entries)
+        inside = np.isin(every, rows)
+        sectors.append(eigen_mod.Sector(
+            label, rows, np.where(inside, every - rows[0], 0)[:, None],
+            inside.astype(float)[None, :, None], v[np.ix_(rows, rows)]))
+    return BlochMatrix.of(v, rng.uniform(0.0, 20.0, n), tuple(sectors))
+
+
+@needs_drivers
+class TestWorkspaces:
+    """?sytrd reduces with a 16-column panel and ?ormtr back-transforms
+    unblocked, with one word of work for each vector it applies."""
+
+    @pytest.mark.parametrize("count", [8, 340])
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_two_rows_match_fallback(self, monkeypatch, complex_entries,
+                                     count):
+        # count 340 = dim: every vector, as hamiltonian.irreps asks.
+        h = two_rows(340, 200, 80, complex_entries)
+        result = eigh(h, count)
+        assert result.sectors == (200, 140)
+        assert result.residual <= eigen_mod.RESIDUAL_TOL
+        assert result.orthonormality <= eigen_mod.ORTHONORMALITY_TOL
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        whole = eigh(h, count)
+        assert whole.sectors == (340,)
+        np.testing.assert_allclose(result.values, whole.values, rtol=0,
+                                   atol=1e-10)
+        overlap = np.abs(np.sum(whole.vectors.conj() * result.vectors, 0))
+        np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_row_with_no_level_solves(self, complex_entries):
+        # The second row lies 100 eV up: its back-transform applies no
+        # vector, on the workspace's floor of one word.
+        a, b = (random_hermitian(30, seed, complex_entries)
+                for seed in (81, 82))
+        info, pairs = eigen_mod._solve(
+            [(a, np.zeros(30)), (b, np.full(30, 100.0))], 8, 104.0)
+        assert info == 0
+        assert [z.shape for _, z in pairs] == [(30, 8), (30, 0)]
+        np.testing.assert_allclose(pairs[0][0], np.linalg.eigvalsh(a)[:8],
+                                   rtol=0, atol=1e-12)
+
+    def test_back_transform_workspace_is_its_vector_count(self, monkeypatch):
+        seen = []
+
+        def recording(stage, kind, cols):
+            def call(*args):
+                seen.append((kind, args[cols], args[-1]))
+                return stage(*args)
+            return call
+
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {
+            dtype: (recording(reduce, "reduce", 2), stemr,
+                    recording(back, "back", 5), *rest)
+            for dtype, (reduce, stemr, back, *rest)
+            in eigen_mod._DRIVERS.items()})
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
+        eigh(h, 8)
+        eigh(two_rows(340, 200, 80, True), 340)
+        reduced = [(m, lwork) for kind, m, lwork in seen if kind == "reduce"]
+        applied = [(p, lwork) for kind, p, lwork in seen if kind == "back"]
+        assert [m for m, _ in reduced] == [len(s.rows) for s in h.sectors] \
+            + [200, 140]
+        assert all(lwork == 16 * m for m, lwork in reduced)
+        assert sum(p for p, _ in applied[:-2]) == 8
+        assert [p for p, _ in applied[-2:]] == [200, 140]
+        assert all(lwork == max(1, p) for p, lwork in applied)
+        assert any(p == 0 for p, _ in applied)
 
 
 class TestErrors:

@@ -62,7 +62,7 @@ EXPECTED = {
             "bands.csv":
                 "c2e680413e6831d525e27febce31e002da8e72edfae73b233c815d1444c48ab7",
             "bands.json":
-                "ecb6db8a417c809abcc5ee41db43831799241ffaaf001702076e46f7816e68e8",
+                "b6c2c9322e5bd1dcd8533b4e9f0464801907ef15c8c2c3a13d125f9e55d22ebe",
             "bands.svg":
                 "cce64d47105041929e7411f500cd883701a5deff446353427a9e1d95c188a972",
         },
@@ -78,7 +78,7 @@ EXPECTED = {
             "converge.csv":
                 "492dad97b183cac70a09e9ba3e81e98a623f6968f9a3e1a846c0e0c103e66c0d",
             "converge.json":
-                "93183b004a94419fc2add9f3ba45ffa4f77d12069cb8c8756ead18af1d92167a",
+                "d0f86bcc9d1b417aaf15befda1d1b915b61e3cf944ef7c0b50002e4836921cea",
         },
         "info": {
             "stdout":
@@ -92,7 +92,7 @@ EXPECTED = {
             "bands.csv":
                 "ad9f1e83a55f625741773fd9e5014faead67c457d2dbf3e71530313bbb041f38",
             "bands.json":
-                "f754e5ec0b76f8c19c5d3f75c3440e4c3a1aef1b7c36cc991d22823a45046757",
+                "b9aae64d93e6c5028f501d4c5327f33cfed0b29a0fffe2b2fce3646a9c94623c",
             "bands.svg":
                 "ceda8e6a3bf94f0924876bf6dc8ec52b27e165bf82067e27291739cef32b38f8",
         },
@@ -100,7 +100,7 @@ EXPECTED = {
             "stdout":
                 "8fca297ac334877abdf3b0ad92a3cb1db6372cfcba0c363f906b7e907401dc2d",
             "gaps.json":
-                "88ada098ca064bb2b82cec62c3cab56cd7f64ba36c6de61da8dce733adfde21e",
+                "f50417e334c11fc56bbff5bdb4541cd5f773960dc346d8f841045e7f1f7d2d28",
         },
         "converge": {
             "stdout":
@@ -108,7 +108,7 @@ EXPECTED = {
             "converge.csv":
                 "6cf6d4476efd6d65885968bc2fe72048e02123239356eec941af9ff357f7eb53",
             "converge.json":
-                "ce8e4869dd31c22c0a2469036ad3f4c1708a79b0e9d7edf64646b87b03206de8",
+                "3ab25ebf96d1517bc6b0d5aabe0502f5d5cdb840fb6f1c0d666c7b22eec68f82",
         },
         "info": {
             "stdout":
@@ -122,7 +122,7 @@ EXPECTED = {
             "bands.csv":
                 "162ac7c14484a22d6ec3bee60e56c09833e46943eaf78ebd0ef7964108ff4f99",
             "bands.json":
-                "3d6608df534ee23b8537934b84e79f1e86653392d44e16badc0319387f539889",
+                "16b454e279a264c6139527f69dc31fea73ec806a808d2d68b783d1572c6ffda3",
             "bands.svg":
                 "fb9a4127f0cec9cc81b3d709978f840af6edf3d9b84476c01123abd35bc6d2e6",
         },
@@ -130,7 +130,7 @@ EXPECTED = {
             "stdout":
                 "0d9c988d4004465264531fccdb503d20a4526e802fd055d23d31350340011baa",
             "gaps.json":
-                "860733694a570e3670041e18ad6cb8c085f94f77fd2a22f11e02bea74bcda1b4",
+                "4c25dc59c756638f70379dcb174c8fe25dae2b3604cf9b1de93f2ecdcb7e5ee5",
         },
         "converge": {
             "stdout":
@@ -138,7 +138,7 @@ EXPECTED = {
             "converge.csv":
                 "de7e00346b130203ac1111608239836430d996c2b7257759a1da6a4721e46461",
             "converge.json":
-                "409e1804850b242cb689efddd295e186a4dcee64f43acdad631040ba1b3c60a7",
+                "74dd65087c3c3c7c4af3267d3bed3979d7972abe60e5aa4e617683f2146fe359",
         },
         "info": {
             "stdout":
@@ -152,7 +152,7 @@ EXPECTED = {
             "bands.csv":
                 "3f672fb89b7b76d69cc0e5fb641a59562c8410fa5941f985fb06e7028123a36f",
             "bands.json":
-                "a77e274232c9827e9e378f37ee97bbd98ce7248f6a7d6724d65f46bfc3a1cdaa",
+                "2ce2c9cf05858fd4f29218a946cab472159eca491ba19482607b0a1f32d0af6b",
             "bands.svg":
                 "9f59d8d38bf08f1df21d35b8023445f2545aae20e53c34915504152682aff544",
         },
@@ -160,7 +160,7 @@ EXPECTED = {
             "stdout":
                 "95e4f52795407160a9228bc8ca21073e907a6c3ecde495d964e7d042f480f7fb",
             "gaps.json":
-                "3254868f72ec886bdf5e3d43dc0c2a84aa913282f5e820e70978b860017fac5b",
+                "947bf685da2bfde1af1abf14688e7e13a2fa644d046b2cc9b48b9ab98949e944",
         },
         "converge": {
             "stdout":
@@ -168,7 +168,7 @@ EXPECTED = {
             "converge.csv":
                 "a7bd21ba222491dd4ff1aa52b8d3de3d85657ae854b589de35282ab72a948597",
             "converge.json":
-                "3c01b7896f90cccfb08b4c5332100ce36d04357a3719cd79166226f48b8d27aa",
+                "7eddd2e2aba242f970856822a08b179b8698fe29c1162a802fbda469a1fbb854",
         },
         "info": {
             "stdout":
