@@ -6,24 +6,25 @@ so a solve costs, outside LAPACK, O(dim) for max|H|, one write of each
 row's block plus T, and the residual V X + T X on the pairs returned.
 Bad input is rejected before LAPACK; an ndarray is V with T = 0.
 
-Its ``sectors`` (``hamiltonian.row_blocks``) are one row of each irrep
-of the k-point's little group; without them H is one row.  LAPACK
-solves a k-point once: ?sytrd (?hetrd) reduces each row's block to a
-tridiagonal, one ?stemr (MRRR) on those laid end to end, uncoupled, finds
-the lowest min(count, rows) levels of all rows in O(rows x levels) work,
-and ?ormtr (?unmtr) back-transforms each row's vectors.  The reduction
-runs with a 16-column panel and the back-transform unblocked, its work one
-word a vector: for the few vectors kept, LAPACK's blocked path spends more
-forming a triangular factor per 32 reflectors than applying them (a
-197-row block, 5 vectors: 125 us blocked, 51 us unblocked).  ?stemr picks
-levels across rows by bisection, to about 1e-8 |E|, so one Sturm count
-(?larrc) of the stacked tridiagonal checks that no level lies more than
-SELECTION_TOL max|H| below the highest returned but was passed over; if
-one does, each row is solved alone, where the pick is exact.  A row's
-level is H's once per partner row; the lowest ``count``, so repeated, are
-verified against the whole H.  The stages are numpy's own
-``scipy_LAPACKE_*_work64_`` and ``scipy_dlarrc_64_``, via ctypes; without
-them numpy.linalg.eigh solves the unsplit H whole.
+Its ``sectors`` (``hamiltonian.row_blocks``) are one row of each irrep of
+the k-point's little group; without them H is one row.  LAPACK solves a
+k-point once: ?sytrd (?hetrd) reduces each row's block to a tridiagonal,
+one ?stemr (MRRR) on those laid end to end, uncoupled, finds the lowest
+min(count, rows) levels of all rows in O(rows x levels) work, and ?ormtr
+(?unmtr) back-transforms each row's vectors.  The reduction runs with a
+16-column panel and the back-transform unblocked, its work one word a
+vector: cheaper for the few vectors kept.  ?stemr picks levels across rows
+by bisection, to about 1e-8 |E|, so ?larrc counts the stacked tridiagonal's
+levels at SELECTION_TOL max|H| below the highest returned: a count that
+differs from the levels returned at the point (a NaN pivot stops it short)
+has each row solved alone, where the pick is exact.  A row's level is H's
+once per partner row; the lowest ``count``, so repeated, are verified
+against the whole H.  The stages, numpy's own (``_SYMBOLS``, via ctypes;
+without them numpy.linalg.eigh solves the unsplit H whole), share one
+buffer of 8-byte words in regions named for the argument each holds
+(``_layout``): work, d, e, d copy and e copy (?stemr overwrites d and e),
+point, pivmin, w, isuppz, m, tryrac, iwork, ?larrc's n, eigcnt, lcnt, rcnt
+and larrc info, z, z by row, and each row's block and tau.
 
 A matrix whose largest row has fewer than ONE_THREAD_BELOW (512) rows is
 solved and verified on one OpenBLAS thread (a process-wide count, put back
@@ -36,8 +37,10 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -51,53 +54,52 @@ HERMITICITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-8
 ORTHONORMALITY_TOL = 1e-8
 
-# A level ?stemr passes over lies at most this times max|H| below the
-# highest it returns; a lower one makes each row be solved alone (see the
-# module docstring).
+# ?larrc checks ?stemr's pick this times max|H| below the highest level
+# returned (see the module docstring).
 SELECTION_TOL = 1e-12
 
 # A matrix whose largest LAPACK block has fewer rows than this is solved
 # on one OpenBLAS thread (see the module docstring).
 ONE_THREAD_BELOW = 512
 
+# What _bind binds in numpy's OpenBLAS: each dtype's stages in _DRIVERS'
+# order, and the thread count's int get(void) and void set(int).
+_SYMBOLS = {dtype: (*(f"scipy_LAPACKE_{name}_work64_" for name in names),
+                    "scipy_dlarrc_64_") for dtype, names in (
+    (np.float64, ("dsytrd", "dstemr", "dormtr")),
+    (np.complex128, ("zhetrd", "zstemr", "zunmtr")))} | {
+    "threads": ("scipy_openblas_get_num_threads64_",
+                "scipy_openblas_set_num_threads64_")}
+
 
 def _bind():
-    """numpy's OpenBLAS: the three LAPACKE stages and the Sturm count
-    ?larrc by the dtype they solve ({} if one is absent), and its thread
-    count's (get, set) or None."""
+    """numpy's OpenBLAS: {dtype: (reduce, stemr, back, sturm)}, {} if one
+    is absent, and its thread count's (get, set) or None."""
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return {}, None
-    try:
-        drivers = {dtype: tuple(getattr(lib, f"scipy_LAPACKE_{name}_work64_")
-                                for name in names) for dtype, names in (
-            (np.float64, ("dsytrd", "dstemr", "dormtr")),
-            (np.complex128, ("zhetrd", "zstemr", "zunmtr")))}
-        sturm = lib.scipy_dlarrc_64_  # the tridiagonal is real for both
-    except AttributeError:
-        drivers = {}
+    bound = {key: tuple(getattr(lib, name) for name in names) for key, names
+             in _SYMBOLS.items() if all(hasattr(lib, n) for n in names)}
+    threads = bound.pop("threads", None)
+    drivers = bound if len(bound) == 2 else {}  # both dtypes or neither
     # Arguments after the layout: c(har), i(nt64), p(ointer), d(ouble).
     kinds = {"c": ctypes.c_char, "i": ctypes.c_int64, "p": ctypes.c_void_p,
              "d": ctypes.c_double}
-    for stages in drivers.values():
+    for *stages, sturm in drivers.values():
         for stage, sig in zip(stages, ("cipippppi", "ccippddiipppiipppipi",
                                        "ccciipippipi")):
             stage.argtypes = [ctypes.c_int] + [kinds[c] for c in sig]
             stage.restype = ctypes.c_int64
-    if drivers:  # Fortran: every argument by reference, then jobt's length
+        # Fortran: every argument by reference, then jobt's length
         sturm.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [
             ctypes.c_size_t]
         sturm.restype = None
-        drivers = {dtype: (*stages, sturm) for dtype, stages in drivers.items()}
-    try:  # int get(void) and void set(int), C ints despite the suffix
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except AttributeError:
-        return drivers, None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return drivers, (get, put)
+    if threads:  # C ints despite the suffix
+        get, put = threads
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+    return drivers, threads
 
 
 _DRIVERS, _THREADS = _bind()
@@ -337,67 +339,66 @@ def _solve(blocks, count, scale):
     f = 2.0 ** min(-round(math.log2(scale)), 1023) if scale else 1.0
     sizes = [len(kinetic) for _, kinetic in blocks]
     n, rows, k, info = sum(sizes), [0, *accumulate(sizes)], v.itemsize // 8, 0
-    # One buffer of 8-byte words, as a ctypes pointer costs ~2 us: work
-    # (?sytrd's 16-wide panel, ?stemr's, ?ormtr's one word a vector), d, e,
-    # copies of d and e then ?larrc's point and pivmin, w, ?stemr's ints
-    # (isuppz, m, tryrac, iwork) then ?larrc's (n and four counts), z, z by
-    # block, blocks.
-    at = [0, *accumulate([max(18 * n, 16 * k * max(sizes)), n, n, 2 * n + 2,
-                          n, 2 * count + 7 + 10 * n, k * n * count,
-                          k * n * count] + [k * (m * m + m) for m in sizes])]
-    buf = np.empty(at[-1])
-    base = buf.ctypes.data
-    ptr = [base + 8 * o for o in at]
-    buf[at[2]:at[3]] = 0.0  # e: no coupling between blocks
+    at, total = _layout(tuple(sizes), count, k)
+    buf = np.empty(total)  # one buffer, as a ctypes pointer costs ~2 us
+    ints, base = buf.view(np.int64), buf.ctypes.data
+    ptr = {name: base + 8 * span.start for name, span in at.items()}
+    buf[at["e"]] = 0.0  # no coupling between blocks
     for s, ((v, kinetic), m) in enumerate(zip(blocks, sizes)):
-        a = buf[at[8 + s]:at[8 + s] + k * m * m].view(v.dtype).reshape(m, m)
+        a = buf[at["block", s]].view(v.dtype).reshape(m, m)
         np.multiply(v, f, out=a)  # C-order conj(H) is H column-major
         if k == 2:
             np.conjugate(a, out=a)
         a.reshape(-1)[::m + 1] += kinetic * f
-        info = info or reduce(_COL_MAJOR, b"U", m, ptr[8 + s], m,
-                              ptr[1] + 8 * rows[s], ptr[2] + 8 * rows[s],
-                              ptr[8 + s] + 8 * k * m * m, ptr[0], 16 * m)
-    buf[at[3]:at[3] + 2 * n] = buf[at[1]:at[3]]  # ?stemr overwrites d, e
-    ints, tail = buf[at[5]:at[6]].view(np.int64), ptr[5] + 16 * count
-    ints[2 * count + 1] = 1  # TRYRAC: try for relative accuracy
-    info = info or stemr(_COL_MAJOR, b"V", b"I", n, ptr[1], ptr[2], 0.0, 0.0,
-                         1, count, tail, ptr[4], ptr[6], n, count, ptr[5],
-                         tail + 8, ptr[0], 18 * n, tail + 16, 10 * n)
-    found = 0 if info else int(ints[2 * count])
+        info = info or reduce(_COL_MAJOR, b"U", m, ptr["block", s], m,
+                              ptr["d"] + 8 * rows[s], ptr["e"] + 8 * rows[s],
+                              ptr["tau", s], ptr["work"], 16 * m)
+    buf[at["d copy"]], buf[at["e copy"]] = buf[at["d"]], buf[at["e"]]
+    ints[at["tryrac"]] = 1  # try for relative accuracy
+    info = info or stemr(_COL_MAJOR, b"V", b"I", n, ptr["d"], ptr["e"], 0.0,
+                         0.0, 1, count, ptr["m"], ptr["w"], ptr["z"], n,
+                         count, ptr["isuppz"], ptr["tryrac"], ptr["work"],
+                         18 * n, ptr["iwork"], 10 * n)
+    found = 0 if info else int(ints[at["m"]][0])
     if found == count and len(sizes) > 1:
-        # ?stemr picks across blocks by bisection, to about 1e-8 |E|: one
-        # Sturm count of the copies finds a level it passed over below the
-        # highest returned, less SELECTION_TOL max|H|.  One block's pick is
-        # exact, so each block is then solved alone.
-        w = buf[at[4]:at[4] + found].tolist()  # ascending
-        buf[at[4] - 2] = point = w[-1] - SELECTION_TOL * scale * f
-        buf[at[4] - 1] = 0.0  # pivmin
-        ints[-5] = n
-        counts = tail + 16 + 80 * n  # n, then eigcnt, lcnt, rcnt, info
-        sturm(b"T", counts, ptr[4] - 16, ptr[4] - 16, ptr[3], ptr[3] + 8 * n,
-              ptr[4] - 8, counts + 8, counts + 16, counts + 24, counts + 32, 1)
-        below = found  # levels of w at or below the point
-        while below and w[below - 1] > point:
-            below -= 1
-        if ints[-3] > below:
+        w = buf[at["w"]][:found].tolist()  # ascending
+        buf[at["point"]] = point = w[-1] - SELECTION_TOL * scale * f
+        buf[at["pivmin"]], ints[at["n"]] = 0.0, n
+        sturm(b"T", ptr["n"], ptr["point"], ptr["point"], ptr["d copy"],
+              ptr["e copy"], ptr["pivmin"], ptr["eigcnt"], ptr["lcnt"],
+              ptr["rcnt"], ptr["larrc info"], 1)
+        if ints[at["lcnt"]][0] != bisect_right(w, point):
             return _by_row(blocks, count, scale)
     # Each level's block: where its vector's support starts.  By block,
     # a block's p vectors are a column-major m x p matrix of z.
-    owner = np.searchsorted(rows[1:], ints[:2 * found:2] - 1, side="right")
+    owner = np.searchsorted(rows[1:], ints[at["isuppz"]][:2 * found:2])
     order = np.argsort(owner, kind="stable")
     ends = [0, *accumulate(np.bincount(owner, None, len(sizes)).tolist())]
-    z = buf[at[7]:at[8]].view(v.dtype).reshape(count, n)[:found]
-    np.take(buf[at[6]:at[7]].view(v.dtype).reshape(count, n), order, 0, z)
-    w, pairs = buf[at[4]:at[4] + found][order] / f, []
+    z = buf[at["z by row"]].view(v.dtype).reshape(count, n)[:found]
+    np.take(buf[at["z"]].view(v.dtype).reshape(count, n), order, 0, z)
+    w, pairs = buf[at["w"]][:found][order] / f, []
     for s, (m, i, j) in enumerate(zip(sizes, ends, ends[1:])):
-        # Work of one word a vector: the unblocked back-transform, cheaper
-        # than forming a triangular factor per panel for so few vectors.
-        info = info or back(_COL_MAJOR, b"L", b"U", b"N", m, j - i, ptr[8 + s],
-                            m, ptr[8 + s] + 8 * k * m * m, ptr[7] + 8 * k
-                            * (i * n + rows[s]), n, ptr[0], max(1, j - i))
+        info = info or back(_COL_MAJOR, b"L", b"U", b"N", m, j - i,
+                            ptr["block", s], m, ptr["tau", s],
+                            ptr["z by row"] + 8 * k * (i * n + rows[s]), n,
+                            ptr["work"], max(1, j - i))
         pairs.append((w[i:j], z[i:j, rows[s]:rows[s] + m].T))
     return info, pairs
+
+
+@lru_cache(maxsize=256)
+def _layout(sizes, count, k):
+    """_solve's regions as slices of words, k words a number, and the total."""
+    n = sum(sizes)
+    words = {"work": max(18 * n, 16 * k * max(sizes)), "d": n, "e": n,
+             "d copy": n, "e copy": n, "point": 1, "pivmin": 1, "w": n,
+             "isuppz": 2 * count, "m": 1, "tryrac": 1, "iwork": 10 * n,
+             "n": 1, "eigcnt": 1, "lcnt": 1, "rcnt": 1, "larrc info": 1,
+             "z": k * n * count, "z by row": k * n * count}
+    for s, m in enumerate(sizes):
+        words["block", s], words["tau", s] = k * m * m, k * m
+    ends = [*accumulate(words.values(), initial=0)]
+    return dict(zip(words, map(slice, ends, ends[1:]))), ends[-1]
 
 
 def _by_row(blocks, count, scale):

@@ -688,6 +688,28 @@ class TestSelection:
                 assert np.any(ref[:, -1] == ref[:, -2])
         assert resolved == []
 
+    @needs_drivers
+    def test_count_stopped_by_a_nan_pivot_resolves_by_row(self, monkeypatch):
+        # With no tolerance the Sturm point is the highest level returned,
+        # which free's V = 0 puts exactly on a diagonal entry: ?larrc's pivot
+        # there is 0, the next coupling is 0, and 0/0 stops the count short.
+        # A count that differs from the levels returned at the point must
+        # re-solve by row, not pass the pick.
+        monkeypatch.setattr(eigen_mod, "SELECTION_TOL", 0.0)
+        resolved = record_by_row(monkeypatch)
+        cfg = load_config(preset_path("free"))
+
+        def energies():
+            return sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip,
+                         cfg.basis, cfg.num_bands).energies
+
+        split = energies()
+        assert resolved
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        whole = energies()  # max|E| kept is at most max|H|
+        np.testing.assert_allclose(split, whole, rtol=0,
+                                   atol=1e-10 * np.abs(whole).max())
+
 
 def pair_tied_at_the_cut(rng, gap, complex_entries=False):
     """Two random Hermitian 20-row blocks, in random order, whose 8th and
@@ -762,6 +784,33 @@ class TestWorkspaces:
         assert [z.shape for _, z in pairs] == [(30, 8), (30, 0)]
         np.testing.assert_allclose(pairs[0][0], np.linalg.eigvalsh(a)[:8],
                                    rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           complex_entries=st.booleans(), power=st.integers(-30, 30),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rows_of_any_size_and_scale(self, sizes, complex_entries, power,
+                                        seed, data):
+        # Regions of the one buffer that overlapped or fell short would
+        # corrupt some row's levels or vectors.
+        count = data.draw(st.integers(1, sum(sizes)), label="count")
+        rng = np.random.default_rng(seed)
+        blocks = [(random_hermitian(m, int(rng.integers(2**31)),
+                                    complex_entries) * 2.0 ** power,
+                   rng.uniform(0.0, 4.0, m) * 2.0 ** power) for m in sizes]
+        hs = [v + np.diag(kinetic) for v, kinetic in blocks]
+        scale = max(np.abs(h).max() for h in hs)
+        info, pairs = eigen_mod._solve(blocks, count, scale)
+        assert info == 0
+        lowest = np.sort(np.concatenate([np.linalg.eigvalsh(h)
+                                         for h in hs]))[:count]
+        np.testing.assert_allclose(
+            np.sort(np.concatenate([w for w, _ in pairs])), lowest, rtol=0,
+            atol=1e-12 * scale)
+        for h, (w, z) in zip(hs, pairs):
+            assert z.shape == (len(h), len(w))
+            assert np.linalg.norm(h @ z - z * w, axis=0).max(
+                initial=0.0) <= 1e-10 * scale
 
     def test_back_transform_workspace_is_its_vector_count(self, monkeypatch):
         seen = []
