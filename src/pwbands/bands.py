@@ -6,6 +6,7 @@ in one row of each irrep of its little group."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -17,6 +18,15 @@ from .potential import HBAR2_OVER_2M, Potential
 
 # A level may rise by at most this times max|H| from one cutoff to the next.
 INTERLACING_TOL = 1e-9
+
+# A batch of k-points solved together (``_solves``) returns at most this
+# many bytes of eigenvectors, dim x num_bands numbers a point, or is one
+# point.  The solver's buffer and the expansion and verification
+# temporaries grow with it, so it bounds the memory a batch adds to a
+# sweep.  At 128 KiB (23 points at dim 89, 6 at dim 339, 8 bands,
+# float64) most of the per-call cost the points of a batch share is saved,
+# and peak RSS stayed within 1.6% of one point at a time (BENCH_20.json).
+BATCH_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,35 +81,56 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     only the kinetic diagonal changes with kappa, and each point is solved
     in one row of each irrep of its little group (whole, if only the
     identity fixes it) for its lowest ``num_bands`` pairs, verified."""
-    energies = np.array([result.values for result in _solves(
+    energies = np.array([values for values, _ in _solves(
         path.kappas, [basis.dim] * len(path.kappas), model, lattice, recip,
         basis, num_bands, lambda i, kappa: f"k-point {i} kappa={kappa}")])
     return BandStructure(path=path, energies=energies)
 
 
 def _solves(kappas, dims, model, lattice, recip, basis, num_bands, where):
-    """Eigenpairs at each (kappa, dim) pair in turn, on the first dim rows of
-    ``basis``; a failure raises SweepError located by where(index, kappa).
-    V and the crystal's operations are built once, and each little group's
-    row blocks once, on the whole basis; a smaller dim solves V's leading
-    block and views of those row blocks (``BlochMatrix.leading``)."""
+    """(values, max|H|) at each (kappa, dim) pair in turn, on the first dim
+    rows of ``basis``; a failure raises SweepError located by where(index,
+    kappa).  V and the crystal's operations are built once, and each little
+    group's row blocks once, on the whole basis; a smaller dim solves V's
+    leading block and views of those row blocks (``BlochMatrix.leading``).
+    Consecutive pairs of one little group and dim are built and solved as
+    one batch of at most BATCH_BYTES of vectors; a batch that fails is
+    solved again point by point, so that the error names its point."""
     crystal = operations(lattice, recip, basis)
     v = BlochMatrix.of(potential_matrix(model, lattice, recip, basis))
-    groups = {}
-    for idx, (kappa, fixing, dim) in enumerate(zip(kappas,
-                                                   crystal.fixes(kappas), dims)):
-        key = fixing.tobytes()
+    fixes, groups = crystal.fixes(kappas), {}
+    keys = [fixing.tobytes() for fixing in fixes]
+    for (key, dim), run in groupby(range(len(kappas)),
+                                   lambda idx: (keys[idx], dims[idx])):
+        run = list(run)
         if key not in groups:
             groups[key] = v._replace(sectors=row_blocks(
-                v.matrix, little_group(crystal, v, fixing)))
+                v.matrix, little_group(crystal, v, fixes[run[0]])))
         h = groups[key].leading(dim)
         sub = PlaneWaveBasis(basis.coeffs[:dim], basis.cart[:dim])
-        try:  # result lives until the next solve, or malloc re-faults pages
-            result = eigh(build(kappa, sub, h), num_bands)
+        size = max(1, BATCH_BYTES // max(1, dim * num_bands
+                                         * v.matrix.itemsize))
+        for start in range(run[0], run[-1] + 1, size):
+            at = slice(start, min(start + size, run[-1] + 1))
+            try:  # result lives until the next solve, or malloc re-faults
+                result = eigh(build(kappas[at], sub, h), num_bands)
+                solved = zip(result.values, result.scale)
+            except (SolverError, NonHermitianError):
+                solved = _one_by_one(kappas, at, sub, h, num_bands, where)
+            yield from solved
+
+
+def _one_by_one(kappas, at, sub, h, num_bands, where):
+    """(values, max|H|) at each point of kappas[at], solved as batches of
+    one; SweepError, located by where(index, kappa), at the first that
+    fails."""
+    for idx in range(at.start, at.stop):
+        try:
+            result = eigh(build(kappas[idx:idx + 1], sub, h), num_bands)
         except (SolverError, NonHermitianError) as exc:
-            raise SweepError(f"solve failed at {where(idx, kappa)}: {exc}",
-                             index=idx, kappa=kappa) from exc
-        yield result
+            raise SweepError(f"solve failed at {where(idx, kappas[idx])}: "
+                             f"{exc}", index=idx, kappa=kappas[idx]) from exc
+        yield result.values[0], result.scale[0]
 
 
 def free_electron_reference(path: KPath, lattice: RealLattice,
@@ -155,16 +186,16 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
         return f"cutoff g2_max={cutoffs[idx]:g} 1/A^2 (cutoffs[{idx}])"
 
     rows = []
-    for idx, result in enumerate(_solves(
+    for idx, (values, scale) in enumerate(_solves(
             np.tile(kappa, (len(cutoffs), 1)), dims, model, lattice, recip,
             basis, num_bands, where)):
-        rise = result.values - rows[-1].values if rows else 0.0
-        over = rise > INTERLACING_TOL * result.scale
+        rise = values - rows[-1].values if rows else 0.0
+        over = rise > INTERLACING_TOL * scale
         if np.any(over):
             level = int(np.argmax(over))
             raise SweepError(
                 f"levels do not interlace at {where(idx, kappa)}: "
                 f"E{level + 1} rose by {rise[level]:.3e} eV from the "
                 "previous cutoff", index=idx, kappa=kappa)
-        rows.append(ConvergenceRow(cutoffs[idx], dims[idx], result.values))
+        rows.append(ConvergenceRow(cutoffs[idx], dims[idx], values))
     return rows

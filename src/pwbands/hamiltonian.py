@@ -245,7 +245,8 @@ def irreps(group: Operations) -> list:
     orbit = (np.sin(12.9898 * np.arange(1, n + 1)) * 43758.5453 % 1.0)[back]
     # LAPACK's solve, as for H: numpy's dsyevd wakes OpenBLAS's threads.
     gram = orbit.T @ orbit
-    info, pairs = _solve([(gram, np.zeros(n))], n, np.abs(gram).max())
+    (info, pairs), = _solve([(gram, np.zeros((1, n)))], n,
+                            [np.abs(gram).max()])
     if info != 0 or len(pairs[0][0]) != n:
         raise SolverError(f"little group's irreps: LAPACK info {info}")
     w, e = pairs[0]
@@ -320,23 +321,27 @@ def row_blocks(v: np.ndarray, group: Operations) -> tuple:
 
 
 def build(kappa, basis: PlaneWaveBasis, potential) -> BlochMatrix:
-    """Bloch Hamiltonian at kappa: the potential block plus kinetic terms.
+    """Bloch Hamiltonian at kappa: the potential block plus kinetic terms;
+    at each row of a (points, 3) ``kappa``, a batch for ``eigen.eigh``.
 
     ``potential`` is the ``potential_matrix`` of ``basis``, or the
     ``BlochMatrix`` of it that a sweep makes once; a bare array is checked
     here, at O(dim^2).  The block does not depend on kappa, so with a
-    checked block this is O(dim): it computes hbar^2 |kappa + G|^2 / 2m and
-    leaves V untouched.  The matrix keeps V's dtype (real symmetric for a
-    real block, complex Hermitian otherwise) and ``sectors``, which tell
-    ``eigh`` how to split it.  A basis not of V's dim raises AssemblyError.
+    checked block this is O(dim) a point: it computes hbar^2 |kappa + G|^2
+    / 2m and leaves V untouched.  The matrix keeps V's dtype (real
+    symmetric for a real block, complex Hermitian otherwise) and
+    ``sectors``, which tell ``eigh`` how to split it.  A basis not of V's
+    dim raises AssemblyError.
     """
     kappa = np.asarray(kappa, dtype=float)
-    if kappa.shape != (3,) or not np.all(np.isfinite(kappa)):
+    if (kappa.ndim not in (1, 2) or kappa.shape[-1] != 3 or not kappa.size
+            or not np.all(np.isfinite(kappa))):
         raise AssemblyError(f"bad Bloch vector: {kappa}")
     if not isinstance(potential, BlochMatrix):
         potential = BlochMatrix.of(potential)
     if basis.dim != potential.dim:
         raise AssemblyError(f"basis dim {basis.dim} is not V's {potential.dim}")
     with np.errstate(over="ignore"):  # an inf T is rejected by eigh
-        kinetic = HBAR2_OVER_2M * np.sum((kappa + basis.cart) ** 2, axis=1)
+        kinetic = HBAR2_OVER_2M * np.sum(
+            (kappa[..., None, :] + basis.cart) ** 2, axis=-1)
     return potential._replace(kinetic=kinetic)

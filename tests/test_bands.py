@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import pwbands.bands as bands_mod
+import pwbands.eigen as eigen_mod
 import pwbands.hamiltonian as hamiltonian_mod
 from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            convergence_study, detect_gaps,
@@ -12,7 +14,7 @@ from pwbands.bands import (BandStructure, GapEntry, SweepError,
 from pwbands.cli import load_config
 from pwbands.eigen import BlochMatrix, SolverError, eigh
 from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
-                                 potential_matrix)
+                                 operations, potential_matrix)
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
     reciprocal_of
 from pwbands.potential import HBAR2_OVER_2M, Potential
@@ -84,6 +86,78 @@ class TestSweep:
                                    quick_tour.kappas[0])
 
 
+def poison_kpoint(monkeypatch, cfg, index):
+    """Stub eigen._solve so that k-point ``index`` of cfg's sweep, and no
+    other, comes back with NaN values, in a batch or alone.  The point is
+    known by its kinetic diagonal: each of its blocks' T is a part of it."""
+    solve = eigen_mod._solve
+    target = HBAR2_OVER_2M * np.sum(
+        (cfg.path.kappas[index] + cfg.basis.cart) ** 2, axis=1)
+
+    def poisoned(blocks, count, scales):
+        solved = solve(blocks, count, scales)
+        return [(info, [(np.full_like(w, np.nan), z) for w, z in pairs])
+                if all(np.isin(t[i], target).all() for _, t in blocks)
+                else (info, pairs) for i, (info, pairs) in enumerate(solved)]
+
+    monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+
+
+class TestBatches:
+    """A sweep solves runs of k-points of one little group as batches of at
+    most BATCH_BYTES of vectors; an error still names its own k-point."""
+
+    @pytest.mark.parametrize("index", [23, 30])
+    def test_failure_inside_a_batch_names_its_kpoint(self, monkeypatch,
+                                                     index):
+        # z05's L-Gamma points 0-48 share C3v: at dim 89, 8 bands, batches
+        # of 23 start at 0, 23 and 46, so 23 heads one and 30 lies inside.
+        cfg = load_config(preset_path("z05"))
+        size = bands_mod.BATCH_BYTES // (89 * 8 * 8)
+        assert (cfg.basis.dim, cfg.num_bands, size) == (89, 8, 23)
+        poison_kpoint(monkeypatch, cfg, index)
+        solve, points = bands_mod.eigh, []
+        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
+            points.append(len(h.kinetic)) or solve(h, count)))
+        with pytest.raises(SweepError, match=rf"^solve failed at k-point "
+                           rf"{index} kappa=.*non-finite") as excinfo:
+            sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
+                  cfg.num_bands)
+        assert excinfo.value.index == index
+        np.testing.assert_array_equal(excinfo.value.kappa,
+                                      cfg.path.kappas[index])
+        # The batch 23-45 failed whole, then its points one by one up to
+        # the poisoned one.
+        assert points == [23, 23] + [1] * (index - 23 + 1)
+
+    @pytest.mark.parametrize("g2_units, size", [(76, 23), (200, 6)])
+    def test_batches_on_the_preset_tour(self, monkeypatch, g2_units, size):
+        # The 197-point z05 tour: every point in one batch, no batch across
+        # a change of little group, each within the byte budget and as few
+        # as the budget allows.
+        cfg = load_config(preset_path("z05"))
+        b = basis(cfg.recip, g2_units)
+        solve, batches = bands_mod.eigh, []
+        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
+            batches.append(h.kinetic.shape) or solve(h, count)))
+        sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, b, cfg.num_bands)
+        points = [p for p, _ in batches]
+        assert sum(points) == len(cfg.path.kappas) == 197
+        assert {dim for _, dim in batches} == {b.dim}
+        width = b.dim * cfg.num_bands * 8  # float64 vectors of one point
+        assert max(points) * width <= bands_mod.BATCH_BYTES \
+            < (max(points) + 1) * width
+        assert max(points) == size
+        keys = [fixing.tobytes() for fixing in operations(
+            cfg.lattice, cfg.recip, b).fixes(cfg.path.kappas)]
+        starts = np.cumsum(points) - points
+        for start, p in zip(starts, points):
+            assert len(set(keys[start:start + p])) == 1
+        # A new batch starts only at a change of group or at a full batch.
+        runs = [len(list(run)) for _, run in itertools.groupby(keys)]
+        assert len(points) == sum(-(-run // size) for run in runs)
+
+
 class TestRealPath:
     @pytest.mark.parametrize("model", [
         Potential(0.5), Potential(0.0, overrides=FIG4A_TABLE)],
@@ -140,14 +214,18 @@ class TestBlockPath:
 
         monkeypatch.setattr(bands_mod, "eigh", recording)
         bs = sweep(quick_tour, model, lat, rec, basis, 8)
-        assert len(calls) == len(quick_tour.kappas)
+        # One solve per batch, one batch entry per k-point.
+        assert sum(len(result.values) for _, result in calls) \
+            == len(quick_tour.kappas)
         # Every tour point is split: C3v on L-Gamma, O_h at Gamma, C4v on
         # Gamma-X and at X, the mirror on X-U-Gamma.
         gamma = (7, 5, 4, 3, 2, 8, 8, 3)
         rows = ([(28, 5, 28)] * 14 + [gamma] + [(19, 5, 7, 16, 21)] * 14
                 + [(56, 33)] * 27 + [gamma])
-        for kappa, energies, (h, result), dims in zip(
-                quick_tour.kappas, bs.energies, calls, rows):
+        points = [(h, result, i) for h, result in calls
+                  for i in range(len(result.values))]
+        for kappa, energies, (h, result, i), dims in zip(
+                quick_tour.kappas, bs.energies, points, rows):
             # The block checked once solves as the dense block checked at
             # this k-point, split the same way, bit for bit ...
             fresh = eigh(build(kappa, basis, BlochMatrix.of(
@@ -160,7 +238,7 @@ class TestBlockPath:
             expected = eigh(dense, 8)
             np.testing.assert_allclose(energies, expected.values, rtol=0,
                                        atol=1e-10)
-            assert result.scale == expected.scale == np.abs(dense).max()
+            assert result.scale[i] == expected.scale == np.abs(dense).max()
 
     @pytest.mark.parametrize("kind, message", [
         ("asymmetric", "not Hermitian"), ("nan", "non-finite"),
@@ -181,6 +259,11 @@ class TestBlockPath:
                                       quick_tour.kappas[0])
 
 
+def per_point(results):
+    """The sector dims of each k-point that the batched solves held."""
+    return [r.sectors for r in results for _ in r.values]
+
+
 class TestSectors:
     def test_sector_dims_on_the_dense_tour_basis(self, diamond, monkeypatch):
         # z05 at 200 (pi/a)^2, dim 339: O_h splits Gamma into one row of each
@@ -194,7 +277,7 @@ class TestSectors:
         monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
             results.append(solve(h, count)) or results[-1]))
         sweep(path, Potential(0.5), lat, rec, basis(rec, 200), 8)
-        assert [r.sectors for r in results] == [
+        assert per_point(results) == [
             (17, 2, 2, 15, 14, 13, 13, 27, 28, 15), (58, 28, 31, 56, 83),
             (58, 28, 31, 56, 83)]
 
@@ -232,7 +315,7 @@ class TestSectors:
         monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
             results.append(solve(h, count)) or results[-1]))
         sweep(path, Potential(0.5), lat, rec, basis(rec, 44), 8)
-        assert [r.sectors for r in results] == [(51,), (51,)]
+        assert per_point(results) == [(51,), (51,)]
 
     def test_convergence_rows_are_leading_sector_blocks(self, diamond,
                                                         monkeypatch):
@@ -424,8 +507,9 @@ class TestOneLoop:
 
 
 def skip_lowest_level_on_call(monkeypatch, call):
-    """Stub eigh so that solve number ``call`` skips the lowest level, as a
-    subset solve that missed an eigenvalue would."""
+    """Stub eigh so that solve number ``call`` (a batch of one cutoff)
+    skips the lowest level, as a subset solve that missed an eigenvalue
+    would."""
     solve, calls = bands_mod.eigh, []
 
     def skipping(h, count):
@@ -433,8 +517,8 @@ def skip_lowest_level_on_call(monkeypatch, call):
         if len(calls) != call:
             return solve(h, count)
         result = solve(h, count + 1)
-        return dataclasses.replace(result, values=result.values[1:],
-                                   vectors=result.vectors[:, 1:])
+        return dataclasses.replace(result, values=result.values[:, 1:],
+                                   vectors=result.vectors[:, :, 1:])
 
     monkeypatch.setattr(bands_mod, "eigh", skipping)
 
@@ -471,7 +555,7 @@ class TestInterlacing:
         def nudged(h, count):
             calls.append(h)
             result = solve(h, count)
-            rise = 1e-10 * result.scale if len(calls) == 2 else 0.0
+            rise = 1e-10 * result.scale[:, None] if len(calls) == 2 else 0.0
             return dataclasses.replace(result, values=result.values + rise)
 
         monkeypatch.setattr(bands_mod, "eigh", nudged)

@@ -725,10 +725,10 @@ class TestMain:
 
         solve = eigen_mod._solve
 
-        def poisoned(blocks, count, scale):
-            info, pairs = solve(blocks, count, scale)
-            return info, [(np.full_like(values, np.nan), vectors)
-                          for values, vectors in pairs]
+        def poisoned(blocks, count, scales):
+            return [(info, [(np.full_like(values, np.nan), vectors)
+                            for values, vectors in pairs])
+                    for info, pairs in solve(blocks, count, scales)]
 
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
         assert main(["bands", "--config", str(write_config()),
@@ -736,6 +736,35 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: solve failed at k-point 0 "
                               "kappa=")
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_inside_a_batch_exits_3_naming_its_kpoint(
+            self, tmp_path, monkeypatch, capsys):
+        # z05's k-point 23 is solved in a batch of 23 points (23-45) that
+        # share C3v; the error names it, not its batch.
+        import pwbands.eigen as eigen_mod
+        from pwbands.potential import HBAR2_OVER_2M
+
+        cfg = load_config(preset_path("z05"))
+        target = HBAR2_OVER_2M * np.sum(
+            (cfg.path.kappas[23] + cfg.basis.cart) ** 2, axis=1)
+        solve = eigen_mod._solve
+
+        def poisoned(blocks, count, scales):
+            return [(info, [(np.full_like(w, np.nan), z) for w, z in pairs])
+                    if all(np.isin(t[i], target).all() for _, t in blocks)
+                    else (info, pairs)
+                    for i, (info, pairs) in enumerate(solve(blocks, count,
+                                                            scales))]
+
+        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        assert main(["bands", "--config", str(preset_path("z05")),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: solve failed at k-point "
+                              "23 kappa=")
+        assert "non-finite" in err
         assert "Warning" not in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -777,9 +806,9 @@ class TestMain:
             calls.append(h)
             if len(calls) != 2:
                 return solve(h, count)
-            result = solve(h, count + 1)
-            return dataclasses.replace(result, values=result.values[1:],
-                                       vectors=result.vectors[:, 1:])
+            result = solve(h, count + 1)  # a batch of one cutoff
+            return dataclasses.replace(result, values=result.values[:, 1:],
+                                       vectors=result.vectors[:, :, 1:])
 
         monkeypatch.setattr(bands_mod, "eigh", skipping)
         path = write_config(mutate=lambda c: c["basis"].update(

@@ -433,14 +433,14 @@ class TestSectors:
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
         solve, tops = eigen_mod._solve, []
 
-        def poisoned(blocks, count, scale):
-            info, pairs = solve(blocks, count, scale)
+        def poisoned(blocks, count, scales):
+            (info, pairs), = solve(blocks, count, scales)
             top = max(range(len(pairs)), key=lambda s: max(pairs[s][0],
                                                             default=-np.inf))
             values, vectors = pairs[top]
             tops.append(values[-1])
             pairs[top] = np.r_[values[:-1], np.nan], vectors
-            return info, pairs
+            return [(info, pairs)]
 
         kept = eigh(h, 8).values
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
@@ -565,9 +565,10 @@ class TestSelection:
         cutoffs = [16 * (math.pi / 5.431) ** 2, basis.g2.max()]
         solve, calls = eigen_mod._solve, []
 
-        def recording(blocks, count, scale):
-            calls.append((sum(len(kinetic) for _, kinetic in blocks), count))
-            return solve(blocks, count, scale)
+        def recording(blocks, count, scales):  # one entry per k-point
+            calls.extend([(sum(kinetic.shape[1] for _, kinetic in blocks),
+                           count)] * len(scales))
+            return solve(blocks, count, scales)
 
         monkeypatch.setattr(eigen_mod, "_solve", recording)
 
@@ -630,9 +631,9 @@ class TestSelection:
         rng = np.random.default_rng(0)
         for trial in range(100):
             blocks, lowest = pair_tied_at_the_cut(rng, 1e-9, complex_entries)
-            info, pairs = eigen_mod._solve(
-                [(b, np.zeros(20)) for b in blocks], 8,
-                max(np.abs(b).max() for b in blocks))
+            (info, pairs), = eigen_mod._solve(
+                [(b, np.zeros((1, 20))) for b in blocks], 8,
+                [max(np.abs(b).max() for b in blocks)])
             assert info == 0
             np.testing.assert_allclose(
                 np.sort(np.concatenate([w for w, _ in pairs])), lowest,
@@ -749,6 +750,130 @@ def two_rows(n, cut, seed, complex_entries):
     return BlochMatrix.of(v, rng.uniform(0.0, 20.0, n), tuple(sectors))
 
 
+def rows_and_batch(rng, sizes, complex_entries, v_power, powers):
+    """V (max|V| near 2**v_power) of no coupling between rows of ``sizes``,
+    those rows as irrep rows, and T for a batch: one row per power p in
+    ``powers``, in [0, 4 * 2**p) eV."""
+    n = sum(sizes)
+    v = np.zeros((n, n), complex if complex_entries else float)
+    sectors, every = [], np.arange(n)
+    for label, start, m in zip("ABCDEF", np.cumsum(sizes) - sizes, sizes):
+        rows = every[start:start + m]
+        v[np.ix_(rows, rows)] = random_hermitian(
+            m, int(rng.integers(2**31)), complex_entries) * 2.0 ** v_power
+        inside = np.isin(every, rows)
+        sectors.append(eigen_mod.Sector(
+            label, rows, np.where(inside, every - rows[0], 0)[:, None],
+            inside.astype(float)[None, :, None], v[np.ix_(rows, rows)]))
+    kinetic = rng.uniform(0.0, 4.0, (len(powers), n)) * np.exp2(powers)[
+        :, None]
+    return v, kinetic, tuple(sectors)
+
+
+def assert_batch_is_each_point(h, count):
+    """eigh of a batch gives, point by point, eigh of that point alone, bit
+    for bit; returns the batch's result."""
+    batch = eigh(h, count)
+    assert batch.values.shape == (len(h.kinetic), count)
+    assert batch.vectors.shape == (len(h.kinetic), h.dim, count)
+    for i, kinetic in enumerate(h.kinetic):
+        one = eigh(h._replace(kinetic=kinetic), count)
+        np.testing.assert_array_equal(batch.values[i], one.values)
+        np.testing.assert_array_equal(batch.vectors[i], one.vectors)
+        assert batch.labels[i] == one.labels
+        assert batch.scale[i] == one.scale
+        assert batch.residual[i] <= eigen_mod.RESIDUAL_TOL
+        assert batch.orthonormality[i] <= eigen_mod.ORTHONORMALITY_TOL
+        assert batch.sectors == one.sectors
+        assert batch.hermiticity == one.hermiticity
+    return batch
+
+
+class TestBatch:
+    """A 2-D kinetic diagonal is a batch of points sharing V: each point's
+    pairs are those it gets alone, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           complex_entries=st.booleans(), v_power=st.integers(-30, 30),
+           powers=st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+           strict=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_batch_equals_each_point(self, sizes, complex_entries, v_power,
+                                     powers, strict, seed, data):
+        # max|H| runs from 2^-30 to 2^30 within a batch, so its points are
+        # scaled by different powers of two; with no selection tolerance
+        # some points re-solve by row and their neighbours do not.
+        count = data.draw(st.integers(1, sum(sizes)), label="count")
+        v, kinetic, sectors = rows_and_batch(
+            np.random.default_rng(seed), sizes, complex_entries, v_power,
+            powers)
+        with pytest.MonkeyPatch.context() as patch:
+            if strict:
+                patch.setattr(eigen_mod, "SELECTION_TOL", 0.0)
+            assert_batch_is_each_point(BlochMatrix.of(v, kinetic, sectors),
+                                       count)
+
+    @needs_drivers
+    def test_point_solved_by_row_inside_a_batch(self, monkeypatch):
+        # z05's L-Gamma points 10-17 with no selection tolerance: some of
+        # them re-solve by row, the rest do not, in one batch.
+        monkeypatch.setattr(eigen_mod, "SELECTION_TOL", 0.0)
+        resolved = record_by_row(monkeypatch)
+        cfg = load_config(preset_path("z05"))
+        kappas = cfg.path.kappas[10:18]
+        crystal = operations(cfg.lattice, cfg.recip, cfg.basis)
+        fixes = crystal.fixes(kappas)
+        assert (fixes == fixes[0]).all()
+        v = BlochMatrix.of(potential_matrix(cfg.model, cfg.lattice, cfg.recip,
+                                            cfg.basis))
+        h = build(kappas, cfg.basis, v._replace(sectors=row_blocks(
+            v.matrix, little_group(crystal, v, fixes[0]))))
+        assert eigh(h, 8).sectors == (28, 5, 28)
+        assert 0 < len(resolved) < len(kappas)
+        assert_batch_is_each_point(h, 8)
+
+    def test_one_point_is_unbatched(self):
+        # A 1-D T gives the fields of one solve; a batch of one has the
+        # point axis.
+        v, kinetic, sectors = rows_and_batch(np.random.default_rng(3),
+                                             [5, 7], False, 0, [0])
+        one = eigh(BlochMatrix.of(v, kinetic[0], sectors), 4)
+        batch = eigh(BlochMatrix.of(v, kinetic, sectors), 4)
+        assert one.values.shape == (4,) and batch.values.shape == (1, 4)
+        assert one.vectors.shape == (12, 4)
+        assert batch.vectors.shape == (1, 12, 4)
+        assert isinstance(one.scale, float) and batch.scale.shape == (1,)
+        assert isinstance(one.residual, float)
+        assert batch.residual.shape == batch.orthonormality.shape == (1,)
+        assert len(one.labels) == 4 and batch.labels == (one.labels,)
+
+    def test_build_gives_a_batch_and_rejects_a_bad_one(self):
+        lattice, rec, basis = z05_basis()
+        v = potential_matrix(Potential(0.5), lattice, rec, basis)
+        kappas = fcc_symmetry_points(5.431)["X"] * np.linspace(0, 1, 5)[
+            :, None]
+        h = build(kappas, basis, v)
+        assert h.kinetic.shape == (5, basis.dim)
+        for kappa, kinetic in zip(kappas, h.kinetic):
+            np.testing.assert_array_equal(build(kappa, basis, v).kinetic,
+                                          kinetic)
+        np.testing.assert_array_equal(h.entries[2],
+                                      build(kappas[2], basis, v).entries)
+        for bad in (np.zeros((0, 3)), np.zeros((2, 2)), np.zeros((1, 1, 3)),
+                    np.array([[0.0, np.nan, 0.0]])):
+            with pytest.raises(hamiltonian_mod.AssemblyError,
+                               match="bad Bloch vector"):
+                build(bad, basis, v)
+
+    def test_non_finite_point_fails_the_batch(self):
+        v, kinetic, sectors = rows_and_batch(np.random.default_rng(4),
+                                             [5, 7], False, 0, [0, 0, 0])
+        kinetic[1, 3] = np.inf
+        with pytest.raises(NonHermitianError, match="non-finite"):
+            eigh(BlochMatrix.of(v, kinetic, sectors), 4)
+
+
 @needs_drivers
 class TestWorkspaces:
     """?sytrd reduces with a 16-column panel and ?ormtr back-transforms
@@ -778,12 +903,31 @@ class TestWorkspaces:
         # vector, on the workspace's floor of one word.
         a, b = (random_hermitian(30, seed, complex_entries)
                 for seed in (81, 82))
-        info, pairs = eigen_mod._solve(
-            [(a, np.zeros(30)), (b, np.full(30, 100.0))], 8, 104.0)
+        (info, pairs), = eigen_mod._solve(
+            [(a, np.zeros((1, 30))), (b, np.full((1, 30), 100.0))], 8,
+            [104.0])
         assert info == 0
         assert [z.shape for _, z in pairs] == [(30, 8), (30, 0)]
         np.testing.assert_allclose(pairs[0][0], np.linalg.eigvalsh(a)[:8],
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_two_rows_of_one(self, complex_entries, first):
+        # n = 2 takes ?stemr's own 2 x 2 path, whose support indices name
+        # the other row when it swaps the two levels: each level must still
+        # reach its own row, with its unit vector.
+        dtype = complex if complex_entries else float
+        rows = [np.array([[0.5]], dtype), np.array([[-0.7]], dtype)]
+        if first:
+            rows.reverse()
+        (info, pairs), = eigen_mod._solve(
+            [(v, np.zeros((1, 1))) for v in rows], 1, [0.7])
+        assert info == 0
+        low = 1 - first
+        assert [len(w) for w, _ in pairs] == [1 - low, low]
+        np.testing.assert_array_equal(pairs[low][0], [-0.7])
+        np.testing.assert_array_equal(np.abs(pairs[low][1]), [[1.0]])
 
     @settings(max_examples=100, deadline=None)
     @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
@@ -797,10 +941,11 @@ class TestWorkspaces:
         rng = np.random.default_rng(seed)
         blocks = [(random_hermitian(m, int(rng.integers(2**31)),
                                     complex_entries) * 2.0 ** power,
-                   rng.uniform(0.0, 4.0, m) * 2.0 ** power) for m in sizes]
-        hs = [v + np.diag(kinetic) for v, kinetic in blocks]
+                   rng.uniform(0.0, 4.0, (1, m)) * 2.0 ** power)
+                  for m in sizes]
+        hs = [v + np.diag(kinetic[0]) for v, kinetic in blocks]
         scale = max(np.abs(h).max() for h in hs)
-        info, pairs = eigen_mod._solve(blocks, count, scale)
+        (info, pairs), = eigen_mod._solve(blocks, count, [scale])
         assert info == 0
         lowest = np.sort(np.concatenate([np.linalg.eigvalsh(h)
                                          for h in hs]))[:count]
@@ -885,10 +1030,10 @@ class TestErrors:
         # info < 0: LAPACKE rejected an argument or ran out of memory.
         solve = eigen_mod._solve
 
-        def reporting(blocks, count, scale):
-            _, pairs = solve(blocks, count, scale)
-            return info, [(values[:found], vectors[:, :found])
-                          for values, vectors in pairs]
+        def reporting(blocks, count, scales):
+            return [(info, [(values[:found], vectors[:, :found])
+                            for values, vectors in pairs])
+                    for _, pairs in solve(blocks, count, scales)]
 
         monkeypatch.setattr(eigen_mod, "_solve", reporting)
         with pytest.raises(SolverError, match=f"info {info}, {found} of 3"):
@@ -900,13 +1045,14 @@ class TestErrors:
         # the contract must fail on NaN, not pass it.
         solve = eigen_mod._solve
 
-        def poisoned(blocks, count, scale):
-            info, pairs = solve(blocks, count, scale)
+        def poisoned(blocks, count, scales):
             if bad == "values":
-                return info, [(np.full_like(values, np.nan), vectors)
-                              for values, vectors in pairs]
-            return info, [(values, np.full_like(vectors, np.nan))
-                          for values, vectors in pairs]
+                return [(info, [(np.full_like(values, np.nan), vectors)
+                                for values, vectors in pairs])
+                        for info, pairs in solve(blocks, count, scales)]
+            return [(info, [(values, np.full_like(vectors, np.nan))
+                            for values, vectors in pairs])
+                    for info, pairs in solve(blocks, count, scales)]
 
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
         with pytest.raises(SolverError):
@@ -921,12 +1067,12 @@ class TestErrors:
         h = 1e200 * random_hermitian(6, seed=11)
         solve = eigen_mod._solve
 
-        def shifted(blocks, count, scale):
-            info, pairs = solve(blocks, count, scale)
+        def shifted(blocks, count, scales):
+            (info, pairs), = solve(blocks, count, scales)
             (v, kinetic), = blocks
-            h = v + np.diag(kinetic)
-            return info, [(values + shift * np.abs(h).max(), vectors)
-                          for values, vectors in pairs]
+            h = v + np.diag(kinetic[0])
+            return [(info, [(values + shift * np.abs(h).max(), vectors)
+                            for values, vectors in pairs])]
 
         monkeypatch.setattr(eigen_mod, "_solve", shifted)
         if shift:
@@ -963,9 +1109,10 @@ def record_threads(monkeypatch):
     through eigh."""
     solve, seen = eigen_mod._solve, []
 
-    def recording(blocks, count, scale):
-        seen.extend((len(kinetic), blas_threads()) for _, kinetic in blocks)
-        return solve(blocks, count, scale)
+    def recording(blocks, count, scales):
+        seen.extend((kinetic.shape[1], blas_threads())
+                    for _, kinetic in blocks)
+        return solve(blocks, count, scales)
 
     monkeypatch.setattr(eigen_mod, "_solve", recording)
     return seen
@@ -1017,11 +1164,11 @@ class TestThreadScope:
     def test_solver_error_puts_the_count_back(self, monkeypatch):
         solve = eigen_mod._solve
 
-        def poisoned(blocks, count, scale):
+        def poisoned(blocks, count, scales):
             assert blas_threads() == 1
-            info, pairs = solve(blocks, count, scale)
-            return info, [(np.full_like(values, np.nan), vectors)
-                          for values, vectors in pairs]
+            return [(info, [(np.full_like(values, np.nan), vectors)
+                            for values, vectors in pairs])
+                    for info, pairs in solve(blocks, count, scales)]
 
         monkeypatch.setattr(eigen_mod, "_solve", poisoned)
         with pytest.raises(SolverError, match="non-finite"):
@@ -1037,9 +1184,9 @@ class TestThreadScope:
             calls.append(h)
             if len(calls) != 2:
                 return solve(h, count)
-            result = solve(h, count + 1)
-            return dataclasses.replace(result, values=result.values[1:],
-                                       vectors=result.vectors[:, 1:])
+            result = solve(h, count + 1)  # a batch of one cutoff
+            return dataclasses.replace(result, values=result.values[:, 1:],
+                                       vectors=result.vectors[:, :, 1:])
 
         monkeypatch.setattr(bands_mod, "eigh", skipping)
         with pytest.raises(SweepError, match="interlace"):
@@ -1056,7 +1203,7 @@ class TestThreadScope:
         first_in, second_in, first_out = (threading.Event() for _ in range(3))
         inside, errors = {}, []
 
-        def staged(blocks, count, scale):
+        def staged(blocks, count, scales):
             if threading.current_thread().name == "first":
                 first_in.set()
                 assert second_in.wait(10)
@@ -1064,7 +1211,7 @@ class TestThreadScope:
                 second_in.set()
                 assert first_out.wait(10)
                 inside["after the first left"] = blas_threads()
-            return solve(blocks, count, scale)
+            return solve(blocks, count, scales)
 
         def call(seed, done=None):
             try:

@@ -182,7 +182,7 @@ def solve_tour(monkeypatch, crystal, op, whole=False):
 
     def recording(h, count):
         result = solve(h, count)
-        dims.append(result.sectors)
+        dims.extend([result.sectors] * len(result.values))  # per k-point
         return result
 
     with monkeypatch.context() as patch:
