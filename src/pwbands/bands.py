@@ -81,32 +81,37 @@ def sweep(path: KPath, model: Potential, lattice: RealLattice,
     only the kinetic diagonal changes with kappa, and each point is solved
     in one row of each irrep of its little group (whole, if only the
     identity fixes it) for its lowest ``num_bands`` pairs, verified."""
+    def where(idx, kappa):
+        return idx, f"k-point {idx} kappa={kappa}"
+
     energies = np.array([values for values, _ in _solves(
         path.kappas, [basis.dim] * len(path.kappas), model, lattice, recip,
-        basis, num_bands, lambda i, kappa: f"k-point {i} kappa={kappa}")])
+        basis, num_bands, where)])
     return BandStructure(path=path, energies=energies)
 
 
 def _solves(kappas, dims, model, lattice, recip, basis, num_bands, where):
     """(values, max|H|) at each (kappa, dim) pair in turn, on the first dim
-    rows of ``basis``; a failure raises SweepError located by where(index,
-    kappa).  V and the crystal's operations are built once, and each little
-    group's row blocks once, on the whole basis; a smaller dim solves V's
-    leading block and views of those row blocks (``BlochMatrix.leading``).
+    rows of ``basis``; a failure raises SweepError at where(index, kappa),
+    an (index, place) pair.  V and the crystal's operations are built once,
+    and each little group's row blocks once, on the whole basis; the
+    smaller dims solve V's leading blocks and views of those row blocks,
+    whose figures one pass over V gives (``BlochMatrix.leading``).
     Consecutive pairs of one little group and dim are built and solved as
     one batch of at most BATCH_BYTES of vectors; a batch that fails is
     solved again point by point, so that the error names its point."""
     crystal = operations(lattice, recip, basis)
     v = BlochMatrix.of(potential_matrix(model, lattice, recip, basis))
-    fixes, groups = crystal.fixes(kappas), {}
+    fixes, groups, cuts = crystal.fixes(kappas), {}, sorted(set(dims))
     keys = [fixing.tobytes() for fixing in fixes]
     for (key, dim), run in groupby(range(len(kappas)),
                                    lambda idx: (keys[idx], dims[idx])):
         run = list(run)
         if key not in groups:
-            groups[key] = v._replace(sectors=row_blocks(
+            groups[key] = dict(zip(cuts, v._replace(sectors=row_blocks(
                 v.matrix, little_group(crystal, v, fixes[run[0]])))
-        h = groups[key].leading(dim)
+                .leading(cuts)))
+        h = groups[key][dim]
         sub = PlaneWaveBasis(basis.coeffs[:dim], basis.cart[:dim])
         size = max(1, BATCH_BYTES // max(1, dim * num_bands
                                          * v.matrix.itemsize))
@@ -122,14 +127,14 @@ def _solves(kappas, dims, model, lattice, recip, basis, num_bands, where):
 
 def _one_by_one(kappas, at, sub, h, num_bands, where):
     """(values, max|H|) at each point of kappas[at], solved as batches of
-    one; SweepError, located by where(index, kappa), at the first that
-    fails."""
+    one; SweepError at where(index, kappa) for the first that fails."""
     for idx in range(at.start, at.stop):
         try:
             result = eigh(build(kappas[idx:idx + 1], sub, h), num_bands)
         except (SolverError, NonHermitianError) as exc:
-            raise SweepError(f"solve failed at {where(idx, kappas[idx])}: "
-                             f"{exc}", index=idx, kappa=kappas[idx]) from exc
+            index, place = where(idx, kappas[idx])
+            raise SweepError(f"solve failed at {place}: {exc}", index=index,
+                             kappa=kappas[idx]) from exc
         yield result.values[0], result.scale[0]
 
 
@@ -171,8 +176,10 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
                       cutoffs, num_bands: int) -> list:
     """Solve at one kappa for each cutoff in an ascending list: leading blocks
     of ``basis`` (holding every G up to the largest) and of V there, so levels
-    interlace (Cauchy): no level may rise as the cutoff grows.  Each row is
-    checked; a rise beyond 1e-9 max|H| raises SweepError naming the cutoff."""
+    interlace (Cauchy): no level may rise as the cutoff grows.  Each dim is
+    solved once, and cutoffs that add no shell share its row, as they share
+    its H.  Each row is checked; a rise beyond 1e-9 max|H| raises SweepError
+    naming the first cutoff of that dim."""
     cutoffs = [float(c) for c in cutoffs]
     if not cutoffs or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"need strictly ascending cutoffs, got {cutoffs}")
@@ -181,21 +188,27 @@ def convergence_study(kappa, model: Potential, lattice: RealLattice,
         raise AssemblyError(f"bad Bloch vector: {kappa}")
     basis = basis.truncate(cutoffs[-1])
     dims = [basis.truncate(g2_max).dim for g2_max in cutoffs]
+    distinct = sorted(set(dims))
+    first = [dims.index(dim) for dim in distinct]
 
     def where(idx, _):
-        return f"cutoff g2_max={cutoffs[idx]:g} 1/A^2 (cutoffs[{idx}])"
+        at = first[idx]
+        return at, f"cutoff g2_max={cutoffs[at]:g} 1/A^2 (cutoffs[{at}])"
 
-    rows = []
+    levels = []
     for idx, (values, scale) in enumerate(_solves(
-            np.tile(kappa, (len(cutoffs), 1)), dims, model, lattice, recip,
-            basis, num_bands, where)):
-        rise = values - rows[-1].values if rows else 0.0
+            np.tile(kappa, (len(distinct), 1)), distinct, model, lattice,
+            recip, basis, num_bands, where)):
+        rise = values - levels[-1] if levels else 0.0
         over = rise > INTERLACING_TOL * scale
         if np.any(over):
             level = int(np.argmax(over))
+            at, place = where(idx, kappa)
             raise SweepError(
-                f"levels do not interlace at {where(idx, kappa)}: "
-                f"E{level + 1} rose by {rise[level]:.3e} eV from the "
-                "previous cutoff", index=idx, kappa=kappa)
-        rows.append(ConvergenceRow(cutoffs[idx], dims[idx], values))
-    return rows
+                f"levels do not interlace at {place}: E{level + 1} rose by "
+                f"{rise[level]:.3e} eV from the previous cutoff", index=at,
+                kappa=kappa)
+        levels.append(values)
+    by_dim = dict(zip(distinct, levels))
+    return [ConvergenceRow(g2_max, dim, by_dim[dim])
+            for g2_max, dim in zip(cutoffs, dims)]

@@ -1,8 +1,9 @@
 """Dense Hermitian eigendecomposition with verified contracts.
 
 A matrix reaches the solver as a ``BlochMatrix``: V, a real diagonal T,
-H = V + diag(T), and V's figures, taken once per V by ``BlochMatrix.of``,
-so a solve costs, outside LAPACK, O(dim) for max|H|, one write of each
+H = V + diag(T), and V's figures, taken once per V by ``BlochMatrix.of``
+(and those of its leading blocks in one more pass, by ``leading``), so a
+solve costs, outside LAPACK, O(dim) for max|H|, one write of each
 row's block plus T, and the residual V X + T X on the pairs returned.
 Bad input is rejected before LAPACK; an ndarray is V with T = 0.
 
@@ -231,25 +232,48 @@ class BlochMatrix(NamedTuple):
         h[..., every, every] += self.kinetic
         return h
 
-    def leading(self, dim: int) -> "BlochMatrix":
-        """H on the first ``dim`` rows (a smaller cutoff's): V's leading
-        block, checked anew, T[:dim] and views of the row blocks, or no row
-        blocks if some orbit straddles row ``dim``.  At the whole dim, H
-        itself, not checked again."""
-        if dim == self.dim:
-            return self
+    def leading(self, dims) -> list:
+        """H on the first d rows (a smaller cutoff's) for each d of the
+        ascending ``dims``: V's leading block, T[:d] and views of the row
+        blocks, or no row blocks if some orbit straddles row d.  At the
+        whole dim, H itself.  The figures of all the blocks come from one
+        pass over V: each block's extend the previous block's by the two
+        strips that border it, so they are the ones ``of`` takes of the
+        block alone, NaN included."""
+        v, lead, herm, off, done = self.matrix, [], 0.0, 0.0, 0
+        for dim in dims:
+            if dim == self.dim:
+                lead.append(self)
+                continue
+            # |V - V^dagger| is symmetric, so its rows done:dim hold the
+            # border's deviations; |V|'s border is those rows and the
+            # columns done:dim above them, less the diagonal.
+            with np.errstate(invalid="ignore"):  # inf - inf, as in ``of``
+                dev = v[done:dim, :dim] - v[:dim, done:dim].conj().T
+            rows, k = np.abs(v[done:dim, :dim]), np.arange(dim - done)
+            rows[k, k + done] = 0.0
+            herm = np.maximum(herm, np.abs(dev).max())
+            off = np.maximum(off, np.maximum(rows.max(), np.abs(
+                v[:done, done:dim]).max(initial=0.0)))
+            done = dim
+            lead.append(BlochMatrix(v[:dim, :dim], herm, off,
+                                    self.diag[:dim], self.kinetic[..., :dim],
+                                    self._sectors(dim)))
+        return lead
+
+    def _sectors(self, dim: int) -> tuple:
+        """Views of the row blocks on the first ``dim`` rows, or () if some
+        orbit straddles row ``dim``."""
         lead = []
         for sector in self.sectors:
             m = np.searchsorted(sector.rows, dim)
             if np.any((sector.coef[:, dim:] != 0) & (sector.column[dim:] < m)):
-                lead = []
-                break
+                return ()
             if m:
                 lead.append(sector._replace(
                     rows=sector.rows[:m], column=sector.column[:dim],
                     coef=sector.coef[:, :dim], matrix=sector.matrix[:m, :m]))
-        return BlochMatrix.of(self.matrix[:dim, :dim],
-                              self.kinetic[..., :dim], tuple(lead))
+        return tuple(lead)
 
 
 @dataclass(frozen=True, eq=False)

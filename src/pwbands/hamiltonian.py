@@ -16,17 +16,21 @@ potential block the leading principal block (``PlaneWaveBasis.truncate``).
 
 The block is checked once, by ``eigen.BlochMatrix.of``, when a sweep
 makes it (or when ``build`` is handed a bare array): that is where its
-finiteness and Hermiticity are measured.  A k-point then costs O(dim) here,
-the kinetic diagonal; ``build`` returns the checked block with that
-diagonal, and the dense matrix exists only in the solver's buffer, or as
-``entries``.
+finiteness and Hermiticity are measured; the figures of its leading
+blocks come from one more pass (``BlochMatrix.leading``).  A k-point then
+costs O(dim) here, the kinetic diagonal; ``build`` returns the checked
+block with that diagonal, and the dense matrix exists only in the
+solver's buffer, or as ``entries``.
 
 Symmetry splits the solve: the crystal's operations {R|t} act on the
 basis as signed permutations Q (``operations``), those whose R fixes kappa
 and whose Q commutes with V form its little group (``little_group``), and
 H(kappa) is block diagonal in the rows of the group's irreps, whose blocks
 ``row_blocks`` gathers once per basis and group; a smaller cutoff's are
-slices (``BlochMatrix.leading``).
+slices (``BlochMatrix.leading``).  Q commutes with V when V's table does,
+V(R (G - G')) = exp(-i R (G - G') . t) V(G - G'), so each {R|t} is tested
+at the few thousand differences the basis spans, one entry of V each,
+not at V's dim^2 entries.
 """
 
 from __future__ import annotations
@@ -86,40 +90,52 @@ class PlaneWaveBasis:
         return PlaneWaveBasis(self.coeffs[:n], self.cart[:n])
 
 
+def _box(coeffs: np.ndarray) -> tuple:
+    """The box of the coefficient differences a basis spans, 2 span + 1
+    wide on each axis: its shape, the strides of its row-major flat index,
+    each row's flat index counted from the basis's lowest corner (its
+    ``key``, in the box too) and the zero difference's, so that G_i - G_j
+    sits at key_i - key_j + origin."""
+    span = np.ptp(coeffs, axis=0)
+    shape = 2 * span + 1
+    strides = np.array([shape[1] * shape[2], shape[2], 1])
+    return (shape, strides, (coeffs - coeffs.min(axis=0)) @ strides,
+            span @ strides)
+
+
 def potential_matrix(model: Potential, lattice: RealLattice,
                      recip: ReciprocalLattice, basis: PlaneWaveBasis) -> np.ndarray:
     """Kappa-independent potential block V[i,j] = <G_i|V|G_j>.
 
     Matrix elements are evaluated once over the box of integer coefficient
-    differences the basis spans, then gathered by flat index, so entries
-    depend only on the coefficient difference, never on list position.
-    The block is returned as float64 when the table is exactly real, as for
-    a lattice whose origin is an inversion centre (the diamond basis at
-    +/-(a/8)(1,1,1), where S(G) = 2 cos(G.tau)); otherwise it is complex.
+    differences the basis spans (``_box``), then gathered by flat index, so
+    entries depend only on the coefficient difference, never on list
+    position.  The block is returned as float64 when the table is exactly
+    real, as for a lattice whose origin is an inversion centre (the diamond
+    basis at +/-(a/8)(1,1,1), where S(G) = 2 cos(G.tau)); otherwise it is
+    complex.
     """
-    span = np.ptp(basis.coeffs, axis=0)
-    shape = 2 * span + 1
-    box = np.indices(shape).reshape(3, -1).T - span
+    shape, _, key, origin = _box(basis.coeffs)
+    box = np.indices(shape).reshape(3, -1).T - shape // 2
     table = matrix_element(model, lattice, recip, box)
     if not np.any(table.imag):
         table = table.real
-    # Row-major flat index of a box point is linear in its coefficients, so
-    # the index of G_i - G_j is key_i - key_j plus the index of the origin.
-    strides = np.array([shape[1] * shape[2], shape[2], 1])
-    key = basis.coeffs @ strides
-    return table[np.subtract.outer(key + span @ strides, key)]
+    return table[np.subtract.outer(key + origin, key)]
 
 
 class Operations(NamedTuple):
     """Operations {R|t} on a basis as signed permutations Q e_i = sign[i]
     e_perm[i], G_perm[i] = R G_i, sign[i] = exp(-i R G_i . t): integer R
     (identity first), a perm row per R, signs (n, c, dim) per candidate t
-    (int8, 0 unless +/-1; c = 1 in a group), R_a R_b = R_table[a, b]."""
+    (int8, 0 unless +/-1; c = 1 in a group), R_a R_b = R_table[a, b], and
+    ``pairs``, rows (i, j) with one pair for each coefficient difference
+    G_i - G_j the basis spans: V[i, j] over them is V's table."""
 
     ops: np.ndarray
     perm: np.ndarray
     signs: np.ndarray
     table: np.ndarray
+    pairs: tuple
 
     def fixes(self, kappas: np.ndarray) -> np.ndarray:
         """(points, n): R kappa == kappa, exactly (R's entries are 0, +/-1)."""
@@ -137,13 +153,22 @@ def operations(lattice: RealLattice, recip: ReciprocalLattice,
     # G = c B, so R G = c B R^T = c M with M = B R^T B^-1.
     m = recip.matrix @ ops.transpose(0, 2, 1) @ np.linalg.inv(recip.matrix)
     whole = np.abs(m - np.rint(m)).max(axis=(1, 2)) <= 1e-9
-    # Coefficients as digits of a base wider than any image's: equal keys
-    # are equal vectors; the basis's sorted keys (ops[0] is 1) find rows.
-    base = 6 * np.abs(basis.coeffs).max() * round(np.abs(m).max()) + 1
-    key = basis.coeffs @ (np.rint(m) @ [base**2, base, 1]).astype(int).T
-    order = np.argsort(key[:, 0])
-    perm = order[np.searchsorted(key[order, 0], key.T).clip(max=len(key) - 1)]
-    keep = whole & np.all(key[perm, 0] == key.T, axis=1)
+    # Rows by flat index in the box of differences (``_box``), which holds
+    # the basis from its lowest corner: an image outside it, or on no row,
+    # is not in the basis.
+    shape, strides, key, origin = _box(basis.coeffs)
+    row = np.full(np.prod(shape), -1)
+    row[key] = np.arange(basis.dim)
+    image = basis.coeffs @ np.rint(m).astype(int) - basis.coeffs.min(axis=0)
+    inside = np.all((image >= 0) & (image < shape), axis=2)
+    perm = np.where(inside, row[np.where(inside, image @ strides, 0)], -1)
+    keep = whole & np.all(perm >= 0, axis=1)
+    # A row i of each difference key_i - key_j + origin (any would do),
+    # then its j.
+    owner = np.full(np.prod(shape), -1)
+    owner[np.subtract.outer(key + origin, key)] = np.arange(basis.dim)[:, None]
+    diffs = np.flatnonzero(owner >= 0)
+    i = owner[diffs]
     # exp(-i R G_i . t) is (-1)^turns when turns = G_i . R^T t / pi is whole.
     turns = (shifts @ ops)[keep] @ (basis.cart.T / np.pi)
     signs = 1 - 2 * (np.rint(turns).astype(np.int8) & 1)
@@ -154,24 +179,23 @@ def operations(lattice: RealLattice, recip: ReciprocalLattice,
     sig, index = ops @ [1, 2, 3], np.zeros(343, int)
     index[(sig + 3) @ [49, 7, 1]] = np.arange(len(ops))
     return Operations(ops, perm[keep], signs, index[
-        (ops[:, None] @ sig[None, :, :, None])[..., 0] @ [49, 7, 1] + 171])
+        (ops[:, None] @ sig[None, :, :, None])[..., 0] @ [49, 7, 1] + 171],
+        (i, row[key[i] + origin - diffs]))
 
 
-def _symmetry(block: BlochMatrix, perm: np.ndarray, signs: np.ndarray) -> int:
+def _symmetry(block: BlochMatrix, perm: np.ndarray, signs: np.ndarray,
+              pairs: tuple) -> int:
     """The first row of ``signs`` (none zero) with which Q V Q^T = V to
-    1e-12 max|V|, or -1 if none; a V that is not finite has no symmetry."""
-    v = block.matrix
-    bound = SYMMETRY_TOL * max(block.off_max, np.abs(block.diag).max())
+    1e-12 max|V|, or -1 if none; a V that is not finite has no symmetry.
+    V[i, j] is V's table at G_i - G_j, so V is read at one pair (i, j) of
+    ``pairs`` a difference: V[perm i, perm j] sign_i sign_j must be V[i, j].
+    """
+    v, (i, j) = block.matrix, pairs
+    bound = SYMMETRY_TOL * np.maximum(block.off_max, np.abs(block.diag).max())
+    table, image = v[i, j], v[perm[i], perm[j]]
     for t, sign in enumerate(signs if np.isfinite(bound) else ()):
-        if not sign.all():
-            continue
-        # By bands of rows: no dim^2 temporary, and a wrong t fails early.
-        for start in range(0, len(perm), 64):
-            band = slice(start, start + 64)
-            image = v[perm[band]][:, perm] * sign * sign[band, None]
-            if not np.abs(image - v[band]).max() <= bound:
-                break
-        else:
+        if sign.all() and np.abs(
+                image * (sign[i] * sign[j]) - table).max() <= bound:
             return t
     return -1
 
@@ -179,10 +203,10 @@ def _symmetry(block: BlochMatrix, perm: np.ndarray, signs: np.ndarray) -> int:
 def little_group(crystal: Operations, block: BlochMatrix,
                  fixing: np.ndarray) -> Operations:
     """The operations ``fixing`` marks (R kappa = kappa) whose Q commutes
-    with V: each R not yet held is tested once (``_symmetry``) and, passing,
-    generates; each Q's signs are a product of theirs (its permutation is
-    R's).  If Q_s Q_a = Q_sa fails (a translation the lattice lacks), the
-    group is the identity alone."""
+    with V: each R not yet held is tested once on V's table (``_symmetry``)
+    and, passing, generates; each Q's signs are a product of theirs (its
+    permutation is R's).  If Q_s Q_a = Q_sa fails (a translation the
+    lattice lacks), the group is the identity alone."""
     at, elems, sign = {0: 0}, [0], [crystal.signs[0, 0]]
     table, gens = crystal.table.tolist(), [(0, sign[0])]  # 1, for the check
     # Rotations of high order first (C4, C3 make O): fewer generators.
@@ -190,7 +214,7 @@ def little_group(crystal: Operations, block: BlochMatrix,
                         np.linalg.det(crystal.ops) < 0))
     for g in first[fixing[first]].tolist():
         t = -1 if g in at else _symmetry(block, crystal.perm[g],
-                                         crystal.signs[g])
+                                         crystal.signs[g], crystal.pairs)
         if t < 0:
             continue
         gens.append((g, crystal.signs[g, t]))
@@ -207,7 +231,7 @@ def little_group(crystal: Operations, block: BlochMatrix,
                for g, g_sign in gens):
         elems, perm, sign = [0], perm[:1], sign[:1]
     return Operations(crystal.ops[elems], perm, sign[:, None],
-                      spot[crystal.table[np.ix_(elems, elems)]])
+                      spot[crystal.table[np.ix_(elems, elems)]], crystal.pairs)
 
 
 # Kinds of O_h's elements by (det R, tr R, R diagonal); ' = face diagonal.

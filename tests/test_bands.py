@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -504,6 +505,72 @@ class TestOneLoop:
                               lat, rec, basis(rec, 76),
                               [c * SHELL for c in (12, 16, 44, 76)], 4)
         assert calls == {"operations": 1, "potential_matrix": 1}
+
+
+# converge-ladder's study: Yukawa at X, cutoffs 44 to 248 (pi/a)^2 in steps
+# of 12, which hold 15 dims: 113, 331 and 531 twice each.
+LADDER = [c * SHELL for c in range(44, 249, 12)]
+LADDER_DIMS = [51, 59, 65, 113, 113, 137, 169, 181, 229, 259, 283, 331, 331,
+               339, 411, 459, 531, 531]
+
+
+def ladder(monkeypatch, eigh_stub=None):
+    """The ladder's rows, and the (points, dim) of each eigh call."""
+    lat = make_cubic("DIAMOND", A_SI)
+    rec = reciprocal_of(lat)
+    solve, calls = eigh_stub or bands_mod.eigh, []
+    monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
+        calls.append(h.kinetic.shape) or solve(h, count)))
+    rows = convergence_study(fcc_symmetry_points(A_SI)["X"],
+                             Potential(0.5, mu=1.0), lat, rec,
+                             basis(rec, 248), LADDER, 8)
+    return rows, calls
+
+
+class TestOneSolvePerDim:
+    """Cutoffs that add no shell share their dim's H, so a convergence
+    study solves each dim once and repeats its row."""
+
+    def test_ladder_solves_15_points_for_18_cutoffs(self, monkeypatch):
+        rows, calls = ladder(monkeypatch)
+        assert [row.dim for row in rows] == LADDER_DIMS
+        assert [row.g2_max for row in rows] == LADDER
+        assert sum(points for points, _ in calls) == 15
+        assert [dim for _, dim in calls] == sorted(set(LADDER_DIMS))
+
+    def test_repeated_dims_repeat_their_row_bit_for_bit(self, monkeypatch):
+        rows, _ = ladder(monkeypatch)
+        repeats = 0
+        for a, b in zip(rows, rows[1:]):
+            if a.dim == b.dim:
+                np.testing.assert_array_equal(a.values, b.values)
+                repeats += 1
+            else:
+                assert np.any(a.values != b.values)
+        assert repeats == 3
+
+    @pytest.mark.parametrize("failure", ["solve", "interlacing"])
+    def test_failure_at_a_repeated_dim_names_its_first_cutoff(
+            self, monkeypatch, failure):
+        # dim 331 holds cutoffs[11] (176) and cutoffs[12] (188).
+        solve = bands_mod.eigh
+
+        def failing(h, count):
+            if h.dim != 331:
+                return solve(h, count)
+            if failure == "solve":
+                raise SolverError("LAPACK info 1")
+            result = solve(h, count + 1)  # E1 skipped: the levels rise
+            return dataclasses.replace(result, values=result.values[:, 1:],
+                                       vectors=result.vectors[:, :, 1:])
+
+        message = ("solve failed at" if failure == "solve"
+                   else "levels do not interlace at")
+        place = f"cutoff g2_max={LADDER[11]:g} 1/A^2 (cutoffs[11])"
+        with pytest.raises(SweepError, match=f"^{message} {re.escape(place)}"
+                           ) as excinfo:
+            ladder(monkeypatch, failing)
+        assert excinfo.value.index == 11
 
 
 def skip_lowest_level_on_call(monkeypatch, call):

@@ -211,6 +211,44 @@ class TestCheckedBlock:
         assert eigh(h, 4).scale == np.abs(h.entries).max()
         assert eigh(h.entries, 4).scale == np.abs(h.entries).max()
 
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("placed", [
+        [], [(3, 40, np.nan)], [(200, 150, np.nan)], [(120, 120, np.nan)],
+        [(100, 300, np.inf), (300, 100, np.inf)], [(60, 5, np.inf)],
+        [(10, 500, -np.inf)], [(250, 7, 1e-9)], [(530, 530, np.nan)]],
+        ids=["clean", "nan-early", "nan-at-200", "nan-on-diagonal",
+             "inf-pair", "inf-below", "inf-above", "asymmetric",
+             "nan-last-row"])
+    def test_leading_figures_are_each_block_checked_alone(
+            self, complex_entries, placed):
+        # The ladder's V (Yukawa, dim 531) with NaN, inf or an asymmetry
+        # placed inside some leading blocks and outside the others: each
+        # block's figures, extended from the last one's, are ``of``'s.
+        lat = make_cubic("DIAMOND", 5.431)
+        rec = reciprocal_of(lat)
+        dims = [51, 59, 65, 113, 137, 169, 181, 229, 259, 283, 331, 339,
+                411, 459, 531]
+        basis = PlaneWaveBasis.from_cutoff(rec, 248 * (math.pi / 5.431) ** 2)
+        v = potential_matrix(Potential(0.5, mu=1.0), lat, rec, basis)
+        assert basis.dim == 531
+        if complex_entries:
+            v = v + 1j * np.triu(0.1 * v, 1) - 1j * np.triu(0.1 * v, 1).T
+        for i, j, value in placed:
+            v[i, j] = value if np.isinf(value) or np.isnan(value) \
+                else v[i, j] + value
+        kinetic = np.arange(2.0 * 531).reshape(2, 531)
+        h = BlochMatrix.of(v, kinetic)
+        leads = h.leading(dims)
+        assert len(leads) == len(dims) and leads[-1] is h
+        for dim, lead in zip(dims, leads):
+            alone = BlochMatrix.of(v[:dim, :dim])
+            np.testing.assert_array_equal([lead.herm, lead.off_max],
+                                          [alone.herm, alone.off_max])
+            np.testing.assert_array_equal(lead.diag, alone.diag)
+            np.testing.assert_array_equal(lead.kinetic, kinetic[:, :dim])
+            assert lead.matrix.shape == (dim, dim)
+            assert np.shares_memory(lead.matrix, v)
+
     def test_integer_input_is_solved_as_float(self):
         block = BlochMatrix.of([[2, 1], [1, 2]])
         assert block.matrix.dtype == np.float64
@@ -383,7 +421,7 @@ class TestSectors:
         first = h.sectors[0]
         dim = first.rows[first.rows >= 15][0] + 1  # its orbit runs past
         assert dim < 27
-        lead = h.leading(dim)
+        lead, = h.leading([dim])
         assert lead.sectors == ()
         result = eigh(lead, 8)
         assert result.sectors == (dim,)
@@ -399,8 +437,8 @@ class TestSectors:
         noise[3, 20] = 2e-14  # inside the leading block
         noise[40, 2] = 5e-14  # outside it, and larger
         h = BlochMatrix.of(h.matrix + noise, h.kinetic, h.sectors)
-        assert h.leading(h.dim) is h
-        lead, alone = h.leading(27), BlochMatrix.of(h.matrix[:27, :27])
+        assert h.leading([h.dim])[0] is h
+        (lead,), alone = h.leading([27]), BlochMatrix.of(h.matrix[:27, :27])
         assert 0 < lead.herm == alone.herm < h.herm
         assert lead.off_max == alone.off_max
         np.testing.assert_array_equal(lead.diag, alone.diag)

@@ -5,11 +5,13 @@ import pytest
 
 from pwbands.cli import load_config
 from pwbands.eigen import BlochMatrix, NonHermitianError, eigh
-from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
+from pwbands.hamiltonian import (SYMMETRY_TOL, AssemblyError,
+                                 PlaneWaveBasis, _symmetry, build,
                                  little_group, operations, potential_matrix,
                                  row_blocks)
-from pwbands.lattice import (RealLattice, cartesian, fcc_symmetry_points,
-                             make_cubic, reciprocal_of, shell_index)
+from pwbands.lattice import (RealLattice, cartesian, cubic_operations,
+                             fcc_symmetry_points, make_cubic, reciprocal_of,
+                             shell_index)
 from pwbands.potential import HBAR2_OVER_2M, Potential, matrix_element
 from pwbands.presets import PRESETS, preset_path
 
@@ -270,3 +272,134 @@ class TestStructureProperties:
                     assert abs(h[i, j]) < 1e-12
                     checked += 1
         assert checked > 0
+
+
+def scanned_symmetry(block, perm, signs):
+    """The dim^2 scan the table test replaced: the first row of ``signs``
+    (none zero) with which Q V Q^T = V over every entry of V, by bands of
+    64 rows, or -1."""
+    v = block.matrix
+    bound = SYMMETRY_TOL * max(block.off_max, np.abs(block.diag).max())
+    for t, sign in enumerate(signs if np.isfinite(bound) else ()):
+        if not sign.all():
+            continue
+        for start in range(0, len(perm), 64):
+            band = slice(start, start + 64)
+            image = v[perm[band]][:, perm] * sign * sign[band, None]
+            if not np.abs(image - v[band]).max() <= bound:
+                break
+        else:
+            return t
+    return -1
+
+
+def searched_perm(lattice, recip, basis):
+    """The image rows of each R that maps the basis onto itself, found by
+    the sorted-key search the box lookup replaced."""
+    ops, _ = cubic_operations(lattice)
+    m = recip.matrix @ ops.transpose(0, 2, 1) @ np.linalg.inv(recip.matrix)
+    whole = np.abs(m - np.rint(m)).max(axis=(1, 2)) <= 1e-9
+    base = 6 * np.abs(basis.coeffs).max() * round(np.abs(m).max()) + 1
+    key = basis.coeffs @ (np.rint(m) @ [base**2, base, 1]).astype(int).T
+    order = np.argsort(key[:, 0])
+    perm = order[np.searchsorted(key[order, 0], key.T).clip(max=len(key) - 1)]
+    return perm[whole & np.all(key[perm, 0] == key.T, axis=1)]
+
+
+# Cohen and Bergstresser's silicon form factors (Phys. Rev. 141, 789, 1966):
+# -0.21, 0.04 and 0.08 Ry on the 3, 8 and 11 (2 pi/a)^2 shells.
+COHEN_BERGSTRESSER = Potential(0.0, overrides={12: -2.857, 32: 0.544,
+                                               44: 1.088},
+                               override_mode="form_factor")
+
+
+def symmetry_fixtures():
+    """(id, model, lattice, recip, basis, the set of t picked over O_h):
+    the five presets at their own cutoff, Cohen-Bergstresser form factors
+    at dim 229, the non-centred FCC (complex V), and z05 on bases of dim 1
+    and 9 (cutoffs 0 and 12).  Diamond's glides and screws need a t other
+    than 0 for 36 of the 48 operations (si_empirical's element-mode table
+    is symmorphic), and the non-centred FCC loses half of them, so every
+    answer is reached."""
+    fixtures = []
+    diamond_picks = {0, 1, 2}
+    for name in PRESETS:
+        cfg = load_config(preset_path(name))
+        fixtures.append((name, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
+                         {0} if name in ("free", "si_empirical")
+                         else diamond_picks))
+    lat = make_cubic("DIAMOND", A_SI)
+    rec = reciprocal_of(lat)
+    fixtures.append(("cohen-bergstresser", COHEN_BERGSTRESSER, lat, rec,
+                     PlaneWaveBasis.from_cutoff(rec, 140 * SHELL),
+                     diamond_picks))
+    odd = non_centered()
+    odd_rec = reciprocal_of(odd)
+    fixtures.append(("non-centred", Potential(0.5), odd, odd_rec,
+                     PlaneWaveBasis.from_cutoff(odd_rec, 44 * SHELL), {0, -1}))
+    for cutoff, picks in ((0, {0}), (12, diamond_picks)):
+        fixtures.append((f"z05-{cutoff}", Potential(0.5), lat, rec,
+                         PlaneWaveBasis.from_cutoff(rec, cutoff * SHELL),
+                         picks))
+    return fixtures
+
+
+SYMMETRY_FIXTURES = symmetry_fixtures()
+
+
+class TestSymmetryOnTheTable:
+    """Each generator is tested on V's table (V at one pair of rows per
+    coefficient difference), not on V's dim^2 entries."""
+
+    @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
+                             ids=[f[0] for f in SYMMETRY_FIXTURES])
+    def test_table_test_picks_what_the_scan_picks(self, fixture):
+        _, model, lat, rec, basis, answers = fixture
+        block = BlochMatrix.of(potential_matrix(model, lat, rec, basis))
+        crystal = operations(lat, rec, basis)
+        assert len(crystal.ops) == 48
+        picks = [_symmetry(block, perm, signs, crystal.pairs)
+                 for perm, signs in zip(crystal.perm, crystal.signs)]
+        assert picks == [scanned_symmetry(block, perm, signs)
+                         for perm, signs in zip(crystal.perm, crystal.signs)]
+        assert picks[0] == 0 and set(picks) == answers  # 0: the identity
+
+    @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
+                             ids=[f[0] for f in SYMMETRY_FIXTURES])
+    def test_pairs_hold_each_difference_once(self, fixture):
+        _, _, lat, rec, basis, _ = fixture
+        i, j = operations(lat, rec, basis).pairs
+        c = basis.coeffs
+        every = np.unique((c[:, None] - c[None]).reshape(-1, 3), axis=0)
+        held = c[i] - c[j]
+        assert len(np.unique(held, axis=0)) == len(held) == len(every)
+        assert {tuple(d) for d in held.tolist()} == \
+            {tuple(d) for d in every.tolist()}
+
+    @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
+                             ids=[f[0] for f in SYMMETRY_FIXTURES])
+    def test_box_lookup_finds_the_searched_image_rows(self, fixture):
+        _, _, lat, rec, basis, _ = fixture
+        np.testing.assert_array_equal(operations(lat, rec, basis).perm,
+                                      searched_perm(lat, rec, basis))
+
+    @pytest.mark.parametrize("rows, kept", [
+        (np.arange(1, 51), 48), (np.r_[0, 2:51], 6), (np.r_[:30, 31:51], 2),
+        (np.array([0, 7]), 6)], ids=["without-0", "without-1",
+                                     "without-30", "two-rows"])
+    def test_box_lookup_keeps_only_the_operations_of_the_basis(self, rows,
+                                                               kept):
+        # Rows of the 44 (pi/a)^2 sphere: each R that fixes the G missing
+        # from it (or the G beside G = 0) maps the basis onto itself, as
+        # the search finds: all 48 for G = 0, C3v's 6 for (-1, -1, -1) or
+        # (-1, 1, 1) and a mirror's 2 for (1, -3, -1) (in units of
+        # 2 pi / a).  G = 0 and coefficients (1, 0, 0) span a box of shape
+        # (3, 1, 1), where the flat index of an image at (0, 1, 0), outside
+        # it, is that of (1, 0, 0).
+        lat = make_cubic("DIAMOND", A_SI)
+        rec = reciprocal_of(lat)
+        whole = PlaneWaveBasis.from_cutoff(rec, 44 * SHELL)
+        basis = PlaneWaveBasis(whole.coeffs[rows], whole.cart[rows])
+        perm = operations(lat, rec, basis).perm
+        np.testing.assert_array_equal(perm, searched_perm(lat, rec, basis))
+        assert len(perm) == kept
