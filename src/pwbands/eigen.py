@@ -10,11 +10,12 @@ Bad input is rejected before LAPACK; an ndarray is V with T = 0.
 T may hold one row per point, shape (points, dim): a batch of Bloch
 vectors that share V and its row blocks, as consecutive samples of one
 line do.  ``eigh`` then takes each point's max|H| and the checks for all
-points at once, sets the thread count once, expands each row's vectors
-for all points in one call and verifies with one V X over every point's
-columns, each point held to its own max|H|; its per-point fields gain a
-leading point axis, as numpy's stacked linalg does.  A 1-D T is one point
-and gives unbatched fields.
+points at once, sets the thread count once, picks every point's lowest
+levels in one sort, expands each row's kept vectors for all points in one
+call and verifies with one X^T V^T over every point's columns, each point
+held to its own max|H|; its per-point fields gain a leading point axis,
+as numpy's stacked linalg does.  A 1-D T is one point and gives unbatched
+fields.
 
 Its ``sectors`` (``hamiltonian.row_blocks``) are one row of each irrep of
 the k-point's little group; without them H is one row.  LAPACK solves each
@@ -29,14 +30,22 @@ levels at SELECTION_TOL max|H| below the highest returned: a count that
 differs from the levels returned at the point (a NaN pivot stops it short)
 has each row solved alone, where the pick is exact.  A row's level is H's
 once per partner row; the lowest ``count``, so repeated, are verified
-against the whole H.  The stages, numpy's own (``_SYMBOLS``, via ctypes;
+against the whole H.  A returned vector belongs to the row that holds the
+first entry of its support, isuppz's first index: the rows' tridiagonals
+are uncoupled, so ?stemr solves each apart and no vector leaves its row.
+Its own 2 x 2 path (n = 2) names the other row there when it swaps the
+two levels, so at n <= 2 the first nonzero entry is read instead.  The
+stages, numpy's own (``_SYMBOLS``, via ctypes;
 without them numpy.linalg.eigh solves the unsplit H whole), share one
 buffer per batch of 8-byte words in regions named for the argument each
-holds (``_layout``): work, d, e, d copy and e copy (?stemr overwrites d
-and e), point, pivmin, w, isuppz, m, tryrac, iwork, ?larrc's n, eigcnt,
-lcnt, rcnt and larrc info, z, each point's z by row, which its returned
-vectors view, and each row's block and tau; all but z by row are reused
-point after point.
+holds (``_layout``): work, d, e, d copy and e copy (?stemr overwrites the
+copies, ?larrc counts on d and e), point, pivmin, w, isuppz, m, tryrac,
+iwork, ?larrc's n, eigcnt, lcnt, rcnt and larrc info, z, each point's w
+and z by row, which its returned pairs view, and each row's block, laid
+end to end, then each row's tau; all but w and z by row are reused point
+after point.  Every pointer, and every argument but a back-transform's
+vectors, is made into its ctypes object once a batch; a point then costs,
+outside LAPACK, a few array operations and one call per stage.
 
 A matrix whose largest row has fewer than ONE_THREAD_BELOW (512) rows is
 solved and verified on one OpenBLAS thread (a process-wide count, put back
@@ -170,10 +179,16 @@ class Sector(NamedTuple):
     coef: np.ndarray
     matrix: np.ndarray
 
-    def expand(self, ys: np.ndarray) -> np.ndarray:
-        """(U_j y)^T for each partner j, then each row y of ys."""
-        terms = (np.take(ys, col, axis=1) * coef[:, None] for col, coef in
-                 zip(self.column.T, self.coef.transpose(2, 0, 1)))
+    def expand(self, ys: np.ndarray, partner=None) -> np.ndarray:
+        """(U_j y)^T for each partner j, then each row y of ys; given
+        ``partner``, (U_j y)^T for each row y of ys and its partner j."""
+        coef = np.ascontiguousarray(self.coef.transpose(0, 2, 1))
+        if partner is None:  # by partner, row of ys, slot and basis row
+            ys, coef = ys[None], coef[:, None]
+        elif len(coef) > 1:  # one partner broadcasts
+            coef = coef[partner]
+        terms = (ys[..., col] * coef[..., e, :]
+                 for e, col in enumerate(self.column.T))
         xs = next(terms)
         for term in terms:  # summed in place: a batch's rows are many
             xs += term
@@ -357,53 +372,48 @@ def _lowest(split, kinetic, count, scales):
                         want, scales)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
-    # Each row's vectors at every point, by point and level, copied out of
-    # the solver's buffer, which is then let go; the values to match.
-    infos = [info for info, _ in solved]
-    ys = [np.concatenate([pairs[s][1].T for _, pairs in solved])
-          for s in range(len(split))]
-    found = np.array([[len(w) for w, _ in pairs] for _, pairs in solved])
-    partners = [len(s.coef) for s in split]
-    values = np.concatenate([pairs[s][0] for _, pairs in solved
-                             for s, d in enumerate(partners)
-                             for _ in range(d)])
-    del solved
-    for info, m in zip(infos, found.sum(axis=1).tolist()):
+    pairs = [pair for _, point in solved for pair in point]  # (point, row)
+    points, rows = len(solved), len(split)
+    found = np.array([len(w) for w, _ in pairs]).reshape(points, rows)
+    for (info, _), m in zip(solved, found.sum(axis=1).tolist()):
         if info != 0 or m != want:
             raise SolverError(f"eigensolver failed: LAPACK info {info}, "
                               f"{m} of {want} eigenpairs")
+    values = np.concatenate([w for w, _ in pairs])  # by point, row, level
     if not np.isfinite(values).all():  # NaN would sort past the kept
         raise SolverError("eigensolver returned non-finite eigenvalues")
-    # Where each level, in the order ``values`` holds them (by point, row,
-    # partner, level), sits among its row's expanded vectors (by partner,
-    # point, level), and its row.
-    totals, ends = found.sum(axis=0).tolist(), [0] * len(split)
-    spots, row = [], []
-    for point in found.tolist():
-        for s, (m, d) in enumerate(zip(point, partners)):
-            for j in range(d):
-                spots += range(ends[s] + j * totals[s],
-                               ends[s] + j * totals[s] + m)
-            row += [s] * (d * m)
-            ends[s] += m
-    spots, row = np.array(spots), np.array(row)
-    levels = found @ partners
-    # Ascending within each point, ties in that order, the lowest ``count``.
-    order = np.lexsort((values, np.repeat(np.arange(len(levels)), levels)))
-    keep = order[(np.cumsum(levels) - levels)[:, None] + np.arange(count)]
-    # Each row that holds a kept level expanded once for the whole batch,
-    # and the kept levels' vectors taken from those rows.
-    # (Not np.unique: its first call imports numpy.ma, about 1 MiB.)
-    used = sorted(set(row[keep].ravel().tolist()))
-    xs = [split[s].expand(ys[s]) for s in used]
-    first = np.zeros(len(split), int)
-    first[used] = np.cumsum([len(x) for x in xs]) - [len(x) for x in xs]
-    vectors = np.concatenate(xs)[(first[row] + spots)[keep.ravel()]]
-    names = [s.label for s in split]
-    return (values[keep],
-            vectors.reshape(len(levels), count, -1).transpose(0, 2, 1),
-            tuple(tuple(names[r] for r in point)
-                  for point in row[keep].tolist()))
+    # A row's level is H's once per partner row: H's levels on a grid by
+    # point, row, partner and level, +inf where a row has no such partner
+    # or level, ascending along each point's, ties in that order; the
+    # lowest ``count``.
+    partners, wide = [len(s.coef) for s in split], found.max()
+    grid = np.full((points, rows, wide), np.inf)
+    grid[np.arange(wide) < found[..., None]] = values
+    grid = np.where((np.arange(max(partners)) < np.array(partners)[:, None])[
+        ..., None], grid[:, :, None], np.inf).reshape(points, -1)
+    keep = np.argsort(grid, axis=1, kind="stable")[:, :count]
+    row, level = np.divmod(keep, max(partners) * wide)
+    partner, level = np.divmod(level, wide)
+    # Each kept level's vector: its row's vector expanded in its partner
+    # row, from the row's vectors of every point, stacked by point and
+    # level, for each row that holds a kept level.
+    at = (found.cumsum(axis=0) - found)[np.arange(points)[:, None], row] \
+        + level
+    row, at, partner = row.ravel(), at.ravel(), partner.ravel()
+    by_row = np.argsort(row, kind="stable")
+    ends = np.cumsum(np.bincount(row, None, rows)).tolist()
+    vectors = np.empty((len(row), len(kinetic[0])),
+                       np.result_type(pairs[0][1], split[0].coef))
+    for s, (lo, hi) in enumerate(zip([0, *ends], ends)):
+        if hi > lo:
+            mine = by_row[lo:hi]
+            ys = np.concatenate([point[s][1].T for _, point in solved])
+            vectors[mine] = split[s].expand(ys[at[mine]], partner[mine])
+    names = [s.label for s in split].__getitem__
+    return (np.take_along_axis(grid, keep, 1),
+            vectors.reshape(points, count, -1).transpose(0, 2, 1),
+            tuple(tuple(map(names, point))
+                  for point in row.reshape(points, count).tolist()))
 
 
 def _solve(blocks, count, scales):
@@ -428,84 +438,133 @@ def _solve(blocks, count, scales):
     buf = np.empty(total)  # one buffer, as a ctypes pointer costs ~2 us
     ints, base = buf.view(np.int64), buf.ctypes.data
     ptr = {name: base + 8 * span.start for name, span in at.items()}
-    # The regions numpy reads and writes at every point, viewed once.
+    word = {name: span.start for name, span in at.items()}
+    # max|H| scaled near 1 by a power of two, exactly: ?stemr meets no
+    # absolute threshold (z05 at a = 1e-6 A, max|H| 1e15 eV, info 22).
+    scales = [float(scale) for scale in scales]
+    fs = [2.0 ** min(-round(math.log2(scale)), 1023) if scale else 1.0
+          for scale in scales]
+    # Every point's scaled T, by block as d holds it, for the diagonals of
+    # the blocks, which lie end to end.
+    scaled = np.concatenate([t for _, t in blocks], axis=1) * np.array(
+        fs)[:, None]
+    vs = [v for v, _ in blocks]
     squares = [buf[at["block", s]].view(v.dtype).reshape(m, m)
                for s, m in enumerate(sizes)]
-    diagonals = [a.reshape(-1)[::m + 1] for a, m in zip(squares, sizes)]
-    tops = np.array(rows[1:])
+    packed = buf[at["block", 0].start:at["block", len(sizes) - 1].stop].view(
+        v.dtype)
+    diagonal, block = _blocks(tuple(sizes))
+    first = ints[at["isuppz"]][::2]
     z_all = buf[at["z"]].view(v.dtype).reshape(count, n)
+    z_point = buf[at["z by row"]].view(v.dtype).reshape(-1, count, n)
+    w_all, w_point = buf[at["w"]], buf[at["w by row"]].reshape(-1, count)
+    w_point[:] = 0.0  # scaled back after the loop; unwritten rows stay 0
+    # ?stemr takes copies of d and e, which it overwrites: ?larrc counts
+    # on d and e, whose entries between blocks no reduction writes.
+    buf[at["e"]] = 0.0
+    de = buf[word["d"]:word["e"] + n]
+    de_copy = buf[word["d copy"]:word["e copy"] + n]
+    buf[at["pivmin"]], ints[at["n"]] = 0.0, n
+    # Each call's arguments as the ctypes objects it takes, made once: a
+    # call converts none.  Only a back-transform's vectors change.
+    reduces = [_args(reduce, _COL_MAJOR, b"U", m, ptr["block", s], m,
+                     ptr["d"] + 8 * rows[s], ptr["e"] + 8 * rows[s],
+                     ptr["tau", s], ptr["work"], 16 * m)
+               for s, m in enumerate(sizes)]
+    stemr_args = _args(stemr, _COL_MAJOR, b"V", b"I", n, ptr["d copy"],
+                       ptr["e copy"], 0.0, 0.0, 1, count, ptr["m"], ptr["w"],
+                       ptr["z"], n, count, ptr["isuppz"], ptr["tryrac"],
+                       ptr["work"], 18 * n, ptr["iwork"], 10 * n)
+    sturm_args = _args(sturm, b"T", ptr["n"], ptr["point"], ptr["point"],
+                       ptr["d"], ptr["e"], ptr["pivmin"], ptr["eigcnt"],
+                       ptr["lcnt"], ptr["rcnt"], ptr["larrc info"], 1)
+    # A back-transform's, less the count, place and workspace of the
+    # vectors it applies (arguments 5, 9 and 12).
+    backs = [(args[:5], args[6:9], args[10:]) for args in (
+        _args(back, _COL_MAJOR, b"L", b"U", b"N", m, 0, ptr["block", s], m,
+              ptr["tau", s], 0, n, ptr["work"]) for s, m in enumerate(sizes))]
+    step = 8 * k * n * count
+    i_m, i_tryrac, i_lcnt = word["m"], word["tryrac"], word["lcnt"]
+    i_point = word["point"]
     solved = []
-    for i, scale in enumerate(scales):
-        # max|H| scaled near 1 by a power of two, exactly: ?stemr meets no
-        # absolute threshold (z05 at a = 1e-6 A, max|H| 1e15 eV, info 22).
-        f = 2.0 ** min(-round(math.log2(scale)), 1023) if scale else 1.0
-        info = 0
-        buf[at["e"]] = 0.0  # no coupling between blocks
-        for s, ((v, kinetic), a, m) in enumerate(zip(blocks, squares,
-                                                     sizes)):
+    for i, (f, scale) in enumerate(zip(fs, scales)):
+        for v, a in zip(vs, squares):
             np.multiply(v, f, out=a)  # C-order conj(H) is H column-major
-            if k == 2:
-                np.conjugate(a, out=a)
-            diagonals[s] += kinetic[i] * f
-            info = info or reduce(_COL_MAJOR, b"U", m, ptr["block", s], m,
-                                  ptr["d"] + 8 * rows[s],
-                                  ptr["e"] + 8 * rows[s], ptr["tau", s],
-                                  ptr["work"], 16 * m)
-        buf[at["d copy"]], buf[at["e copy"]] = buf[at["d"]], buf[at["e"]]
-        ints[at["tryrac"]] = 1  # try for relative accuracy
-        info = info or stemr(_COL_MAJOR, b"V", b"I", n, ptr["d"], ptr["e"],
-                             0.0, 0.0, 1, count, ptr["m"], ptr["w"],
-                             ptr["z"], n, count, ptr["isuppz"],
-                             ptr["tryrac"], ptr["work"], 18 * n,
-                             ptr["iwork"], 10 * n)
-        found = 0 if info else int(ints[at["m"]][0])
+        if k == 2:
+            np.conjugate(packed, out=packed)
+        packed[diagonal] += scaled[i]
+        info = 0
+        for args in reduces:
+            info = info or reduce(*args)
+        de_copy[:] = de
+        ints[i_tryrac] = 1  # try for relative accuracy
+        info = info or stemr(*stemr_args)
+        found = 0 if info else int(ints[i_m])
         if found == count and len(sizes) > 1:
-            w = buf[at["w"]][:found].tolist()  # ascending
-            buf[at["point"]] = point = w[-1] - SELECTION_TOL * scale * f
-            buf[at["pivmin"]], ints[at["n"]] = 0.0, n
-            sturm(b"T", ptr["n"], ptr["point"], ptr["point"], ptr["d copy"],
-                  ptr["e copy"], ptr["pivmin"], ptr["eigcnt"], ptr["lcnt"],
-                  ptr["rcnt"], ptr["larrc info"], 1)
-            if ints[at["lcnt"]][0] != bisect_right(w, point):
+            w = w_all[:found].tolist()  # ascending
+            buf[i_point] = point = w[-1] - SELECTION_TOL * scale * f
+            sturm(*sturm_args)
+            if ints[i_lcnt] != bisect_right(w, point):
                 solved.append(_by_row([(v, kinetic[i:i + 1])
                                        for v, kinetic in blocks], count,
                                       scale))
                 continue
-        # Each level's block: where its vector's first nonzero lies.  Not
-        # isuppz: ?stemr's own 2 x 2 path (n = 2), when it swaps the two
-        # levels, gives the other row's index there.  By block, a block's
-        # p vectors are a column-major m x p matrix of z.
-        owner = np.searchsorted(tops, np.argmax(z_all[:found] != 0, axis=1),
-                                side="right")
-        order = np.argsort(owner, kind="stable")
+        # Each returned vector's block.  For n > 2 ?stemr's vectors of a
+        # split tridiagonal lie in their block, whose row isuppz names
+        # first; its own 2 x 2 path (n = 2) swaps the two levels without
+        # their support, so there the first nonzero entry is read.
+        owner = block[first[:found] if n > 2 else
+                      1 + np.argmax(z_all[:found] != 0, axis=1)]
+        order = owner.argsort(kind="stable")
         ends = [0, *accumulate(np.bincount(owner, None, len(sizes)).tolist())]
-        z = buf[at["z by row", i]].view(v.dtype).reshape(count, n)[:found]
-        np.take(z_all, order, 0, z)
-        w, pairs = buf[at["w"]][:found][order] / f, []
-        at_z = ptr["z by row", i]
+        w, z, pairs = w_point[i, :found], z_point[i, :found], []
+        w_all.take(order, 0, w)
+        z_all.take(order, 0, z)
+        at_z = ptr["z by row"] + i * step
         for s, (m, lo, hi) in enumerate(zip(sizes, ends, ends[1:])):
-            info = info or back(_COL_MAJOR, b"L", b"U", b"N", m, hi - lo,
-                                ptr["block", s], m, ptr["tau", s],
-                                at_z + 8 * k * (lo * n + rows[s]), n,
-                                ptr["work"], max(1, hi - lo))
+            if hi > lo:  # a block that holds no vector is not transformed
+                head, mid, tail = backs[s]
+                info = info or back(*head, hi - lo, *mid,
+                                    at_z + 8 * k * (lo * n + rows[s]), *tail,
+                                    hi - lo)
             pairs.append((w[lo:hi], z[lo:hi, rows[s]:rows[s] + m].T))
         solved.append((info, pairs))
+    w_point /= np.array(fs)[:, None]
     return solved
+
+
+def _args(stage, *args):
+    """``args`` as the ctypes objects of ``stage``'s argument types, or as
+    they are for a stage that declares none (a Python function)."""
+    kinds = getattr(stage, "argtypes", None)
+    return args if kinds is None else tuple(
+        kind(arg) for kind, arg in zip(kinds, args))
+
+
+@lru_cache(maxsize=256)
+def _blocks(sizes):
+    """For blocks of ``sizes`` rows laid end to end: where each diagonal
+    entry lies among their entries, and each row's block, indexed by the
+    row counted from 1, as isuppz counts (index 0 is block 0's too)."""
+    ends = [*accumulate(m * m for m in sizes)]
+    return (np.concatenate([np.arange(end - m * m, end, m + 1)
+                            for end, m in zip(ends, sizes)]),
+            np.repeat(np.arange(len(sizes)), [sizes[0] + 1, *sizes[1:]]))
 
 
 @lru_cache(maxsize=256)
 def _layout(sizes, count, k, points):
-    """_solve's regions as slices of words, k words a number, and the total."""
+    """_solve's regions as slices of words, k words a number, and the total:
+    the blocks lie end to end, as do d and e, and d copy and e copy."""
     n = sum(sizes)
     words = {"work": max(18 * n, 16 * k * max(sizes)), "d": n, "e": n,
              "d copy": n, "e copy": n, "point": 1, "pivmin": 1, "w": n,
              "isuppz": 2 * count, "m": 1, "tryrac": 1, "iwork": 10 * n,
              "n": 1, "eigcnt": 1, "lcnt": 1, "rcnt": 1, "larrc info": 1,
-             "z": k * n * count}
-    for i in range(points):
-        words["z by row", i] = k * n * count
-    for s, m in enumerate(sizes):
-        words["block", s], words["tau", s] = k * m * m, k * m
+             "z": k * n * count, "w by row": points * count,
+             "z by row": points * k * n * count}
+    words |= {("block", s): k * m * m for s, m in enumerate(sizes)}
+    words |= {("tau", s): k * m for s, m in enumerate(sizes)}
     ends = [*accumulate(words.values(), initial=0)]
     return dict(zip(words, map(slice, ends, ends[1:]))), ends[-1]
 
@@ -533,22 +592,23 @@ def _verify(v, kinetic, values, vectors, scales):
     if not np.all(values[:, 1:] >= values[:, :-1]):
         raise SolverError("eigenvalues are not ascending")
     points, dim, count = vectors.shape
-    gram = vectors.conj().transpose(0, 2, 1) @ vectors
+    x = vectors.transpose(0, 2, 1)  # (points, count, dim), each row C-order
+    gram = x.conj() @ vectors
     gram.reshape(points, -1)[:, ::count + 1] -= 1.0
     ortho = np.abs(gram).max(axis=(1, 2))
     if not ortho.max() <= ORTHONORMALITY_TOL:
         raise SolverError(f"eigenvectors not orthonormal: {ortho.max():.3e}")
-    # H X - X diag(lambda) = V X + (T - lambda) X, one V X for the batch's
-    # columns.  Scaled before the norm, whose squares overflow once |H|
-    # passes 1e154.
-    x = vectors.transpose(1, 0, 2)  # (dim, points, count), a view
-    r = (v @ x.reshape(dim, -1)).reshape(x.shape)
-    t = (kinetic.T[:, :, None] - values).astype(x.dtype, copy=False)
+    # (H X - X diag(lambda))^T = X^T V^T + X^T (T - lambda), one X^T V^T for
+    # the batch's columns, laid out as the vectors are.  Scaled before the
+    # squares, which overflow once |H| passes 1e154.
+    r = (x.reshape(-1, dim) @ v.T).reshape(x.shape)
+    t = (kinetic[:, None] - values[..., None]).astype(x.dtype, copy=False)
     t *= x  # in place, as r: a batch's columns are many
     r += t
     del t
-    r /= np.maximum(scales, 1e-300)[:, None]
-    residual = np.linalg.norm(r, axis=0).max(axis=1)
+    r /= np.maximum(scales, 1e-300)[:, None, None]
+    r = r.view(np.float64)  # |r|^2 as the squares of re and im
+    residual = np.sqrt(np.einsum("pcd,pcd->pc", r, r)).max(axis=1)
     if not residual.max() <= RESIDUAL_TOL:
         raise SolverError(f"residual {residual.max():.3e} max|H| exceeds "
                           f"{RESIDUAL_TOL:.1e} max|H|")

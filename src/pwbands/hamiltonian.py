@@ -365,7 +365,10 @@ def build(kappa, basis: PlaneWaveBasis, potential) -> BlochMatrix:
         potential = BlochMatrix.of(potential)
     if basis.dim != potential.dim:
         raise AssemblyError(f"basis dim {basis.dim} is not V's {potential.dim}")
+    # |kappa + G|^2 summed over x, y, z in that order, as np.sum does.
     with np.errstate(over="ignore"):  # an inf T is rejected by eigh
-        kinetic = HBAR2_OVER_2M * np.sum(
-            (kappa[..., None, :] + basis.cart) ** 2, axis=-1)
+        kinetic = (kappa[..., :1] + basis.cart[:, 0]) ** 2
+        for axis in (1, 2):
+            kinetic += (kappa[..., axis, None] + basis.cart[:, axis]) ** 2
+        kinetic *= HBAR2_OVER_2M
     return potential._replace(kinetic=kinetic)

@@ -1004,12 +1004,14 @@ class TestWorkspaces:
                 return stage(*args)
             return call
 
+        # Made first: its group's irreps, solved by LAPACK once a process,
+        # are not H's.
+        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
         monkeypatch.setattr(eigen_mod, "_DRIVERS", {
             dtype: (recording(reduce, "reduce", 2), stemr,
                     recording(back, "back", 5), *rest)
             for dtype, (reduce, stemr, back, *rest)
             in eigen_mod._DRIVERS.items()})
-        h = split_x_matrix(make_cubic("DIAMOND", 5.431))
         eigh(h, 8)
         eigh(two_rows(340, 200, 80, True), 340)
         reduced = [(m, lwork) for kind, m, lwork in seen if kind == "reduce"]
@@ -1019,8 +1021,62 @@ class TestWorkspaces:
         assert all(lwork == 16 * m for m, lwork in reduced)
         assert sum(p for p, _ in applied[:-2]) == 8
         assert [p for p, _ in applied[-2:]] == [200, 140]
-        assert all(lwork == max(1, p) for p, lwork in applied)
-        assert any(p == 0 for p, _ in applied)
+        assert all(lwork == p > 0 for p, lwork in applied)
+        # A row that holds no returned vector is not transformed.
+        assert len(applied) - 2 < len(h.sectors)
+
+    @pytest.mark.parametrize("where", ["tour", "Γ"])
+    def test_each_point_calls_each_stage_once_a_row(self, monkeypatch,
+                                                    where):
+        # Per point: a reduction of each row, one ?stemr, one Sturm count
+        # if there are rows to pick across, and a back-transform of each
+        # row that holds a returned vector, of those vectors.
+        calls, points, inside = [], [], []
+
+        def counting(stage, name):
+            def call(*args):
+                if inside:  # not the little groups' irreps
+                    calls.append((name, args))
+                return stage(*args)
+            return call
+
+        monkeypatch.setattr(eigen_mod, "_DRIVERS", {
+            dtype: tuple(map(counting, stages,
+                             ("reduce", "stemr", "back", "sturm")))
+            for dtype, stages in eigen_mod._DRIVERS.items()})
+        solve = eigen_mod._solve
+
+        def recording(blocks, count, scales):
+            inside.append(True)
+            solved = solve(blocks, count, scales)
+            inside.pop()
+            sizes = [kinetic.shape[1] for _, kinetic in blocks]
+            points.extend((sizes, [len(w) for w, _ in pairs])
+                          for _, pairs in solved)
+            return solved
+
+        monkeypatch.setattr(eigen_mod, "_solve", recording)
+        if where == "tour":
+            cfg = load_config(preset_path("z05"))
+            assert cfg.basis.dim == 89
+            sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
+                  cfg.num_bands)
+            assert len(points) == len(cfg.path.kappas)
+        else:
+            h = split_x_matrix(make_cubic("DIAMOND", 5.431), point="Γ")
+            assert (h.dim, len(h.sectors)) == (89, 8)
+            eigh(h, 8)
+            assert len(points) == 1
+        calls = iter(calls)
+        for sizes, found in points:
+            expected = [("reduce", m) for m in sizes] + [("stemr", None)] \
+                + [("sturm", None)] * (len(sizes) > 1) + [
+                    ("back", (m, p)) for m, p in zip(sizes, found) if p]
+            got = [next(calls) for _ in expected]
+            assert [(name, args[2] if name == "reduce" else
+                     (args[4], args[5]) if name == "back" else None)
+                    for name, args in got] == expected
+        assert next(calls, None) is None
 
 
 class TestErrors:
