@@ -381,19 +381,27 @@ def bands_csv(bs: BandStructure) -> str:
         ("d", ".6f", "s", ".6f"))
 
 
+# One entry of bands.json's "points" as json.dumps(indent=2) lays it out.
+_POINT = ('    {\n      "k_index": %d,\n      "arc_distance": %s,\n'
+          '      "label": %s,\n      "energies": [\n        %s\n      ]\n    }')
+
+
 def bands_json(bs: BandStructure, gaps, raw_config: dict) -> str:
-    """JSON of the CSV's rows plus config echo and gap report."""
-    return _json({
-        "config": raw_config,
-        "num_bands": bs.num_bands,
-        "points": [{
-            "k_index": i,
-            "arc_distance": arc,
-            "label": label,
-            "energies": energies.tolist(),
-        } for i, arc, label, energies in _band_rows(bs)],
-        "gaps": [asdict(g) for g in gaps],
-    })
+    """JSON of the CSV's rows plus config echo and gap report, as ``_json``
+    writes it.  The rows are the bulk: their numbers come from json's C
+    encoder (float.__repr__) without indent, laid out as indent=2 would,
+    not from the pure-Python encoder that indent forces."""
+    head = _json({"config": raw_config, "num_bands": bs.num_bands})[:-3]
+    arcs = json.dumps(bs.path.arc_distances.tolist())[1:-1].split(", ")
+    rows = json.dumps(bs.energies.tolist())[2:-2].split("], [")
+    points = ",\n".join(_POINT % (
+        i, arc, "null" if label is None else json.dumps(
+            label, ensure_ascii=False), row.replace(", ", ",\n        "))
+        for i, (arc, label, row) in enumerate(zip(arcs, bs.path.labels,
+                                                  rows)))
+    gap_list = _json([asdict(g) for g in gaps])[:-1].replace("\n", "\n  ")
+    return (f'{head},\n  "points": [\n{points}\n  ],\n'
+            f'  "gaps": {gap_list}\n}}\n')
 
 
 def gaps_json(gaps, raw_config: dict) -> str:

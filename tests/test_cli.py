@@ -239,6 +239,33 @@ class TestBandsCommand:
             assert entry["below_band"] == gap.below_band
             assert entry["width"] == gap.width
 
+    @pytest.mark.parametrize("bands", [1, 3])
+    @pytest.mark.parametrize("energy", [-2.5e-300, 1.0 / 3.0, math.nan,
+                                        math.inf, -math.inf])
+    def test_json_is_json_dumps_with_indent(self, bands, energy):
+        # The rows are laid out by hand; the bytes are json.dumps's, for
+        # every float it writes, labels of any text, and no gaps or some.
+        from pwbands.bands import BandStructure, GapEntry
+        from pwbands.cli import bands_json
+        from pwbands.lattice import KPath
+
+        labels = ("L", None, 'q"\\/\u00e9\u0393\n\u0001', None)
+        path = KPath(np.zeros((4, 3)), np.array([0.0, 0.1, 1e300, 2.0]),
+                     labels)
+        energies = np.arange(4 * bands, dtype=float).reshape(4, bands) / 7
+        energies[1, -1] = energy
+        bs = BandStructure(path, energies)
+        raw = {"output": {"num_bands": bands}, "path": {"points": ["Γ"]}}
+        for gaps in ([], [GapEntry(1, 0.5, 0.75, 0.25)]):
+            assert bands_json(bs, gaps, raw) == json.dumps({
+                "config": raw, "num_bands": bands, "points": [{
+                    "k_index": i, "arc_distance": arc, "label": label,
+                    "energies": row} for i, (arc, label, row) in enumerate(
+                        zip(path.arc_distances.tolist(), labels,
+                            energies.tolist()))],
+                "gaps": [dataclasses.asdict(g) for g in gaps]},
+                indent=2, ensure_ascii=False) + "\n"
+
     def test_csv_agrees_with_json_at_6_decimals(self, write_config, tmp_path):
         path = write_config()
         out = tmp_path / "out"
