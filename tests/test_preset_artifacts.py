@@ -62,7 +62,7 @@ EXPECTED = {
             "bands.csv":
                 "c2e680413e6831d525e27febce31e002da8e72edfae73b233c815d1444c48ab7",
             "bands.json":
-                "b6c2c9322e5bd1dcd8533b4e9f0464801907ef15c8c2c3a13d125f9e55d22ebe",
+                "d213f5279b6aefe0343a4bd455cb3a355abb69b4a77442687a68a023e3457257",
             "bands.svg":
                 "cce64d47105041929e7411f500cd883701a5deff446353427a9e1d95c188a972",
         },
@@ -78,7 +78,7 @@ EXPECTED = {
             "converge.csv":
                 "492dad97b183cac70a09e9ba3e81e98a623f6968f9a3e1a846c0e0c103e66c0d",
             "converge.json":
-                "d0f86bcc9d1b417aaf15befda1d1b915b61e3cf944ef7c0b50002e4836921cea",
+                "2c362dd493a5e38ff1cfe3a00c22f2ad9be2570b07dd23d2647580ac50ea4ca4",
         },
         "info": {
             "stdout":
@@ -92,7 +92,7 @@ EXPECTED = {
             "bands.csv":
                 "ad9f1e83a55f625741773fd9e5014faead67c457d2dbf3e71530313bbb041f38",
             "bands.json":
-                "b9aae64d93e6c5028f501d4c5327f33cfed0b29a0fffe2b2fce3646a9c94623c",
+                "dea5f9c9bb5cc935e2ccf4c37942296f6f25633c6110f2a23c2ca41882cf7d40",
             "bands.svg":
                 "ceda8e6a3bf94f0924876bf6dc8ec52b27e165bf82067e27291739cef32b38f8",
         },
@@ -100,7 +100,7 @@ EXPECTED = {
             "stdout":
                 "8fca297ac334877abdf3b0ad92a3cb1db6372cfcba0c363f906b7e907401dc2d",
             "gaps.json":
-                "f50417e334c11fc56bbff5bdb4541cd5f773960dc346d8f841045e7f1f7d2d28",
+                "3baef6de2147a6b8af31357e2665049b910eb00b42f2a74ba7e916a1fbff8ad9",
         },
         "converge": {
             "stdout":
@@ -108,7 +108,7 @@ EXPECTED = {
             "converge.csv":
                 "6cf6d4476efd6d65885968bc2fe72048e02123239356eec941af9ff357f7eb53",
             "converge.json":
-                "3ab25ebf96d1517bc6b0d5aabe0502f5d5cdb840fb6f1c0d666c7b22eec68f82",
+                "13f4894efc3c70497a8a073c48fa70897d7978f04aad159e210c37c3661e5b5f",
         },
         "info": {
             "stdout":
@@ -122,7 +122,7 @@ EXPECTED = {
             "bands.csv":
                 "162ac7c14484a22d6ec3bee60e56c09833e46943eaf78ebd0ef7964108ff4f99",
             "bands.json":
-                "16b454e279a264c6139527f69dc31fea73ec806a808d2d68b783d1572c6ffda3",
+                "c2c5f8e074f3eebad809b2e042f285731e37a58388ee5ce17ebd8ac06a7d9f87",
             "bands.svg":
                 "fb9a4127f0cec9cc81b3d709978f840af6edf3d9b84476c01123abd35bc6d2e6",
         },
@@ -130,7 +130,7 @@ EXPECTED = {
             "stdout":
                 "0d9c988d4004465264531fccdb503d20a4526e802fd055d23d31350340011baa",
             "gaps.json":
-                "4c25dc59c756638f70379dcb174c8fe25dae2b3604cf9b1de93f2ecdcb7e5ee5",
+                "d922ddea29a709376d70f1ed5b2e5d73bcebdc5d34809ccd6dd4809559915417",
         },
         "converge": {
             "stdout":
@@ -138,7 +138,7 @@ EXPECTED = {
             "converge.csv":
                 "de7e00346b130203ac1111608239836430d996c2b7257759a1da6a4721e46461",
             "converge.json":
-                "74dd65087c3c3c7c4af3267d3bed3979d7972abe60e5aa4e617683f2146fe359",
+                "fbf6ca4dc1a46a694d61a56b63ae8bca8c97a9a313ca9afb1738d25aa33dc7ac",
         },
         "info": {
             "stdout":
@@ -152,7 +152,7 @@ EXPECTED = {
             "bands.csv":
                 "3f672fb89b7b76d69cc0e5fb641a59562c8410fa5941f985fb06e7028123a36f",
             "bands.json":
-                "2ce2c9cf05858fd4f29218a946cab472159eca491ba19482607b0a1f32d0af6b",
+                "a722ed2757c5f299b6a136a63ec092621a4b80c2fce903e49398e9ecc2d243b7",
             "bands.svg":
                 "9f59d8d38bf08f1df21d35b8023445f2545aae20e53c34915504152682aff544",
         },
@@ -160,7 +160,7 @@ EXPECTED = {
             "stdout":
                 "95e4f52795407160a9228bc8ca21073e907a6c3ecde495d964e7d042f480f7fb",
             "gaps.json":
-                "947bf685da2bfde1af1abf14688e7e13a2fa644d046b2cc9b48b9ab98949e944",
+                "8d393c6345385c944ae34edbd7dc4b00059fa24f23e0de07b9cae7231445a44a",
         },
         "converge": {
             "stdout":
@@ -168,7 +168,7 @@ EXPECTED = {
             "converge.csv":
                 "a7bd21ba222491dd4ff1aa52b8d3de3d85657ae854b589de35282ab72a948597",
             "converge.json":
-                "7eddd2e2aba242f970856822a08b179b8698fe29c1162a802fbda469a1fbb854",
+                "81bb8f5d7fdb297fdf034df5e84063c7acca0219592954575f7b694d02aee26c",
         },
         "info": {
             "stdout":
