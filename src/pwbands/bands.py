@@ -11,8 +11,9 @@ from itertools import groupby
 import numpy as np
 
 from .eigen import BlochMatrix, NonHermitianError, SolverError, eigh
-from .hamiltonian import (AssemblyError, PlaneWaveBasis, build, little_group,
-                          operations, potential_matrix, row_blocks)
+from .hamiltonian import (AssemblyError, PlaneWaveBasis, build, differences,
+                          little_group, operations, potential_matrix,
+                          row_blocks)
 from .lattice import KPath, RealLattice, ReciprocalLattice
 from .potential import HBAR2_OVER_2M, Potential
 
@@ -94,14 +95,18 @@ def _solves(kappas, dims, model, lattice, recip, basis, num_bands, where):
     """(values, max|H|) at each (kappa, dim) pair in turn, on the first dim
     rows of ``basis``; a failure raises SweepError at where(index, kappa),
     an (index, place) pair.  V and the crystal's operations are built once,
+    from one table of the basis's coefficient differences,
     and each little group's row blocks once, on the whole basis; the
     smaller dims solve V's leading blocks and views of those row blocks,
     whose figures one pass over V gives (``BlochMatrix.leading``).
     Consecutive pairs of one little group and dim are built and solved as
     one batch of at most BATCH_BYTES of vectors; a batch that fails is
     solved again point by point, so that the error names its point."""
-    crystal = operations(lattice, recip, basis)
-    v = BlochMatrix.of(potential_matrix(model, lattice, recip, basis))
+    spans = differences(basis.coeffs)
+    crystal = operations(lattice, recip, basis, spans)
+    v = potential_matrix(model, lattice, recip, basis, spans)
+    del spans  # its dim x dim index goes before V's figures are taken
+    v = BlochMatrix.of(v)
     fixes, groups, cuts = crystal.fixes(kappas), {}, sorted(set(dims))
     keys = [fixing.tobytes() for fixing in fixes]
     for (key, dim), run in groupby(range(len(kappas)),

@@ -90,37 +90,48 @@ class PlaneWaveBasis:
         return PlaneWaveBasis(self.coeffs[:n], self.cart[:n])
 
 
-def _box(coeffs: np.ndarray) -> tuple:
+def differences(coeffs: np.ndarray) -> tuple:
     """The box of the coefficient differences a basis spans, 2 span + 1
     wide on each axis: its shape, the strides of its row-major flat index,
     each row's flat index counted from the basis's lowest corner (its
     ``key``, in the box too) and the zero difference's, so that G_i - G_j
-    sits at key_i - key_j + origin."""
+    sits at key_i - key_j + origin; that flat index of every G_i - G_j
+    (dim x dim); and each difference the basis spans, ascending, with a row
+    i of it (any would do).  ``potential_matrix`` and ``operations`` share
+    it: a sweep makes it once, and lets its dim x dim index go."""
     span = np.ptp(coeffs, axis=0)
     shape = 2 * span + 1
     strides = np.array([shape[1] * shape[2], shape[2], 1])
-    return (shape, strides, (coeffs - coeffs.min(axis=0)) @ strides,
-            span @ strides)
+    key, origin = (coeffs - coeffs.min(axis=0)) @ strides, span @ strides
+    flat = np.subtract.outer(key + origin, key)
+    owner = np.full(np.prod(shape), -1)
+    owner[flat] = np.arange(len(coeffs))[:, None]
+    diffs = np.flatnonzero(owner >= 0)
+    return shape, strides, key, origin, flat, diffs, owner[diffs]
 
 
 def potential_matrix(model: Potential, lattice: RealLattice,
-                     recip: ReciprocalLattice, basis: PlaneWaveBasis) -> np.ndarray:
+                     recip: ReciprocalLattice, basis: PlaneWaveBasis,
+                     spans: tuple | None = None) -> np.ndarray:
     """Kappa-independent potential block V[i,j] = <G_i|V|G_j>.
 
-    Matrix elements are evaluated once over the box of integer coefficient
-    differences the basis spans (``_box``), then gathered by flat index, so
-    entries depend only on the coefficient difference, never on list
-    position.  The block is returned as float64 when the table is exactly
-    real, as for a lattice whose origin is an inversion centre (the diamond
-    basis at +/-(a/8)(1,1,1), where S(G) = 2 cos(G.tau)); otherwise it is
-    complex.
+    Matrix elements are evaluated once at each integer coefficient
+    difference the basis spans (``differences``, or ``spans`` if given),
+    then gathered by flat index, so entries depend only on the coefficient
+    difference, never on list position.  The block is returned as float64
+    when those elements are exactly real, as for a lattice whose origin is
+    an inversion centre (the diamond basis at +/-(a/8)(1,1,1), where
+    S(G) = 2 cos(G.tau)); otherwise it is complex.
     """
-    shape, _, key, origin = _box(basis.coeffs)
-    box = np.indices(shape).reshape(3, -1).T - shape // 2
-    table = matrix_element(model, lattice, recip, box)
+    shape, _, _, _, flat, diffs, _ = (differences(basis.coeffs)
+                                      if spans is None else spans)
+    table = matrix_element(model, lattice, recip, np.stack(
+        np.unravel_index(diffs, shape), axis=-1) - shape // 2)
     if not np.any(table.imag):
         table = table.real
-    return table[np.subtract.outer(key + origin, key)]
+    box = np.empty(np.prod(shape), table.dtype)  # read only at diffs
+    box[diffs] = table
+    return box[flat]
 
 
 class Operations(NamedTuple):
@@ -143,32 +154,29 @@ class Operations(NamedTuple):
 
 
 def operations(lattice: RealLattice, recip: ReciprocalLattice,
-               basis: PlaneWaveBasis) -> Operations:
+               basis: PlaneWaveBasis, spans: tuple | None = None
+               ) -> Operations:
     """Each R of ``cubic_operations`` that maps the basis onto itself (a
     group), with the signs of each of its translations; which t, if any,
     commutes with V is left to ``little_group``.  The non-symmorphic ones
     (the glides and screws of diamond) give the zone's lines their groups.
+    ``spans`` is the basis's ``differences``, made here if not given.
     """
     ops, shifts = cubic_operations(lattice)
     # G = c B, so R G = c B R^T = c M with M = B R^T B^-1.
     m = recip.matrix @ ops.transpose(0, 2, 1) @ np.linalg.inv(recip.matrix)
     whole = np.abs(m - np.rint(m)).max(axis=(1, 2)) <= 1e-9
-    # Rows by flat index in the box of differences (``_box``), which holds
-    # the basis from its lowest corner: an image outside it, or on no row,
-    # is not in the basis.
-    shape, strides, key, origin = _box(basis.coeffs)
+    # Rows by flat index in the box of differences (``differences``), which
+    # holds the basis from its lowest corner: an image outside it, or on no
+    # row, is not in the basis.
+    shape, strides, key, origin, _, diffs, i = (
+        differences(basis.coeffs) if spans is None else spans)
     row = np.full(np.prod(shape), -1)
     row[key] = np.arange(basis.dim)
     image = basis.coeffs @ np.rint(m).astype(int) - basis.coeffs.min(axis=0)
     inside = np.all((image >= 0) & (image < shape), axis=2)
     perm = np.where(inside, row[np.where(inside, image @ strides, 0)], -1)
     keep = whole & np.all(perm >= 0, axis=1)
-    # A row i of each difference key_i - key_j + origin (any would do),
-    # then its j.
-    owner = np.full(np.prod(shape), -1)
-    owner[np.subtract.outer(key + origin, key)] = np.arange(basis.dim)[:, None]
-    diffs = np.flatnonzero(owner >= 0)
-    i = owner[diffs]
     # exp(-i R G_i . t) is (-1)^turns when turns = G_i . R^T t / pi is whole.
     turns = (shifts @ ops)[keep] @ (basis.cart.T / np.pi)
     signs = 1 - 2 * (np.rint(turns).astype(np.int8) & 1)
@@ -180,7 +188,7 @@ def operations(lattice: RealLattice, recip: ReciprocalLattice,
     index[(sig + 3) @ [49, 7, 1]] = np.arange(len(ops))
     return Operations(ops, perm[keep], signs, index[
         (ops[:, None] @ sig[None, :, :, None])[..., 0] @ [49, 7, 1] + 171],
-        (i, row[key[i] + origin - diffs]))
+        (i, row[key[i] + origin - diffs]))  # each difference's i, then j
 
 
 def _symmetry(block: BlochMatrix, perm: np.ndarray, signs: np.ndarray,

@@ -7,8 +7,8 @@ from pwbands.cli import load_config
 from pwbands.eigen import BlochMatrix, NonHermitianError, eigh
 from pwbands.hamiltonian import (SYMMETRY_TOL, AssemblyError,
                                  PlaneWaveBasis, _symmetry, build,
-                                 little_group, operations, potential_matrix,
-                                 row_blocks)
+                                 differences, little_group, operations,
+                                 potential_matrix, row_blocks)
 from pwbands.lattice import (RealLattice, cartesian, cubic_operations,
                              fcc_symmetry_points, make_cubic, reciprocal_of,
                              shell_index)
@@ -363,6 +363,32 @@ class TestSymmetryOnTheTable:
         assert picks == [scanned_symmetry(block, perm, signs)
                          for perm, signs in zip(crystal.perm, crystal.signs)]
         assert picks[0] == 0 and set(picks) == answers  # 0: the identity
+
+    @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
+                             ids=[f[0] for f in SYMMETRY_FIXTURES])
+    def test_block_is_the_box_table_gathered(self, fixture):
+        # V's elements are evaluated only at the differences the basis
+        # spans; V is still the whole box's table gathered, bit for bit, and
+        # one shared table of differences gives the same V and operations.
+        _, model, lat, rec, basis, _ = fixture
+        spans = differences(basis.coeffs)
+        shape, _, key, origin, flat, diffs, _ = spans
+        box = np.indices(shape).reshape(3, -1).T - shape // 2
+        table = matrix_element(model, lat, rec, box)
+        if not np.any(table.imag):
+            table = table.real
+        v = potential_matrix(model, lat, rec, basis)
+        assert v.dtype == table.dtype
+        assert np.array_equal(v, table[np.subtract.outer(key + origin, key)])
+        assert np.array_equal(diffs, np.unique(flat))
+        assert np.array_equal(potential_matrix(model, lat, rec, basis, spans),
+                              v)
+        alone, shared = (operations(lat, rec, basis),
+                         operations(lat, rec, basis, spans))
+        for a, b in zip(alone, shared):
+            for x, y in zip(*((a, b) if isinstance(a, tuple) else
+                              ((a,), (b,)))):
+                assert np.array_equal(x, y)
 
     @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
                              ids=[f[0] for f in SYMMETRY_FIXTURES])
