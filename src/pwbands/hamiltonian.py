@@ -346,11 +346,12 @@ def row_blocks(v: np.ndarray, group: Operations) -> tuple:
             o = np.repeat(np.arange(len(heads)), count)  # each column's orbit
             slot, coef = np.arange(len(o)) - start[o], coef[..., :len(slots)]
             frame = coef[:, members[o], slot[:, None]] * (span < size[o, None])
-            # By column c: sum_l c_l frame_l V[orbit of c, heads], one
-            # matmul over the columns, then the sum over partners l.
-            rows = frame.transpose(1, 0, 2) @ v[members[o][..., None], heads[o]]
+            # Each column's frames times V on its orbit, one matmul over
+            # the columns (no temporary of it outlives the row), then the
+            # sum over partners l with the mixes.
             split[r] = Sector(reps[r][0], heads[o], column, coef, np.einsum(
-                "clb,lb->cb", rows, mix[o, :, slot].T))
+                "clb,lb->cb", frame.transpose(1, 0, 2)
+                @ v[members[o][..., None], heads[o]], mix[o, :, slot].T))
     return tuple(split[r] for r in sorted(split))
 
 
