@@ -37,6 +37,14 @@ DEFAULT_G2_MAX = 76.0
 DEFAULT_NUM_BANDS = 8
 ALL_FORMATS = ("csv", "json", "svg")
 
+# A run's peak memory per entry of V, in bytes.  V is float64 (every
+# lattice ``make_cubic`` makes has an inversion centre at the origin), and
+# a run holds V with its dim x dim difference index, then with V's
+# deviation scratch, then with a little group's row blocks and their
+# gathers: bands, gaps and converge grew RSS by 2.3 to 3.3 times V at dims
+# 1139 and 1917.  Counted as four V's.
+PEAK_BYTES = 32
+
 _GAMMA_ALIASES = {"G", "GAMMA", "Γ"}
 
 # Potential keys each model reads besides "model"; yukawa requires "mu".
@@ -304,17 +312,18 @@ def load_config(config_file) -> RunConfig:
 
     smallest = min((g2_units, *(cutoffs or ())))
     top = max((g2_units, *(cutoffs or ())))
-    # Refuse, before enumerating, a cutoff whose V alone (8 bytes or more
-    # per entry), or a path whose samples (4 + num_bands floats each), cannot
+    # Refuse, before enumerating, a cutoff whose solve (PEAK_BYTES a V
+    # entry), or a path whose samples (4 + num_bands floats each), cannot
     # fit in physical memory.  About (pi/6)(omega/a^3) n^3 plane waves, the
     # ball over the reciprocal cell, lie within n^2 (pi/a)^2.
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     waves = math.pi / 6 * float(lattice.volume) / a ** 3 * top * math.sqrt(top)
-    if 8 * waves * waves > memory:
+    if PEAK_BYTES * waves * waves > memory:
         raise ConfigError(
             "basis.cutoffs" if top > g2_units else "basis.g2_max",
             f"cutoff {top:g} gives about {waves:.3g} plane waves, whose "
-            f"potential block exceeds the {memory} bytes of physical memory")
+            f"solve, at {PEAK_BYTES} bytes an entry of their potential "
+            f"block, exceeds the {memory} bytes of physical memory")
     count = 1 + (samples - 1) * (len(points) - 1)
     if 8 * (4 + num_bands) * count > memory:
         raise ConfigError("path.samples_per_segment", f"{count} samples "

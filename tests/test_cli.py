@@ -505,6 +505,28 @@ class TestMain:
         assert err.startswith(f"config error at basis.{key}: ")
         assert "physical memory" in err
 
+    def test_cutoff_whose_solve_exceeds_memory_exits_2(self, write_config,
+                                                      capsys, monkeypatch):
+        # Memory for V twice over, not for the solve's peak (V beside its
+        # difference index, its deviation scratch or the row blocks' gathers,
+        # four V's in all): refused before any array is made, not ended by
+        # a MemoryError.
+        import os
+
+        import pwbands.cli as cli_mod
+
+        path = write_config(mutate=lambda c: c["basis"].update(g2_max=300))
+        waves = load_config(path).basis.dim
+        memory = 2 * 8 * waves * waves
+        assert 8 * waves * waves < memory < cli_mod.PEAK_BYTES * waves * waves
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}[name])
+        assert main(["bands", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error at basis.g2_max: ")
+        assert "physical memory" in err and "Traceback" not in err
+
     def test_path_beyond_physical_memory_exits_2(self, write_config, capsys):
         # 10**15 samples a segment: refused before any array is made.
         path = write_config(mutate=lambda c: c["path"].update(
