@@ -750,6 +750,73 @@ class TestSelection:
                                    atol=1e-10 * np.abs(whole).max())
 
 
+def lowest_by_loops(split, solved, count):
+    """The kept levels, vectors and rows of each point as per-point loops
+    pick them: every row's levels once per partner, by point, row, partner
+    and level, lexsorted within each point, and each row's vectors of the
+    whole batch expanded in every partner row."""
+    found = np.array([[len(w) for w, _ in pairs] for _, pairs in solved])
+    partners = [len(s.coef) for s in split]
+    values = np.concatenate([pairs[s][0] for _, pairs in solved
+                             for s, d in enumerate(partners)
+                             for _ in range(d)])
+    ys = [np.concatenate([pairs[s][1].T for _, pairs in solved])
+          for s in range(len(split))]
+    totals, ends = found.sum(axis=0).tolist(), [0] * len(split)
+    spots, row = [], []
+    for point in found.tolist():
+        for s, (m, d) in enumerate(zip(point, partners)):
+            for j in range(d):
+                spots += range(ends[s] + j * totals[s],
+                               ends[s] + j * totals[s] + m)
+            row += [s] * (d * m)
+            ends[s] += m
+    spots, row = np.array(spots), np.array(row)
+    levels = found @ partners
+    order = np.lexsort((values, np.repeat(np.arange(len(levels)), levels)))
+    keep = order[(np.cumsum(levels) - levels)[:, None] + np.arange(count)]
+    xs = [s.expand(y) for s, y in zip(split, ys)]
+    first = np.cumsum([len(x) for x in xs]) - [len(x) for x in xs]
+    vectors = np.concatenate(xs)[(first[row] + spots)[keep.ravel()]]
+    return (values[keep],
+            vectors.reshape(len(levels), count, -1).transpose(0, 2, 1),
+            row[keep])
+
+
+@pytest.mark.parametrize("point", ["L", "X", "Γ", "U/2"])
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_kept_levels_are_the_loops_picks(monkeypatch, point,
+                                         complex_entries):
+    # Levels drawn from a few values, so that ties across rows, partners
+    # and levels of one row are many: the one sort over the batch keeps
+    # the levels, vectors and labels the per-point loops kept, bit for
+    # bit.
+    basis, kappa, group = z05_group(point)
+    rng = np.random.default_rng(len(point) + 7 * complex_entries)
+    split = row_blocks(symmetric_v(group, rng, complex_entries), group)
+    rows = [len(s.rows) for s in split]
+    for count in (1, 5, 12):
+        want, points = min(count, sum(rows)), 9
+        solved = []
+        for _ in range(points):
+            taken = rng.multinomial(want, np.array(rows) / sum(rows))
+            while np.any(taken > rows):  # no row gives more than it has
+                taken = rng.multinomial(want, np.array(rows) / sum(rows))
+            solved.append((0, [(np.sort(rng.integers(0, 4, p) / 4.0),
+                                rng.standard_normal((m, p)) * (
+                                    1 + 1j * complex_entries))
+                               for m, p in zip(rows, taken)]))
+        monkeypatch.setattr(eigen_mod, "_solve", lambda *args: solved)
+        values, vectors, labels = eigen_mod._lowest(
+            split, np.zeros((points, basis.dim)), count, np.ones(points))
+        ref_values, ref_vectors, ref_rows = lowest_by_loops(split, solved,
+                                                            count)
+        np.testing.assert_array_equal(values, ref_values)
+        assert vectors.tobytes() == ref_vectors.tobytes()
+        assert labels == tuple(tuple(split[r].label for r in point)
+                               for point in ref_rows.tolist())
+
+
 def pair_tied_at_the_cut(rng, gap, complex_entries=False):
     """Two random Hermitian 20-row blocks, in random order, whose 8th and
     9th levels of 40 lie in different blocks ``gap`` |E| apart, each 1e-3
