@@ -179,20 +179,16 @@ class Sector(NamedTuple):
     coef: np.ndarray
     matrix: np.ndarray
 
-    def expand(self, ys: np.ndarray, partner=None) -> np.ndarray:
-        """(U_j y)^T for each partner j, then each row y of ys; given
-        ``partner``, (U_j y)^T for each row y of ys and its partner j."""
+    def expand(self, ys: np.ndarray, partner: np.ndarray) -> np.ndarray:
+        """(U_j y)^T for each row y of ys and its partner row j."""
         coef = np.ascontiguousarray(self.coef.transpose(0, 2, 1))
-        if partner is None:  # by partner, row of ys, slot and basis row
-            ys, coef = ys[None], coef[:, None]
-        elif len(coef) > 1:  # one partner broadcasts
+        if len(coef) > 1:  # a lone partner row's coefficients broadcast
             coef = coef[partner]
-        terms = (ys[..., col] * coef[..., e, :]
-                 for e, col in enumerate(self.column.T))
+        terms = (ys[:, col] * coef[:, e] for e, col in enumerate(self.column.T))
         xs = next(terms)
         for term in terms:  # summed in place: a batch's rows are many
             xs += term
-        return xs.reshape(-1, xs.shape[-1])
+        return xs
 
 
 class BlochMatrix(NamedTuple):

@@ -406,7 +406,9 @@ class TestSectors:
         # 1.6e-15, not 1e-15.
         for point, atol in (("X", 1e-15), ("Γ", 1e-14), ("L", 1e-15)):
             h = split_x_matrix(make_cubic("DIAMOND", 5.431), point=point)
-            u = [s.expand(np.eye(len(s.rows))).T for s in h.sectors]
+            u = [s.expand(np.tile(np.eye(len(s.rows)), (len(s.coef), 1)),
+                          np.repeat(np.arange(len(s.coef)), len(s.rows))).T
+                 for s in h.sectors]
             q = np.hstack(u)
             np.testing.assert_allclose(q.T @ q, np.eye(h.dim), atol=atol)
             for s, us in zip(h.sectors, u):
@@ -775,7 +777,9 @@ def lowest_by_loops(split, solved, count):
     levels = found @ partners
     order = np.lexsort((values, np.repeat(np.arange(len(levels)), levels)))
     keep = order[(np.cumsum(levels) - levels)[:, None] + np.arange(count)]
-    xs = [s.expand(y) for s, y in zip(split, ys)]
+    xs = [s.expand(np.tile(y, (len(s.coef), 1)),
+                   np.repeat(np.arange(len(s.coef)), len(y)))
+          for s, y in zip(split, ys)]
     first = np.cumsum([len(x) for x in xs]) - [len(x) for x in xs]
     vectors = np.concatenate(xs)[(first[row] + spots)[keep.ravel()]]
     return (values[keep],
