@@ -44,8 +44,8 @@ iwork, ?larrc's n, eigcnt, lcnt, rcnt and larrc info, z, each point's w
 and z by row, which its returned pairs view, and each row's block, laid
 end to end, then each row's tau; all but w and z by row are reused point
 after point.  Every pointer, and every argument but a back-transform's
-vectors, is made into its ctypes object once a batch; a point then costs,
-outside LAPACK, a few array operations and one call per stage.
+vectors, is worked out once a batch; a point then costs, outside LAPACK,
+a few array operations and one call per stage.
 
 A matrix whose largest row has fewer than ONE_THREAD_BELOW (512) rows is
 solved and verified on one OpenBLAS thread (a process-wide count, put back
@@ -461,24 +461,18 @@ def _solve(blocks, count, scales):
     de = buf[word["d"]:word["e"] + n]
     de_copy = buf[word["d copy"]:word["e copy"] + n]
     buf[at["pivmin"]], ints[at["n"]] = 0.0, n
-    # Each call's arguments as the ctypes objects it takes, made once: a
-    # call converts none.  Only a back-transform's vectors change.
-    reduces = [_args(reduce, _COL_MAJOR, b"U", m, ptr["block", s], m,
-                     ptr["d"] + 8 * rows[s], ptr["e"] + 8 * rows[s],
-                     ptr["tau", s], ptr["work"], 16 * m)
-               for s, m in enumerate(sizes)]
-    stemr_args = _args(stemr, _COL_MAJOR, b"V", b"I", n, ptr["d copy"],
-                       ptr["e copy"], 0.0, 0.0, 1, count, ptr["m"], ptr["w"],
-                       ptr["z"], n, count, ptr["isuppz"], ptr["tryrac"],
-                       ptr["work"], 18 * n, ptr["iwork"], 10 * n)
-    sturm_args = _args(sturm, b"T", ptr["n"], ptr["point"], ptr["point"],
-                       ptr["d"], ptr["e"], ptr["pivmin"], ptr["eigcnt"],
-                       ptr["lcnt"], ptr["rcnt"], ptr["larrc info"], 1)
-    # A back-transform's, less the count, place and workspace of the
-    # vectors it applies (arguments 5, 9 and 12).
-    backs = [(args[:5], args[6:9], args[10:]) for args in (
-        _args(back, _COL_MAJOR, b"L", b"U", b"N", m, 0, ptr["block", s], m,
-              ptr["tau", s], 0, n, ptr["work"]) for s, m in enumerate(sizes))]
+    # Each call's arguments, made once: only a back-transform's vectors
+    # change from point to point.
+    reduces = [(_COL_MAJOR, b"U", m, ptr["block", s], m,
+                ptr["d"] + 8 * rows[s], ptr["e"] + 8 * rows[s], ptr["tau", s],
+                ptr["work"], 16 * m) for s, m in enumerate(sizes)]
+    stemr_args = (_COL_MAJOR, b"V", b"I", n, ptr["d copy"], ptr["e copy"],
+                  0.0, 0.0, 1, count, ptr["m"], ptr["w"], ptr["z"], n, count,
+                  ptr["isuppz"], ptr["tryrac"], ptr["work"], 18 * n,
+                  ptr["iwork"], 10 * n)
+    sturm_args = (b"T", ptr["n"], ptr["point"], ptr["point"], ptr["d"],
+                  ptr["e"], ptr["pivmin"], ptr["eigcnt"], ptr["lcnt"],
+                  ptr["rcnt"], ptr["larrc info"], 1)
     step = 8 * k * n * count
     i_m, i_tryrac, i_lcnt = word["m"], word["tryrac"], word["lcnt"]
     i_point = word["point"]
@@ -519,22 +513,14 @@ def _solve(blocks, count, scales):
         at_z = ptr["z by row"] + i * step
         for s, (m, lo, hi) in enumerate(zip(sizes, ends, ends[1:])):
             if hi > lo:  # a block that holds no vector is not transformed
-                head, mid, tail = backs[s]
-                info = info or back(*head, hi - lo, *mid,
-                                    at_z + 8 * k * (lo * n + rows[s]), *tail,
-                                    hi - lo)
+                info = info or back(_COL_MAJOR, b"L", b"U", b"N", m, hi - lo,
+                                    ptr["block", s], m, ptr["tau", s],
+                                    at_z + 8 * k * (lo * n + rows[s]), n,
+                                    ptr["work"], hi - lo)
             pairs.append((w[lo:hi], z[lo:hi, rows[s]:rows[s] + m].T))
         solved.append((info, pairs))
     w_point /= np.array(fs)[:, None]
     return solved
-
-
-def _args(stage, *args):
-    """``args`` as the ctypes objects of ``stage``'s argument types, or as
-    they are for a stage that declares none (a Python function)."""
-    kinds = getattr(stage, "argtypes", None)
-    return args if kinds is None else tuple(
-        kind(arg) for kind, arg in zip(kinds, args))
 
 
 @lru_cache(maxsize=256)
