@@ -11,11 +11,11 @@ T may hold one row per point, shape (points, dim): a batch of Bloch
 vectors that share V and its row blocks, as consecutive samples of one
 line do.  ``eigh`` then takes each point's max|H| and the checks for all
 points at once, sets the thread count once, picks every point's lowest
-levels in one sort, expands each row's kept vectors for all points in one
-call and verifies with one X^T V^T over every point's columns, each point
-held to its own max|H|; its per-point fields gain a leading point axis,
-as numpy's stacked linalg does.  A 1-D T is one point and gives unbatched
-fields.
+levels in one sort, expands the kept vectors of every row and point
+slot by slot, a few array operations a slot, and verifies with one
+X^T V^T over every point's columns, each point held to its own max|H|;
+its per-point fields gain a leading point axis, as numpy's stacked
+linalg does.  A 1-D T is one point and gives unbatched fields.
 
 Its ``sectors`` (``hamiltonian.row_blocks``) are one row of each irrep of
 the k-point's little group; without them H is one row.  LAPACK solves each
@@ -167,28 +167,18 @@ class Sector(NamedTuple):
     """One row of an irrep of a group of symmetries of V, and V's block in it.
 
     U_j, the dim x n basis of partner row j < d, has U_j[i, column[i, e]] =
-    coef[j, i, e].  Each column lies in one orbit of the group, whose first
-    basis row ``rows`` holds, ascending, so leading columns span leading
-    rows.  ``matrix`` is U_0^T V U_0 (every partner's block; unchecked,
-    ``eigh`` checks H), T enters as T[rows], and ``label`` is the irrep's
-    symbol, "" for H solved whole."""
+    coef[j, e, i]: ``coef`` is slot-major, (d, slots, dim), so each slot's
+    coefficients lie contiguous.  Each column lies in one orbit of the
+    group, whose first basis row ``rows`` holds, ascending, so leading
+    columns span leading rows.  ``matrix`` is U_0^T V U_0 (every partner's
+    block; unchecked, ``eigh`` checks H), T enters as T[rows], and
+    ``label`` is the irrep's symbol, "" for H solved whole."""
 
     label: str
     rows: np.ndarray
     column: np.ndarray
     coef: np.ndarray
     matrix: np.ndarray
-
-    def expand(self, ys: np.ndarray, partner: np.ndarray) -> np.ndarray:
-        """(U_j y)^T for each row y of ys and its partner row j."""
-        coef = np.ascontiguousarray(self.coef.transpose(0, 2, 1))
-        if len(coef) > 1:  # a lone partner row's coefficients broadcast
-            coef = coef[partner]
-        terms = (ys[:, col] * coef[:, e] for e, col in enumerate(self.column.T))
-        xs = next(terms)
-        for term in terms:  # summed in place: a batch's rows are many
-            xs += term
-        return xs
 
 
 class BlochMatrix(NamedTuple):
@@ -252,6 +242,7 @@ class BlochMatrix(NamedTuple):
         strips that border it, so they are the ones ``of`` takes of the
         block alone, NaN included."""
         v, lead, herm, off, done = self.matrix, [], 0.0, 0.0, 0
+        reach = [_reach(sector) for sector in self.sectors]
         for dim in dims:
             if dim == self.dim:
                 lead.append(self)
@@ -261,30 +252,39 @@ class BlochMatrix(NamedTuple):
             # columns done:dim above them, less the diagonal.
             with np.errstate(invalid="ignore"):  # inf - inf, as in ``of``
                 dev = v[done:dim, :dim] - v[:dim, done:dim].conj().T
-            rows, k = np.abs(v[done:dim, :dim]), np.arange(dim - done)
-            rows[k, k + done] = 0.0
+            rows = np.abs(v[done:dim, :dim])
+            rows.flat[done::dim + 1] = 0.0
             herm = np.maximum(herm, np.abs(dev).max())
             off = np.maximum(off, np.maximum(rows.max(), np.abs(
                 v[:done, done:dim]).max(initial=0.0)))
             done = dim
             lead.append(BlochMatrix(v[:dim, :dim], herm, off,
                                     self.diag[:dim], self.kinetic[..., :dim],
-                                    self._sectors(dim)))
+                                    self._sectors(dim, reach)))
         return lead
 
-    def _sectors(self, dim: int) -> tuple:
+    def _sectors(self, dim: int, reach: list) -> tuple:
         """Views of the row blocks on the first ``dim`` rows, or () if some
-        orbit straddles row ``dim``."""
+        orbit straddles row ``dim``: the first m columns, whose orbits start
+        below it, reach it (``_reach``)."""
         lead = []
-        for sector in self.sectors:
-            m = np.searchsorted(sector.rows, dim)
-            if np.any((sector.coef[:, dim:] != 0) & (sector.column[dim:] < m)):
+        for s, last in zip(self.sectors, reach):
+            m = int(s.rows.searchsorted(dim))
+            if m and last[m - 1] >= dim:
                 return ()
             if m:
-                lead.append(sector._replace(
-                    rows=sector.rows[:m], column=sector.column[:dim],
-                    coef=sector.coef[:, :dim], matrix=sector.matrix[:m, :m]))
+                lead.append(Sector(s.label, s.rows[:m], s.column[:dim],
+                                   s.coef[..., :dim], s.matrix[:m, :m]))
         return tuple(lead)
+
+
+def _reach(sector: Sector) -> list:
+    """The last basis row of a row block's first c + 1 columns, for each c:
+    a column's last nonzero coefficient, as a running maximum."""
+    held = np.any(sector.coef != 0, axis=0)  # (slot, basis row)
+    last = np.zeros(len(sector.rows), int)
+    np.maximum.at(last, sector.column.T[held], np.nonzero(held)[1])
+    return np.maximum.accumulate(last).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,18 +329,19 @@ def eigh(h, count: int | None = None) -> EigenResult:
     kinetic = h.kinetic.reshape(-1, n)  # one row per point
     # Off the diagonal H is V, so max|H| needs only diag V + T; the same
     # number np.abs(H).max() gives, NaN included.
-    scales = np.maximum(h.off_max, np.abs(h.diag + kinetic).max(axis=1))
-    if not np.isfinite(scales).all():
+    scales = np.abs(h.diag + kinetic).max(axis=1, initial=h.off_max)
+    listed = scales.tolist()
+    if not all(map(math.isfinite, listed)):
         raise NonHermitianError("matrix has non-finite entries")
-    if h.herm > HERMITICITY_TOL * scales.min():
+    if h.herm > HERMITICITY_TOL * min(listed):
         raise NonHermitianError(
             f"matrix is not Hermitian: max deviation {h.herm:.3e} "
-            f"(max entry {scales.min():.3e})")
+            f"(max entry {min(listed):.3e})")
     # The fallback solves H whole: it is the reference a split is held to.
     split = h.sectors if h.matrix.dtype.type in _DRIVERS else ()
     if not split:  # the trivial split: H as one row
         every = np.arange(n)
-        split = (Sector("", every, every[:, None], np.ones((1, n, 1)),
+        split = (Sector("", every, every[:, None], np.ones((1, 1, n)),
                         h.matrix),)
     if sum(len(s.coef) * len(s.rows) for s in split) != n:
         raise SolverError("symmetry rows do not span the basis")
@@ -364,7 +365,7 @@ def _lowest(split, kinetic, count, scales):
     basis (points, dim, count) and each point's levels' labels."""
     want = min(count, sum(len(s.rows) for s in split))
     try:
-        solved = _solve([(s.matrix, kinetic[:, s.rows]) for s in split],
+        solved = _solve([(s.matrix, kinetic.take(s.rows, 1)) for s in split],
                         want, scales)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver did not converge: {exc}") from exc
@@ -379,34 +380,44 @@ def _lowest(split, kinetic, count, scales):
     if not np.isfinite(values).all():  # NaN would sort past the kept
         raise SolverError("eigensolver returned non-finite eigenvalues")
     # A row's level is H's once per partner row: H's levels on a grid by
-    # point, row, partner and level, +inf where a row has no such partner
-    # or level, ascending along each point's, ties in that order; the
-    # lowest ``count``.
-    partners, wide = [len(s.coef) for s in split], found.max()
+    # point, slot (row and partner) and level, +inf past a row's levels,
+    # ascending along each point's, ties in that order; the lowest
+    # ``count``.
+    wide = found.max()
     grid = np.full((points, rows, wide), np.inf)
     grid[np.arange(wide) < found[..., None]] = values
-    grid = np.where((np.arange(max(partners)) < np.array(partners)[:, None])[
-        ..., None], grid[:, :, None], np.inf).reshape(points, -1)
-    keep = np.argsort(grid, axis=1, kind="stable")[:, :count]
-    row, level = np.divmod(keep, max(partners) * wide)
-    partner, level = np.divmod(level, wide)
-    # Each kept level's vector: its row's vector expanded in its partner
-    # row, from the row's vectors of every point, stacked by point and
-    # level, for each row that holds a kept level.
-    at = (found.cumsum(axis=0) - found)[np.arange(points)[:, None], row] \
-        + level
-    row, at, partner = row.ravel(), at.ravel(), partner.ravel()
-    by_row = np.argsort(row, kind="stable")
-    ends = np.cumsum(np.bincount(row, None, rows)).tolist()
-    vectors = np.empty((len(row), len(kinetic[0])),
-                       np.result_type(pairs[0][1], split[0].coef))
-    for s, (lo, hi) in enumerate(zip([0, *ends], ends)):
-        if hi > lo:
-            mine = by_row[lo:hi]
-            ys = np.concatenate([point[s][1].T for _, point in solved])
-            vectors[mine] = split[s].expand(ys[at[mine]], partner[mine])
+    of = np.arange(rows).repeat([len(s.coef) for s in split])  # slot's row
+    keep = grid[:, of].reshape(points, -1).argsort(
+        axis=1, kind="stable")[:, :count].ravel()
+    slot, level = np.divmod(keep, wide)
+    row = of[slot]
+    # Each kept level's place among the values, and its vector's in
+    # ``flat``: every row's vectors of every point, laid end to end.
+    block = np.arange(0, points * rows, rows).repeat(count) + row
+    sizes = np.array([len(s.rows) for s in split])
+    numbers = found * sizes
+    at = (found.cumsum() - found.ravel())[block] + level
+    start = (numbers.cumsum() - numbers.ravel())[block] + level * sizes[row]
+    flat = np.concatenate([z.T for _, z in pairs], axis=None)
+    # That vector y expanded in its partner row j, U_j y (``Sector``):
+    # every basis row's slots in turn, summed in slot order.
+    spans = [s.column.shape[1] for s in split]
+    for e in range(max(spans)):
+        # A row with no slot e repeats its last, which is not read.
+        last = [min(e, span - 1) for span in spans]
+        cols = np.concatenate([s.column[:, c] for s, c in zip(split, last)])
+        coefs = np.concatenate([s.coef[:, c] for s, c in zip(split, last)])
+        has = (np.array(spans)[row] > e).nonzero()[0] if e else slice(None)
+        index = cols.reshape(rows, -1).take(row[has], 0)
+        index += start[has, None]
+        term = flat.take(index)
+        term *= coefs.take(slot[has], 0)
+        if e:
+            vectors[has] += term
+        else:
+            vectors = term
     names = [s.label for s in split].__getitem__
-    return (np.take_along_axis(grid, keep, 1),
+    return (values[at].reshape(points, count),
             vectors.reshape(points, count, -1).transpose(0, 2, 1),
             tuple(tuple(map(names, point))
                   for point in row.reshape(points, count).tolist()))
@@ -434,21 +445,21 @@ def _solve(blocks, count, scales):
     buf = np.empty(total)  # one buffer, as a ctypes pointer costs ~2 us
     ints, base = buf.view(np.int64), buf.ctypes.data
     ptr = {name: base + 8 * span.start for name, span in at.items()}
-    word = {name: span.start for name, span in at.items()}
     # max|H| scaled near 1 by a power of two, exactly: ?stemr meets no
     # absolute threshold (z05 at a = 1e-6 A, max|H| 1e15 eV, info 22).
-    scales = [float(scale) for scale in scales]
+    scales = np.asarray(scales, float).tolist()
     fs = [2.0 ** min(-round(math.log2(scale)), 1023) if scale else 1.0
           for scale in scales]
+    by_point = np.array(fs)[:, None]
     # Every point's scaled T, by block as d holds it, for the diagonals of
     # the blocks, which lie end to end.
-    scaled = np.concatenate([t for _, t in blocks], axis=1) * np.array(
-        fs)[:, None]
+    scaled = np.concatenate([t for _, t in blocks], axis=1)
+    scaled *= by_point
     vs = [v for v, _ in blocks]
-    squares = [buf[at["block", s]].view(v.dtype).reshape(m, m)
-               for s, m in enumerate(sizes)]
     packed = buf[at["block", 0].start:at["block", len(sizes) - 1].stop].view(
         v.dtype)
+    squares = [packed[o - m * m:o].reshape(m, m)
+               for o, m in zip(accumulate(m * m for m in sizes), sizes)]
     diagonal, block = _blocks(tuple(sizes))
     first = ints[at["isuppz"]][::2]
     z_all = buf[at["z"]].view(v.dtype).reshape(count, n)
@@ -458,8 +469,8 @@ def _solve(blocks, count, scales):
     # ?stemr takes copies of d and e, which it overwrites: ?larrc counts
     # on d and e, whose entries between blocks no reduction writes.
     buf[at["e"]] = 0.0
-    de = buf[word["d"]:word["e"] + n]
-    de_copy = buf[word["d copy"]:word["e copy"] + n]
+    de = buf[at["d"].start:at["e"].stop]
+    de_copy = buf[at["d copy"].start:at["e copy"].stop]
     buf[at["pivmin"]], ints[at["n"]] = 0.0, n
     # Each call's arguments, made once: only a back-transform's vectors
     # change from point to point.
@@ -474,8 +485,8 @@ def _solve(blocks, count, scales):
                   ptr["e"], ptr["pivmin"], ptr["eigcnt"], ptr["lcnt"],
                   ptr["rcnt"], ptr["larrc info"], 1)
     step = 8 * k * n * count
-    i_m, i_tryrac, i_lcnt = word["m"], word["tryrac"], word["lcnt"]
-    i_point = word["point"]
+    i_m, i_tryrac, i_lcnt, i_point = (at[name].start for name in (
+        "m", "tryrac", "lcnt", "point"))
     solved = []
     for i, (f, scale) in enumerate(zip(fs, scales)):
         for v, a in zip(vs, squares):
@@ -519,7 +530,7 @@ def _solve(blocks, count, scales):
                                     ptr["work"], hi - lo)
             pairs.append((w[lo:hi], z[lo:hi, rows[s]:rows[s] + m].T))
         solved.append((info, pairs))
-    w_point /= np.array(fs)[:, None]
+    w_point /= by_point
     return solved
 
 
@@ -571,7 +582,7 @@ def _verify(v, kinetic, values, vectors, scales):
     return each point's (worst residual / max|H|, orthonormality).
 
     Each test is written as ``not figure <= bound``, so a NaN fails it."""
-    if not np.all(values[:, 1:] >= values[:, :-1]):
+    if not (values[:, 1:] >= values[:, :-1]).all():
         raise SolverError("eigenvalues are not ascending")
     points, dim, count = vectors.shape
     x = vectors.transpose(0, 2, 1)  # (points, count, dim), each row C-order
@@ -590,7 +601,7 @@ def _verify(v, kinetic, values, vectors, scales):
     del t
     r /= np.maximum(scales, 1e-300)[:, None, None]
     r = r.view(np.float64)  # |r|^2 as the squares of re and im
-    residual = np.sqrt(np.einsum("pcd,pcd->pc", r, r)).max(axis=1)
+    residual = np.sqrt(np.einsum("pcd,pcd->pc", r, r).max(axis=1))
     if not residual.max() <= RESIDUAL_TOL:
         raise SolverError(f"residual {residual.max():.3e} max|H| exceeds "
                           f"{RESIDUAL_TOL:.1e} max|H|")

@@ -166,29 +166,52 @@ def operations(lattice: RealLattice, recip: ReciprocalLattice,
     # G = c B, so R G = c B R^T = c M with M = B R^T B^-1.
     m = recip.matrix @ ops.transpose(0, 2, 1) @ np.linalg.inv(recip.matrix)
     whole = np.abs(m - np.rint(m)).max(axis=(1, 2)) <= 1e-9
-    # Rows by flat index in the box of differences (``differences``), which
-    # holds the basis from its lowest corner: an image outside it, or on no
-    # row, is not in the basis.
-    shape, strides, key, origin, _, diffs, i = (
-        differences(basis.coeffs) if spans is None else spans)
-    row = np.full(np.prod(shape), -1)
-    row[key] = np.arange(basis.dim)
-    image = basis.coeffs @ np.rint(m).astype(int) - basis.coeffs.min(axis=0)
-    inside = np.all((image >= 0) & (image < shape), axis=2)
-    perm = np.where(inside, row[np.where(inside, image @ strides, 0)], -1)
-    keep = whole & np.all(perm >= 0, axis=1)
-    # exp(-i R G_i . t) is (-1)^turns when turns = G_i . R^T t / pi is whole.
-    turns = (shifts @ ops)[keep] @ (basis.cart.T / np.pi)
-    signs = 1 - 2 * (np.rint(turns).astype(np.int8) & 1)
-    turns -= np.rint(turns)
-    signs *= np.abs(turns, out=turns).max(axis=2, keepdims=True) <= PHASE_TOL
+    ops, shifts, m = ops[whole], shifts[whole], np.rint(m[whole])
+    # exp(-i R G_i . t) is (-1)^turns when turns = G_i . R^T t / pi is
+    # whole: one t at a time, so that no (R, t, row) array of floats is made.
+    g = basis.cart.T / np.pi
+    signs = np.empty((len(ops), shifts.shape[1], basis.dim), np.int8)
+    turns, nearest = np.empty((2, len(ops), basis.dim))
+    for t, shift in enumerate((shifts @ ops).transpose(1, 0, 2)):
+        np.matmul(shift, g, out=turns)
+        np.rint(turns, out=nearest)
+        signs[:, t] = 1 - 2 * (nearest.astype(np.int8) & 1)
+        turns -= nearest
+        signs[:, t] *= np.abs(turns, out=turns).max(axis=1,
+                                                    keepdims=True) <= PHASE_TOL
+    del turns, nearest
+    # Each R G_i's row by one key into a cube about G = 0 that holds every
+    # image, |(c M)_k| <= max|c| sum_j |M_jk| = reach, so that no image
+    # aliases a row; an image on no row is not in the basis.  The keys are
+    # whole numbers, exact in one matmul of doubles; the table holds int32
+    # rows, which keeps its keys and images below the (R, row, 3) images.
+    c = basis.coeffs
+    reach = int(np.abs(c).max() * np.abs(m).sum(axis=1).max())
+    side = 2 * reach + 1
+    strides = np.array([side * side, side, 1])
+    row = np.full(side ** 3, -1, np.int32)
+    row[c @ strides + reach * strides.sum()] = np.arange(basis.dim)
+    keys = (m @ strides) @ c.T
+    keys += reach * strides.sum()
+    keys = keys.astype(int)  # the doubles go first
+    perm = row[keys]
+    del row, keys
+    keep = perm.min(axis=1) >= 0
+    perm = perm[keep].astype(int)
+    signs = signs[keep]
     ops = np.rint(ops[keep]).astype(int)
     # R is known by R (1, 2, 3), a signed permutation, as base-7 digits.
     sig, index = ops @ [1, 2, 3], np.zeros(343, int)
     index[(sig + 3) @ [49, 7, 1]] = np.arange(len(ops))
-    return Operations(ops, perm[keep], signs, index[
+    # Rows by flat index in the box of differences (``differences``), which
+    # holds the basis from its lowest corner: G_j = G_i - (G_i - G_j).
+    shape, _, key, origin, _, diffs, i = (
+        differences(basis.coeffs) if spans is None else spans)
+    at = np.full(np.prod(shape), -1)
+    at[key] = np.arange(basis.dim)
+    return Operations(ops, perm, signs, index[
         (ops[:, None] @ sig[None, :, :, None])[..., 0] @ [49, 7, 1] + 171],
-        (i, row[key[i] + origin - diffs]))  # each difference's i, then j
+        (i, at[key[i] + origin - diffs]))  # each difference's i, then j
 
 
 def _symmetry(block: BlochMatrix, perm: np.ndarray, signs: np.ndarray,
@@ -336,7 +359,7 @@ def row_blocks(v: np.ndarray, group: Operations) -> tuple:
         mixes = vec[..., ::-1] * (keep * np.sqrt(size / d)[:, None])[
             ..., None, :]
         coefs = (unit.transpose(0, 3, 1, 2) @ mixes[:, of, :, :counts.max()]
-                 ).transpose(0, 2, 1, 3)
+                 ).transpose(0, 2, 3, 1)  # (irrep, partner, slot, row)
         for r, count, coef, mix in zip(at, counts, coefs, mixes):
             if not count.any():
                 continue
@@ -344,8 +367,9 @@ def row_blocks(v: np.ndarray, group: Operations) -> tuple:
             column = (slots < count[of, None]) * (slots + start[of, None])
             # u = sum_l c_l P_1l e_h: u'^T V u = sum_l c_l (P_l1 u')^T V e_h.
             o = np.repeat(np.arange(len(heads)), count)  # each column's orbit
-            slot, coef = np.arange(len(o)) - start[o], coef[..., :len(slots)]
-            frame = coef[:, members[o], slot[:, None]] * (span < size[o, None])
+            slot = np.arange(len(o)) - start[o]
+            coef = np.ascontiguousarray(coef[:, :len(slots)])
+            frame = coef[:, slot[:, None], members[o]] * (span < size[o, None])
             # Each column's frames times V on its orbit, one matmul over
             # the columns (no temporary of it outlives the row), then the
             # sum over partners l with the mixes.

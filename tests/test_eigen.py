@@ -362,6 +362,18 @@ class TestSolverPaths:
         assert eigen_mod._THREADS is not None
 
 
+def expand(sector, ys, partner):
+    """(U_j y)^T for each row y of ys and its partner row j, slot by slot:
+    the expansion ``eigen._lowest`` makes of the kept vectors."""
+    coef = sector.coef  # a lone partner row's coefficients broadcast
+    if len(coef) > 1:
+        coef = coef[partner]
+    xs = ys[:, sector.column[:, 0]] * coef[:, 0]
+    for e in range(1, sector.column.shape[1]):
+        xs += ys[:, sector.column[:, e]] * coef[:, e]
+    return xs
+
+
 def split_x_matrix(lattice, cutoff=76, point="X"):
     """z05-style H at a symmetry point with the rows of its little group."""
     a = lattice.lattice_constant
@@ -374,6 +386,27 @@ def split_x_matrix(lattice, cutoff=76, point="X"):
     group = little_group(crystal, block, crystal.fixes(kappa[None])[0])
     return build(kappa, basis,
                  block._replace(sectors=row_blocks(block.matrix, group)))
+
+
+def little_group_blocks(name):
+    """V with the row blocks of each little group (other than the identity)
+    of z05's L-G-X-U-G tour at dim 89, or of the converge ladder's X
+    (Yukawa z 0.5, mu 1, diamond, dim 531)."""
+    lattice = make_cubic("DIAMOND", 5.431)
+    rec = reciprocal_of(lattice)
+    if name == "z05-tour":
+        cfg = load_config(preset_path("z05"))
+        model, basis, kappas = cfg.model, cfg.basis, cfg.path.kappas
+    else:
+        model = Potential(0.5, mu=1.0)
+        basis = PlaneWaveBasis.from_cutoff(rec, 248 * (math.pi / 5.431) ** 2)
+        kappas = fcc_symmetry_points(5.431)["X"][None]
+    block = BlochMatrix.of(potential_matrix(model, lattice, rec, basis))
+    crystal = operations(lattice, rec, basis)
+    fixes = {fixing.tobytes(): fixing for fixing in crystal.fixes(kappas)}
+    blocks = [block._replace(sectors=row_blocks(block.matrix, little_group(
+        crystal, block, fixing))) for fixing in fixes.values()]
+    return [h for h in blocks if h.sectors]
 
 
 class TestSectors:
@@ -406,8 +439,8 @@ class TestSectors:
         # 1.6e-15, not 1e-15.
         for point, atol in (("X", 1e-15), ("Γ", 1e-14), ("L", 1e-15)):
             h = split_x_matrix(make_cubic("DIAMOND", 5.431), point=point)
-            u = [s.expand(np.tile(np.eye(len(s.rows)), (len(s.coef), 1)),
-                          np.repeat(np.arange(len(s.coef)), len(s.rows))).T
+            u = [expand(s, np.tile(np.eye(len(s.rows)), (len(s.coef), 1)),
+                        np.repeat(np.arange(len(s.coef)), len(s.rows))).T
                  for s in h.sectors]
             q = np.hstack(u)
             np.testing.assert_allclose(q.T @ q, np.eye(h.dim), atol=atol)
@@ -429,6 +462,21 @@ class TestSectors:
         assert result.sectors == (dim,)
         values, _ = fallback(lead.entries, 8)
         np.testing.assert_allclose(result.values, values, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("groups", ["z05-tour", "yukawa-ladder"])
+    def test_straddle_bound_is_the_scan_at_every_dim(self, groups):
+        # Every leading dim of each little group of z05's tour (dim 89),
+        # and of the converge ladder's X group (dim 531): the row blocks
+        # go exactly where a scan of the rows past the cut finds a nonzero
+        # coefficient in a column whose orbit starts below it.
+        for h in little_group_blocks(groups):
+            for d, lead in enumerate(h.leading(range(1, h.dim + 1)), 1):
+                straddles = False
+                for s in h.sectors:
+                    m = np.count_nonzero(s.rows < d)
+                    straddles |= bool(np.any((s.coef[:, :, d:] != 0)
+                                             & (s.column[d:].T < m)))
+                assert (lead.sectors == ()) == straddles, d
 
     def test_leading_block_is_checked_anew_on_views(self):
         # Past the 12 shell (27 rows) no orbit straddles the cut: V's
@@ -522,7 +570,7 @@ class TestSectors:
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
         e = [s for s in h.sectors if s.label == "E"][0]
         coef = e.coef.copy()
-        coef[1] = np.roll(coef[1], 1, axis=0)
+        coef[1] = np.roll(coef[1], 1, axis=1)
         sectors = tuple(e._replace(coef=coef) if s is e else s
                         for s in h.sectors)
         assert eigh(h, 8).sectors == eigh(h._replace(sectors=sectors),
@@ -777,8 +825,8 @@ def lowest_by_loops(split, solved, count):
     levels = found @ partners
     order = np.lexsort((values, np.repeat(np.arange(len(levels)), levels)))
     keep = order[(np.cumsum(levels) - levels)[:, None] + np.arange(count)]
-    xs = [s.expand(np.tile(y, (len(s.coef), 1)),
-                   np.repeat(np.arange(len(s.coef)), len(y)))
+    xs = [expand(s, np.tile(y, (len(s.coef), 1)),
+                 np.repeat(np.arange(len(s.coef)), len(y)))
           for s, y in zip(split, ys)]
     first = np.cumsum([len(x) for x in xs]) - [len(x) for x in xs]
     vectors = np.concatenate(xs)[(first[row] + spots)[keep.ravel()]]
@@ -855,7 +903,7 @@ def two_rows(n, cut, seed, complex_entries):
         inside = np.isin(every, rows)
         sectors.append(eigen_mod.Sector(
             label, rows, np.where(inside, every - rows[0], 0)[:, None],
-            inside.astype(float)[None, :, None], v[np.ix_(rows, rows)]))
+            inside.astype(float)[None, None, :], v[np.ix_(rows, rows)]))
     return BlochMatrix.of(v, rng.uniform(0.0, 20.0, n), tuple(sectors))
 
 
@@ -873,7 +921,7 @@ def rows_and_batch(rng, sizes, complex_entries, v_power, powers):
         inside = np.isin(every, rows)
         sectors.append(eigen_mod.Sector(
             label, rows, np.where(inside, every - rows[0], 0)[:, None],
-            inside.astype(float)[None, :, None], v[np.ix_(rows, rows)]))
+            inside.astype(float)[None, None, :], v[np.ix_(rows, rows)]))
     kinetic = rng.uniform(0.0, 4.0, (len(powers), n)) * np.exp2(powers)[
         :, None]
     return v, kinetic, tuple(sectors)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,9 +420,10 @@ class TestSymmetryOnTheTable:
         # from it (or the G beside G = 0) maps the basis onto itself, as
         # the search finds: all 48 for G = 0, C3v's 6 for (-1, -1, -1) or
         # (-1, 1, 1) and a mirror's 2 for (1, -3, -1) (in units of
-        # 2 pi / a).  G = 0 and coefficients (1, 0, 0) span a box of shape
-        # (3, 1, 1), where the flat index of an image at (0, 1, 0), outside
-        # it, is that of (1, 0, 0).
+        # 2 pi / a).  G = 0 and coefficients (1, 0, 0) alone: in a box that
+        # held only the basis, of shape (3, 1, 1), the image (0, 1, 0)
+        # would take the flat index of (1, 0, 0); the lookup's cube holds
+        # every image.
         lat = make_cubic("DIAMOND", A_SI)
         rec = reciprocal_of(lat)
         whole = PlaneWaveBasis.from_cutoff(rec, 44 * SHELL)
@@ -429,3 +431,43 @@ class TestSymmetryOnTheTable:
         perm = operations(lat, rec, basis).perm
         np.testing.assert_array_equal(perm, searched_perm(lat, rec, basis))
         assert len(perm) == kept
+
+    @pytest.mark.parametrize("kind", ["SC", "BCC"])
+    def test_box_lookup_on_sc_and_bcc(self, kind):
+        # The images c M lie in a cube max|c| times M's largest column sum
+        # of |M| wide each way: 1 on SC and 3 on BCC (2 on FCC and
+        # diamond), so each lattice sizes the lookup differently.  Two
+        # cutoffs, then G = 0 and coefficients (-1, -1, -1) alone, a G
+        # along [111] (C3v's 6 keep it): on BCC some R maps it to 3 in
+        # one coefficient, past a cube of M's row sums, 2.
+        lat = make_cubic(kind, A_SI)
+        rec = reciprocal_of(lat)
+        for cutoff in (12, 76):
+            basis = PlaneWaveBasis.from_cutoff(rec, cutoff * SHELL)
+            perm = operations(lat, rec, basis).perm
+            np.testing.assert_array_equal(perm,
+                                          searched_perm(lat, rec, basis))
+            assert len(perm) == 48
+        rows = [0, np.flatnonzero((basis.coeffs == -1).all(axis=1))[0]]
+        two = PlaneWaveBasis(basis.coeffs[rows], basis.cart[rows])
+        perm = operations(lat, rec, two).perm
+        np.testing.assert_array_equal(perm, searched_perm(lat, rec, two))
+        assert len(perm) == 6
+
+    def test_operations_make_no_image_array(self):
+        # At the converge ladder's dim 531 the (48, dim, 3) int64 images
+        # the row lookup once made were 597 KiB; no temporary of operations
+        # reaches that now, what it returns included.
+        lat = make_cubic("DIAMOND", A_SI)
+        rec = reciprocal_of(lat)
+        basis = PlaneWaveBasis.from_cutoff(rec, 248 * SHELL)
+        assert basis.dim == 531
+        spans = differences(basis.coeffs)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            operations(lat, rec, basis, spans)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * basis.dim * 3 * 8
