@@ -309,6 +309,11 @@ def load_config(config_file) -> RunConfig:
         if fmt not in ALL_FORMATS:
             raise ConfigError("output.formats", f"unknown format {fmt!r}")
     out_dir = _text(out_sec.get("directory", "."), "output.directory")
+    # No path holds NUL, and a lone surrogate has no UTF-8 for the echo.
+    bad = [c for c in out_dir if c == "\0" or "\ud800" <= c <= "\udfff"]
+    if bad:
+        raise ConfigError("output.directory", f"U+{ord(bad[0]):04X} is not "
+                          "allowed in a directory name")
 
     smallest = min((g2_units, *(cutoffs or ())))
     top = max((g2_units, *(cutoffs or ())))

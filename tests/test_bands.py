@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -7,13 +6,12 @@ import numpy as np
 import pytest
 
 import pwbands.bands as bands_mod
-import pwbands.eigen as eigen_mod
 import pwbands.hamiltonian as hamiltonian_mod
 from pwbands.bands import (BandStructure, GapEntry, SweepError,
                            convergence_study, detect_gaps,
                            free_electron_reference, sweep)
 from pwbands.cli import load_config
-from pwbands.eigen import BlochMatrix, SolverError, eigh
+from pwbands.eigen import BlochMatrix, eigh
 from pwbands.hamiltonian import (AssemblyError, PlaneWaveBasis, build,
                                  operations, potential_matrix)
 from pwbands.lattice import fcc_symmetry_points, make_cubic, make_kpath, \
@@ -73,13 +71,9 @@ class TestSweep:
             sweep(quick_tour, Potential(0.0), lat, rec, basis(rec, 0), 2)
 
     def test_solver_failure_carries_kpoint(self, diamond, quick_tour,
-                                           monkeypatch):
+                                           bands_eigh):
         lat, rec = diamond
-
-        def fail(*_):
-            raise SolverError("synthetic failure")
-
-        monkeypatch.setattr(bands_mod, "eigh", fail)
+        bands_eigh.inject("raise")
         with pytest.raises(SweepError) as excinfo:
             sweep(quick_tour, Potential(0.0), lat, rec, basis(rec, 12), 4)
         assert excinfo.value.index == 0
@@ -87,61 +81,48 @@ class TestSweep:
                                    quick_tour.kappas[0])
 
 
-def poison_kpoint(monkeypatch, cfg, index):
-    """Stub eigen._solve so that k-point ``index`` of cfg's sweep, and no
-    other, comes back with NaN values, in a batch or alone.  The point is
-    known by its kinetic diagonal: each of its blocks' T is a part of it."""
-    solve = eigen_mod._solve
-    target = HBAR2_OVER_2M * np.sum(
-        (cfg.path.kappas[index] + cfg.basis.cart) ** 2, axis=1)
-
-    def poisoned(blocks, count, scales):
-        solved = solve(blocks, count, scales)
-        return [(info, [(np.full_like(w, np.nan), z) for w, z in pairs])
-                if all(np.isin(t[i], target).all() for _, t in blocks)
-                else (info, pairs) for i, (info, pairs) in enumerate(solved)]
-
-    monkeypatch.setattr(eigen_mod, "_solve", poisoned)
-
-
 class TestBatches:
     """A sweep solves runs of k-points of one little group as batches of at
     most BATCH_BYTES of vectors; an error still names its own k-point."""
 
-    @pytest.mark.parametrize("index", [23, 30])
-    def test_failure_inside_a_batch_names_its_kpoint(self, monkeypatch,
-                                                     index):
+    @pytest.mark.parametrize("kind, arg, message, index", [
+        pytest.param(kind, arg, message, index,
+                     id=f"{name}-{index}" if name else str(index))
+        for name, kind, arg, message in [
+            ("", "nan values", None, "non-finite"),
+            ("info", "info", 7, "LAPACK info 7,"),
+            ("linalg", "raise", None, "did not converge"),
+            ("drop", "drop", 1, "7 of 8 eigenpairs")]
+        for index in (23, 30)])
+    def test_failure_inside_a_batch_names_its_kpoint(
+            self, solver, bands_eigh, kind, arg, message, index):
         # z05's L-Gamma points 0-48 share C3v: at dim 89, 8 bands, batches
         # of 23 start at 0, 23 and 46, so 23 heads one and 30 lies inside.
         cfg = load_config(preset_path("z05"))
         size = bands_mod.BATCH_BYTES // (89 * 8 * 8)
         assert (cfg.basis.dim, cfg.num_bands, size) == (89, 8, 23)
-        poison_kpoint(monkeypatch, cfg, index)
-        solve, points = bands_mod.eigh, []
-        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
-            points.append(len(h.kinetic)) or solve(h, count)))
+        solver.inject(kind, arg, at=(cfg, index))
         with pytest.raises(SweepError, match=rf"^solve failed at k-point "
-                           rf"{index} kappa=.*non-finite") as excinfo:
+                           rf"{index} kappa=.*{message}") as excinfo:
             sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
                   cfg.num_bands)
         assert excinfo.value.index == index
         np.testing.assert_array_equal(excinfo.value.kappa,
                                       cfg.path.kappas[index])
         # The batch 23-45 failed whole, then its points one by one up to
-        # the poisoned one.
+        # the faulty one.
+        points = [len(h.kinetic) for h in bands_eigh.calls]
         assert points == [23, 23] + [1] * (index - 23 + 1)
 
     @pytest.mark.parametrize("g2_units, size", [(76, 23), (200, 6)])
-    def test_batches_on_the_preset_tour(self, monkeypatch, g2_units, size):
+    def test_batches_on_the_preset_tour(self, bands_eigh, g2_units, size):
         # The 197-point z05 tour: every point in one batch, no batch across
         # a change of little group, each within the byte budget and as few
         # as the budget allows.
         cfg = load_config(preset_path("z05"))
         b = basis(cfg.recip, g2_units)
-        solve, batches = bands_mod.eigh, []
-        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
-            batches.append(h.kinetic.shape) or solve(h, count)))
         sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, b, cfg.num_bands)
+        batches = [h.kinetic.shape for h in bands_eigh.calls]
         points = [p for p, _ in batches]
         assert sum(points) == len(cfg.path.kappas) == 197
         assert {dim for _, dim in batches} == {b.dim}
@@ -181,18 +162,6 @@ class TestRealPath:
                                    rtol=0, atol=1e-10)
 
 
-def corrupt(v, kind):
-    """A copy of the block broken one way: off-Hermitian, NaN or infinite."""
-    v = v.copy()
-    if kind == "asymmetric":
-        v[0, 1] += 1e-6 * np.abs(v).max()
-    elif kind == "nan":
-        v[0, 0] = np.nan
-    else:
-        v[1, 2] = v[2, 1] = np.inf
-    return v
-
-
 class TestBlockPath:
     """The sweep checks its potential block once; each k-point's solve must
     still be the dense matrix's solve, and a bad block must still fail at
@@ -201,20 +170,15 @@ class TestBlockPath:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
                              ids=["real", "forced-complex"])
     def test_sweep_equals_dense_solves_bit_for_bit(self, diamond, quick_tour,
-                                                   monkeypatch, dtype):
+                                                   monkeypatch, bands_eigh,
+                                                   dtype):
         lat, rec = diamond
         model = Potential(0.5)
         basis = PlaneWaveBasis.from_cutoff(rec, 76 * SHELL)
         v = potential_matrix(model, lat, rec, basis).astype(dtype)
         monkeypatch.setattr(bands_mod, "potential_matrix", lambda *_: v)
-        solve, calls = bands_mod.eigh, []
-
-        def recording(h, count):
-            calls.append((h, solve(h, count)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(bands_mod, "eigh", recording)
         bs = sweep(quick_tour, model, lat, rec, basis, 8)
+        calls = list(zip(bands_eigh.calls, bands_eigh.results))
         # One solve per batch, one batch entry per k-point.
         assert sum(len(result.values) for _, result in calls) \
             == len(quick_tour.kappas)
@@ -245,13 +209,9 @@ class TestBlockPath:
         ("asymmetric", "not Hermitian"), ("nan", "non-finite"),
         ("inf", "non-finite")])
     def test_bad_block_fails_at_the_first_kpoint(self, diamond, quick_tour,
-                                                 monkeypatch, kind, message):
+                                                 break_v, kind, message):
         lat, rec = diamond
-
-        def broken(*args):
-            return corrupt(potential_matrix(*args), kind)
-
-        monkeypatch.setattr(bands_mod, "potential_matrix", broken)
+        break_v(kind)
         with pytest.raises(SweepError, match=f"at k-point 0 .*{message}") \
                 as excinfo:
             sweep(quick_tour, Potential(0.5), lat, rec, basis(rec, 44), 4)
@@ -260,13 +220,13 @@ class TestBlockPath:
                                       quick_tour.kappas[0])
 
 
-def per_point(results):
+def per_point(batches):
     """The sector dims of each k-point that the batched solves held."""
-    return [r.sectors for r in results for _ in r.values]
+    return [r.sectors for r in batches.results for _ in r.values]
 
 
 class TestSectors:
-    def test_sector_dims_on_the_dense_tour_basis(self, diamond, monkeypatch):
+    def test_sector_dims_on_the_dense_tour_basis(self, diamond, bands_eigh):
         # z05 at 200 (pi/a)^2, dim 339: O_h splits Gamma into one row of each
         # of its ten irreps, and C4v splits Delta and X into five; the E row
         # holds one level of each pair.
@@ -274,11 +234,8 @@ class TestSectors:
         pts = fcc_symmetry_points(A_SI)
         path = make_kpath([("Γ", pts["Γ"]), ("Δ", 0.37 * pts["X"]),
                            ("X", pts["X"])], 2)
-        solve, results = bands_mod.eigh, []
-        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
-            results.append(solve(h, count)) or results[-1]))
         sweep(path, Potential(0.5), lat, rec, basis(rec, 200), 8)
-        assert per_point(results) == [
+        assert per_point(bands_eigh) == [
             (17, 2, 2, 15, 14, 13, 13, 27, 28, 15), (58, 28, 31, 56, 83),
             (58, 28, 31, 56, 83)]
 
@@ -308,28 +265,24 @@ class TestSectors:
         assert built == [6, 48, 8, 2]
 
     def test_point_no_symmetry_fixes_is_solved_whole(self, diamond,
-                                                     monkeypatch):
+                                                     bands_eigh):
         lat, rec = diamond
         path = make_kpath([("a", (0.31, 0.17, 0.42)), ("b", (0.3, 0.2, 0.1))],
                           2)
-        solve, results = bands_mod.eigh, []
-        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
-            results.append(solve(h, count)) or results[-1]))
         sweep(path, Potential(0.5), lat, rec, basis(rec, 44), 8)
-        assert per_point(results) == [(51,), (51,)]
+        assert per_point(bands_eigh) == [(51,), (51,)]
 
     def test_convergence_rows_are_leading_sector_blocks(self, diamond,
-                                                        monkeypatch):
+                                                        monkeypatch,
+                                                        bands_eigh):
         # One split at the largest cutoff; each smaller cutoff solves the
         # leading columns of its rows, and the levels match whole solves.
         lat, rec = diamond
         x = fcc_symmetry_points(A_SI)["X"]
         cutoffs = [c * SHELL for c in (12, 44, 76)]
-        solve, results = bands_mod.eigh, []
-        monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
-            results.append(solve(h, count)) or results[-1]))
         rows = convergence_study(x, Potential(0.5), lat, rec, basis(rec, 76),
                                  cutoffs, 8)
+        results = bands_eigh.results
         assert [r.sectors for r in results] == [
             (3, 2, 2), (10, 3, 4, 10, 12), (19, 5, 7, 16, 21)]
         assert [len(r.sectors) for r in results] == [3, 5, 5]
@@ -472,15 +425,12 @@ class TestConvergence:
                               basis(rec, 44), [0.0, 44 * SHELL], 8)
 
     def test_bloch_vector_of_two_components_rejected_before_any_solve(
-            self, diamond, monkeypatch):
+            self, diamond, bands_eigh):
         lat, rec = diamond
-        solves = []
-        monkeypatch.setattr(bands_mod, "eigh", lambda *args: solves.append(
-            args))
         with pytest.raises(AssemblyError, match="bad Bloch vector"):
             convergence_study(np.zeros(2), Potential(0.5), lat, rec,
                               basis(rec, 44), [12 * SHELL, 44 * SHELL], 4)
-        assert solves == []
+        assert bands_eigh.calls == []
 
 
 class TestOneLoop:
@@ -514,32 +464,29 @@ LADDER_DIMS = [51, 59, 65, 113, 113, 137, 169, 181, 229, 259, 283, 331, 331,
                339, 411, 459, 531, 531]
 
 
-def ladder(monkeypatch, eigh_stub=None):
+def ladder(bands_eigh):
     """The ladder's rows, and the (points, dim) of each eigh call."""
     lat = make_cubic("DIAMOND", A_SI)
     rec = reciprocal_of(lat)
-    solve, calls = eigh_stub or bands_mod.eigh, []
-    monkeypatch.setattr(bands_mod, "eigh", lambda h, count: (
-        calls.append(h.kinetic.shape) or solve(h, count)))
     rows = convergence_study(fcc_symmetry_points(A_SI)["X"],
                              Potential(0.5, mu=1.0), lat, rec,
                              basis(rec, 248), LADDER, 8)
-    return rows, calls
+    return rows, [h.kinetic.shape for h in bands_eigh.calls]
 
 
 class TestOneSolvePerDim:
     """Cutoffs that add no shell share their dim's H, so a convergence
     study solves each dim once and repeats its row."""
 
-    def test_ladder_solves_15_points_for_18_cutoffs(self, monkeypatch):
-        rows, calls = ladder(monkeypatch)
+    def test_ladder_solves_15_points_for_18_cutoffs(self, bands_eigh):
+        rows, calls = ladder(bands_eigh)
         assert [row.dim for row in rows] == LADDER_DIMS
         assert [row.g2_max for row in rows] == LADDER
         assert sum(points for points, _ in calls) == 15
         assert [dim for _, dim in calls] == sorted(set(LADDER_DIMS))
 
-    def test_repeated_dims_repeat_their_row_bit_for_bit(self, monkeypatch):
-        rows, _ = ladder(monkeypatch)
+    def test_repeated_dims_repeat_their_row_bit_for_bit(self, bands_eigh):
+        rows, _ = ladder(bands_eigh)
         repeats = 0
         for a, b in zip(rows, rows[1:]):
             if a.dim == b.dim:
@@ -551,50 +498,25 @@ class TestOneSolvePerDim:
 
     @pytest.mark.parametrize("failure", ["solve", "interlacing"])
     def test_failure_at_a_repeated_dim_names_its_first_cutoff(
-            self, monkeypatch, failure):
-        # dim 331 holds cutoffs[11] (176) and cutoffs[12] (188).
-        solve = bands_mod.eigh
-
-        def failing(h, count):
-            if h.dim != 331:
-                return solve(h, count)
-            if failure == "solve":
-                raise SolverError("LAPACK info 1")
-            result = solve(h, count + 1)  # E1 skipped: the levels rise
-            return dataclasses.replace(result, values=result.values[:, 1:],
-                                       vectors=result.vectors[:, :, 1:])
-
+            self, bands_eigh, failure):
+        # dim 331 holds cutoffs[11] (176) and cutoffs[12] (188); a skipped
+        # E1 makes the levels rise.
+        bands_eigh.inject("raise" if failure == "solve" else "skip", dim=331)
         message = ("solve failed at" if failure == "solve"
                    else "levels do not interlace at")
         place = f"cutoff g2_max={LADDER[11]:g} 1/A^2 (cutoffs[11])"
         with pytest.raises(SweepError, match=f"^{message} {re.escape(place)}"
                            ) as excinfo:
-            ladder(monkeypatch, failing)
+            ladder(bands_eigh)
         assert excinfo.value.index == 11
-
-
-def skip_lowest_level_on_call(monkeypatch, call):
-    """Stub eigh so that solve number ``call`` (a batch of one cutoff)
-    skips the lowest level, as a subset solve that missed an eigenvalue
-    would."""
-    solve, calls = bands_mod.eigh, []
-
-    def skipping(h, count):
-        calls.append(h)
-        if len(calls) != call:
-            return solve(h, count)
-        result = solve(h, count + 1)
-        return dataclasses.replace(result, values=result.values[:, 1:],
-                                   vectors=result.vectors[:, :, 1:])
-
-    monkeypatch.setattr(bands_mod, "eigh", skipping)
 
 
 class TestInterlacing:
     def test_skipped_level_raises_naming_the_cutoff(self, diamond,
-                                                    monkeypatch):
+                                                    bands_eigh):
+        # Each solve is a batch of one cutoff.
         lat, rec = diamond
-        skip_lowest_level_on_call(monkeypatch, 2)
+        bands_eigh.inject("skip", call=2)
         with pytest.raises(SweepError, match=r"\(cutoffs\[1\]\): E1 rose") \
                 as excinfo:
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
@@ -604,28 +526,20 @@ class TestInterlacing:
         np.testing.assert_array_equal(excinfo.value.kappa, np.zeros(3))
 
     def test_skip_at_the_largest_cutoff_is_caught(self, diamond,
-                                                  monkeypatch):
+                                                  bands_eigh):
         lat, rec = diamond
-        skip_lowest_level_on_call(monkeypatch, 3)
+        bands_eigh.inject("skip", call=3)
         with pytest.raises(SweepError, match="do not interlace") as excinfo:
             convergence_study(np.zeros(3), Potential(0.5), lat, rec,
                               basis(rec, 76),
                               [16 * SHELL, 44 * SHELL, 76 * SHELL], 4)
         assert excinfo.value.index == 2
 
-    def test_rise_within_tolerance_passes(self, diamond, monkeypatch):
+    def test_rise_within_tolerance_passes(self, diamond, bands_eigh):
         # Free levels are equal at every cutoff; a rise of 1e-10 max|H|
         # is rounding, not a violation.
         lat, rec = diamond
-        solve, calls = bands_mod.eigh, []
-
-        def nudged(h, count):
-            calls.append(h)
-            result = solve(h, count)
-            rise = 1e-10 * result.scale[:, None] if len(calls) == 2 else 0.0
-            return dataclasses.replace(result, values=result.values + rise)
-
-        monkeypatch.setattr(bands_mod, "eigh", nudged)
+        bands_eigh.inject("nudge", 1e-10, call=2)
         rows = convergence_study(np.zeros(3), Potential(0.0), lat, rec,
                                  basis(rec, 44), [12 * SHELL, 44 * SHELL], 4)
         assert len(rows) == 2

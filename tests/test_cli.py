@@ -135,6 +135,10 @@ class TestLoadConfig:
          "output.directory: expected a string"),
         (lambda c: c["output"].update(directory=5),
          "output.directory: expected a string"),
+        # No path holds NUL; a lone surrogate has no UTF-8.
+        *((lambda c, bad=bad: c["output"].update(directory=f"d{bad}x"),
+           f"output.directory: U+{ord(bad):04X} is not allowed")
+          for bad in ("\x00", "\ud800", "\udcff")),
     ])
     def test_bad_configs_name_the_key(self, write_config, mutate, needle):
         path = write_config(mutate=mutate)
@@ -548,6 +552,19 @@ class TestMain:
         assert err.startswith("config error at output.directory: ")
         assert "Traceback" not in err
 
+    def test_unwritable_directory_name_exits_2_creating_nothing(
+            self, write_config, tmp_path, capsys):
+        # NUL failed in mkdir with a traceback; a lone surrogate made the
+        # directory and bands.csv, then failed writing the config's echo.
+        for bad in ("\x00", "\ud800", "\udcff"):
+            path = write_config(mutate=lambda c: c["output"].update(
+                directory=str(tmp_path / f"d{bad}x")))
+            assert main(["bands", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error at output.directory: ")
+            assert "Traceback" not in err
+            assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["info", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -767,19 +784,10 @@ class TestMain:
 
 
     def test_nan_eigenpairs_exit_3_naming_the_kpoint(
-            self, write_config, tmp_path, monkeypatch, capsys):
+            self, write_config, tmp_path, solver, capsys):
         # A solver that reports success with NaN values: the check after it
         # stops the run at that k-point, with nothing written.
-        import pwbands.eigen as eigen_mod
-
-        solve = eigen_mod._solve
-
-        def poisoned(blocks, count, scales):
-            return [(info, [(np.full_like(values, np.nan), vectors)
-                            for values, vectors in pairs])
-                    for info, pairs in solve(blocks, count, scales)]
-
-        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        solver.inject("nan values")
         assert main(["bands", "--config", str(write_config()),
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
@@ -789,25 +797,10 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     def test_nan_inside_a_batch_exits_3_naming_its_kpoint(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, solver, capsys):
         # z05's k-point 23 is solved in a batch of 23 points (23-45) that
         # share C3v; the error names it, not its batch.
-        import pwbands.eigen as eigen_mod
-        from pwbands.potential import HBAR2_OVER_2M
-
-        cfg = load_config(preset_path("z05"))
-        target = HBAR2_OVER_2M * np.sum(
-            (cfg.path.kappas[23] + cfg.basis.cart) ** 2, axis=1)
-        solve = eigen_mod._solve
-
-        def poisoned(blocks, count, scales):
-            return [(info, [(np.full_like(w, np.nan), z) for w, z in pairs])
-                    if all(np.isin(t[i], target).all() for _, t in blocks)
-                    else (info, pairs)
-                    for i, (info, pairs) in enumerate(solve(blocks, count,
-                                                            scales))]
-
-        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        solver.inject("nan values", at=(load_config(preset_path("z05")), 23))
         assert main(["bands", "--config", str(preset_path("z05")),
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
@@ -820,22 +813,10 @@ class TestMain:
     @pytest.mark.parametrize("kind, message", [
         ("asymmetric", "not Hermitian"), ("nan", "non-finite")])
     def test_bad_potential_block_exits_3_at_the_first_kpoint(
-            self, write_config, tmp_path, monkeypatch, capsys, kind, message):
+            self, write_config, tmp_path, break_v, capsys, kind, message):
         # The block is checked once per sweep; a bad one still stops the
         # run at its first solve, before LAPACK, with nothing written.
-        import pwbands.bands as bands_mod
-
-        assemble = bands_mod.potential_matrix
-
-        def broken(*args):
-            v = assemble(*args).copy()
-            if kind == "asymmetric":
-                v[0, 1] += 1e-6 * np.abs(v).max()
-            else:
-                v[0, 0] = np.nan
-            return v
-
-        monkeypatch.setattr(bands_mod, "potential_matrix", broken)
+        break_v(kind)
         assert main(["bands", "--config", str(write_config()),
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
@@ -845,21 +826,9 @@ class TestMain:
         assert not (tmp_path / "o").exists()
 
     def test_levels_that_do_not_interlace_exit_3_naming_the_cutoff(
-            self, write_config, tmp_path, monkeypatch, capsys):
+            self, write_config, tmp_path, bands_eigh, capsys):
         # The second cutoff's solve skips its lowest level, so E1 rises.
-        import pwbands.bands as bands_mod
-
-        solve, calls = bands_mod.eigh, []
-
-        def skipping(h, count):
-            calls.append(h)
-            if len(calls) != 2:
-                return solve(h, count)
-            result = solve(h, count + 1)  # a batch of one cutoff
-            return dataclasses.replace(result, values=result.values[:, 1:],
-                                       vectors=result.vectors[:, :, 1:])
-
-        monkeypatch.setattr(bands_mod, "eigh", skipping)
+        bands_eigh.inject("skip", call=2)
         path = write_config(mutate=lambda c: c["basis"].update(
             cutoffs=[16, 44, 76]))
         assert main(["converge", "--config", str(path),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import sys
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from pwbands import eigen as eigen_mod
 from pwbands.eigen import (BlochMatrix, EigenResult, NonHermitianError,
                            SolverError, eigh)
-import pwbands.bands as bands_mod
 import pwbands.hamiltonian as hamiltonian_mod
 from pwbands.bands import (SweepError, convergence_study,
                            free_electron_reference, sweep)
@@ -327,10 +325,10 @@ class TestSolverPaths:
         np.testing.assert_allclose(result.values, full[:5], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_empty_binding_table_falls_back(self, monkeypatch,
+    def test_empty_binding_table_falls_back(self, without_drivers,
                                             complex_entries):
         h = random_hermitian(30, seed=40, complex_entries=complex_entries)
-        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        without_drivers()
         result = eigh(h, 8)
         values, vectors = fallback(h, 8)
         np.testing.assert_array_equal(result.values, values)
@@ -506,35 +504,25 @@ class TestSectors:
         values, _ = fallback(lead.entries, 8)
         np.testing.assert_allclose(result.values, values, rtol=0, atol=1e-10)
 
-    def test_fallback_solves_whole(self, monkeypatch):
+    def test_fallback_solves_whole(self, without_drivers):
         # numpy.linalg.eigh is the unsplit reference a split is held to.
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
-        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        without_drivers()
         result = eigh(h, 8)
         assert result.sectors == (h.dim,)
         values, _ = fallback(h.entries, 8)
         np.testing.assert_array_equal(result.values, values)
 
-    def test_nan_in_one_sector_is_solver_error(self, monkeypatch):
+    def test_nan_in_one_sector_is_solver_error(self, solver):
         # The highest level returned is not kept, so a NaN there would sort
         # past the kept ones and vanish unverified; it must raise instead.
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
-        solve, tops = eigen_mod._solve, []
-
-        def poisoned(blocks, count, scales):
-            (info, pairs), = solve(blocks, count, scales)
-            top = max(range(len(pairs)), key=lambda s: max(pairs[s][0],
-                                                            default=-np.inf))
-            values, vectors = pairs[top]
-            tops.append(values[-1])
-            pairs[top] = np.r_[values[:-1], np.nan], vectors
-            return [(info, pairs)]
-
         kept = eigh(h, 8).values
-        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        solver.inject("nan top")
         with pytest.raises(SolverError, match="non-finite"):
             eigh(h, 8)
-        assert tops[0] > kept.max()
+        assert max(w.max(initial=-np.inf) for w in solver.calls[-1].values) \
+            > kept.max()
 
     def test_e_levels_pair_bit_for_bit(self):
         # A row of E is solved once; its partner row repeats the levels.
@@ -621,16 +609,9 @@ def z05_group(point):
     return _GROUPS[point]
 
 
-def record_by_row(monkeypatch):
-    """The count of each k-point that eigh re-solves row by row."""
-    by_row, resolved = eigen_mod._by_row, []
-
-    def recording(blocks, count, scale):
-        resolved.append(count)
-        return by_row(blocks, count, scale)
-
-    monkeypatch.setattr(eigen_mod, "_by_row", recording)
-    return resolved
+def by_row(solver):
+    """Each point that was re-solved row by row."""
+    return [point for point in solver.calls if point.by_row]
 
 
 needs_drivers = pytest.mark.skipif(
@@ -643,7 +624,8 @@ class TestSelection:
     """One LAPACK solve per k-point picks the lowest levels of all its irrep
     rows, each row's level once; partner rows then repeat them."""
 
-    def test_one_solve_per_kpoint_for_min_bands_rows(self, monkeypatch):
+    def test_one_solve_per_kpoint_for_min_bands_rows(self, solver,
+                                                      without_drivers):
         # At Gamma's first cutoff (dim 15) 8 rows hold 12 bands: fewer
         # levels can be asked for than bands are kept.
         lattice, rec, basis = z05_basis()
@@ -651,14 +633,6 @@ class TestSelection:
         path = make_kpath([("L", pts["L"]), ("Γ", pts["Γ"]),
                            ("X", pts["X"]), ("U", pts["U"])], 3)
         cutoffs = [16 * (math.pi / 5.431) ** 2, basis.g2.max()]
-        solve, calls = eigen_mod._solve, []
-
-        def recording(blocks, count, scales):  # one entry per k-point
-            calls.extend([(sum(kinetic.shape[1] for _, kinetic in blocks),
-                           count)] * len(scales))
-            return solve(blocks, count, scales)
-
-        monkeypatch.setattr(eigen_mod, "_solve", recording)
 
         def run():
             return (sweep(path, Potential(0.5), lattice, rec, basis,
@@ -668,12 +642,13 @@ class TestSelection:
                         cutoffs, 12)])
 
         energies, ladder = run()
+        calls = [(sum(point.rows), point.count) for point in solver.calls]
         assert len(calls) == len(path.kappas) + len(cutoffs)
         assert [count for _, count in calls] == [min(12, rows)
                                                  for rows, _ in calls]
         assert calls[len(path.kappas)] == (8, 8)
         # Those levels hold the lowest 12 of H whole.
-        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        without_drivers()
         whole, whole_ladder = run()
         np.testing.assert_allclose(energies, whole, rtol=0, atol=1e-10)
         np.testing.assert_allclose(ladder, whole_ladder, rtol=0, atol=1e-10)
@@ -708,14 +683,12 @@ class TestSelection:
 
     @needs_drivers
     @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_levels_a_hair_apart_across_rows(self, monkeypatch,
-                                             complex_entries):
+    def test_levels_a_hair_apart_across_rows(self, solver, complex_entries):
         # ?stemr picks its levels across rows by bisection, to about
         # 1e-8 |E|: at a gap of 1e-9 |E| it returned the 9th level for the
         # 8th in 39 of these 100 real pairs and 48 of the complex ones.  A
         # Sturm count of the stacked tridiagonal finds the level passed
         # over, and the rows are solved one by one.
-        resolved = record_by_row(monkeypatch)
         rng = np.random.default_rng(0)
         for trial in range(100):
             blocks, lowest = pair_tied_at_the_cut(rng, 1e-9, complex_entries)
@@ -728,15 +701,15 @@ class TestSelection:
                 rtol=0, atol=1e-11, err_msg=f"trial {trial}")
             for b, (w, z) in zip(blocks, pairs):
                 assert np.abs(b @ z - z * w).max() < 1e-10
-        assert 0 < len(resolved) < 100
+        assert 0 < len(by_row(solver)) < 100
 
     @needs_drivers
-    def test_nearly_free_electrons_match_the_fallback(self, monkeypatch,
+    def test_nearly_free_electrons_match_the_fallback(self, solver,
+                                                       without_drivers,
                                                        tmp_path):
         # z05 at a = 1e-6 A: max|H| is kinetic, V a 1e-13 perturbation, so
         # rows' levels nearly tie across the cut; the one-call pick was off
         # by 3.7e-9 max|E| against H solved whole.
-        resolved = record_by_row(monkeypatch)
         raw = json.loads(preset_path("z05").read_text(encoding="utf-8"))
         raw["lattice"]["a"] = 1e-6
         raw["path"]["samples_per_segment"] = 11
@@ -749,17 +722,16 @@ class TestSelection:
                          cfg.basis, cfg.num_bands).energies
 
         split = energies()
-        assert resolved
-        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        assert by_row(solver)
+        without_drivers()
         whole = energies()
         np.testing.assert_allclose(split, whole, rtol=0,
                                    atol=1e-10 * np.abs(whole).max())
 
-    def test_no_preset_point_is_solved_by_row(self, monkeypatch):
+    def test_no_preset_point_is_solved_by_row(self, solver):
         # free's rows tie exactly across the cut (at Gamma its 2nd to 9th
         # levels are the eight (111) waves, in four irreps); the Sturm
         # count's tolerance must not take a tie for a level passed over.
-        resolved = record_by_row(monkeypatch)
         for name in ("free", "z025", "z05", "z20", "si_empirical"):
             cfg = load_config(preset_path(name))
             sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
@@ -775,17 +747,18 @@ class TestSelection:
                     cfg.path, cfg.lattice, cfg.recip, cfg.g2_max,
                     cfg.num_bands + 1).energies
                 assert np.any(ref[:, -1] == ref[:, -2])
-        assert resolved == []
+        assert by_row(solver) == []
 
     @needs_drivers
-    def test_count_stopped_by_a_nan_pivot_resolves_by_row(self, monkeypatch):
+    def test_count_stopped_by_a_nan_pivot_resolves_by_row(self, monkeypatch,
+                                                          solver,
+                                                          without_drivers):
         # With no tolerance the Sturm point is the highest level returned,
         # which free's V = 0 puts exactly on a diagonal entry: ?larrc's pivot
         # there is 0, the next coupling is 0, and 0/0 stops the count short.
         # A count that differs from the levels returned at the point must
         # re-solve by row, not pass the pick.
         monkeypatch.setattr(eigen_mod, "SELECTION_TOL", 0.0)
-        resolved = record_by_row(monkeypatch)
         cfg = load_config(preset_path("free"))
 
         def energies():
@@ -793,8 +766,8 @@ class TestSelection:
                          cfg.basis, cfg.num_bands).energies
 
         split = energies()
-        assert resolved
-        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        assert by_row(solver)
+        without_drivers()
         whole = energies()  # max|E| kept is at most max|H|
         np.testing.assert_allclose(split, whole, rtol=0,
                                    atol=1e-10 * np.abs(whole).max())
@@ -837,8 +810,7 @@ def lowest_by_loops(split, solved, count):
 
 @pytest.mark.parametrize("point", ["L", "X", "Γ", "U/2"])
 @pytest.mark.parametrize("complex_entries", [False, True])
-def test_kept_levels_are_the_loops_picks(monkeypatch, point,
-                                         complex_entries):
+def test_kept_levels_are_the_loops_picks(solver, point, complex_entries):
     # Levels drawn from a few values, so that ties across rows, partners
     # and levels of one row are many: the one sort over the batch keeps
     # the levels, vectors and labels the per-point loops kept, bit for
@@ -858,7 +830,7 @@ def test_kept_levels_are_the_loops_picks(monkeypatch, point,
                                 rng.standard_normal((m, p)) * (
                                     1 + 1j * complex_entries))
                                for m, p in zip(rows, taken)]))
-        monkeypatch.setattr(eigen_mod, "_solve", lambda *args: solved)
+        solver.inject("answer", solved)
         values, vectors, labels = eigen_mod._lowest(
             split, np.zeros((points, basis.dim)), count, np.ones(points))
         ref_values, ref_vectors, ref_rows = lowest_by_loops(split, solved,
@@ -972,11 +944,10 @@ class TestBatch:
                                        count)
 
     @needs_drivers
-    def test_point_solved_by_row_inside_a_batch(self, monkeypatch):
+    def test_point_solved_by_row_inside_a_batch(self, monkeypatch, solver):
         # z05's L-Gamma points 10-17 with no selection tolerance: some of
         # them re-solve by row, the rest do not, in one batch.
         monkeypatch.setattr(eigen_mod, "SELECTION_TOL", 0.0)
-        resolved = record_by_row(monkeypatch)
         cfg = load_config(preset_path("z05"))
         kappas = cfg.path.kappas[10:18]
         crystal = operations(cfg.lattice, cfg.recip, cfg.basis)
@@ -987,7 +958,7 @@ class TestBatch:
         h = build(kappas, cfg.basis, v._replace(sectors=row_blocks(
             v.matrix, little_group(crystal, v, fixes[0]))))
         assert eigh(h, 8).sectors == (28, 5, 28)
-        assert 0 < len(resolved) < len(kappas)
+        assert 0 < len(by_row(solver)) < len(kappas)
         assert_batch_is_each_point(h, 8)
 
     def test_one_point_is_unbatched(self):
@@ -1038,7 +1009,7 @@ class TestWorkspaces:
 
     @pytest.mark.parametrize("count", [8, 340])
     @pytest.mark.parametrize("complex_entries", [False, True])
-    def test_two_rows_match_fallback(self, monkeypatch, complex_entries,
+    def test_two_rows_match_fallback(self, without_drivers, complex_entries,
                                      count):
         # count 340 = dim: every vector, as hamiltonian.irreps asks.
         h = two_rows(340, 200, 80, complex_entries)
@@ -1046,7 +1017,7 @@ class TestWorkspaces:
         assert result.sectors == (200, 140)
         assert result.residual <= eigen_mod.RESIDUAL_TOL
         assert result.orthonormality <= eigen_mod.ORTHONORMALITY_TOL
-        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        without_drivers()
         whole = eigh(h, count)
         assert whole.sectors == (340,)
         np.testing.assert_allclose(result.values, whole.values, rtol=0,
@@ -1146,15 +1117,15 @@ class TestWorkspaces:
 
     @pytest.mark.parametrize("where", ["tour", "Γ"])
     def test_each_point_calls_each_stage_once_a_row(self, monkeypatch,
-                                                    where):
+                                                    solver, where):
         # Per point: a reduction of each row, one ?stemr, one Sturm count
         # if there are rows to pick across, and a back-transform of each
         # row that holds a returned vector, of those vectors.
-        calls, points, inside = [], [], []
+        calls = []
 
         def counting(stage, name):
             def call(*args):
-                if inside:  # not the little groups' irreps
+                if solver.inside:  # not the little groups' irreps
                     calls.append((name, args))
                 return stage(*args)
             return call
@@ -1163,31 +1134,20 @@ class TestWorkspaces:
             dtype: tuple(map(counting, stages,
                              ("reduce", "stemr", "back", "sturm")))
             for dtype, stages in eigen_mod._DRIVERS.items()})
-        solve = eigen_mod._solve
-
-        def recording(blocks, count, scales):
-            inside.append(True)
-            solved = solve(blocks, count, scales)
-            inside.pop()
-            sizes = [kinetic.shape[1] for _, kinetic in blocks]
-            points.extend((sizes, [len(w) for w, _ in pairs])
-                          for _, pairs in solved)
-            return solved
-
-        monkeypatch.setattr(eigen_mod, "_solve", recording)
         if where == "tour":
             cfg = load_config(preset_path("z05"))
             assert cfg.basis.dim == 89
             sweep(cfg.path, cfg.model, cfg.lattice, cfg.recip, cfg.basis,
                   cfg.num_bands)
-            assert len(points) == len(cfg.path.kappas)
+            assert len(solver.calls) == len(cfg.path.kappas)
         else:
             h = split_x_matrix(make_cubic("DIAMOND", 5.431), point="Γ")
             assert (h.dim, len(h.sectors)) == (89, 8)
             eigh(h, 8)
-            assert len(points) == 1
+            assert len(solver.calls) == 1
         calls = iter(calls)
-        for sizes, found in points:
+        for sizes, found in ((p.rows, [len(w) for w in p.values])
+                             for p in solver.calls):
             expected = [("reduce", m) for m in sizes] + [("stemr", None)] \
                 + [("sturm", None)] * (len(sizes) > 1) + [
                     ("back", (m, p)) for m, p in zip(sizes, found) if p]
@@ -1220,74 +1180,46 @@ class TestErrors:
         with pytest.raises(NonHermitianError):
             eigh(np.zeros((2, 3)))
 
-    def test_convergence_failure_is_solver_error(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(eigen_mod, "_solve", broken)
+    def test_convergence_failure_is_solver_error(self, solver):
+        solver.inject("raise")
         with pytest.raises(SolverError):
             eigh(np.eye(3))
 
-    def test_fallback_convergence_failure_is_solver_error(self, monkeypatch):
+    def test_fallback_convergence_failure_is_solver_error(self, monkeypatch,
+                                                          without_drivers):
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(eigen_mod, "_DRIVERS", {})
+        without_drivers()
         monkeypatch.setattr(np.linalg, "eigh", broken)
         with pytest.raises(SolverError):
             eigh(np.eye(3))
 
     @pytest.mark.parametrize("info, found", [(2, 3), (0, 2), (-1011, 0)])
-    def test_driver_failure_is_solver_error(self, monkeypatch, info, found):
+    def test_driver_failure_is_solver_error(self, solver, info, found):
         # info > 0: no convergence; m < count: a level went missing;
         # info < 0: LAPACKE rejected an argument or ran out of memory.
-        solve = eigen_mod._solve
-
-        def reporting(blocks, count, scales):
-            return [(info, [(values[:found], vectors[:, :found])
-                            for values, vectors in pairs])
-                    for _, pairs in solve(blocks, count, scales)]
-
-        monkeypatch.setattr(eigen_mod, "_solve", reporting)
+        solver.inject("info", info)
+        solver.inject("drop", 3 - found)
         with pytest.raises(SolverError, match=f"info {info}, {found} of 3"):
             eigh(random_hermitian(6, seed=42), 3)
 
     @pytest.mark.parametrize("bad", ["values", "vectors"])
-    def test_nan_pairs_are_solver_error(self, monkeypatch, bad):
+    def test_nan_pairs_are_solver_error(self, solver, bad):
         # LAPACK info 0 and the right count, but NaN figures: every test of
         # the contract must fail on NaN, not pass it.
-        solve = eigen_mod._solve
-
-        def poisoned(blocks, count, scales):
-            if bad == "values":
-                return [(info, [(np.full_like(values, np.nan), vectors)
-                                for values, vectors in pairs])
-                        for info, pairs in solve(blocks, count, scales)]
-            return [(info, [(values, np.full_like(vectors, np.nan))
-                            for values, vectors in pairs])
-                    for info, pairs in solve(blocks, count, scales)]
-
-        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+        solver.inject(f"nan {bad}")
         with pytest.raises(SolverError):
             eigh(np.diag([1.0, 2.0, 3.0]), 2)
         with pytest.raises(SolverError):
             eigh(np.diag([1.0, 2.0, 3.0]), 1)
 
     @pytest.mark.parametrize("shift", [0.0, 1e-6])
-    def test_residual_bound_at_huge_scale(self, monkeypatch, shift):
+    def test_residual_bound_at_huge_scale(self, solver, shift):
         # ||H||_F overflows here; the bound is relative to max|H|, so exact
         # pairs pass and eigenvalues off by 1e-6 max|H| are caught.
         h = 1e200 * random_hermitian(6, seed=11)
-        solve = eigen_mod._solve
-
-        def shifted(blocks, count, scales):
-            (info, pairs), = solve(blocks, count, scales)
-            (v, kinetic), = blocks
-            h = v + np.diag(kinetic[0])
-            return [(info, [(values + shift * np.abs(h).max(), vectors)
-                            for values, vectors in pairs])]
-
-        monkeypatch.setattr(eigen_mod, "_solve", shifted)
+        solver.inject("shift", shift)
         if shift:
             with pytest.raises(SolverError, match="residual"):
                 eigh(h)
@@ -1317,18 +1249,11 @@ def two_threads():
     put(before)
 
 
-def record_threads(monkeypatch):
+def threads_seen(solver):
     """(block rows, thread count) for each block of each LAPACK call
     through eigh."""
-    solve, seen = eigen_mod._solve, []
-
-    def recording(blocks, count, scales):
-        seen.extend((kinetic.shape[1], blas_threads())
-                    for _, kinetic in blocks)
-        return solve(blocks, count, scales)
-
-    monkeypatch.setattr(eigen_mod, "_solve", recording)
-    return seen
+    return [(rows, point.threads) for point in solver.calls
+            for rows in point.rows]
 
 
 def z05_basis():
@@ -1347,76 +1272,56 @@ class TestThreadScope:
 
     @pytest.mark.parametrize("n, inside", [
         (eigen_mod.ONE_THREAD_BELOW - 1, 1), (eigen_mod.ONE_THREAD_BELOW, 2)])
-    def test_count_inside_the_solve(self, monkeypatch, n, inside):
-        seen = record_threads(monkeypatch)
+    def test_count_inside_the_solve(self, solver, n, inside):
         eigh(random_hermitian(n, seed=70, complex_entries=False), 4)
-        assert seen == [(n, inside)]
+        assert threads_seen(solver) == [(n, inside)]
         assert blas_threads() == 2
 
-    def test_every_row_block_solves_on_one_thread(self, monkeypatch):
+    def test_every_row_block_solves_on_one_thread(self, solver):
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
-        seen = record_threads(monkeypatch)
         eigh(h, 8)
+        seen = threads_seen(solver)
         assert [rows for rows, _ in seen] == [len(s.rows) for s in h.sectors]
         assert {count for _, count in seen} == {1}
         assert blas_threads() == 2
 
-    def test_sweep_and_convergence_study_put_the_count_back(self,
-                                                            monkeypatch):
+    def test_sweep_and_convergence_study_put_the_count_back(self, solver):
         lattice, rec, basis = z05_basis()
         pts = fcc_symmetry_points(5.431)
-        seen = record_threads(monkeypatch)
         sweep(make_kpath([("L", pts["L"]), ("Γ", pts["Γ"])], 3),
               Potential(0.5), lattice, rec, basis, 8)
         assert blas_threads() == 2
         convergence_study(pts["X"], Potential(0.5), lattice, rec, basis,
                           [16 * (math.pi / 5.431) ** 2, basis.g2.max()], 8)
         assert blas_threads() == 2
+        seen = threads_seen(solver)
         assert seen and {count for _, count in seen} == {1}
 
-    def test_solver_error_puts_the_count_back(self, monkeypatch):
-        solve = eigen_mod._solve
-
-        def poisoned(blocks, count, scales):
-            assert blas_threads() == 1
-            return [(info, [(np.full_like(values, np.nan), vectors)
-                            for values, vectors in pairs])
-                    for info, pairs in solve(blocks, count, scales)]
-
-        monkeypatch.setattr(eigen_mod, "_solve", poisoned)
+    def test_solver_error_puts_the_count_back(self, solver):
+        solver.inject("nan values")
         with pytest.raises(SolverError, match="non-finite"):
             eigh(random_hermitian(30, seed=71), 4)
+        assert threads_seen(solver) == [(30, 1)]
         assert blas_threads() == 2
 
-    def test_interlacing_error_puts_the_count_back(self, monkeypatch):
+    def test_interlacing_error_puts_the_count_back(self, bands_eigh):
         # The second cutoff's solve skips its lowest level, so E1 rises.
         lattice, rec, basis = z05_basis()
-        solve, calls = bands_mod.eigh, []
-
-        def skipping(h, count):
-            calls.append(h)
-            if len(calls) != 2:
-                return solve(h, count)
-            result = solve(h, count + 1)  # a batch of one cutoff
-            return dataclasses.replace(result, values=result.values[:, 1:],
-                                       vectors=result.vectors[:, :, 1:])
-
-        monkeypatch.setattr(bands_mod, "eigh", skipping)
+        bands_eigh.inject("skip", call=2)
         with pytest.raises(SweepError, match="interlace"):
             convergence_study(fcc_symmetry_points(5.431)["X"], Potential(0.5),
                               lattice, rec, basis,
                               [16 * (math.pi / 5.431) ** 2, basis.g2.max()], 8)
         assert blas_threads() == 2
 
-    def test_overlapping_callers_put_the_count_back(self, monkeypatch):
+    def test_overlapping_callers_put_the_count_back(self, solver):
         # The first caller in leaves first: a save and restore per call
         # would put 2 back while the second still solves, and the second
         # would then leave the process at 1.
-        solve = eigen_mod._solve
         first_in, second_in, first_out = (threading.Event() for _ in range(3))
         inside, errors = {}, []
 
-        def staged(blocks, count, scales):
+        def staged():
             if threading.current_thread().name == "first":
                 first_in.set()
                 assert second_in.wait(10)
@@ -1424,7 +1329,6 @@ class TestThreadScope:
                 second_in.set()
                 assert first_out.wait(10)
                 inside["after the first left"] = blas_threads()
-            return solve(blocks, count, scales)
 
         def call(seed, done=None):
             try:
@@ -1435,7 +1339,7 @@ class TestThreadScope:
                 if done is not None:
                     done.set()
 
-        monkeypatch.setattr(eigen_mod, "_solve", staged)
+        solver.inject("run", staged)
         first = threading.Thread(target=call, args=(72, first_out),
                                  name="first")
         second = threading.Thread(target=call, args=(73,), name="second")
@@ -1480,8 +1384,8 @@ class TestThreadScope:
         ("L", 200, False, 0), ("X", 200, False, 0), ("Γ", 200, False, 0),
         ("L", 120, True, 0), ("X", 120, True, 0),
         ("L", 200, True, 1e-12), ("X", 200, True, 1e-12)])
-    def test_energies_without_the_binding(self, monkeypatch, point, cutoff,
-                                          whole, atol):
+    def test_energies_without_the_binding(self, monkeypatch, solver, point,
+                                          cutoff, whole, atol):
         # One thread against two gives the same bits for every row block of
         # the tour at dim 339 (at most 110 rows) and for H whole at dim
         # 169.  Whole at dim 339, OpenBLAS's threaded reduction rounds
@@ -1491,9 +1395,9 @@ class TestThreadScope:
             h = h._replace(sectors=())
         scoped = eigh(h, 8)
         monkeypatch.setattr(eigen_mod, "_THREADS", None)
-        seen = record_threads(monkeypatch)
+        solver.calls.clear()
         unscoped = eigh(h, 8)
-        assert {count for _, count in seen} == {2}
+        assert {count for _, count in threads_seen(solver)} == {2}
         if atol:
             np.testing.assert_allclose(scoped.values, unscoped.values,
                                        rtol=0, atol=atol)

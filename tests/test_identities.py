@@ -173,36 +173,32 @@ def test_identities_on_drawn_crystals(kind, a, model, small, extra, frac, op):
         energies[0], images.shape), rtol=0, atol=tol)
 
 
-def solve_tour(monkeypatch, crystal, op, whole=False):
+def solve_tour(monkeypatch, bands_eigh, crystal, op, whole=False):
     """Energies and per-point sector dims on the 4-sample tour turned by op;
     ``whole`` forces one sector at every point."""
     pts = fcc_symmetry_points(A_SI)
     path = make_kpath([(s, op @ pts[s]) for s in TOUR], 4)
-    solve, dims = bands_mod.eigh, []
-
-    def recording(h, count):
-        result = solve(h, count)
-        dims.extend([result.sectors] * len(result.values))  # per k-point
-        return result
-
+    bands_eigh.results.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(bands_mod, "eigh", recording)
         if whole:
             patch.setattr(bands_mod, "row_blocks", lambda *_: ())
         basis = PlaneWaveBasis.from_cutoff(crystal[2], 76 * SHELL)
         energies = sweep(path, *crystal, basis, 8).energies
-    return energies, dims
+    return energies, [r.sectors for r in bands_eigh.results
+                      for _ in r.values]  # per k-point
 
 
 @pytest.mark.parametrize("name", ["z05", "si_empirical"])
-def test_split_matches_whole_under_every_cubic_operation(monkeypatch, name):
+def test_split_matches_whole_under_every_cubic_operation(monkeypatch,
+                                                        bands_eigh, name):
     # z05's diamond potential needs the glide and screw operations to split
     # every point; si_empirical's is symmorphic.  Either way the split is
     # the same at every turn of the tour, and so are the energies.
     crystal = preset(name)
     for op in CUBIC_OPS:
-        split, dims = solve_tour(monkeypatch, crystal, op)
-        whole, whole_dims = solve_tour(monkeypatch, crystal, op, whole=True)
+        split, dims = solve_tour(monkeypatch, bands_eigh, crystal, op)
+        whole, whole_dims = solve_tour(monkeypatch, bands_eigh, crystal, op,
+                                       whole=True)
         assert dims == TOUR_DIMS[name]
         assert whole_dims == [(89,)] * len(TOUR_DIMS[name])
         np.testing.assert_allclose(split, whole, rtol=0, atol=1e-10)
@@ -224,22 +220,17 @@ def test_111_plane_waves_at_gamma(name):
         "A1g": (1, 2), "A2u": (1, 1), "T1u": (3, 1), "T2g": (3, 1)}
 
 
-def test_broken_symmetry_falls_back_to_one_sector(monkeypatch):
+def test_broken_symmetry_falls_back_to_one_sector(monkeypatch, bands_eigh,
+                                                   break_v):
     # Symmetric noise at 1e-6 max|V| breaks every operation: no split, and
     # the solves are the forced whole ones.
     crystal = preset("z05")
-    intact, dims = solve_tour(monkeypatch, crystal, np.eye(3))
+    intact, dims = solve_tour(monkeypatch, bands_eigh, crystal, np.eye(3))
     assert dims == TOUR_DIMS["z05"]
-    assemble = bands_mod.potential_matrix
-
-    def broken(*args):
-        v = assemble(*args)
-        noise = np.random.RandomState(5).standard_normal(v.shape)
-        return v + 1e-6 * np.abs(v).max() * (noise + noise.T)
-
-    monkeypatch.setattr(bands_mod, "potential_matrix", broken)
-    split, dims = solve_tour(monkeypatch, crystal, np.eye(3))
-    whole, _ = solve_tour(monkeypatch, crystal, np.eye(3), whole=True)
+    break_v("noise")
+    split, dims = solve_tour(monkeypatch, bands_eigh, crystal, np.eye(3))
+    whole, _ = solve_tour(monkeypatch, bands_eigh, crystal, np.eye(3),
+                          whole=True)
     assert dims == [(89,)] * len(TOUR_DIMS["z05"])
     np.testing.assert_array_equal(split, whole)
     assert 0 < np.abs(split - intact).max() < 1e-4

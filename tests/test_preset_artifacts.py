@@ -17,7 +17,6 @@ import json
 
 import pytest
 
-from pwbands import eigen
 from pwbands.cli import main
 from pwbands.presets import PRESETS, preset_path
 
@@ -233,10 +232,10 @@ def test_artifacts_match_recorded_digests(tmp_path, preset, command):
 
 @pytest.mark.parametrize("command", ("bands", "gaps", "converge"))
 @pytest.mark.parametrize("preset", PRESETS)
-def test_json_matches_full_spectrum_fallback(tmp_path, monkeypatch, preset,
-                                             command):
+def test_json_matches_full_spectrum_fallback(tmp_path, without_drivers,
+                                             preset, command):
     _, subset = run_command(tmp_path / "subset", preset, command)
-    monkeypatch.setattr(eigen, "_DRIVERS", {})
+    without_drivers()
     _, full = run_command(tmp_path / "full", preset, command)
     name = f"{command}.json"
     assert_close(json.loads(subset[name]), json.loads(full[name]))
