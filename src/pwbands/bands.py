@@ -98,15 +98,14 @@ def _solves(kappas, dims, model, lattice, recip, basis, num_bands, where):
     from one table of the basis's coefficient differences,
     and each little group's row blocks once, on the whole basis; the
     smaller dims solve V's leading blocks and views of those row blocks,
-    whose figures one pass over V gives (``BlochMatrix.leading``).
+    whose figures V's table gives (``BlochMatrix.leading``).
     Consecutive pairs of one little group and dim are built and solved as
     one batch of at most BATCH_BYTES of vectors; a batch that fails is
     solved again point by point, so that the error names its point."""
     spans = differences(basis.coeffs)
     crystal = operations(lattice, recip, basis, spans)
-    v = potential_matrix(model, lattice, recip, basis, spans)
-    del spans  # its dim x dim index goes before V's figures are taken
-    v = BlochMatrix.of(v)
+    v = BlochMatrix.of(potential_matrix(model, lattice, recip, basis, spans),
+                       spans=spans)
     fixes, groups, cuts = crystal.fixes(kappas), {}, sorted(set(dims))
     keys = [fixing.tobytes() for fixing in fixes]
     for (key, dim), run in groupby(range(len(kappas)),

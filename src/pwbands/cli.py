@@ -39,11 +39,11 @@ ALL_FORMATS = ("csv", "json", "svg")
 
 # A run's peak memory per entry of V, in bytes.  V is float64 (every
 # lattice ``make_cubic`` makes has an inversion centre at the origin), and
-# a run holds V with its dim x dim difference index, then with V's
-# deviation scratch, then with a little group's row blocks and their
-# gathers: bands, gaps and converge grew RSS by 2.3 to 3.3 times V at dims
-# 1139 and 1917.  Counted as four V's.
-PEAK_BYTES = 32
+# a run holds V beside strips of its table's index, then beside a little
+# group's row blocks, their gathers and the solver's copy of them: bands,
+# gaps and converge grew peak RSS by 1.9 to 2.5 times V at dims 1139 and
+# 1917 (z05, 5 samples a segment of L-G-X, converge at X).  Three V's.
+PEAK_BYTES = 24
 
 _GAMMA_ALIASES = {"G", "GAMMA", "Γ"}
 
@@ -248,6 +248,9 @@ def load_config(config_file) -> RunConfig:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # NUL in the path, or bytes that are not UTF-8
+        raise ConfigError("<file>", f"cannot read {str(path)!r}: {exc}") \
+            from exc
     except RecursionError:
         raise ConfigError("<file>", "invalid JSON: nested too deeply") from None
     if repeated is not None:
@@ -439,10 +442,21 @@ def converge_csv(study) -> str:
     return _lines(*study, (".6f", "d", ".6f"))
 
 
+# One entry of converge.json's "rows" as json.dumps(indent=2) lays it out.
+_ROW = ('    {\n      "g2_max": %s,\n      "dim": %s,\n      "energies": [\n'
+        '        %s\n      ]\n    }')
+
+
 def converge_json(study, raw_config: dict) -> str:
-    return _json({"config": raw_config, "rows": [
-        {"g2_max": cutoff, "dim": dim, "energies": [float(e) for e in levels]}
-        for cutoff, dim, *levels in study[1]]})
+    """JSON of the study's rows plus config echo, as ``_json`` writes it,
+    the rows' numbers from json's C encoder, as ``bands_json``'s."""
+    head, rows = _json({"config": raw_config})[:-3], study[1]
+    cutoffs = json.dumps([row[0] for row in rows])[1:-1].split(", ")
+    dims = json.dumps([row[1] for row in rows])[1:-1].split(", ")
+    levels = json.dumps([row[2:] for row in rows])[2:-2].split("], [")
+    body = ",\n".join(_ROW % (cutoff, dim, row.replace(", ", ",\n        "))
+                      for cutoff, dim, row in zip(cutoffs, dims, levels))
+    return f'{head},\n  "rows": [\n{body}\n  ]\n}}\n'
 
 
 def _finish(cfg: RunConfig, out, files: dict, stdout, formats=None) -> int:
@@ -548,6 +562,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
     args = parser.parse_args(argv)
     try:
+        if args.out is not None and "\0" in args.out:  # no path holds NUL
+            raise ConfigError("--out", "U+0000 is not allowed in a "
+                              "directory name")
         return _COMMANDS[args.command](args.config, args.out)
     except ConfigError as exc:
         print(exc, file=sys.stderr)

@@ -1,11 +1,11 @@
 """Dense Hermitian eigendecomposition with verified contracts.
 
 A matrix reaches the solver as a ``BlochMatrix``: V, a real diagonal T,
-H = V + diag(T), and V's figures, taken once per V by ``BlochMatrix.of``
-(and those of its leading blocks in one more pass, by ``leading``), so a
-solve costs, outside LAPACK, O(dim) for max|H|, one write of each
-row's block plus T, and the residual V X + T X on the pairs returned.
-Bad input is rejected before LAPACK; an ndarray is V with T = 0.
+H = V + diag(T), and V's figures, which ``BlochMatrix.of`` takes once per
+V from its table, with its leading blocks' (``leading``), or by one dense
+scan of a bare array.  A solve costs, outside LAPACK, O(dim) for max|H|,
+one write of each row's block plus T, and the residual V X + T X on the
+pairs returned.  Bad input is rejected before LAPACK; an ndarray is V, T = 0.
 
 T may hold one row per point, shape (points, dim): a batch of Bloch
 vectors that share V and its row blocks, as consecutive samples of one
@@ -30,22 +30,14 @@ levels at SELECTION_TOL max|H| below the highest returned: a count that
 differs from the levels returned at the point (a NaN pivot stops it short)
 has each row solved alone, where the pick is exact.  A row's level is H's
 once per partner row; the lowest ``count``, so repeated, are verified
-against the whole H.  A returned vector belongs to the row that holds the
-first entry of its support, isuppz's first index: the rows' tridiagonals
-are uncoupled, so ?stemr solves each apart and no vector leaves its row.
-Its own 2 x 2 path (n = 2) names the other row there when it swaps the
-two levels, so at n <= 2 the first nonzero entry is read instead.  The
-stages, numpy's own (``_SYMBOLS``, via ctypes;
-without them numpy.linalg.eigh solves the unsplit H whole), share one
-buffer per batch of 8-byte words in regions named for the argument each
-holds (``_layout``): work, d, e, d copy and e copy (?stemr overwrites the
-copies, ?larrc counts on d and e), point, pivmin, w, isuppz, m, tryrac,
-iwork, ?larrc's n, eigcnt, lcnt, rcnt and larrc info, z, each point's w
-and z by row, which its returned pairs view, and each row's block, laid
-end to end, then each row's tau; all but w and z by row are reused point
-after point.  Every pointer, and every argument but a back-transform's
-vectors, is worked out once a batch; a point then costs, outside LAPACK,
-a few array operations and one call per stage.
+against the whole H; each returned vector is its row's (``_solve``).  The
+stages, numpy's own (``_SYMBOLS``, via ctypes; without them
+numpy.linalg.eigh solves the unsplit H whole), share one buffer per batch
+of 8-byte words in regions named for the argument each holds
+(``_layout``), all but each point's w and z by row, which its returned
+pairs view, reused point after point.  Every pointer, and every argument
+but a back-transform's vectors, is worked out once a batch; a point then
+costs, outside LAPACK, a few array operations and one call per stage.
 
 A matrix whose largest row has fewer than ONE_THREAD_BELOW (512) rows is
 solved and verified on one OpenBLAS thread (a process-wide count, put back
@@ -188,11 +180,11 @@ class BlochMatrix(NamedTuple):
 
     ``matrix`` is V itself (float64 or complex128), not a copy, so it must
     not change while H is in use.  ``herm`` is max|V - V^dagger|,
-    ``off_max`` the largest off-diagonal |V_ij| and ``diag`` a copy of V's
-    diagonal.  Non-finite entries are kept: they make max|H| non-finite at
-    every solve, so the error names the first k-point solved.  ``sectors``
-    splits the basis into rows of the irreps of a group of symmetries of H;
-    empty, H is whole."""
+    ``off_max`` the largest off-diagonal |V_ij| and ``diag`` V's diagonal.
+    Non-finite entries are kept: they make max|H| non-finite at every
+    solve, so the error names the first k-point solved.  ``sectors`` splits
+    the basis into rows of the irreps of a group of symmetries of H; empty,
+    H is whole.  ``lead``: a table-made V's leading blocks' figures."""
 
     matrix: np.ndarray
     herm: float
@@ -200,15 +192,30 @@ class BlochMatrix(NamedTuple):
     diag: np.ndarray
     kinetic: np.ndarray
     sectors: tuple = ()
+    lead: np.ndarray | None = None
 
     @classmethod
-    def of(cls, v, kinetic=None, sectors=()) -> "BlochMatrix":
-        """V checked in one O(dim^2) pass; T = 0 unless ``kinetic``."""
+    def of(cls, v, kinetic=None, sectors=(), spans=None) -> "BlochMatrix":
+        """V checked, T = 0 unless ``kinetic``: by one O(dim^2) pass, or,
+        given the ``spans`` (``hamiltonian.differences``) of a V gathered
+        from its table t(d), from t in O(differences): max|t(d) - conj
+        t(-d)|, max over d != 0 of |t(d)|, t(0); the first two by dim too."""
         v = np.asarray(v)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise NonHermitianError(f"matrix must be square, got {v.shape}")
         v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64,
                      copy=False)
+        kinetic = np.zeros(len(v)) if kinetic is None else kinetic
+        if spans is not None:  # ascending d, so t(-d) is the table reversed
+            table, zero = v[spans.pairs], len(spans.first) // 2
+            lead = np.zeros((2, len(v) + 1))  # herm, off_max by leading dim
+            with np.errstate(invalid="ignore"):  # NaN, inf - inf: max|H|'s
+                by_d = np.abs([table - table[::-1].conj(), table])
+                by_d[1, zero] = 0.0  # d = 0 is the diagonal
+                np.maximum.at(lead, (slice(None), spans.first), by_d)
+            np.maximum.accumulate(lead, axis=1, out=lead)
+            return cls(v, *lead[:, -1], np.full(len(v), table[zero]), kinetic,
+                       sectors, lead)
         # One dim x dim float scratch holds |V - V^dagger|, then |V|.
         with np.errstate(invalid="ignore"):  # inf - inf; max|H| rejects it
             dev = v - v.conj().T
@@ -216,8 +223,7 @@ class BlochMatrix(NamedTuple):
         herm = scratch.max()
         off = np.abs(v, out=scratch)
         off.flat[::len(v) + 1] = 0.0
-        return cls(v, herm, off.max(), v.diagonal().copy(),
-                   np.zeros(len(v)) if kinetic is None else kinetic, sectors)
+        return cls(v, herm, off.max(), v.diagonal().copy(), kinetic, sectors)
 
     @property
     def dim(self) -> int:
@@ -237,31 +243,14 @@ class BlochMatrix(NamedTuple):
         """H on the first d rows (a smaller cutoff's) for each d of the
         ascending ``dims``: V's leading block, T[:d] and views of the row
         blocks, or no row blocks if some orbit straddles row d.  At the
-        whole dim, H itself.  The figures of all the blocks come from one
-        pass over V: each block's extend the previous block's by the two
-        strips that border it, so they are the ones ``of`` takes of the
-        block alone, NaN included."""
-        v, lead, herm, off, done = self.matrix, [], 0.0, 0.0, 0
+        whole dim, H itself.  Each block's figures, from ``lead`` (so V is
+        made from its table), are the ones ``of`` takes of the block
+        alone, NaN included."""
         reach = [_reach(sector) for sector in self.sectors]
-        for dim in dims:
-            if dim == self.dim:
-                lead.append(self)
-                continue
-            # |V - V^dagger| is symmetric, so its rows done:dim hold the
-            # border's deviations; |V|'s border is those rows and the
-            # columns done:dim above them, less the diagonal.
-            with np.errstate(invalid="ignore"):  # inf - inf, as in ``of``
-                dev = v[done:dim, :dim] - v[:dim, done:dim].conj().T
-            rows = np.abs(v[done:dim, :dim])
-            rows.flat[done::dim + 1] = 0.0
-            herm = np.maximum(herm, np.abs(dev).max())
-            off = np.maximum(off, np.maximum(rows.max(), np.abs(
-                v[:done, done:dim]).max(initial=0.0)))
-            done = dim
-            lead.append(BlochMatrix(v[:dim, :dim], herm, off,
-                                    self.diag[:dim], self.kinetic[..., :dim],
-                                    self._sectors(dim, reach)))
-        return lead
+        return [self if dim == self.dim else BlochMatrix(
+            self.matrix[:dim, :dim], *self.lead[:, dim], self.diag[:dim],
+            self.kinetic[..., :dim], self._sectors(dim, reach),
+            self.lead[:, :dim + 1]) for dim in dims]
 
     def _sectors(self, dim: int, reach: list) -> tuple:
         """Views of the row blocks on the first ``dim`` rows, or () if some

@@ -7,20 +7,16 @@ V(G - G') everywhere.  Couplings exist only between basis members, i.e.
 between states differing by a reciprocal lattice vector.
 
 The basis is a pair of arrays (integer coefficients and cartesian G).
-V(G - G') depends only on the integer coefficient difference, so the
-potential block is a gather from one table of matrix elements over the
-box of possible differences; it is built once per basis and shared by
+V(G - G') depends only on the coefficient difference d, so one table t(d)
+over the differences the basis spans (``differences``) holds all of V;
+the potential block is gathered from it once per basis and shared by
 every k-point, whose Hamiltonian is that block plus a kinetic diagonal.
 A smaller cutoff's basis is the leading rows of a larger one, and its
 potential block the leading principal block (``PlaneWaveBasis.truncate``).
-
-The block is checked once, by ``eigen.BlochMatrix.of``, when a sweep
-makes it (or when ``build`` is handed a bare array): that is where its
-finiteness and Hermiticity are measured; the figures of its leading
-blocks come from one more pass (``BlochMatrix.leading``).  A k-point then
-costs O(dim) here, the kinetic diagonal; ``build`` returns the checked
-block with that diagonal, and the dense matrix exists only in the
-solver's buffer, or as ``entries``.
+``eigen.BlochMatrix.of`` checks the block once, from the table, with the
+figures of every leading block (a bare array handed to ``build`` is
+scanned whole); a k-point then costs O(dim) here, the kinetic diagonal,
+and the dense H exists only in the solver's buffer, or as ``entries``.
 
 Symmetry splits the solve: the crystal's operations {R|t} act on the
 basis as signed permutations Q (``operations``), those whose R fixes kappa
@@ -29,12 +25,12 @@ H(kappa) is block diagonal in the rows of the group's irreps, whose blocks
 ``row_blocks`` gathers once per basis and group; a smaller cutoff's are
 slices (``BlochMatrix.leading``).  Q commutes with V when V's table does,
 V(R (G - G')) = exp(-i R (G - G') . t) V(G - G'), so each {R|t} is tested
-at the few thousand differences the basis spans, one entry of V each,
-not at V's dim^2 entries.
+on the table (``_symmetry``), not at V's dim^2 entries.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +48,9 @@ SYMMETRY_TOL = 1e-12
 
 # G . t / pi may miss an integer by this much and still give a sign.
 PHASE_TOL = 1e-6
+
+# Bytes of int64 index in a strip of rows (30 at dim 531), not dim x dim.
+STRIP_BYTES = 128 * 1024
 
 
 class AssemblyError(RuntimeError):
@@ -90,48 +89,66 @@ class PlaneWaveBasis:
         return PlaneWaveBasis(self.coeffs[:n], self.cart[:n])
 
 
-def differences(coeffs: np.ndarray) -> tuple:
+Spans = namedtuple("Spans", "shape key origin diffs pairs first")
+
+
+def differences(coeffs: np.ndarray) -> Spans:
     """The box of the coefficient differences a basis spans, 2 span + 1
-    wide on each axis: its shape, the strides of its row-major flat index,
-    each row's flat index counted from the basis's lowest corner (its
-    ``key``, in the box too) and the zero difference's, so that G_i - G_j
-    sits at key_i - key_j + origin; that flat index of every G_i - G_j
-    (dim x dim); and each difference the basis spans, ascending, with a row
-    i of it (any would do).  ``potential_matrix`` and ``operations`` share
-    it: a sweep makes it once, and lets its dim x dim index go."""
+    wide on each axis (``shape``), each row's flat index in it from the
+    basis's lowest corner (``key``) and the zero difference's (``origin``):
+    G_i - G_j sits at key_i - key_j + origin.  Each difference spanned,
+    ascending (``diffs``), with rows (i, j) of it (``pairs``) and the first
+    leading dim that spans it (``first``, the least max(i, j) + 1), found
+    in strips of STRIP_BYTES of index, not dim x dim.  Made once a sweep."""
     span = np.ptp(coeffs, axis=0)
-    shape = 2 * span + 1
-    strides = np.array([shape[1] * shape[2], shape[2], 1])
-    key, origin = (coeffs - coeffs.min(axis=0)) @ strides, span @ strides
-    flat = np.subtract.outer(key + origin, key)
-    owner = np.full(np.prod(shape), -1)
-    owner[flat] = np.arange(len(coeffs))[:, None]
-    diffs = np.flatnonzero(owner >= 0)
-    return shape, strides, key, origin, flat, diffs, owner[diffs]
+    shape, dim = 2 * span + 1, len(coeffs)
+    strides = [shape[1] * shape[2], shape[2], 1]
+    key, origin = (coeffs - coeffs.min(axis=0)) @ strides, int(span @ strides)
+    fresh = np.ones(np.prod(shape), bool)  # met at no pair yet
+    pair, first = np.zeros(len(fresh), int), np.full(len(fresh), dim)
+    fresh[origin], first[origin] = False, 1  # the diagonal; pair (0, 0)
+    rows = max(1, STRIP_BYTES // (8 * dim))
+    for a in range(0, dim, rows):  # rows i = a.., j <= i (j > i reads 0)
+        flat = np.subtract.outer(key[a:a + rows] + origin, key[:a + rows])
+        np.copyto(flat[:, a:], origin, where=~np.tri(len(flat), dtype=bool))
+        at = np.flatnonzero(fresh[flat])
+        d, (i, j) = flat.flat[at], np.divmod(at + a * flat.shape[1],
+                                             flat.shape[1])
+        for d, ij in ((d, i * dim + j), (2 * origin - d, j * dim + i)):
+            fresh[d], pair[d] = False, ij  # and -d at (j, i), from row i on
+            np.minimum.at(first, d, i + 1)
+    diffs = np.flatnonzero(~fresh)
+    return Spans(shape, key, origin, diffs, np.divmod(pair[diffs], dim),
+                 first[diffs])
 
 
 def potential_matrix(model: Potential, lattice: RealLattice,
                      recip: ReciprocalLattice, basis: PlaneWaveBasis,
-                     spans: tuple | None = None) -> np.ndarray:
+                     spans: Spans | None = None) -> np.ndarray:
     """Kappa-independent potential block V[i,j] = <G_i|V|G_j>.
 
     Matrix elements are evaluated once at each integer coefficient
     difference the basis spans (``differences``, or ``spans`` if given),
-    then gathered by flat index, so entries depend only on the coefficient
-    difference, never on list position.  The block is returned as float64
-    when those elements are exactly real, as for a lattice whose origin is
-    an inversion centre (the diamond basis at +/-(a/8)(1,1,1), where
-    S(G) = 2 cos(G.tau)); otherwise it is complex.
+    V's table, then gathered strip by strip, so entries depend only on the
+    coefficient difference, never on list position.  The block is returned
+    as float64 when those elements are exactly real, as for a lattice whose
+    origin is an inversion centre (the diamond basis at +/-(a/8)(1,1,1),
+    where S(G) = 2 cos(G.tau)); otherwise it is complex.
     """
-    shape, _, _, _, flat, diffs, _ = (differences(basis.coeffs)
-                                      if spans is None else spans)
+    shape, key, origin, diffs, _, _ = (differences(basis.coeffs)
+                                       if spans is None else spans)
     table = matrix_element(model, lattice, recip, np.stack(
         np.unravel_index(diffs, shape), axis=-1) - shape // 2)
     if not np.any(table.imag):
         table = table.real
     box = np.empty(np.prod(shape), table.dtype)  # read only at diffs
     box[diffs] = table
-    return box[flat]
+    v = np.empty((len(key), len(key)), table.dtype)
+    rows = max(1, STRIP_BYTES // (8 * len(key)))
+    for a in range(0, len(key), rows):  # in range, so take need not buffer
+        box.take(np.subtract.outer(key[a:a + rows] + origin, key),
+                 out=v[a:a + rows], mode="clip")
+    return v
 
 
 class Operations(NamedTuple):
@@ -154,7 +171,7 @@ class Operations(NamedTuple):
 
 
 def operations(lattice: RealLattice, recip: ReciprocalLattice,
-               basis: PlaneWaveBasis, spans: tuple | None = None
+               basis: PlaneWaveBasis, spans: Spans | None = None
                ) -> Operations:
     """Each R of ``cubic_operations`` that maps the basis onto itself (a
     group), with the signs of each of its translations; which t, if any,
@@ -203,15 +220,9 @@ def operations(lattice: RealLattice, recip: ReciprocalLattice,
     # R is known by R (1, 2, 3), a signed permutation, as base-7 digits.
     sig, index = ops @ [1, 2, 3], np.zeros(343, int)
     index[(sig + 3) @ [49, 7, 1]] = np.arange(len(ops))
-    # Rows by flat index in the box of differences (``differences``), which
-    # holds the basis from its lowest corner: G_j = G_i - (G_i - G_j).
-    shape, _, key, origin, _, diffs, i = (
-        differences(basis.coeffs) if spans is None else spans)
-    at = np.full(np.prod(shape), -1)
-    at[key] = np.arange(basis.dim)
     return Operations(ops, perm, signs, index[
         (ops[:, None] @ sig[None, :, :, None])[..., 0] @ [49, 7, 1] + 171],
-        (i, at[key[i] + origin - diffs]))  # each difference's i, then j
+        (differences(basis.coeffs) if spans is None else spans).pairs)
 
 
 def _symmetry(block: BlochMatrix, perm: np.ndarray, signs: np.ndarray,

@@ -10,7 +10,12 @@ them through these fixtures, not through stubs of their own.
   convergence study (one point per distinct dim): k-points of one little
   group and dim, ``h.kinetic`` (points, dim), result fields per point.
 - ``without_drivers`` empties ``eigen._DRIVERS``: ``numpy.linalg.eigh``
-  then solves H whole.  ``break_v`` breaks V where ``bands`` builds it.
+  then solves H whole.
+- ``break_v`` wraps ``bands.potential_matrix(model, lattice, recip, basis,
+  spans)``, once per sweep or convergence study, with ``spans`` the
+  basis's ``hamiltonian.differences``; the sweep takes V's figures from
+  V's table, V at one pair of rows a difference, so V is broken there: in
+  its table t(d), then gathered anew.
 
 A batch that fails is solved again point by point, so a fault at one
 k-point is met twice: in its batch, then alone.
@@ -24,6 +29,7 @@ import pytest
 
 import pwbands.bands as bands_mod
 import pwbands.eigen as eigen_mod
+from pwbands.hamiltonian import differences
 from pwbands.potential import HBAR2_OVER_2M
 
 # The thread count's binding as imported, read where a test unbinds it.
@@ -176,6 +182,58 @@ class Batches:
         return result
 
 
+class BrokenV:
+    """``bands.potential_matrix`` that records each V it returns in
+    ``made`` and breaks V's table as ``inject`` declares."""
+
+    def __init__(self, assemble):
+        self.assemble, self.kind, self.made = assemble, None, []
+
+    def inject(self, kind):
+        """Break every V made from here on: one t(d) off by 1e-6 max|V|, so
+        t(d) != conj t(-d) ("asymmetric"); t(0), the diagonal, NaN ("nan");
+        t(d) = t(-d) = inf ("inf"); t(d) += 1e-6 max|V| (n(d) + n(-d) +
+        i (m(d) - m(-d))), normal noise that breaks every symmetry, which
+        a real table that stays Hermitian cannot, as t(-d) = t(d) commutes
+        with inversion ("noise"); or the table cast to complex, breaking
+        nothing ("complex")."""
+        assert kind in ("asymmetric", "nan", "inf", "noise", "complex"), kind
+        self.kind = kind
+
+    def __call__(self, model, lattice, recip, basis, spans=None):
+        v = self.assemble(model, lattice, recip, basis, spans)
+        if self.kind is not None:
+            v = self.apply(v, differences(basis.coeffs) if spans is None
+                           else spans)
+        self.made.append(v)
+        return v
+
+    def apply(self, v, spans):
+        """V gathered anew from its table broken as injected."""
+        table = v[spans.pairs]  # ascending d, so t(-d) is it reversed
+        zero, scale = len(table) // 2, np.abs(table).max()
+        if self.kind == "asymmetric":
+            table[zero + 1] += 1e-6 * scale
+        elif self.kind == "nan":
+            table[zero] = np.nan
+        elif self.kind == "inf":
+            table[[zero - 1, zero + 1]] = np.inf
+        elif self.kind == "noise":  # i m(d), odd: t(-d) = t(d) is inversion
+            n, m = np.random.RandomState(5).standard_normal((2, len(table)))
+            table = table + 1e-6 * scale * (n + n[::-1] + 1j * (m - m[::-1]))
+        else:
+            table = table.astype(complex)
+        return self.gather(table, spans)
+
+    @staticmethod
+    def gather(table, spans):
+        """V from a table over ``spans``' differences, through a dim x dim
+        index of this file's own."""
+        box = np.zeros(np.prod(spans.shape), table.dtype)
+        box[spans.diffs] = table
+        return box[np.subtract.outer(spans.key + spans.origin, spans.key)]
+
+
 @pytest.fixture
 def solver(monkeypatch):
     monkeypatch.setattr(eigen_mod, "_solve", Solver(eigen_mod._solve))
@@ -196,25 +254,6 @@ def without_drivers(monkeypatch):
 
 @pytest.fixture
 def break_v(monkeypatch):
-    """Call with a kind to break V: V[0, 1] off by 1e-6 max|V|
-    ("asymmetric"), V[0, 0] NaN ("nan"), V[1, 2] = V[2, 1] = inf ("inf"),
-    or symmetric noise of 1e-6 max|V|, which breaks every symmetry
-    ("noise")."""
-    assemble = bands_mod.potential_matrix
-
-    def broken(kind, *args):
-        v = assemble(*args).copy()
-        if kind == "asymmetric":
-            v[0, 1] += 1e-6 * np.abs(v).max()
-        elif kind == "nan":
-            v[0, 0] = np.nan
-        elif kind == "inf":
-            v[1, 2] = v[2, 1] = np.inf
-        else:
-            assert kind == "noise", kind
-            noise = np.random.RandomState(5).standard_normal(v.shape)
-            v += 1e-6 * np.abs(v).max() * (noise + noise.T)
-        return v
-
-    return lambda kind: monkeypatch.setattr(
-        bands_mod, "potential_matrix", lambda *args: broken(kind, *args))
+    monkeypatch.setattr(bands_mod, "potential_matrix",
+                        BrokenV(bands_mod.potential_matrix))
+    return bands_mod.potential_matrix

@@ -145,19 +145,13 @@ class TestRealPath:
         Potential(0.5), Potential(0.0, overrides=FIG4A_TABLE)],
         ids=["z05", "si_empirical"])
     def test_complex_potential_gives_same_bands(self, diamond, quick_tour,
-                                                model, monkeypatch):
+                                                model, break_v):
         lat, rec = diamond
         real = sweep(quick_tour, model, lat, rec, basis(rec, 76), 8)
-        assembled = []
-
-        def complex_potential(*args):
-            v = potential_matrix(*args)
-            assembled.append(v.dtype)
-            return v.astype(complex)
-
-        monkeypatch.setattr(bands_mod, "potential_matrix", complex_potential)
+        assert [v.dtype for v in break_v.made] == [np.float64]
+        break_v.inject("complex")
         forced = sweep(quick_tour, model, lat, rec, basis(rec, 76), 8)
-        assert assembled == [np.float64]
+        assert [v.dtype for v in break_v.made] == [np.float64, np.complex128]
         np.testing.assert_allclose(forced.energies, real.energies,
                                    rtol=0, atol=1e-10)
 
@@ -170,14 +164,18 @@ class TestBlockPath:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128],
                              ids=["real", "forced-complex"])
     def test_sweep_equals_dense_solves_bit_for_bit(self, diamond, quick_tour,
-                                                   monkeypatch, bands_eigh,
+                                                   break_v, bands_eigh,
                                                    dtype):
         lat, rec = diamond
         model = Potential(0.5)
         basis = PlaneWaveBasis.from_cutoff(rec, 76 * SHELL)
-        v = potential_matrix(model, lat, rec, basis).astype(dtype)
-        monkeypatch.setattr(bands_mod, "potential_matrix", lambda *_: v)
+        if dtype == np.complex128:
+            break_v.inject("complex")
         bs = sweep(quick_tour, model, lat, rec, basis, 8)
+        v, = break_v.made
+        assert v.dtype == dtype
+        np.testing.assert_array_equal(v, potential_matrix(model, lat, rec,
+                                                          basis))
         calls = list(zip(bands_eigh.calls, bands_eigh.results))
         # One solve per batch, one batch entry per k-point.
         assert sum(len(result.values) for _, result in calls) \
@@ -211,7 +209,7 @@ class TestBlockPath:
     def test_bad_block_fails_at_the_first_kpoint(self, diamond, quick_tour,
                                                  break_v, kind, message):
         lat, rec = diamond
-        break_v(kind)
+        break_v.inject(kind)
         with pytest.raises(SweepError, match=f"at k-point 0 .*{message}") \
                 as excinfo:
             sweep(quick_tour, Potential(0.5), lat, rec, basis(rec, 44), 4)
@@ -439,22 +437,23 @@ class TestOneLoop:
 
     @pytest.mark.parametrize("study", ["sweep", "convergence_study"])
     def test_operations_and_potential_built_once(self, diamond, quick_tour,
-                                                 monkeypatch, study):
+                                                 monkeypatch, break_v, study):
         lat, rec = diamond
-        calls = {"operations": 0, "potential_matrix": 0}
-        for name in calls:
-            def counting(*args, _build=getattr(bands_mod, name), _name=name):
-                calls[_name] += 1
-                return _build(*args)
+        calls = {"operations": 0}
 
-            monkeypatch.setattr(bands_mod, name, counting)
+        def counting(*args, _build=bands_mod.operations):
+            calls["operations"] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(bands_mod, "operations", counting)
         if study == "sweep":
             sweep(quick_tour, Potential(0.5), lat, rec, basis(rec, 44), 4)
         else:
             convergence_study(fcc_symmetry_points(A_SI)["X"], Potential(0.5),
                               lat, rec, basis(rec, 76),
                               [c * SHELL for c in (12, 16, 44, 76)], 4)
-        assert calls == {"operations": 1, "potential_matrix": 1}
+        assert calls == {"operations": 1}
+        assert len(break_v.made) == 1  # potential_matrix
 
 
 # converge-ladder's study: Yukawa at X, cutoffs 44 to 248 (pi/a)^2 in steps

@@ -427,6 +427,23 @@ class TestConvergeCommand:
         doc = json.loads((out / "converge.json").read_text(encoding="utf-8"))
         assert [row["g2_max"] for row in doc["rows"]] == [107, 109]
 
+    @pytest.mark.parametrize("bands", [1, 3])
+    @pytest.mark.parametrize("energy", [-2.5e-300, 1.0 / 3.0, -0.0,
+                                        math.nan, math.inf])
+    def test_json_is_json_dumps_with_indent(self, bands, energy):
+        # The rows are laid out by hand from json's C encoder; the bytes
+        # are json.dumps's with indent=2, for every float it writes.
+        from pwbands.cli import converge_json
+
+        raw = {"basis": {"cutoffs": [12, 1e300]}, "label": 'q"\u0393\n'}
+        rows = [(12.0, 9, *np.arange(bands) / 7), (1e300, 27, *np.full(
+            bands, energy))]
+        assert converge_json((["g2_max", "dim"], rows), raw) == json.dumps({
+            "config": raw, "rows": [
+                {"g2_max": cutoff, "dim": dim, "energies": list(levels)}
+                for cutoff, dim, *levels in rows]},
+            indent=2, ensure_ascii=False) + "\n"
+
     def test_rejects_negative_cutoff(self, write_config):
         path = write_config(mutate=lambda c: c["basis"].update(
             cutoffs=[-4, 16]))
@@ -511,10 +528,10 @@ class TestMain:
 
     def test_cutoff_whose_solve_exceeds_memory_exits_2(self, write_config,
                                                       capsys, monkeypatch):
-        # Memory for V twice over, not for the solve's peak (V beside its
-        # difference index, its deviation scratch or the row blocks' gathers,
-        # four V's in all): refused before any array is made, not ended by
-        # a MemoryError.
+        # Memory for V twice over, not for the solve's peak (V beside the
+        # row blocks, their gathers and the solver's copy of them, three
+        # V's in all): refused before any array is made, not ended by a
+        # MemoryError.
         import os
 
         import pwbands.cli as cli_mod
@@ -531,6 +548,32 @@ class TestMain:
         assert err.startswith("config error at basis.g2_max: ")
         assert "physical memory" in err and "Traceback" not in err
 
+    def test_cutoff_between_the_old_and_new_peaks_runs(self, write_config,
+                                                       capsys, monkeypatch):
+        # The guard charged four V's (32 bytes an entry) for a peak that
+        # is under three now (PEAK_BYTES); memory for 28 bytes an entry of
+        # the estimate passes load_config at that cutoff, and a larger
+        # cutoff, over PEAK_BYTES an entry, still exits 2 naming its key.
+        import os
+
+        import pwbands.cli as cli_mod
+
+        def waves(top):  # the guard's estimate: the ball over the cell, a^3/4
+            return math.pi / 24 * top ** 1.5
+
+        memory = int(28 * waves(76) ** 2)  # between 24 and 32 bytes
+        monkeypatch.setattr(os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": memory}[name])
+        assert load_config(write_config(mutate=lambda c: c["basis"].update(
+            g2_max=76))).basis.dim == 89
+        assert cli_mod.PEAK_BYTES * waves(100) ** 2 > memory
+        path = write_config(mutate=lambda c: c["basis"].update(g2_max=100))
+        assert main(["bands", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error at basis.g2_max: ")
+        assert "physical memory" in err and "Traceback" not in err
+
     def test_path_beyond_physical_memory_exits_2(self, write_config, capsys):
         # 10**15 samples a segment: refused before any array is made.
         path = write_config(mutate=lambda c: c["path"].update(
@@ -540,6 +583,31 @@ class TestMain:
         assert out == ""
         assert err.startswith("config error at path.samples_per_segment: ")
         assert "physical memory" in err
+
+    @pytest.mark.parametrize("command", ["bands", "gaps", "converge"])
+    def test_out_holding_nul_exits_2_creating_nothing(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        # No path holds NUL: mkdir raised ValueError, a traceback, after
+        # the whole solve.  It is refused before anything runs.
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", str(preset_path("free")),
+                     "--out", "o\x00x"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error at --out: ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name, text", [
+        ("a\x00b.json", None), ("latin.json", b'{"lattice": "\xff"}')],
+        ids=["nul-in-path", "not-utf-8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, name, text):
+        if text is not None:
+            (tmp_path / name).write_bytes(text)
+        assert main(["info", "--config", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at <file>: cannot read ")
+        assert "Traceback" not in err
 
     def test_output_directory_below_a_file_exits_2(self, write_config,
                                                    tmp_path, capsys):
@@ -816,7 +884,7 @@ class TestMain:
             self, write_config, tmp_path, break_v, capsys, kind, message):
         # The block is checked once per sweep; a bad one still stops the
         # run at its first solve, before LAPACK, with nothing written.
-        break_v(kind)
+        break_v.inject(kind)
         assert main(["bands", "--config", str(write_config()),
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err

@@ -16,8 +16,9 @@ import pwbands.hamiltonian as hamiltonian_mod
 from pwbands.bands import (SweepError, convergence_study,
                            free_electron_reference, sweep)
 from pwbands.cli import load_config
-from pwbands.hamiltonian import (PlaneWaveBasis, build, little_group,
-                                 operations, potential_matrix, row_blocks)
+from pwbands.hamiltonian import (PlaneWaveBasis, build, differences,
+                                 little_group, operations, potential_matrix,
+                                 row_blocks)
 from pwbands.lattice import (RealLattice, fcc_symmetry_points, make_cubic,
                              make_kpath, reciprocal_of)
 from pwbands.potential import Potential
@@ -211,41 +212,40 @@ class TestCheckedBlock:
 
     @pytest.mark.parametrize("complex_entries", [False, True])
     @pytest.mark.parametrize("placed", [
-        [], [(3, 40, np.nan)], [(200, 150, np.nan)], [(120, 120, np.nan)],
-        [(100, 300, np.inf), (300, 100, np.inf)], [(60, 5, np.inf)],
-        [(10, 500, -np.inf)], [(250, 7, 1e-9)], [(530, 530, np.nan)]],
+        [], [(52, np.nan)], [(200, np.nan)], [(1, np.nan)],
+        [(300, np.inf), (-300, np.inf)], [(60, np.inf)], [(500, -np.inf)],
+        [(250, 1e-9)], [(531, np.nan)]],
         ids=["clean", "nan-early", "nan-at-200", "nan-on-diagonal",
              "inf-pair", "inf-below", "inf-above", "asymmetric",
              "nan-last-row"])
     def test_leading_figures_are_each_block_checked_alone(
-            self, complex_entries, placed):
-        # The ladder's V (Yukawa, dim 531) with NaN, inf or an asymmetry
-        # placed inside some leading blocks and outside the others: each
-        # block's figures, extended from the last one's, are ``of``'s.
-        lat = make_cubic("DIAMOND", 5.431)
-        rec = reciprocal_of(lat)
-        dims = [51, 59, 65, 113, 137, 169, 181, 229, 259, 283, 331, 339,
-                411, 459, 531]
-        basis = PlaneWaveBasis.from_cutoff(rec, 248 * (math.pi / 5.431) ** 2)
-        v = potential_matrix(Potential(0.5, mu=1.0), lat, rec, basis)
-        assert basis.dim == 531
-        if complex_entries:
-            v = v + 1j * np.triu(0.1 * v, 1) - 1j * np.triu(0.1 * v, 1).T
-        for i, j, value in placed:
-            v[i, j] = value if np.isinf(value) or np.isnan(value) \
-                else v[i, j] + value
-        kinetic = np.arange(2.0 * 531).reshape(2, 531)
-        h = BlochMatrix.of(v, kinetic)
-        leads = h.leading(dims)
-        assert len(leads) == len(dims) and leads[-1] is h
-        for dim, lead in zip(dims, leads):
-            alone = BlochMatrix.of(v[:dim, :dim])
-            np.testing.assert_array_equal([lead.herm, lead.off_max],
-                                          [alone.herm, alone.off_max])
-            np.testing.assert_array_equal(lead.diag, alone.diag)
-            np.testing.assert_array_equal(lead.kinetic, kinetic[:, :dim])
-            assert lead.matrix.shape == (dim, dim)
-            assert np.shares_memory(lead.matrix, v)
+            self, complex_entries, placed, break_v):
+        # The ladder's V (Yukawa, dim 531), made from its table with NaN,
+        # inf or an asymmetry placed at the first difference that the
+        # first f rows span and fewer do not (at -d for -f; f = 1 is d =
+        # 0, the diagonal), inside some leading blocks and outside the
+        # others: each block's figures, from the table, are ``of``'s of
+        # the block alone.
+        spans, v = ladder_table()
+        table = v[spans.pairs]
+        zero = len(table) // 2
+        if complex_entries:  # i t(d) sign(d): Hermitian, not symmetric
+            table = table + 0.1j * np.sign(np.arange(len(table)) - zero) \
+                * table
+        for f, value in placed:
+            at = np.flatnonzero(spans.first == abs(f))[0]
+            at = at if f > 0 else len(table) - 1 - at
+            table[at] = value if np.isinf(value) or np.isnan(value) \
+                else table[at] + value
+        assert_leading_figures(break_v.gather(table, spans), spans)
+
+    @pytest.mark.parametrize("kind", ["asymmetric", "nan", "inf", "noise",
+                                      "complex"])
+    def test_leading_figures_of_each_broken_table(self, kind, break_v):
+        # Each way ``break_v`` breaks V's table, on the ladder's V.
+        spans, v = ladder_table()
+        break_v.inject(kind)
+        assert_leading_figures(break_v.apply(v, spans), spans)
 
     def test_integer_input_is_solved_as_float(self):
         block = BlochMatrix.of([[2, 1], [1, 2]])
@@ -274,6 +274,38 @@ class TestCheckedBlock:
         buffer = np.empty(2)
         with pytest.raises(np.exceptions.ComplexWarning):
             buffer[:] = np.array([1.0 + 1e-3j, 2.0])
+
+
+# The converge ladder's dims: Yukawa at X, cutoffs 44 to 248 (pi/a)^2.
+LADDER_DIMS = [51, 59, 65, 113, 137, 169, 181, 229, 259, 283, 331, 339, 411,
+               459, 531]
+
+
+def ladder_table():
+    """The ladder's top basis's ``differences`` and V (dim 531)."""
+    lat = make_cubic("DIAMOND", 5.431)
+    rec = reciprocal_of(lat)
+    basis = PlaneWaveBasis.from_cutoff(rec, 248 * (math.pi / 5.431) ** 2)
+    spans = differences(basis.coeffs)
+    return spans, potential_matrix(Potential(0.5, mu=1.0), lat, rec, basis,
+                                   spans)
+
+
+def assert_leading_figures(v, spans):
+    """V's figures from its table, and every ladder dim's leading block's,
+    are ``of``'s of that block alone, bit for bit, NaN included."""
+    kinetic = np.arange(2.0 * len(v)).reshape(2, -1)
+    h = BlochMatrix.of(v, kinetic, spans=spans)
+    leads = h.leading(LADDER_DIMS)
+    assert len(leads) == len(LADDER_DIMS) and leads[-1] is h
+    for dim, lead in zip(LADDER_DIMS, leads):
+        alone = BlochMatrix.of(v[:dim, :dim])
+        np.testing.assert_array_equal([lead.herm, lead.off_max],
+                                      [alone.herm, alone.off_max])
+        np.testing.assert_array_equal(lead.diag, alone.diag)
+        np.testing.assert_array_equal(lead.kinetic, kinetic[:, :dim])
+        assert lead.matrix.shape == (dim, dim)
+        assert np.shares_memory(lead.matrix, v)
 
 
 def bloch_entries(lattice, point="X", cutoff=76):
@@ -377,8 +409,9 @@ def split_x_matrix(lattice, cutoff=76, point="X"):
     a = lattice.lattice_constant
     rec = reciprocal_of(lattice)
     basis = PlaneWaveBasis.from_cutoff(rec, cutoff * (math.pi / a) ** 2)
+    spans = differences(basis.coeffs)
     block = BlochMatrix.of(potential_matrix(Potential(0.5), lattice, rec,
-                                            basis))
+                                            basis, spans), spans=spans)
     kappa = fcc_symmetry_points(a)[point]
     crystal = operations(lattice, rec, basis)
     group = little_group(crystal, block, crystal.fixes(kappa[None])[0])
@@ -399,7 +432,9 @@ def little_group_blocks(name):
         model = Potential(0.5, mu=1.0)
         basis = PlaneWaveBasis.from_cutoff(rec, 248 * (math.pi / 5.431) ** 2)
         kappas = fcc_symmetry_points(5.431)["X"][None]
-    block = BlochMatrix.of(potential_matrix(model, lattice, rec, basis))
+    spans = differences(basis.coeffs)
+    block = BlochMatrix.of(potential_matrix(model, lattice, rec, basis, spans),
+                           spans=spans)
     crystal = operations(lattice, rec, basis)
     fixes = {fixing.tobytes(): fixing for fixing in crystal.fixes(kappas)}
     blocks = [block._replace(sectors=row_blocks(block.matrix, little_group(
@@ -476,15 +511,21 @@ class TestSectors:
                                              & (s.column[d:].T < m)))
                 assert (lead.sectors == ()) == straddles, d
 
-    def test_leading_block_is_checked_anew_on_views(self):
+    def test_leading_block_is_checked_anew_on_views(self, break_v):
         # Past the 12 shell (27 rows) no orbit straddles the cut: V's
         # leading block gets its own figures, as if checked alone, and the
-        # row blocks are views of the whole basis's.
+        # row blocks are views of the whole basis's.  V's table is off at
+        # a difference its first 27 rows span, and by more at one they do
+        # not.
         h = split_x_matrix(make_cubic("DIAMOND", 5.431))
-        noise = np.zeros((h.dim, h.dim))
-        noise[3, 20] = 2e-14  # inside the leading block
-        noise[40, 2] = 5e-14  # outside it, and larger
-        h = BlochMatrix.of(h.matrix + noise, h.kinetic, h.sectors)
+        rec = reciprocal_of(make_cubic("DIAMOND", 5.431))
+        spans = differences(PlaneWaveBasis.from_cutoff(
+            rec, 76 * (math.pi / 5.431) ** 2).coeffs)
+        table = h.matrix[spans.pairs]
+        table[np.flatnonzero(spans.first == 21)[0]] += 2e-14  # inside
+        table[np.flatnonzero(spans.first == 41)[0]] += 5e-14  # outside
+        h = BlochMatrix.of(break_v.gather(table, spans), h.kinetic,
+                           h.sectors, spans)
         assert h.leading([h.dim])[0] is h
         (lead,), alone = h.leading([27]), BlochMatrix.of(h.matrix[:27, :27])
         assert 0 < lead.herm == alone.herm < h.herm

@@ -4,6 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pwbands.bands as bands_mod
+import pwbands.hamiltonian as hamiltonian_mod
+from pwbands.bands import convergence_study
 from pwbands.cli import load_config
 from pwbands.eigen import BlochMatrix, NonHermitianError, eigh
 from pwbands.hamiltonian import (SYMMETRY_TOL, AssemblyError,
@@ -369,19 +372,24 @@ class TestSymmetryOnTheTable:
                              ids=[f[0] for f in SYMMETRY_FIXTURES])
     def test_block_is_the_box_table_gathered(self, fixture):
         # V's elements are evaluated only at the differences the basis
-        # spans; V is still the whole box's table gathered, bit for bit, and
-        # one shared table of differences gives the same V and operations.
+        # spans; V is still the whole box's table gathered, bit for bit,
+        # by a dim x dim index built here from the coefficients, and one
+        # shared table of differences gives the same V and operations.
         _, model, lat, rec, basis, _ = fixture
         spans = differences(basis.coeffs)
-        shape, _, key, origin, flat, diffs, _ = spans
+        shape, key, origin, diffs = spans[:4]
         box = np.indices(shape).reshape(3, -1).T - shape // 2
         table = matrix_element(model, lat, rec, box)
         if not np.any(table.imag):
             table = table.real
+        c = basis.coeffs
+        index = np.ravel_multi_index(np.moveaxis(
+            c[:, None] - c[None] + shape // 2, -1, 0), shape)
         v = potential_matrix(model, lat, rec, basis)
         assert v.dtype == table.dtype
-        assert np.array_equal(v, table[np.subtract.outer(key + origin, key)])
-        assert np.array_equal(diffs, np.unique(flat))
+        assert np.array_equal(v, table[index])
+        assert np.array_equal(diffs, np.unique(index))
+        assert np.array_equal(np.subtract.outer(key + origin, key), index)
         assert np.array_equal(potential_matrix(model, lat, rec, basis, spans),
                               v)
         alone, shared = (operations(lat, rec, basis),
@@ -390,6 +398,65 @@ class TestSymmetryOnTheTable:
             for x, y in zip(*((a, b) if isinstance(a, tuple) else
                               ((a,), (b,)))):
                 assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
+                             ids=[f[0] for f in SYMMETRY_FIXTURES])
+    def test_pairs_span_their_differences(self, fixture):
+        # Each pair (i, j) is rows of its own difference, G_i - G_j, not of
+        # -d: _symmetry reads V's table there, and every pin holds with
+        # the pairs of -d.  Its first leading dim is the least max(i, j) + 1
+        # over the pairs that span it, by a scan of every pair.
+        _, _, lat, rec, basis, _ = fixture
+        spans = differences(basis.coeffs)
+        i, j = operations(lat, rec, basis, spans).pairs
+        np.testing.assert_array_equal(
+            spans.key[i] - spans.key[j] + spans.origin, spans.diffs)
+        np.testing.assert_array_equal(
+            basis.coeffs[i] - basis.coeffs[j], np.stack(np.unravel_index(
+                spans.diffs, spans.shape), axis=-1) - spans.shape // 2)
+        assert np.array_equal((i, j), spans.pairs)
+        index = np.subtract.outer(spans.key + spans.origin, spans.key)
+        rank = np.arange(basis.dim)
+        first = np.full(np.prod(spans.shape), basis.dim + 1)
+        np.minimum.at(first, index.ravel(),
+                      np.maximum.outer(rank, rank).ravel() + 1)
+        np.testing.assert_array_equal(spans.first, first[spans.diffs])
+
+    @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
+                             ids=[f[0] for f in SYMMETRY_FIXTURES])
+    def test_table_figures_are_the_dense_scans_at_every_dim(self, fixture):
+        # herm, off_max and diag from V's table, of V and of its leading
+        # block at every dim, are those one dense scan of the block takes.
+        _, model, lat, rec, basis, _ = fixture
+        spans = differences(basis.coeffs)
+        v = potential_matrix(model, lat, rec, basis, spans)
+        h = BlochMatrix.of(v, spans=spans)
+        for dim, lead in enumerate(h.leading(range(1, h.dim + 1)), 1):
+            alone = BlochMatrix.of(v[:dim, :dim])
+            assert (lead.herm, lead.off_max) == (alone.herm, alone.off_max)
+            np.testing.assert_array_equal(lead.diag, alone.diag)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
+                             ids=[f[0] for f in SYMMETRY_FIXTURES])
+    def test_strips_of_any_height_give_the_same_table(self, fixture, rows,
+                                                      monkeypatch):
+        # Strips of 1 or 7 rows, not STRIP_BYTES': the same differences,
+        # first dims and V, bit for bit, and pairs of each difference.
+        _, model, lat, rec, basis, _ = fixture
+        spans = differences(basis.coeffs)
+        monkeypatch.setattr(hamiltonian_mod, "STRIP_BYTES",
+                            8 * basis.dim * rows)
+        strips = differences(basis.coeffs)
+        for name in ("shape", "key", "diffs", "first"):
+            np.testing.assert_array_equal(getattr(strips, name),
+                                          getattr(spans, name))
+        i, j = strips.pairs
+        np.testing.assert_array_equal(
+            strips.key[i] - strips.key[j] + strips.origin, strips.diffs)
+        np.testing.assert_array_equal(
+            potential_matrix(model, lat, rec, basis, strips),
+            potential_matrix(model, lat, rec, basis, spans))
 
     @pytest.mark.parametrize("fixture", SYMMETRY_FIXTURES,
                              ids=[f[0] for f in SYMMETRY_FIXTURES])
@@ -471,3 +538,35 @@ class TestSymmetryOnTheTable:
         finally:
             tracemalloc.stop()
         assert peak < 48 * basis.dim * 3 * 8
+
+
+def test_no_dim_squared_temporary_before_the_row_blocks(monkeypatch):
+    # From differences to the first row_blocks, the converge ladder's top
+    # (dim 531) holds V and no other dim x dim array: no index of the
+    # differences, no |V| scratch for V's figures.  Traced memory peaks
+    # below V's bytes plus half of them: besides V it holds the operations,
+    # the box of differences and one strip of STRIP_BYTES, 0.37 V here.
+    lat = make_cubic("DIAMOND", A_SI)
+    rec = reciprocal_of(lat)
+    basis = PlaneWaveBasis.from_cutoff(rec, 248 * SHELL)
+    assert basis.dim == 531
+
+    class Reached(Exception):
+        pass
+
+    def reached(v, group):
+        raise Reached(tracemalloc.get_traced_memory()[1], v.nbytes)
+
+    monkeypatch.setattr(bands_mod, "row_blocks", reached)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(Reached) as stop:
+            convergence_study(fcc_symmetry_points(A_SI)["X"],
+                              Potential(0.5, mu=1.0), lat, rec, basis,
+                              [248 * SHELL], 8)
+    finally:
+        tracemalloc.stop()
+    peak, v_bytes = stop.value.args
+    assert v_bytes == 8 * 531 ** 2
+    assert peak - start < 1.5 * v_bytes

@@ -227,7 +227,7 @@ def test_broken_symmetry_falls_back_to_one_sector(monkeypatch, bands_eigh,
     crystal = preset("z05")
     intact, dims = solve_tour(monkeypatch, bands_eigh, crystal, np.eye(3))
     assert dims == TOUR_DIMS["z05"]
-    break_v("noise")
+    break_v.inject("noise")
     split, dims = solve_tour(monkeypatch, bands_eigh, crystal, np.eye(3))
     whole, _ = solve_tour(monkeypatch, bands_eigh, crystal, np.eye(3),
                           whole=True)
